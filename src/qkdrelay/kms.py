@@ -109,6 +109,8 @@ class KmsEntity(Entity):
         self.timeout_ms = timeout_ms
         self.delivered_ttl_ms = delivered_ttl_ms
         self.rules: dict[str, RelayRule] = {}
+        # (app_src, app_dst, prev_hop) -> newest matching rule.
+        self._rule_index: dict[tuple[str, str, str | None], RelayRule] = {}
         self.delivered: dict[tuple[str, str, str], DeliveredKey] = {}
         self.pending: dict[str, PendingRelay] = {}
         self.orphan_count = 0
@@ -116,26 +118,24 @@ class KmsEntity(Entity):
     # ── rule installation ──
 
     def install_rule(self, msg: RelayPathInstall) -> None:
-        self.rules[msg.id_association] = RelayRule(
+        rule = RelayRule(
             id_association=msg.id_association,
             prev_hop=msg.prev_hop,
             next_hop=msg.next_hop,
             app_src=msg.app_src,
             app_dst=msg.app_dst,
         )
+        self.rules[msg.id_association] = rule
+        self._rule_index[(rule.app_src, rule.app_dst, rule.prev_hop)] = rule
 
     def _rule_for_pair(
         self, app_src: str, app_dst: str, prev_hop: str | None
     ) -> RelayRule | None:
         """Newest rule matching the ordered app pair and chain position
-        (prev_hop none selects initiator rules)."""
-        for rule in reversed(list(self.rules.values())):
-            if rule.app_src != app_src or rule.app_dst != app_dst:
-                continue
-            if rule.prev_hop != prev_hop:
-                continue
-            return rule
-        return None
+        (prev_hop none selects initiator rules). Association ids are unique
+        and a path visits each KMS once, so the last rule installed for a
+        key is the newest."""
+        return self._rule_index.get((app_src, app_dst, prev_hop))
 
     # ── dispatch ──
 

@@ -40,7 +40,11 @@ class KeyPool:
     """One endpoint's view of a link's keys, owned by exactly one KMS.
 
     Records keep insertion (generation) order; reservation is FIFO over the
-    available ones. State moves one way: available -> reserved -> consumed.
+    available ones. State moves one way: available -> reserved -> consumed,
+    or available -> consumed when a key is taken by id. Since no record ever
+    becomes available again, ``reserve_next`` keeps a cursor into generation
+    order: every record behind it is reserved or consumed, so a scan never
+    has to look there again.
     """
 
     def __init__(self, link_id: str, owner_kms: str):
@@ -48,34 +52,34 @@ class KeyPool:
         self.owner_kms = owner_kms
         self.records: dict[str, KeyRecord] = {}
         self.generated_total = 0
-        self.reserved_total = 0
         self.consumed_total = 0
-        self.lookups = 0
+        self._order: list[KeyRecord] = []
+        self._cursor = 0
 
     def append(self, record: KeyRecord) -> None:
         if record.id in self.records:
             raise RuntimeError(f"key id {record.id} recurred on link {self.link_id}")
         self.records[record.id] = record
+        self._order.append(record)
         self.generated_total += 1
 
     def reserve_next(self) -> KeyRecord | None:
-        for record in self.records.values():
+        order = self._order
+        while self._cursor < len(order):
+            record = order[self._cursor]
+            self._cursor += 1
             if record.state == AVAILABLE:
                 record.state = RESERVED
-                self.reserved_total += 1
                 return record
         return None
 
     def get(self, key_id: str) -> KeyRecord | None:
-        self.lookups += 1
         return self.records.get(key_id)
 
     def consume(self, key_id: str) -> KeyRecord:
         record = self.records[key_id]
         if record.state == CONSUMED:
             raise RuntimeError(f"key {key_id} consumed twice on link {self.link_id}")
-        if record.state == AVAILABLE:
-            self.reserved_total += 1
         record.state = CONSUMED
         self.consumed_total += 1
         return record
@@ -89,9 +93,6 @@ class KeyPool:
     def consumed_ids(self) -> set[str]:
         return {r.id for r in self.records.values() if r.state == CONSUMED}
 
-    def ids(self) -> list[str]:
-        return list(self.records)
-
 
 class LinkSimulator:
     """Owns every pool in the network and the per-link generation state."""
@@ -103,6 +104,8 @@ class LinkSimulator:
         self._counters: dict[str, int] = {l: 0 for l in topology.links}
         self._carry: dict[str, float] = {l: 0.0 for l in topology.links}
         self.pools: dict[str, KeyPool] = {}
+        # key id -> material, filled as keys are generated (audit lookups).
+        self._material: dict[str, bytes] = {}
         for link in topology.links.values():
             for end in link.endpoints():
                 kms = render_kms_id(end, link.id)
@@ -128,6 +131,7 @@ class LinkSimulator:
             record = derive_key(self.seed, link_id, index, self.key_size)
             a.append(KeyRecord(id=record.id, material=record.material))
             b.append(KeyRecord(id=record.id, material=record.material))
+            self._material[record.id] = record.material
             ids.append(record.id)
         return ids
 
@@ -151,11 +155,7 @@ class LinkSimulator:
     # ── audit helpers for tests and trace checks ──
 
     def find_material(self, key_id: str) -> bytes | None:
-        for pool in self.pools.values():
-            record = pool.records.get(key_id)
-            if record is not None:
-                return record.material
-        return None
+        return self._material.get(key_id)
 
     def link_consumed_ids(self, link_id: str) -> set[str]:
         a, b = self.link_pools(link_id)

@@ -61,10 +61,14 @@ class UnknownEntityError(ProtocolError):
 
 
 def otp_xor(a: bytes, b: bytes) -> bytes:
-    """Bytewise one-time-pad combine; involution: otp_xor(otp_xor(a,b),b)==a."""
+    """Bytewise one-time-pad combine; involution: otp_xor(otp_xor(a,b),b)==a.
+
+    Done as one big-endian integer XOR; to_bytes(len(a)) restores any
+    leading zero bytes.
+    """
     if len(a) != len(b):
         raise LengthMismatchError(f"operand lengths differ: {len(a)} != {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 # ── message set ──

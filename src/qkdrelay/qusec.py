@@ -156,6 +156,8 @@ class QusecEntity(Entity):
             else topology.config.session_lifetime_ms
         )
         self.sessions: list[SessionState] = []
+        # (app_src, app_dst) -> that ordered pair's newest session.
+        self._newest_session: dict[tuple[str, str], SessionState] = {}
         self.install_count = 0
         self.discovery_count = 0
         self.errors: list[dict] = []
@@ -184,14 +186,23 @@ class QusecEntity(Entity):
                 expired += 1
         return expired
 
+    def _add_session(self, session: SessionState) -> None:
+        """Every new session goes through here, so the index stays whole."""
+        self.sessions.append(session)
+        self._newest_session[(session.app_src, session.app_dst)] = session
+
     def _find_reusable_session(self, app_src: str, app_dst: str) -> SessionState | None:
-        """Newest live session in which the requester is the target."""
-        for session in reversed(self.sessions):
-            if session.status == SESSION_EXPIRED:
-                continue
-            if session.app_src == app_dst and session.app_dst == app_src:
-                return session
-        return None
+        """Newest live session in which the requester is the target.
+
+        Only the pair's newest session needs a look: created_ms never
+        decreases, and session_gc runs before every lookup and expires every
+        session past the lifetime, so expired sessions are always a prefix of
+        creation order. If the newest one has expired, so have all older ones.
+        """
+        session = self._newest_session.get((app_dst, app_src))
+        if session is None or session.status == SESSION_EXPIRED:
+            return None
+        return session
 
     # ── discovery ──
 
@@ -246,7 +257,7 @@ class QusecEntity(Entity):
                 render_kms_id(src_node, link.id),
                 render_kms_id(dst_node, link.id),
             )
-            self.sessions.append(
+            self._add_session(
                 SessionState(
                     id_association=self._new_association_id(),
                     app_src=msg.app_src,
@@ -279,7 +290,7 @@ class QusecEntity(Entity):
             )
             self.send(kms_list[i], install)
             self.install_count += 1
-        self.sessions.append(
+        self._add_session(
             SessionState(
                 id_association=assoc,
                 app_src=msg.app_src,

@@ -3,6 +3,10 @@
 The topology is loaded once from a JSON config and is immutable afterwards.
 Node roles are never configured; they are derived from link incidence
 (one incident link makes a simple node, two or more make a trusted relay).
+
+Because nothing changes after load, the loader builds the lookup indexes
+once, while it validates: an adjacency map behind every graph helper and a
+rendered-name map behind KMS name parsing.
 """
 
 from __future__ import annotations
@@ -96,31 +100,52 @@ def vkms_name(node_id: str) -> str:
     return f"vKMS_{node_label(node_id)}"
 
 
+def _build_adjacency(
+    node_ids, links: dict[str, Link]
+) -> dict[str, list[tuple[str, Link]]]:
+    """node -> (neighbor, link) pairs in link file order, for every node in
+    node_ids and every link endpoint."""
+    adjacency: dict[str, list[tuple[str, Link]]] = {n: [] for n in node_ids}
+    for link in links.values():
+        adjacency.setdefault(link.a, []).append((link.b, link))
+        adjacency.setdefault(link.b, []).append((link.a, link))
+    return adjacency
+
+
 @dataclass(frozen=True)
 class Topology:
-    """Immutable network description plus the app registry."""
+    """Immutable network description plus the app registry.
+
+    ``adjacency`` (node -> (neighbor, link) pairs in link file order) and
+    ``kms_names`` (rendered KMS name -> (node, link)) are indexes that
+    ``topology_from_dict`` derives from ``nodes`` and ``links``. Nothing
+    changes after load, so they never go stale.
+    """
 
     nodes: dict[str, Node]
     links: dict[str, Link]
     apps: dict[str, str]
     weight_policy: str
     config: SimConfig = field(default_factory=SimConfig)
+    adjacency: dict[str, list[tuple[str, Link]]] = field(
+        kw_only=True, repr=False, compare=False
+    )
+    kms_names: dict[str, tuple[str, str]] = field(
+        kw_only=True, repr=False, compare=False
+    )
 
     # ── graph helpers ──
 
     def incident_links(self, node_id: str) -> list[Link]:
-        return [l for l in self.links.values() if node_id in l.endpoints()]
+        return [link for _, link in self.adjacency.get(node_id, ())]
 
     def neighbors(self, node_id: str) -> list[tuple[str, Link]]:
-        """(neighbor node, connecting link) pairs, in link file order."""
-        out = []
-        for link in self.links.values():
-            if node_id in link.endpoints():
-                out.append((link.other_end(node_id), link))
-        return out
+        """(neighbor node, connecting link) pairs, in link file order.
+        The list is the index itself: callers must not mutate it."""
+        return self.adjacency.get(node_id, [])
 
     def links_between(self, u: str, v: str) -> list[Link]:
-        return [l for l in self.links.values() if {u, v} == set(l.endpoints())]
+        return [link for n, link in self.adjacency.get(u, ()) if n == v]
 
     # ── naming ──
 
@@ -138,12 +163,10 @@ class Topology:
         Load-time validation guarantees at most one (node, link) pair can
         produce a given rendered name.
         """
-        matches = [
-            (n, l) for (n, l) in self.kms_pairs() if render_kms_id(n, l) == rendered
-        ]
-        if not matches:
-            raise KeyError(f"no KMS named {rendered!r} in this topology")
-        return matches[0]
+        try:
+            return self.kms_names[rendered]
+        except KeyError:
+            raise KeyError(f"no KMS named {rendered!r} in this topology") from None
 
     def kms_node(self, rendered: str) -> str:
         return self.parse_kms_id(rendered)[0]
@@ -284,22 +307,21 @@ def topology_from_dict(raw: dict) -> Topology:
     if policy not in WEIGHT_POLICIES:
         violations.append(f"unknown weight_policy {policy!r}")
 
+    adjacency = _build_adjacency(nodes, links)
+
     # Node roles and per-node KMS seats.
     built_nodes: dict[str, Node] = {}
-    degree = {n: 0 for n in nodes}
-    for link in links.values():
-        for end in link.endpoints():
-            if end in degree:
-                degree[end] += 1
     for node_id in nodes:
-        incident = sorted(l.id for l in links.values() if node_id in l.endpoints())
-        if degree.get(node_id, 0) == 0:
+        incident = adjacency[node_id]
+        if not incident:
             violations.append(f"node {node_id!r} has no incident links")
-        role = ROLE_TRUSTED_RELAY if degree.get(node_id, 0) >= 2 else ROLE_SIMPLE
+        role = ROLE_TRUSTED_RELAY if len(incident) >= 2 else ROLE_SIMPLE
         built_nodes[node_id] = Node(
             id=node_id,
             role=role,
-            kms_ids=tuple(render_kms_id(node_id, l) for l in incident),
+            kms_ids=tuple(
+                render_kms_id(node_id, l) for l in sorted(l.id for _, l in incident)
+            ),
         )
 
     # Connectivity over the undirected node/link graph.
@@ -311,25 +333,23 @@ def topology_from_dict(raw: dict) -> Topology:
             if cur in seen:
                 continue
             seen.add(cur)
-            for link in links.values():
-                if cur in link.endpoints():
-                    stack.append(link.other_end(cur))
+            stack.extend(n for n, _ in adjacency[cur])
         if seen != set(nodes):
             unreachable = sorted(set(nodes) - seen)
             violations.append(f"graph is disconnected (unreachable: {unreachable})")
 
     # Rendered KMS names must be unique and unambiguous, or every later
     # trace and rule install would be misaddressed.
-    rendered: dict[str, tuple[str, str]] = {}
+    kms_names: dict[str, tuple[str, str]] = {}
     for link in links.values():
         for end in link.endpoints():
             if end not in nodes:
                 continue
             name = render_kms_id(end, link.id)
-            prior = rendered.get(name)
+            prior = kms_names.get(name)
             if prior is not None and prior != (end, link.id):
                 violations.append(f"ambiguous KMS name {name!r}")
-            rendered[name] = (end, link.id)
+            kms_names[name] = (end, link.id)
 
     if violations:
         raise ValidationError(violations)
@@ -340,6 +360,8 @@ def topology_from_dict(raw: dict) -> Topology:
         apps=apps,
         weight_policy=policy,
         config=config,
+        adjacency=adjacency,
+        kms_names=kms_names,
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -63,6 +64,98 @@ def chain_dict(n_links: int, initial_pool: int = 4, **overrides) -> dict:
 
 def chain(n_links: int, initial_pool: int = 4, **overrides) -> Topology:
     return topology_from_dict(chain_dict(n_links, initial_pool, **overrides))
+
+
+def random_topology(rng: random.Random) -> dict:
+    """Connected graph of 2-8 nodes with random weights and no apps."""
+    n = rng.randint(2, 8)
+    node_ids = [f"N{i}" for i in range(1, n + 1)]
+    edges = set()
+    for i in range(1, n):  # random spanning tree keeps it connected
+        edges.add((node_ids[rng.randrange(i)], node_ids[i]))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(node_ids, 2)
+        if (u, v) not in edges and (v, u) not in edges:
+            edges.add((u, v))
+    return {
+        "nodes": [{"id": nid} for nid in node_ids],
+        "links": [
+            {
+                "id": f"e{i}",
+                "a": u,
+                "b": v,
+                "key_rate": rng.choice([0.5, 1.0, 2.0, 5.0, 10.0]),
+                "distance_km": rng.choice([1.0, 2.0, 4.0, 8.0, 16.0]),
+                "initial_pool": 0,
+            }
+            for i, (u, v) in enumerate(sorted(edges))
+        ],
+        "apps": [],
+        "weight_policy": "hop_count",
+    }
+
+
+def grid_dict(k: int, initial_pool: int, session_lifetime_ms: int | None) -> dict:
+    """k x k grid, nodes N1..N(k*k) row-major, one app per node."""
+    links = []
+    for r in range(k):
+        for c in range(k):
+            for nr, nc in ((r, c + 1), (r + 1, c)):
+                if nr < k and nc < k:
+                    links.append(
+                        {
+                            "id": f"L{len(links) + 1}",
+                            "a": f"N{r * k + c + 1}",
+                            "b": f"N{nr * k + nc + 1}",
+                            "key_rate": 10.0,
+                            "distance_km": 10.0,
+                            "initial_pool": initial_pool,
+                        }
+                    )
+    raw = {
+        "nodes": [{"id": f"N{i}"} for i in range(1, k * k + 1)],
+        "links": links,
+        "apps": [{"id": f"APP_{i}", "node": f"N{i}"} for i in range(1, k * k + 1)],
+        "weight_policy": "hop_count",
+    }
+    if session_lifetime_ms is not None:
+        raw["config"] = {"session_lifetime_ms": session_lifetime_ms}
+    return raw
+
+
+def grid_events(raw: dict, rng: random.Random, pairs: int) -> list[dict]:
+    """A warm-up pair per app with a random grid neighbour, then random
+    ordered pairs, half of them followed by the reverse pair. A pair is a
+    get_key and the peer's get_key_with_id naming that key."""
+    neighbours: dict[str, list[str]] = {n["id"]: [] for n in raw["nodes"]}
+    for link in raw["links"]:
+        neighbours[link["a"]].append(link["b"])
+        neighbours[link["b"]].append(link["a"])
+    app_of = {a["node"]: a["id"] for a in raw["apps"]}
+    apps = list(app_of.values())
+
+    order = [(app_of[n], app_of[rng.choice(neighbours[n])]) for n in neighbours]
+    for _ in range(pairs):
+        src, dst = rng.sample(apps, 2)
+        order.append((src, dst))
+        if rng.random() < 0.5:
+            order.append((dst, src))
+
+    events = []
+    at = 0
+    for src, dst in order:
+        events.append({"at": at, "event": "app_get_key", "app_src": src, "app_dst": dst})
+        events.append(
+            {
+                "at": at + 10,
+                "event": "app_get_key_with_id",
+                "app_src": dst,
+                "app_dst": src,
+                "key_id_from": src,
+            }
+        )
+        at += 20
+    return events
 
 
 def pair_scenario(

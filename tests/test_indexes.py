@@ -1,0 +1,186 @@
+"""Every lookup index against the brute-force scan it replaced.
+
+Each oracle below is the scan the index replaced, written out here, so an
+index that drifts from its data shows up as a disagreement on random inputs.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import grid_dict, grid_events, mesh4, random_topology, run_events
+from qkdrelay.kms import KmsEntity
+from qkdrelay.linksim import AVAILABLE, RESERVED, LinkSimulator
+from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
+from qkdrelay.topology import render_kms_id, topology_from_dict
+
+# ── topology: adjacency and KMS names ──
+
+
+def with_parallel_links(raw: dict, rng: random.Random) -> dict:
+    """Copy of raw with up to three extra links parallel to existing ones,
+    some with their endpoints swapped."""
+    extra = []
+    for i, link in enumerate(rng.sample(raw["links"], min(3, len(raw["links"])))):
+        a, b = (link["b"], link["a"]) if rng.random() < 0.5 else (link["a"], link["b"])
+        extra.append({**link, "id": f"p{i}", "a": a, "b": b})
+    return {**raw, "links": raw["links"] + extra}
+
+
+def test_graph_helpers_match_link_scans():
+    rng = random.Random(41)
+    for trial in range(60):
+        raw = random_topology(rng)
+        if trial % 2:
+            raw = with_parallel_links(raw, rng)
+        topo = topology_from_dict(raw)
+        links = list(topo.links.values())
+        probes = sorted(topo.nodes) + ["N99"]
+        for u in probes:
+            assert topo.neighbors(u) == [
+                (l.other_end(u), l) for l in links if u in l.endpoints()
+            ]
+            assert topo.incident_links(u) == [l for l in links if u in l.endpoints()]
+            for v in probes:
+                assert topo.links_between(u, v) == [
+                    l for l in links if {u, v} == set(l.endpoints())
+                ]
+
+
+def test_parse_kms_id_matches_name_scan():
+    rng = random.Random(43)
+    for trial in range(60):
+        raw = random_topology(rng)
+        if trial % 2:
+            raw = with_parallel_links(raw, rng)
+        topo = topology_from_dict(raw)
+        seats = topo.kms_pairs()
+        names = [render_kms_id(n, l) for n, l in seats] + ["KMS_99z", "KMS_", ""]
+        for name in names:
+            matches = [(n, l) for n, l in seats if render_kms_id(n, l) == name]
+            if matches:
+                assert topo.parse_kms_id(name) == matches[0]
+                assert topo.kms_node(name) == matches[0][0]
+            else:
+                with pytest.raises(KeyError):
+                    topo.parse_kms_id(name)
+
+
+# ── linksim: FIFO cursor and material index ──
+
+
+def scan_next_available(pool):
+    return next((r for r in pool.records.values() if r.state == AVAILABLE), None)
+
+
+def test_reserve_next_matches_fifo_scan_under_random_operations():
+    rng = random.Random(47)
+    for trial in range(40):
+        sim = LinkSimulator(mesh4(), seed=trial)
+        sim.generate_keys("d", rng.randint(0, 6))
+        pool, _ = sim.link_pools("d")
+        for _ in range(80):
+            op = rng.random()
+            if op < 0.4:
+                want = scan_next_available(pool)
+                assert pool.reserve_next() is want
+            elif op < 0.6:
+                # A pickup by id (get_key_with_id) jumps the FIFO.
+                available = [r for r in pool.records.values() if r.state == AVAILABLE]
+                if available:
+                    pool.consume(rng.choice(available).id)
+            elif op < 0.8:
+                reserved = [r for r in pool.records.values() if r.state == RESERVED]
+                if reserved:
+                    pool.consume(rng.choice(reserved).id)
+            else:
+                sim.tick("d", rng.choice([0.0, 0.1, 0.25]))
+        assert sum(pool.counts().values()) == pool.generated_total
+
+
+def test_reserve_next_after_id_jump_exhaustion_and_tick():
+    sim = LinkSimulator(mesh4(), seed=1)
+    first, second, third = sim.generate_keys("d", 3)
+    pool, _ = sim.link_pools("d")
+    pool.consume(second)  # taken by id, out of FIFO order
+    assert pool.reserve_next().id == first
+    assert pool.reserve_next().id == third
+    assert pool.reserve_next() is None
+    assert pool.reserve_next() is None  # exhausted stays exhausted
+    assert sim.tick("d", 0.1) == 1
+    (fresh,) = [r for r in pool.records.values() if r.state == AVAILABLE]
+    assert pool.reserve_next() is fresh
+    assert pool.reserve_next() is None
+
+
+def test_find_material_matches_pool_scan():
+    sim = LinkSimulator(mesh4(), seed=3)
+    sim.fill_initial()
+    sim.tick_all(0.35)
+    other = LinkSimulator(mesh4(), seed=4)
+    other.fill_initial()
+
+    def scan(key_id):
+        for pool in sim.pools.values():
+            record = pool.records.get(key_id)
+            if record is not None:
+                return record.material
+        return None
+
+    known = [r.id for pool in sim.pools.values() for r in pool.records.values()]
+    unknown = ["", "no-such-key"] + [
+        r.id for pool in other.pools.values() for r in pool.records.values()
+    ]
+    for key_id in known + unknown:
+        assert sim.find_material(key_id) == scan(key_id)
+    assert all(sim.find_material(k) is None for k in unknown)
+
+
+# ── qusec sessions and kms rules, checked on every lookup of a run ──
+
+
+def test_session_and_rule_lookups_match_scans(monkeypatch):
+    seen = {"reused": 0, "expired_skipped": 0, "rules": 0}
+
+    find_session = QusecEntity._find_reusable_session
+
+    def checked_session(self, app_src, app_dst):
+        got = find_session(self, app_src, app_dst)
+        want = None
+        for session in reversed(self.sessions):
+            if session.app_src != app_dst or session.app_dst != app_src:
+                continue
+            if session.status == SESSION_EXPIRED:
+                seen["expired_skipped"] += 1
+                continue
+            want = session
+            break
+        assert got is want
+        seen["reused"] += want is not None
+        return got
+
+    rule_for_pair = KmsEntity._rule_for_pair
+
+    def checked_rule(self, app_src, app_dst, prev_hop):
+        got = rule_for_pair(self, app_src, app_dst, prev_hop)
+        want = None
+        for rule in reversed(list(self.rules.values())):
+            if (rule.app_src, rule.app_dst, rule.prev_hop) == (app_src, app_dst, prev_hop):
+                want = rule
+                break
+        assert got is want
+        seen["rules"] += 1
+        return got
+
+    monkeypatch.setattr(QusecEntity, "_find_reusable_session", checked_session)
+    monkeypatch.setattr(KmsEntity, "_rule_for_pair", checked_rule)
+    for lifetime in (None, 60, 150):
+        raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
+        events = grid_events(raw, random.Random(lifetime or 0), pairs=40)
+        result = run_events(topology_from_dict(raw), events, seed=2)
+        assert result.report["quiescent"]
+    assert seen["reused"] > 0
+    assert seen["expired_skipped"] > 0
+    assert seen["rules"] > 0

@@ -160,7 +160,7 @@ def test_fill_initial_respects_topology():
         assert pool.generated_total == 8
 
 
-def test_find_material_scans_all_pools():
+def test_find_material_returns_generated_material():
     sim = LinkSimulator(mesh4(), seed=1)
     (key_id,) = sim.generate_keys("c", 1)
     pool, _ = sim.link_pools("c")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,28 @@ from qkdrelay.protocol import (
 def test_otp_hand_value():
     assert otp_xor(b"\xff", b"\x0f") == b"\xf0"
     assert otp_xor(b"\x00\x01", b"\x00\x01") == b"\x00\x00"
+
+
+@pytest.mark.parametrize("size", [0, 1, 32])
+def test_otp_matches_bytewise_xor(size):
+    rng = random.Random(size)
+    cases = [
+        (bytes(size), bytes(size)),
+        (bytes(rng.randrange(256) for _ in range(size)), bytes(size)),
+        (
+            bytes(rng.randrange(256) for _ in range(size)),
+            bytes(rng.randrange(256) for _ in range(size)),
+        ),
+    ]
+    if size > 1:
+        # Leading zero bytes in the operands and in the result.
+        tail = bytes(rng.randrange(1, 256) for _ in range(size - 1))
+        cases.append((b"\x00" + tail, b"\x00" + tail))
+        cases.append((b"\x00\x07" + tail[1:], b"\x00\x05" + tail[1:]))
+    for a, b in cases:
+        got = otp_xor(a, b)
+        assert got == bytes(x ^ y for x, y in zip(a, b))
+        assert len(got) == size
 
 
 def test_otp_length_mismatch():

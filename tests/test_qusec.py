@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import chain, mesh4, run_events
+from conftest import chain, mesh4, random_topology, run_events
 from qkdrelay.harness import Simulation
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
 from qkdrelay.qusec import (
@@ -44,34 +44,6 @@ def all_simple_paths(topo, src, dst):
 
 def path_cost(topo, link_ids, policy):
     return sum(link_weight(topo.links[l], policy) for l in link_ids)
-
-
-def random_topology(rng: random.Random) -> dict:
-    n = rng.randint(2, 8)
-    node_ids = [f"N{i}" for i in range(1, n + 1)]
-    edges = set()
-    for i in range(1, n):  # random spanning tree keeps it connected
-        edges.add((node_ids[rng.randrange(i)], node_ids[i]))
-    for _ in range(rng.randint(0, n)):
-        u, v = rng.sample(node_ids, 2)
-        if (u, v) not in edges and (v, u) not in edges:
-            edges.add((u, v))
-    return {
-        "nodes": [{"id": nid} for nid in node_ids],
-        "links": [
-            {
-                "id": f"e{i}",
-                "a": u,
-                "b": v,
-                "key_rate": rng.choice([0.5, 1.0, 2.0, 5.0, 10.0]),
-                "distance_km": rng.choice([1.0, 2.0, 4.0, 8.0, 16.0]),
-                "initial_pool": 0,
-            }
-            for i, (u, v) in enumerate(sorted(edges))
-        ],
-        "apps": [],
-        "weight_policy": "hop_count",
-    }
 
 
 def test_spf_matches_brute_force_over_random_graphs():
@@ -255,6 +227,39 @@ def test_discovery_session_reuse_skips_installs(mesh4_relay_topology):
         if message_type(e.msg) == "kms_discovery_response"
     ]
     assert responses == ["KMS_1b", "KMS_4d"]  # first hop, then last hop reused
+
+
+def test_direct_session_reused_by_target_pickup():
+    # N1 and N2 share link a: the session is direct, yet the target's
+    # pickup must still find and complete it rather than open a second one.
+    topo = mesh4({"APP_A": "N1", "APP_B": "N2"})
+    result = run_events(
+        topo,
+        [
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+            {
+                "at": 5,
+                "event": "app_get_key_with_id",
+                "app_src": "APP_B",
+                "app_dst": "APP_A",
+                "key_id_from": "APP_A",
+            },
+        ],
+    )
+    assert installs(result.records) == []
+    (session,) = result.sim.qusec.sessions
+    assert session.kms_path == ("KMS_1a", "KMS_2a")
+    assert session.status == SESSION_COMPLETED
+    responses = [
+        e.msg.id_kms
+        for e in result.records
+        if message_type(e.msg) == "kms_discovery_response"
+    ]
+    assert responses == ["KMS_1a", "KMS_2a"]
+    first, second = result.report["requests"]
+    assert first["status"] == second["status"] == "ok"
+    assert first["key_id"] == second["key_id"]
+    assert first["material"] == second["material"] != ""
 
 
 def test_discovery_unknown_app_and_same_node():
