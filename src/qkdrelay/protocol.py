@@ -2,6 +2,9 @@
 
 Field sets are wire-exact; the codec rejects unknown envelope or body keys
 and unknown message types. Octet-valued fields travel as lowercase hex.
+The encoder walks a per-type field plan built once at import from
+``dataclasses.fields``; that is sound because a dataclass's field set is
+fixed when its class is created, and the message classes are frozen.
 The transport keeps global FIFO order (which implies per-channel FIFO),
 assigns per-sender sequence numbers, and records every delivered envelope
 in order; that log is the conformance trace.
@@ -204,6 +207,24 @@ def message_type(msg: Message) -> str:
     return _TYPE_TAGS[type(msg)]
 
 
+# Per message type, (field name, carries octets) in declaration order.
+_FIELD_PLANS: dict[type, tuple[tuple[str, bool], ...]] = {
+    cls: tuple((f.name, f.name in OCTET_FIELDS) for f in fields(cls))
+    for cls in MESSAGE_TYPES.values()
+}
+# Per message type, its octet field names in OCTET_FIELDS order.
+_OCTET_FIELDS_OF: dict[type, tuple[str, ...]] = {
+    cls: tuple(name for name in OCTET_FIELDS if name in cls.__dataclass_fields__)
+    for cls in MESSAGE_TYPES.values()
+}
+
+
+def octet_fields(msg: Message) -> tuple[str, ...]:
+    """Names of the key-material fields msg's type declares, present or
+    empty, in OCTET_FIELDS order."""
+    return _OCTET_FIELDS_OF[type(msg)]
+
+
 # ── envelope and codec ──
 
 
@@ -220,11 +241,9 @@ class Envelope:
 
 def message_to_body(msg: Message) -> dict:
     body = {}
-    for f in fields(msg):
-        value = getattr(msg, f.name)
-        if f.name in OCTET_FIELDS:
-            value = value.hex()
-        body[f.name] = value
+    for name, is_octet in _FIELD_PLANS[type(msg)]:
+        value = getattr(msg, name)
+        body[name] = value.hex() if is_octet else value
     return body
 
 
@@ -307,11 +326,20 @@ def envelope_from_obj(obj: dict) -> Envelope:
     )
 
 
+# One encoder for every canonical form. json.dumps with non-default options
+# builds a new encoder per call, which costs about as much as a small record.
+# ensure_ascii stays on, so every canonical line is ASCII.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def encode_str(env: Envelope) -> str:
+    """Canonical JSON text: sorted keys, compact separators, lowercase hex."""
+    return canonical_json(envelope_to_obj(env))
+
+
 def encode(env: Envelope) -> bytes:
-    """Canonical JSON: sorted keys, compact separators, lowercase hex."""
-    return json.dumps(
-        envelope_to_obj(env), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """encode_str() as bytes."""
+    return encode_str(env).encode("utf-8")
 
 
 def decode(data: bytes | str) -> Envelope:
@@ -352,11 +380,10 @@ class FaultRule:
 def corrupt_message(msg: Message) -> Message:
     """Flip every non-empty octet field; leaves everything else intact."""
     changes = {}
-    for f in fields(msg):
-        if f.name in OCTET_FIELDS:
-            value = getattr(msg, f.name)
-            if value:
-                changes[f.name] = bytes(b ^ 0xA5 for b in value)
+    for name in octet_fields(msg):
+        value = getattr(msg, name)
+        if value:
+            changes[name] = bytes(b ^ 0xA5 for b in value)
     return replace(msg, **changes) if changes else msg
 
 
@@ -454,9 +481,3 @@ class Transport:
         env = self._queue.popleft()
         self.records.append(env)
         return env
-
-    def drain(self) -> list[Envelope]:
-        """Return and clear the delivered-order log."""
-        out = self.records
-        self.records = []
-        return out

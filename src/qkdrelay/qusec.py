@@ -156,6 +156,8 @@ class QusecEntity(Entity):
             else topology.config.session_lifetime_ms
         )
         self.sessions: list[SessionState] = []
+        # sessions[:_live_from] have expired; session_gc advances it.
+        self._live_from = 0
         # (app_src, app_dst) -> that ordered pair's newest session.
         self._newest_session: dict[tuple[str, str], SessionState] = {}
         self.install_count = 0
@@ -174,17 +176,21 @@ class QusecEntity(Entity):
     # ── session bookkeeping ──
 
     def session_gc(self, now_ms: int) -> int:
-        """Mark sessions older than the configured lifetime expired."""
+        """Mark sessions older than the configured lifetime expired.
+
+        created_ms never decreases along `sessions` and the clock never runs
+        back, so the expired sessions are a prefix of `sessions` that only
+        grows: the scan resumes where the last one stopped.
+        """
         if self.session_lifetime_ms is None:
             return 0
-        expired = 0
-        for session in self.sessions:
-            if session.status == SESSION_EXPIRED:
-                continue
-            if now_ms - session.created_ms > self.session_lifetime_ms:
-                session.status = SESSION_EXPIRED
-                expired += 1
-        return expired
+        sessions, lifetime = self.sessions, self.session_lifetime_ms
+        start = end = self._live_from
+        while end < len(sessions) and now_ms - sessions[end].created_ms > lifetime:
+            sessions[end].status = SESSION_EXPIRED
+            end += 1
+        self._live_from = end
+        return end - start
 
     def _add_session(self, session: SessionState) -> None:
         """Every new session goes through here, so the index stays whole."""

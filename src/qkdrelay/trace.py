@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .protocol import OCTET_FIELDS, CodecError, Envelope, decode, encode
+from .protocol import OCTET_FIELDS, CodecError, Envelope, canonical_json, decode, encode_str
 
 _KEY_ID_FIELDS = ("key_id", "id_relay_key", "id_key_encryption")
 _ASSOC_FIELDS = ("id_association",)
@@ -83,7 +83,7 @@ def canonicalize_lines(lines: list[str]) -> list[str]:
         sender = obj.get("from", "")
         sent_by[sender] = sent_by.get(sender, 0) + 1
         obj["seq"] = sent_by[sender]
-        out.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        out.append(canonical_json(obj))
     return out
 
 
@@ -108,7 +108,7 @@ def trace_compare(expected_path: str, actual_path: str) -> TraceDiff:
 
 
 def records_to_lines(records: list[Envelope]) -> list[str]:
-    return [encode(env).decode("utf-8") for env in records]
+    return [encode_str(env) for env in records]
 
 
 def parse_trace_line(line: str) -> Envelope:

@@ -57,7 +57,6 @@ class VkmsEntity(Entity):
         self.cache: dict[tuple[str, str], tuple[str, int]] = {}
         self.awaiting_discovery: dict[tuple[str, str], deque[PendingApp]] = {}
         self.awaiting_delivery: dict[str, deque[PendingApp]] = {}
-        self.requests_handled = 0
 
     # ── cache ──
 
@@ -101,7 +100,6 @@ class VkmsEntity(Entity):
         self.send(app_id, KeyDelivery(key_id=key_id, material=b"", status=status))
 
     def _handle_app_request(self, msg: GetKey | GetKeyWithId, app_id: str) -> None:
-        self.requests_handled += 1
         if self.topology.apps.get(msg.app_src) != self.node_id:
             # Not our app: refuse locally, never bother the controller.
             self._fail(app_id, msg, STATUS_UNKNOWN_APP)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import chain, mesh4, pair_scenario, run_events, write_json
-from qkdrelay import data_path, load_scenario, run
+from qkdrelay import data_path, harness, load_scenario, protocol, run
 from qkdrelay.harness import (
     ConfigError,
     Simulation,
@@ -257,6 +257,25 @@ def test_packaged_linear32_scenario():
     result = run(topology, scenario, seed=7)
     assert result.exit_code == 0
     assert result.report["message_counts"]["relay_path_install"] == 62
+
+
+def test_each_record_is_encoded_once(monkeypatch):
+    calls = []
+    to_body = protocol.message_to_body
+
+    def counted(msg):
+        calls.append(msg)
+        return to_body(msg)
+
+    # Both places a caller may look the function up, as the benchmark patches them.
+    monkeypatch.setattr(protocol, "message_to_body", counted)
+    monkeypatch.setattr(harness, "message_to_body", counted)
+    topology = load_topology_file(data_path("topologies", "mesh4_relay.json"))
+    scenario = load_scenario(data_path("scenarios", "relay1hop.json"))
+    result = run(topology, scenario, seed=7)
+    assert result.exit_code == 0
+    assert result.diff is not None and result.diff.is_empty
+    assert calls == [env.msg for env in result.records]
 
 
 def test_golden_mismatch_reported_with_diff(mesh4_relay_topology, tmp_path):

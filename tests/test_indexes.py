@@ -184,3 +184,31 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     assert seen["reused"] > 0
     assert seen["expired_skipped"] > 0
     assert seen["rules"] > 0
+
+
+def test_session_gc_cursor_matches_full_scan(monkeypatch):
+    seen = {"calls": 0, "expired": 0}
+    session_gc = QusecEntity.session_gc
+
+    def checked_gc(self, now_ms):
+        want = [s.status for s in self.sessions]
+        want_expired = 0
+        for i, session in enumerate(self.sessions):
+            if want[i] != SESSION_EXPIRED and now_ms - session.created_ms > self.session_lifetime_ms:
+                want[i] = SESSION_EXPIRED
+                want_expired += 1
+        got_expired = session_gc(self, now_ms)
+        assert [s.status for s in self.sessions] == want
+        assert got_expired == want_expired
+        seen["calls"] += 1
+        seen["expired"] += got_expired
+        return got_expired
+
+    monkeypatch.setattr(QusecEntity, "session_gc", checked_gc)
+    for lifetime in (60, 150):
+        raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
+        events = grid_events(raw, random.Random(lifetime), pairs=40)
+        result = run_events(topology_from_dict(raw), events, seed=2)
+        assert result.report["quiescent"]
+    assert seen["calls"] > 0
+    assert seen["expired"] > 0

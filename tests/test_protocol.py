@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import random
 
@@ -35,6 +37,7 @@ from qkdrelay.protocol import (
     message_type,
     otp_xor,
 )
+from qkdrelay.trace import records_to_lines
 
 # ── one-time pad ──
 
@@ -132,6 +135,62 @@ def test_encoding_is_canonical(env):
     for name in protocol.OCTET_FIELDS:
         if name in obj["body"]:
             assert obj["body"][name] == obj["body"][name].lower()
+
+
+def reference_encode(env: Envelope) -> bytes:
+    """The codec before field plans: fields() and json.dumps on every call."""
+    body = {}
+    for f in dataclasses.fields(env.msg):
+        value = getattr(env.msg, f.name)
+        body[f.name] = value.hex() if f.name in protocol.OCTET_FIELDS else value
+    obj = {
+        "seq": env.seq,
+        "from": env.sender,
+        "to": env.receiver,
+        "channel": env.channel,
+        "type": message_type(env.msg),
+        "body": body,
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+# Per field, the values every combination of is encoded: empty octets,
+# leading zero octets, null hops, a non-empty ext and non-ASCII text.
+_EDGE_VALUES = {
+    "octets": [b"", b"\x00\x00\x07", bytes(range(32))],
+    "status": ["ok", "failed_no_key"],
+    "ack_status": ["ok"],
+    "prev_hop": [None, "KMS_1a"],
+    "next_hop": [None, "KMS_2\u00e9"],
+    "id_kms": [None, "KMS_1a"],
+    "ext": [{}, {"z": "1", "a": "\u00f1", "m": ""}],
+}
+
+
+@pytest.mark.parametrize("tag", sorted(MESSAGE_TYPES))
+def test_encode_matches_reference_codec(tag):
+    cls = MESSAGE_TYPES[tag]
+    names = [f.name for f in dataclasses.fields(cls)]
+    choices = [
+        _EDGE_VALUES["octets"] if name in protocol.OCTET_FIELDS
+        else _EDGE_VALUES.get(name, [f"{name}-1", ""])
+        for name in names
+    ]
+    envs = [
+        Envelope(seq=i, sender="KMS_1a", receiver="KMS_1b", channel=CHANNEL_INTER,
+                 msg=cls(**dict(zip(names, values))))
+        for i, values in enumerate(itertools.product(*choices))
+    ]
+    for env in envs:
+        assert encode(env) == reference_encode(env)
+        assert decode(encode(env)) == env
+    assert records_to_lines(envs) == [reference_encode(env).decode() for env in envs]
+
+
+@given(envelopes())
+@settings(max_examples=100, deadline=None)
+def test_encode_matches_reference_codec_on_random_envelopes(env):
+    assert encode(env) == reference_encode(env)
 
 
 def _sample_line() -> dict:
