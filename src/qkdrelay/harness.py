@@ -184,7 +184,6 @@ class AppRequest:
     app_src: str
     app_dst: str
     kind: str
-    requested_key_id: str | None = None
     status: str | None = None
     key_id: str | None = None
     material: bytes | None = None
@@ -384,7 +383,6 @@ class Simulation:
             app_src=app_id,
             app_dst=params["app_dst"],
             kind=message_type(msg),
-            requested_key_id=getattr(msg, "key_id", None),
         )
         app.outstanding.append(request)
         self.requests.append(request)
@@ -588,7 +586,7 @@ def run(
     )
     sim.run_events(scenario.events)
 
-    records = list(sim.transport.records)
+    records = sim.transport.records
     trace_lines = records_to_lines(records)
     if trace_out:
         with open(trace_out, "w", encoding="utf-8") as fh:

@@ -6,6 +6,15 @@ fresh key from the next link (K3 = K1 xor K2), hand it across, and propagate
 completion statuses backward. A KMS only ever touches its own pool; the
 end-to-end key enters a node in plaintext only on the intra-node channel,
 inside the physically-secure trusted relay.
+
+Each request owes its sender exactly one reply, and that reply is a function
+of the request (``_reply``): Relay Process Request is answered by Relay
+Process Response, Ext Key Request by Ack, Key Relay by Key Relay Response,
+and Get Key by Key Delivery, the request/response pairing of ETSI GS QKD 014.
+A KMS answers at once when it fails or terminates the chain. Otherwise it
+forwards an onward request and keeps one ``PendingRelay`` until the onward
+request's own reply (``_AWAITS``) or a timeout arrives; the owed reply then
+carries that status unchanged.
 """
 
 from __future__ import annotations
@@ -61,28 +70,38 @@ class DeliveredKey:
     stored_ms: int
 
 
-# What a pending entry emits when its completion (or timeout) arrives.
-AWAIT_RELAY_PROCESS_RESPONSE = "deliver"            # initiator: resume GetKey
-AWAIT_ACK_THEN_RPR = "relay_process_response"       # reply to RelayProcessRequest peer
-AWAIT_ACK_THEN_KRR = "key_relay_response"           # reply to KeyRelay peer
-AWAIT_KRR_THEN_ACK = "ack_request"                  # reply to ExtKeyRequest sender
+RelayRequest = RelayProcessRequest | ExtKeyRequest | KeyRelay
+RelayReply = RelayProcessResponse | AckRequest | KeyRelayResponse
 
-_EXPECTED_COMPLETION = {
-    AWAIT_RELAY_PROCESS_RESPONSE: RelayProcessResponse,
-    AWAIT_ACK_THEN_RPR: AckRequest,
-    AWAIT_ACK_THEN_KRR: AckRequest,
-    AWAIT_KRR_THEN_ACK: KeyRelayResponse,
+# The reply each onward request is answered by.
+_AWAITS = {
+    RelayProcessRequest: RelayProcessResponse,
+    ExtKeyRequest: AckRequest,
+    KeyRelay: KeyRelayResponse,
 }
+
+
+def _reply(request: RelayRequest, status: str) -> RelayReply:
+    """The one reply a relay request owes its sender."""
+    if isinstance(request, RelayProcessRequest):
+        return RelayProcessResponse(status=status, id_relay_key=request.id_relay_key)
+    if isinstance(request, KeyRelay):
+        return KeyRelayResponse(status=status, id_relay_key=request.id_relay_key)
+    return AckRequest(
+        id_relay_key=request.id_relay_key,
+        ack_status=status,
+        app_src=request.app_src,
+        app_dst=request.app_dst,
+    )
 
 
 @dataclass
 class PendingRelay:
-    id_relay_key: str
-    id_association: str
-    app_src: str
-    app_dst: str
-    action: str
+    """A request whose reply waits on the reply to an onward request."""
+
+    awaits: type
     reply_to: str
+    request: GetKey | RelayRequest
     timer: object = None
     key: KeyRecord | None = None  # initiator keeps K1 reserved here
 
@@ -154,7 +173,7 @@ class KmsEntity(Entity):
         elif isinstance(msg, KeyRelay):
             self._handle_key_relay(msg, env.sender)
         elif isinstance(msg, (KeyRelayResponse, AckRequest, RelayProcessResponse)):
-            self._handle_completion(msg, env.sender)
+            self._handle_completion(msg)
         else:
             log.warning("%s ignoring %s", self.entity_id, message_type(msg))
 
@@ -164,31 +183,24 @@ class KmsEntity(Entity):
         self.send(to, KeyDelivery(key_id=key_id, material=material, status=status))
 
     def _handle_get_key(self, msg: GetKey, requester: str) -> None:
-        rule = self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=None)
-        if rule is not None:
-            self._initiate_relay(msg, rule, requester)
-            return
-        # Direct serve: next available key, FIFO.
+        # Direct serve and relay initiation both take the next key, FIFO.
         record = self.pool.reserve_next()
         if record is None:
             self._deliver(requester, "", b"", STATUS_NO_KEY)
             return
-        self.pool.consume(record.id)
-        self._deliver(requester, record.id, record.material, STATUS_OK)
-
-    def _initiate_relay(self, msg: GetKey, rule: RelayRule, requester: str) -> None:
-        k1 = self.pool.reserve_next()
-        if k1 is None:
-            self._deliver(requester, "", b"", STATUS_NO_KEY)
+        if self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=None) is None:
+            self.pool.consume(record.id)
+            self._deliver(requester, record.id, record.material, STATUS_OK)
             return
-        self.send(
+        # Relay: record is K1, kept reserved until the chain completes.
+        self._forward(
             self.peer_kms_id,
             RelayProcessRequest(
-                app_src=msg.app_src, app_dst=msg.app_dst, id_relay_key=k1.id
+                app_src=msg.app_src, app_dst=msg.app_dst, id_relay_key=record.id
             ),
-        )
-        self._suspend(
-            k1.id, rule, AWAIT_RELAY_PROCESS_RESPONSE, reply_to=requester, key=k1
+            requester,
+            msg,
+            key=record,
         )
 
     def _handle_get_key_with_id(self, msg: GetKeyWithId, requester: str) -> None:
@@ -220,64 +232,26 @@ class KmsEntity(Entity):
     def _handle_relay_process_request(self, msg: RelayProcessRequest, peer: str) -> None:
         rule = self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=peer)
         if rule is None:
-            self.send(
-                peer, RelayProcessResponse(status=STATUS_NO_RULE, id_relay_key=msg.id_relay_key)
-            )
+            self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
         record = self.pool.get(msg.id_relay_key)
         if record is None or record.state != AVAILABLE:
-            self.send(
-                peer, RelayProcessResponse(status=STATUS_NO_KEY, id_relay_key=msg.id_relay_key)
-            )
+            self.send(peer, _reply(msg, STATUS_NO_KEY))
             return
         self.pool.consume(record.id)
-        if rule.next_hop is None:
-            # Defensive: a one-link "relay" degenerates to target-side storage.
-            self._store_delivered(msg.id_relay_key, rule, record.material)
-            self.send(
-                peer, RelayProcessResponse(status=STATUS_OK, id_relay_key=msg.id_relay_key)
-            )
-            return
-        self.send(
-            rule.next_hop,
-            ExtKeyRequest(
-                id_relay_key=record.id,
-                value_relay_key=record.material,
-                app_src=msg.app_src,
-                app_dst=msg.app_dst,
-                id_association=rule.id_association,
-            ),
-        )
-        self._suspend(record.id, rule, AWAIT_ACK_THEN_RPR, reply_to=peer)
+        self._pass_on(msg, rule, record.material, peer)
 
     def _handle_ext_key_request(self, msg: ExtKeyRequest, sender: str) -> None:
-        rule = self.rules.get(msg.id_association)
-        if rule is None:
-            self.send(
-                sender,
-                AckRequest(
-                    id_relay_key=msg.id_relay_key,
-                    ack_status=STATUS_NO_RULE,
-                    app_src=msg.app_src,
-                    app_dst=msg.app_dst,
-                ),
-            )
+        if msg.id_association not in self.rules:
+            self.send(sender, _reply(msg, STATUS_NO_RULE))
             return
         k2 = self.pool.reserve_next()
         if k2 is None:
-            self.send(
-                sender,
-                AckRequest(
-                    id_relay_key=msg.id_relay_key,
-                    ack_status=STATUS_NO_KEY,
-                    app_src=msg.app_src,
-                    app_dst=msg.app_dst,
-                ),
-            )
+            self.send(sender, _reply(msg, STATUS_NO_KEY))
             return
         self.pool.consume(k2.id)
         k3 = otp_xor(msg.value_relay_key, k2.material)
-        self.send(
+        self._forward(
             self.peer_kms_id,
             KeyRelay(
                 encrypted_relay_key=k3,
@@ -287,77 +261,69 @@ class KmsEntity(Entity):
                 app_dst=msg.app_dst,
                 id_association=msg.id_association,
             ),
+            sender,
+            msg,
         )
-        self._suspend(msg.id_relay_key, rule, AWAIT_KRR_THEN_ACK, reply_to=sender)
 
     def _handle_key_relay(self, msg: KeyRelay, peer: str) -> None:
         rule = self.rules.get(msg.id_association)
         if rule is None:
-            self.send(
-                peer, KeyRelayResponse(status=STATUS_NO_RULE, id_relay_key=msg.id_relay_key)
-            )
+            self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
         k2 = self.pool.get(msg.id_key_encryption)
         if k2 is None or k2.state != AVAILABLE:
-            self.send(
-                peer, KeyRelayResponse(status=STATUS_DECRYPT, id_relay_key=msg.id_relay_key)
-            )
+            self.send(peer, _reply(msg, STATUS_DECRYPT))
             return
         self.pool.consume(k2.id)
-        k1 = otp_xor(msg.encrypted_relay_key, k2.material)
+        self._pass_on(msg, rule, otp_xor(msg.encrypted_relay_key, k2.material), peer)
+
+    def _pass_on(
+        self, msg: RelayProcessRequest | KeyRelay, rule: RelayRule, k1: bytes, peer: str
+    ) -> None:
+        """K1 has crossed a link into this KMS: store it for pickup where the
+        chain ends, else hand it to the next KMS on this node."""
         if rule.next_hop is None:
-            self._store_delivered(msg.id_relay_key, rule, k1)
-            self.send(
-                peer, KeyRelayResponse(status=STATUS_OK, id_relay_key=msg.id_relay_key)
+            self.delivered[(msg.id_relay_key, rule.app_src, rule.app_dst)] = DeliveredKey(
+                material=k1, stored_ms=self.services.now_ms
             )
+            self.send(peer, _reply(msg, STATUS_OK))
             return
-        # Middle node: keep the loop going on the next link.
-        self.send(
+        self._forward(
             rule.next_hop,
             ExtKeyRequest(
                 id_relay_key=msg.id_relay_key,
                 value_relay_key=k1,
                 app_src=msg.app_src,
                 app_dst=msg.app_dst,
-                id_association=msg.id_association,
+                id_association=rule.id_association,
             ),
-        )
-        self._suspend(msg.id_relay_key, rule, AWAIT_ACK_THEN_KRR, reply_to=peer)
-
-    def _store_delivered(self, id_relay_key: str, rule: RelayRule, material: bytes) -> None:
-        self.delivered[(id_relay_key, rule.app_src, rule.app_dst)] = DeliveredKey(
-            material=material, stored_ms=self.services.now_ms
+            peer,
+            msg,
         )
 
     # ── completions, backward direction ──
 
-    def _suspend(
+    def _forward(
         self,
-        id_relay_key: str,
-        rule: RelayRule,
-        action: str,
+        to: str,
+        onward: RelayRequest,
         reply_to: str,
+        request: GetKey | RelayRequest,
         key: KeyRecord | None = None,
     ) -> None:
-        pending = PendingRelay(
-            id_relay_key=id_relay_key,
-            id_association=rule.id_association,
-            app_src=rule.app_src,
-            app_dst=rule.app_dst,
-            action=action,
-            reply_to=reply_to,
-            key=key,
-        )
+        """Send onward, and hold request's reply to reply_to until onward is
+        answered or times out."""
+        self.send(to, onward)
+        id_relay_key = onward.id_relay_key
+        pending = PendingRelay(_AWAITS[type(onward)], reply_to, request, key=key)
         pending.timer = self.services.schedule_timer(
             self.timeout_ms, lambda: self._on_timeout(id_relay_key)
         )
         self.pending[id_relay_key] = pending
 
-    def _handle_completion(
-        self, msg: KeyRelayResponse | AckRequest | RelayProcessResponse, sender: str
-    ) -> None:
+    def _handle_completion(self, msg: RelayReply) -> None:
         pending = self.pending.get(msg.id_relay_key)
-        if pending is None or not isinstance(msg, _EXPECTED_COMPLETION[pending.action]):
+        if pending is None or not isinstance(msg, pending.awaits):
             self.orphan_count += 1
             log.warning(
                 "%s dropping orphan %s for key %s",
@@ -377,34 +343,14 @@ class KmsEntity(Entity):
         self._resolve(pending, STATUS_TIMEOUT)
 
     def _resolve(self, pending: PendingRelay, status: str) -> None:
-        """Propagate a completion status backward, unchanged."""
-        if pending.action == AWAIT_RELAY_PROCESS_RESPONSE:
+        """Send the reply owed to the pending request, with status unchanged."""
+        if isinstance(pending.request, GetKey):
             k1 = pending.key
             self.pool.consume(k1.id)  # consumed even on failure, never reused
-            if status == STATUS_OK:
-                self._deliver(pending.reply_to, k1.id, k1.material, status)
-            else:
-                self._deliver(pending.reply_to, k1.id, b"", status)
-        elif pending.action == AWAIT_ACK_THEN_RPR:
-            self.send(
-                pending.reply_to,
-                RelayProcessResponse(status=status, id_relay_key=pending.id_relay_key),
-            )
-        elif pending.action == AWAIT_ACK_THEN_KRR:
-            self.send(
-                pending.reply_to,
-                KeyRelayResponse(status=status, id_relay_key=pending.id_relay_key),
-            )
-        elif pending.action == AWAIT_KRR_THEN_ACK:
-            self.send(
-                pending.reply_to,
-                AckRequest(
-                    id_relay_key=pending.id_relay_key,
-                    ack_status=status,
-                    app_src=pending.app_src,
-                    app_dst=pending.app_dst,
-                ),
-            )
+            material = k1.material if status == STATUS_OK else b""
+            self._deliver(pending.reply_to, k1.id, material, status)
+        else:
+            self.send(pending.reply_to, _reply(pending.request, status))
 
     # ── introspection for tests and reports ──
 

@@ -144,17 +144,12 @@ class QusecEntity(Entity):
         topology: Topology,
         seed: int,
         weight_policy: str | None = None,
-        session_lifetime_ms: int | None = None,
     ):
         super().__init__(QUSEC_ID, node_id=None)
         self.topology = topology
         self.seed = seed
         self.weight_policy = weight_policy or topology.weight_policy
-        self.session_lifetime_ms = (
-            session_lifetime_ms
-            if session_lifetime_ms is not None
-            else topology.config.session_lifetime_ms
-        )
+        self.session_lifetime_ms = topology.config.session_lifetime_ms
         self.sessions: list[SessionState] = []
         # sessions[:_live_from] have expired; session_gc advances it.
         self._live_from = 0

@@ -110,9 +110,10 @@ class VkmsEntity(Entity):
         if cached is not None:
             self._forward_to_kms(pending, cached)
             return
-        self.awaiting_discovery.setdefault(pair, deque()).append(pending)
+        queue = self.awaiting_discovery.setdefault(pair, deque())
+        queue.append(pending)
         pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(pending, pair)
+            self.timeout_ms, lambda: self._on_timeout(pending, queue)
         )
         self.send(
             QUSEC_ID, KmsDiscoveryRequest(app_src=msg.app_src, app_dst=msg.app_dst)
@@ -133,9 +134,10 @@ class VkmsEntity(Entity):
         self._forward_to_kms(pending, msg.id_kms)
 
     def _forward_to_kms(self, pending: PendingApp, kms_id: str) -> None:
-        self.awaiting_delivery.setdefault(kms_id, deque()).append(pending)
+        queue = self.awaiting_delivery.setdefault(kms_id, deque())
+        queue.append(pending)
         pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(pending, kms_id)
+            self.timeout_ms, lambda: self._on_timeout(pending, queue)
         )
         self.send(kms_id, pending.request)
 
@@ -149,12 +151,7 @@ class VkmsEntity(Entity):
         # Downstream status passes through unchanged.
         self.send(pending.app_id, msg)
 
-    def _on_timeout(self, pending: PendingApp, where) -> None:
-        for queue in (
-            self.awaiting_discovery.get(where),
-            self.awaiting_delivery.get(where),
-        ):
-            if queue and pending in queue:
-                queue.remove(pending)
-                self._fail(pending.app_id, pending.request, STATUS_TIMEOUT)
-                return
+    def _on_timeout(self, pending: PendingApp, queue: deque[PendingApp]) -> None:
+        if pending in queue:
+            queue.remove(pending)
+            self._fail(pending.app_id, pending.request, STATUS_TIMEOUT)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from conftest import chain, mesh4, mesh4_dict, run_events
-from qkdrelay.harness import Simulation
+from qkdrelay.harness import ScenarioEvent, Simulation
 from qkdrelay.kms import RelayRule
 from qkdrelay.topology import topology_from_dict
 from qkdrelay.protocol import (
@@ -11,6 +11,10 @@ from qkdrelay.protocol import (
     STATUS_NO_KEY,
     STATUS_NO_RULE,
     STATUS_OK,
+    STATUS_TIMEOUT,
+    AckRequest,
+    ExtKeyRequest,
+    FaultRule,
     KeyDelivery,
     KeyRelay,
     KeyRelayResponse,
@@ -245,6 +249,27 @@ def test_key_relay_with_unknown_association():
     assert response.msg.status == STATUS_NO_RULE
 
 
+def test_ext_key_request_with_unknown_association_acks_no_rule():
+    sim = Simulation(mesh4({"APP_A": "N1", "APP_B": "N4"}), seed=1)
+    sim.transport.send(
+        "KMS_3b", "KMS_3d",
+        ExtKeyRequest(
+            id_relay_key="cafe",
+            value_relay_key=b"\x00" * 32,
+            app_src="APP_A",
+            app_dst="APP_B",
+            id_association="nope",
+        ),
+    )
+    sim.kernel.run_to_quiescence()
+    (ack,) = msgs_of(sim.transport.records, "ack_request")
+    assert (ack.sender, ack.receiver) == ("KMS_3d", "KMS_3b")
+    assert ack.msg == AckRequest(
+        id_relay_key="cafe", ack_status=STATUS_NO_RULE, app_src="APP_A", app_dst="APP_B"
+    )
+    assert msgs_of(sim.transport.records, "key_relay") == []
+
+
 def test_key_relay_with_unknown_encryption_key_fails_decrypt():
     sim = Simulation(mesh4({"APP_A": "N1", "APP_B": "N4"}), seed=1)
     sim.transport.send(
@@ -281,6 +306,26 @@ def test_orphan_completion_with_wrong_type_is_dropped(mesh4_relay_topology):
     sim.kernel.run_to_quiescence()
     assert sim.kms["KMS_1b"].orphan_count == 1
     assert msgs_of(sim.transport.records, "key_delivery") == []
+
+
+def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topology):
+    sim = Simulation(mesh4_relay_topology, seed=1)
+    k1_id = next(iter(sim.kms["KMS_1b"].pool.records))
+    # The initiator's RelayProcessRequest is lost, so its entry for K1 stays
+    # pending until the timeout; a KeyRelayResponse for K1 must not settle it.
+    sim.transport.add_fault(FaultRule(op="drop", nth=1, of_type="relay_process_request"))
+    sim.kernel.schedule_at(
+        500,
+        lambda: sim.transport.send(
+            "KMS_3b", "KMS_1b", KeyRelayResponse(status=STATUS_OK, id_relay_key=k1_id)
+        ),
+    )
+    sim.run_events(
+        [ScenarioEvent(at=0, event="app_get_key", params={"app_src": "APP_A", "app_dst": "APP_B"})]
+    )
+    assert sim.kms["KMS_1b"].orphan_count == 1
+    (request,) = sim.apps["APP_A"].completed
+    assert (request.status, request.material) == (STATUS_TIMEOUT, b"")
 
 
 def test_rule_install_is_idempotent(mesh4_relay_topology):

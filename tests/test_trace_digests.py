@@ -7,6 +7,10 @@ and shows with a canonical diff what moved.
 The grid runs draw random app pairs and follow some of them with their
 reverse pair, so QuSeC's session reuse runs on both the direct and the relay
 branch, with and without a session lifetime.
+
+The backward half of the relay chain (completions, failure replies,
+timeouts, orphans) runs only under faults, so the fault-path cases below pin
+each run's digest together with the total KMS orphan count.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import random
 
 import pytest
 
-from conftest import grid_dict, grid_events, run_events
+from conftest import chain_dict, grid_dict, grid_events, run_events
 from qkdrelay import data_path
 from qkdrelay.harness import load_scenario, load_topology_file, run
 from qkdrelay.topology import topology_from_dict
@@ -72,3 +76,294 @@ def test_grid_raw_trace_digest(session_lifetime_ms, expected):
     result = run_events(topology_from_dict(raw), events, seed=SEED)
     assert result.report["quiescent"]
     assert raw_digest(result.trace_lines) == expected
+
+
+# ── fault paths ──
+
+RELAY_TYPES = (
+    "relay_process_request",
+    "ext_key_request",
+    "key_relay",
+    "key_relay_response",
+    "ack_request",
+    "relay_process_response",
+    "key_delivery",
+)
+PAIR_SPACING_MS = 3000  # more than the 1000 ms timeout: pairs never overlap
+
+# (op, of_type, n) -> (digest, orphans); 4-link chain
+CHAIN_FAULTS = {
+    ("drop", "relay_process_request", 1): (
+        "4de77d9b34d43a9ffddba8ab6a2ba7fc4548b1335a79d64984b1829a3183f6a0",
+        0,
+    ),
+    ("drop", "relay_process_request", 2): (
+        "1de3c2fa529420385b3bbe026c412a1b4ca5b5e3b83028c3954e4756efe0eaf7",
+        0,
+    ),
+    ("drop", "relay_process_request", 3): (
+        "1f2a55a6265bedebb1119de5d2424ad30192e1a43e66d6a25e728ef458f20339",
+        0,
+    ),
+    ("drop", "ext_key_request", 1): (
+        "ceb308e7a8eab355cfd4fdcbad35d5ca68edb62d544681961ad99bb84a2f1271",
+        1,
+    ),
+    ("drop", "ext_key_request", 2): (
+        "5564d91892f5cd38531fae45c2fea144913c8b70df2a3edbf25631282f654901",
+        3,
+    ),
+    ("drop", "ext_key_request", 3): (
+        "9cc437e2cd0b4ff85beefc27e13e740d364ac26d7f91978e1602174142f5be25",
+        5,
+    ),
+    ("drop", "key_relay", 1): (
+        "da6596b77c2e15c9a1074894eb2b89e6bbec1acde957c2b510143b253124a0e5",
+        2,
+    ),
+    ("drop", "key_relay", 2): (
+        "94bbe17fd04101fac973ab3a5a85f247f98b62a2223e115f6ff6330e290b4abd",
+        4,
+    ),
+    ("drop", "key_relay", 3): (
+        "573b153bd12542a8cff4222108da1da36a16bb9660a44a80153c160518143e07",
+        6,
+    ),
+    ("drop", "key_relay_response", 1): (
+        "a876402eee014dd99f1f46d4788454475c36dfe3bab9ca22217df2cb31003bf7",
+        6,
+    ),
+    ("drop", "key_relay_response", 2): (
+        "b3ddac5b73a886eaa9d9c34fd0a990b5a6eddf8d30c97c93bcbf2e9ffb1ca747",
+        4,
+    ),
+    ("drop", "key_relay_response", 3): (
+        "08fe1e264f18a6565c177b034346335785905406998e96b4cffb9e98c9f9f378",
+        2,
+    ),
+    ("drop", "ack_request", 1): (
+        "5a8d7d5ab527e38f9786c69e1fef4cc7ca773f87fe48e29415328054ba5cd5b9",
+        5,
+    ),
+    ("drop", "ack_request", 2): (
+        "f03bcd5c171a1e5a44b2f9ba16a83044809b6c8abe97913df67145cbc9c5f8b5",
+        3,
+    ),
+    ("drop", "ack_request", 3): (
+        "dd76614e53e92c55f4e7b477b982cfe209e2475312ae9ce64bb38a96f92cf9ca",
+        1,
+    ),
+    ("drop", "relay_process_response", 1): (
+        "a49dd7220b2e1134f75d1d5d7c4cb75b0d75c5ac752971e6a14f2c98d5abd2dd",
+        0,
+    ),
+    ("drop", "relay_process_response", 2): (
+        "c7eb74cf6a13524f13810079a30683bfa19e9d1f4d43beb91fc93d7f1bef0143",
+        0,
+    ),
+    ("drop", "relay_process_response", 3): (
+        "5555ba3df70edd2e7ceaa518464eaba735f56c9888269f9d433825efba57f766",
+        0,
+    ),
+    ("drop", "key_delivery", 1): (
+        "2dfab15aa4205187b87066d72d1c550058917bf7ad2226e24aba66729583cab7",
+        0,
+    ),
+    ("drop", "key_delivery", 2): (
+        "c247f2fc0d39dbfa32e2c5f28ee42d29e4d672dc8cfab07f1cda20b16f34d4bf",
+        0,
+    ),
+    ("drop", "key_delivery", 3): (
+        "8f31ce294d308846a6a6d1fe7adfa785163224fc44f53075bd945bccde072d0d",
+        0,
+    ),
+    ("corrupt", "relay_process_request", 1): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "relay_process_request", 2): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "relay_process_request", 3): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "ext_key_request", 1): (
+        "09594197d069a07e51625181b492c1afc4bfaa5c422793ce21a46a7d001222f5",
+        0,
+    ),
+    ("corrupt", "ext_key_request", 2): (
+        "65f2b39833abf31ab48e22cdfe6c3740f4cc48ab5ae28261d48a59588b997b4f",
+        0,
+    ),
+    ("corrupt", "ext_key_request", 3): (
+        "2adb330a8c74deb7b0e5e095260eb2458eef87753361adfc14d2fb69bd15577c",
+        0,
+    ),
+    ("corrupt", "key_relay", 1): (
+        "cf480357c0e454d9ae1fe14f42fda83bcd04c153b22ebfe1fd31080e3a2cfa57",
+        0,
+    ),
+    ("corrupt", "key_relay", 2): (
+        "75194563e5cf5a86b31d583fb6ddc84c6288d6c0bbcb16cc2c379ed3cb020107",
+        0,
+    ),
+    ("corrupt", "key_relay", 3): (
+        "2f25df99cc43666bbc136c17b322ce31281bfe54a462eea666488ab38686b8e5",
+        0,
+    ),
+    ("corrupt", "key_relay_response", 1): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "key_relay_response", 2): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "key_relay_response", 3): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "ack_request", 1): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "ack_request", 2): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "ack_request", 3): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "relay_process_response", 1): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "relay_process_response", 2): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "relay_process_response", 3): (
+        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        0,
+    ),
+    ("corrupt", "key_delivery", 1): (
+        "d3e32317a27c78ae9f4f47079ae2431f608a28f779cfd6719ccdfd88af889772",
+        0,
+    ),
+    ("corrupt", "key_delivery", 2): (
+        "8c0c7ad773bbad07852289f95b531fa94335660c0dfcfc324c3f37bb9eb686a0",
+        0,
+    ),
+    ("corrupt", "key_delivery", 3): (
+        "694faa3547bbd638f90c468659a242da092ac83af2687970b497fb3115847d8a",
+        0,
+    ),
+}
+
+# link (1-based) whose pool the warm-up empties -> (digest, orphans); 4-link chain
+CHAIN_EXHAUSTED = {
+    1: ("7cd7318169e9f4667ef3da8899ab08d1b7c9c7d7e924c25fc3c4515c23b53f3c", 0),
+    2: ("a930f1dd0deb8b7f93fdb7e18450f357f9f7437ddc0758e652547bdb3e3cf885", 0),
+    3: ("c185e4f6fe40034caff11b9d12cc1b5ec981ab0640f02fbff0cedf36bbe92e92", 0),
+    4: ("dfb4c55cadacf12808c7f94415758afc130a512addb3736262a0b3cb8acc6855", 0),
+}
+
+# (rng seed, session_lifetime_ms) -> (digest, orphans); 5x5 grid
+GRID_FAULTS = {
+    (1, None): ("53991bff204e24847d96f8f53be8c65e7b7030e47aa44e999501610461311c92", 6),
+    (1, 60): ("53991bff204e24847d96f8f53be8c65e7b7030e47aa44e999501610461311c92", 6),
+    (2, None): ("f0f9229bd890c886655ae85912e9501a17d4561ec96fc9bbddd61b0b0ee151e5", 2),
+    (2, 60): ("77a2481d45db6171262802af6dc85986c5ab0f060d7123fd94303688e2a6e87a", 2),
+    (3, None): ("9843f3ebba90ea4647cc707eee9a1f55a756d699b51feda07287bcc96eafd3a1", 7),
+    (3, 60): ("684956ad1e49620ed2fcae460fad515d9d010bdc15f35ee72d341412185e10c7", 7),
+    (4, None): ("74d7f122c0b0ed251035ab2de24fc5e33d6c43d256afb87dd99332f95d8ee3e7", 5),
+    (4, 60): ("74d7f122c0b0ed251035ab2de24fc5e33d6c43d256afb87dd99332f95d8ee3e7", 5),
+}
+
+
+def pair_events(at: int) -> list[dict]:
+    return [
+        {"at": at, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {
+            "at": at + 10,
+            "event": "app_get_key_with_id",
+            "app_src": "APP_B",
+            "app_dst": "APP_A",
+            "key_id_from": "APP_A",
+        },
+    ]
+
+
+def chain_events(faults: list[dict], pairs: int = 3) -> list[dict]:
+    """A clean warm-up pair, the faults armed after it, then `pairs` more
+    pairs, each issued after the previous one has resolved."""
+    events = pair_events(0)
+    events += [{"at": 20, **fault} for fault in faults]
+    for i in range(1, pairs + 1):
+        events += pair_events(i * PAIR_SPACING_MS)
+    return events
+
+
+def grid_fault_events(raw: dict, rng: random.Random, pairs: int, faults: int) -> list[dict]:
+    """grid_events with `faults` random drop/corrupt rules armed right after
+    the warm-up pairs (one pair per app)."""
+    events = grid_events(raw, rng, pairs)
+    warm_up = 2 * len(raw["apps"])
+    armed = [
+        {
+            "at": events[warm_up]["at"],
+            "event": rng.choice(("drop_message", "corrupt_message")),
+            "n": rng.randint(1, 8),
+            "of_type": rng.choice(RELAY_TYPES),
+        }
+        for _ in range(faults)
+    ]
+    return events[:warm_up] + armed + events[warm_up:]
+
+
+def fault_run_summary(raw: dict, events: list[dict]) -> tuple[str, int]:
+    # Not every run is quiescent: apps keep no timer, so a dropped
+    # vKMS -> app key_delivery leaves that request open.
+    result = run_events(topology_from_dict(raw), events, seed=SEED)
+    assert result.exit_code == 0
+    orphans = sum(k.orphan_count for k in result.sim.kms.values())
+    return raw_digest(result.trace_lines), orphans
+
+
+def chain_fault_summary(op: str, of_type: str, n: int) -> tuple[str, int]:
+    events = chain_events([{"event": f"{op}_message", "n": n, "of_type": of_type}])
+    return fault_run_summary(chain_dict(4, initial_pool=8), events)
+
+
+def chain_exhausted_summary(link: int) -> tuple[str, int]:
+    raw = chain_dict(4, initial_pool=8)
+    raw["links"][link - 1]["initial_pool"] = 1
+    return fault_run_summary(raw, chain_events([]))
+
+
+def grid_fault_summary(seed: int, session_lifetime_ms: int | None) -> tuple[str, int]:
+    raw = grid_dict(5, initial_pool=32, session_lifetime_ms=session_lifetime_ms)
+    events = grid_fault_events(raw, random.Random(seed), pairs=40, faults=6)
+    return fault_run_summary(raw, events)
+
+
+@pytest.mark.parametrize("op", ["drop", "corrupt"])
+@pytest.mark.parametrize("of_type", RELAY_TYPES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_fault_digest(op, of_type, n):
+    assert chain_fault_summary(op, of_type, n) == CHAIN_FAULTS[(op, of_type, n)]
+
+
+@pytest.mark.parametrize("link", [1, 2, 3, 4])
+def test_chain_exhausted_pool_digest(link):
+    assert chain_exhausted_summary(link) == CHAIN_EXHAUSTED[link]
+
+
+@pytest.mark.parametrize("seed,session_lifetime_ms", list(GRID_FAULTS))
+def test_grid_fault_digest(seed, session_lifetime_ms):
+    assert grid_fault_summary(seed, session_lifetime_ms) == GRID_FAULTS[
+        (seed, session_lifetime_ms)
+    ]

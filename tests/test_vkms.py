@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from conftest import mesh4, run_events
-from qkdrelay.protocol import STATUS_OK, STATUS_UNKNOWN_APP, message_type
+from qkdrelay.protocol import STATUS_OK, STATUS_TIMEOUT, STATUS_UNKNOWN_APP, message_type
 
 
 def count_type(records, type_tag) -> int:
@@ -131,3 +131,18 @@ def test_relay_requests_share_cache_path(mesh4_relay_topology):
     assert statuses == [STATUS_OK, STATUS_OK]
     keys = {r.key_id for r in result.sim.apps["APP_A"].completed}
     assert len(keys) == 2  # fresh E2E key each time
+
+
+def test_lost_discovery_times_out_and_frees_its_queue():
+    topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
+    events = [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "kms_discovery_response"},
+        *two_direct_requests(),
+    ]
+    result = run_events(topo, events)
+    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    # Discovery replies are matched by queue position: the second reply
+    # serves the first request, and the second request times out.
+    assert statuses == [STATUS_OK, STATUS_TIMEOUT]
+    assert result.report["quiescent"]
+    assert not any(result.sim.vkms["N3"].awaiting_discovery.values())
