@@ -607,8 +607,10 @@ def run(
 
     failed_checks = [c for c in checks if not c["ok"]]
     audit_failures = {k: v for k, v in audits.items() if v}
-    fault_injected = bool(sim.transport.faults)
-    # Injected faults are allowed to violate wire audits; expectations decide.
+    # A fault that dropped or altered a message may violate wire audits;
+    # expectations decide. A rule that never fired, or a corruption that
+    # changed nothing, excuses nothing.
+    fault_injected = bool(sim.transport.dropped or sim.transport.corrupted)
     audit_ok = not audit_failures or fault_injected
 
     report = {
@@ -636,7 +638,7 @@ def run(
     }
 
     exit_code = 0
-    if failed_checks or not audit_ok:
+    if failed_checks or not audit_ok or not quiescent:
         exit_code = 1
     return RunResult(
         sim=sim,

@@ -2,9 +2,19 @@
 
 Field sets are wire-exact; the codec rejects unknown envelope or body keys
 and unknown message types. Octet-valued fields travel as lowercase hex.
-The encoder walks a per-type field plan built once at import from
-``dataclasses.fields``; that is sound because a dataclass's field set is
-fixed when its class is created, and the message classes are frozen.
+
+A trace line is canonical JSON: sorted keys, compact separators, ASCII
+only. Each message type has one line encoder, built once at import from a
+per-type field plan (``dataclasses.fields``). It is a ``%`` template in
+which the envelope keys and the type's body keys, each in sorted order, and
+its type tag are fixed text, with one converter per field: the JSON string
+escaper that ``ensure_ascii`` uses, ``null`` for an absent hop or KMS id,
+quoted hex for octets, the canonical encoder for ``ext``, and an integer
+``seq``. Fixing the key order at import is sound because a dataclass's
+field set is fixed when its class is created, the message classes are
+frozen, and so every record of a type has the same keys: sorting them per
+record would give the same order each time.
+
 The transport keeps global FIFO order (which implies per-channel FIFO),
 assigns per-sender sequence numbers, and records every delivered envelope
 in order; that log is the conformance trace.
@@ -286,17 +296,6 @@ def message_from_body(type_tag: str, body: dict) -> Message:
     return cls(**kwargs)
 
 
-def envelope_to_obj(env: Envelope) -> dict:
-    return {
-        "seq": env.seq,
-        "from": env.sender,
-        "to": env.receiver,
-        "channel": env.channel,
-        "type": message_type(env.msg),
-        "body": message_to_body(env.msg),
-    }
-
-
 _ENVELOPE_KEYS = {"seq", "from", "to", "channel", "type", "body"}
 
 
@@ -331,10 +330,58 @@ def envelope_from_obj(obj: dict) -> Envelope:
 # ensure_ascii stays on, so every canonical line is ASCII.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+# The string escaper canonical_json applies to every str (ensure_ascii=True).
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _quote_or_null(value: str | None) -> str:
+    return "null" if value is None else _quote(value)
+
+
+def _quote_hex(value: bytes) -> str:
+    return '"' + value.hex() + '"'
+
+
+def _field_encoder(name: str, is_octet: bool):
+    if is_octet:
+        return _quote_hex
+    if name in _NONEABLE_FIELDS:
+        return _quote_or_null
+    if name == "ext":
+        return canonical_json
+    return _quote
+
+
+def _line_encoder(cls: type):
+    """encode_str for one message type: a % template whose fixed text is the
+    sorted envelope keys, the type's sorted body keys and its type tag."""
+    plan = sorted(_FIELD_PLANS[cls])
+    body = ",".join(_quote(name) + ":%s" for name, _ in plan)
+    template = (
+        '{"body":{' + body + '},"channel":%s,"from":%s,"seq":%d,"to":%s,"type":'
+        + _quote(_TYPE_TAGS[cls]) + "}"
+    )
+    converters = [(_field_encoder(name, is_octet), name) for name, is_octet in plan]
+
+    def encode_line(env: Envelope) -> str:
+        msg = env.msg
+        return template % (
+            *[convert(getattr(msg, name)) for convert, name in converters],
+            _quote(env.channel),
+            _quote(env.sender),
+            env.seq,
+            _quote(env.receiver),
+        )
+
+    return encode_line
+
+
+_LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
+
 
 def encode_str(env: Envelope) -> str:
     """Canonical JSON text: sorted keys, compact separators, lowercase hex."""
-    return canonical_json(envelope_to_obj(env))
+    return _LINE_ENCODERS[type(env.msg)](env)
 
 
 def encode(env: Envelope) -> bytes:
@@ -423,7 +470,10 @@ class Transport:
 
     send() enqueues; pop_next() dequeues in global send order and appends the
     envelope to the delivered-order log. Per-sender seq numbers are assigned
-    here, and armed fault rules are applied at send time.
+    here, and armed fault rules are applied at send time. `dropped` and
+    `corrupted` keep the envelopes a fault actually changed; a corrupt rule
+    that fires on a message with no non-empty octet field leaves it as it
+    was and is not kept.
     """
 
     def __init__(self):
@@ -431,6 +481,7 @@ class Transport:
         self._queue: deque[Envelope] = deque()
         self.records: list[Envelope] = []
         self.dropped: list[Envelope] = []
+        self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
         self._seq: dict[str, int] = {}
 
@@ -466,9 +517,12 @@ class Transport:
                     log.warning("fault: dropped %s %s->%s",
                                 message_type(msg), sender_id, receiver_id)
                     return
-                env = replace(env, msg=corrupt_message(env.msg))
-                log.warning("fault: corrupted %s %s->%s",
-                            message_type(msg), sender_id, receiver_id)
+                corrupted = corrupt_message(msg)
+                if corrupted != msg:
+                    env = replace(env, msg=corrupted)
+                    self.corrupted.append(env)
+                    log.warning("fault: corrupted %s %s->%s",
+                                message_type(msg), sender_id, receiver_id)
                 break
         self._queue.append(env)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from conftest import chain, mesh4, pair_scenario, run_events, write_json
-from qkdrelay import data_path, harness, load_scenario, protocol, run
+from qkdrelay import data_path, harness, load_scenario, protocol, run, trace
 from qkdrelay.harness import (
     ConfigError,
     Simulation,
@@ -190,6 +190,34 @@ def test_corruption_detected_by_e2e_expectation(mesh4_relay_topology, tmp_path):
     assert not check["ok"]
 
 
+@pytest.mark.parametrize(
+    "fault, changed",
+    [
+        # relay_process_request carries no octet field: corrupting it is a no-op.
+        ({"event": "corrupt_message", "n": 1, "of_type": "relay_process_request"}, False),
+        # One pair sends a single key_relay, so the fifth never comes.
+        ({"event": "drop_message", "n": 5, "of_type": "key_relay"}, False),
+        ({"event": "corrupt_message", "n": 1, "of_type": "key_relay"}, True),
+    ],
+)
+def test_only_a_fault_that_changed_a_message_excuses_audits(
+    mesh4_relay_topology, monkeypatch, caplog, fault, changed
+):
+    monkeypatch.setattr(harness, "audit_fifo", lambda records: ["record 0: planted"])
+    events = [{"at": 0, **fault}] + [
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 10, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id_from": "APP_A"},
+    ]
+    result = run_events(mesh4_relay_topology, events)
+    transport = result.sim.transport
+    assert result.report["quiescent"]
+    assert result.report["audits"]["fifo"] == ["record 0: planted"]
+    assert len(transport.corrupted) + len(transport.dropped) == int(changed)
+    assert ("fault: corrupted" in caplog.text) == changed
+    assert result.exit_code == (0 if changed else 1)
+
+
 # ── determinism and quiescence ──
 
 
@@ -260,22 +288,32 @@ def test_packaged_linear32_scenario():
 
 
 def test_each_record_is_encoded_once(monkeypatch):
-    calls = []
+    encoded = []
+    to_line = trace.encode_str
+
+    def counted_encode(env):
+        encoded.append(env)
+        return to_line(env)
+
+    bodies = []
     to_body = protocol.message_to_body
 
-    def counted(msg):
-        calls.append(msg)
+    def counted_body(msg):
+        bodies.append(msg)
         return to_body(msg)
 
-    # Both places a caller may look the function up, as the benchmark patches them.
-    monkeypatch.setattr(protocol, "message_to_body", counted)
-    monkeypatch.setattr(harness, "message_to_body", counted)
+    monkeypatch.setattr(trace, "encode_str", counted_encode)
+    # Both places a caller may look message_to_body up, as the benchmark patches them.
+    monkeypatch.setattr(protocol, "message_to_body", counted_body)
+    monkeypatch.setattr(harness, "message_to_body", counted_body)
     topology = load_topology_file(data_path("topologies", "mesh4_relay.json"))
     scenario = load_scenario(data_path("scenarios", "relay1hop.json"))
     result = run(topology, scenario, seed=7)
     assert result.exit_code == 0
     assert result.diff is not None and result.diff.is_empty
-    assert calls == [env.msg for env in result.records]
+    assert len(encoded) == len(result.records)
+    assert all(a is b for a, b in zip(encoded, result.records))
+    assert bodies == []
 
 
 def test_golden_mismatch_reported_with_diff(mesh4_relay_topology, tmp_path):

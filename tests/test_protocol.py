@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_dict, grid_events, run_events
 from qkdrelay import protocol
 from qkdrelay.protocol import (
     CHANNEL_CONTROL,
@@ -37,6 +38,7 @@ from qkdrelay.protocol import (
     message_type,
     otp_xor,
 )
+from qkdrelay.topology import topology_from_dict
 from qkdrelay.trace import records_to_lines
 
 # ── one-time pad ──
@@ -88,6 +90,16 @@ def test_otp_involution(a, data):
 # ── codec ──
 
 
+# Nested JSON values for ext: every type except floats, whose round trip
+# is not the codec's concern.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 def _field_value(name: str, draw) -> object:
     if name in protocol.OCTET_FIELDS:
         return draw(st.binary(min_size=0, max_size=48))
@@ -96,11 +108,7 @@ def _field_value(name: str, draw) -> object:
     if name in ("prev_hop", "next_hop", "id_kms"):
         return draw(st.one_of(st.none(), st.text(min_size=1, max_size=12)))
     if name == "ext":
-        return draw(
-            st.dictionaries(
-                st.text(min_size=1, max_size=8), st.text(max_size=8), max_size=3
-            )
-        )
+        return draw(st.dictionaries(st.text(max_size=8), _json_values, max_size=3))
     return draw(st.text(min_size=0, max_size=16))
 
 
@@ -112,7 +120,7 @@ def envelopes(draw):
 
     kwargs = {f.name: _field_value(f.name, draw) for f in dataclasses.fields(cls)}
     return Envelope(
-        seq=draw(st.integers(min_value=0, max_value=2**31)),
+        seq=draw(st.integers(min_value=0, max_value=2**70)),
         sender=draw(st.text(min_size=1, max_size=12)),
         receiver=draw(st.text(min_size=1, max_size=12)),
         channel=draw(st.sampled_from([CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL])),
@@ -191,6 +199,69 @@ def test_encode_matches_reference_codec(tag):
 @settings(max_examples=100, deadline=None)
 def test_encode_matches_reference_codec_on_random_envelopes(env):
     assert encode(env) == reference_encode(env)
+
+
+# Strings whose escaping must match json.dumps exactly: quotes, backslashes,
+# control characters, DEL, non-BMP characters (written as surrogate-pair
+# escapes), other non-ASCII text and the empty string.
+_HARD_STRINGS = [
+    "",
+    'say "hi"',
+    "back\\slash\\",
+    "ctl \x00\x01\x08\t\n\x0b\x0c\r\x1b\x1f",
+    "del \x7f",
+    "astral \U0001f511 \U00010000 \U0010ffff",
+    "\u00e9\u2028\u2029\ufeff",
+]
+# Nested values and keys whose sorted order differs from insertion order,
+# some of them non-ASCII.
+_HARD_EXT = {
+    "z": {"b": [1, "\u00e9", {"y": None, "x": True}], "a": -2},
+    "\u00e9t\u00e9": [],
+    "A": "",
+    "\U0001f511": {"\u00f1": 'q"\\\x7f', "n": [[], {}]},
+    "a": [False, 10**20],
+}
+
+
+@pytest.mark.parametrize("text", _HARD_STRINGS)
+@pytest.mark.parametrize("tag", sorted(MESSAGE_TYPES))
+def test_encode_matches_reference_codec_on_hard_strings(tag, text):
+    """Every string field, hop and envelope name holds `text`; ext is
+    nested and unsorted; seq is larger than any machine word."""
+    cls = MESSAGE_TYPES[tag]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name in protocol.OCTET_FIELDS:
+            kwargs[f.name] = b"\x00\x7f\xff"
+        elif f.name == "ext":
+            kwargs[f.name] = _HARD_EXT
+        else:
+            kwargs[f.name] = text
+    envs = [
+        Envelope(seq=seq, sender=text, receiver=text + "\x7f", channel=CHANNEL_CONTROL,
+                 msg=cls(**kwargs))
+        for seq in (0, 2**64 + 1, 10**30)
+    ]
+    for env in envs:
+        assert encode(env) == reference_encode(env)
+    assert records_to_lines(envs) == [reference_encode(env).decode() for env in envs]
+
+
+def test_records_to_lines_matches_reference_codec_on_a_faulted_grid():
+    raw = grid_dict(5, initial_pool=16, session_lifetime_ms=60)
+    faults = [
+        {"at": 0, "event": "corrupt_message", "n": 3, "of_type": "key_relay"},
+        {"at": 0, "event": "corrupt_message", "n": 5, "of_type": "ext_key_request"},
+        {"at": 0, "event": "corrupt_message", "n": 7, "of_type": "key_delivery"},
+        {"at": 0, "event": "drop_message", "n": 4, "of_type": "key_relay_response"},
+    ]
+    events = faults + grid_events(raw, random.Random(8), pairs=30)
+    result = run_events(topology_from_dict(raw), events, seed=2)
+    records = result.records
+    assert len(result.sim.transport.corrupted) == 3 and result.sim.transport.dropped
+    assert set(MESSAGE_TYPES) <= {message_type(env.msg) for env in records}
+    assert records_to_lines(records) == [reference_encode(env).decode() for env in records]
 
 
 def _sample_line() -> dict:

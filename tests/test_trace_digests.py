@@ -326,11 +326,20 @@ def grid_fault_events(raw: dict, rng: random.Random, pairs: int, faults: int) ->
 
 def fault_run_summary(raw: dict, events: list[dict]) -> tuple[str, int]:
     # Not every run is quiescent: apps keep no timer, so a dropped
-    # vKMS -> app key_delivery leaves that request open.
+    # vKMS -> app key_delivery leaves that request open, and the run exits 1.
     result = run_events(topology_from_dict(raw), events, seed=SEED)
-    assert result.exit_code == 0
+    assert result.exit_code == (0 if result.report["quiescent"] else 1)
     orphans = sum(k.orphan_count for k in result.sim.kms.values())
     return raw_digest(result.trace_lines), orphans
+
+
+def test_run_left_with_an_open_request_exits_1():
+    events = chain_events([{"event": "drop_message", "n": 2, "of_type": "key_delivery"}])
+    result = run_events(topology_from_dict(chain_dict(4, initial_pool=8)), events, seed=SEED)
+    assert [r.status for r in result.sim.requests].count(None) == 1
+    assert not result.report["quiescent"]
+    assert not [c for c in result.report["checks"] if not c["ok"]]
+    assert result.exit_code == 1
 
 
 def chain_fault_summary(op: str, of_type: str, n: int) -> tuple[str, int]:
