@@ -20,6 +20,7 @@ from .kms import KmsEntity
 from .linksim import LinkSimulator
 from .protocol import (
     CHANNEL_INTRA,
+    MESSAGE_TYPES,
     PLAINTEXT_OCTET_FIELDS,
     STATUS_OK,
     STATUSES,
@@ -139,10 +140,19 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
             n = params["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ConfigError(f"{where}: 'n' must be a positive integer")
+            of_type = params.get("of_type", "get_key")
+            if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
+                raise ConfigError(f"{where}: unknown message type {of_type!r}")
         if kind == "tick_links":
             dt = params["dt_ms"]
             if isinstance(dt, bool) or not isinstance(dt, int) or dt <= 0:
                 raise ConfigError(f"{where}: 'dt_ms' must be a positive integer")
+            links = params.get("links", [])
+            if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
+                raise ConfigError(f"{where}: 'links' must be an array of strings")
+        for key in ("app_src", "app_dst", "via_node", "key_id_from"):
+            if key in params and not isinstance(params[key], str):
+                raise ConfigError(f"{where}: {key!r} must be a string")
         events.append(ScenarioEvent(at=at, event=kind, params=params))
 
     expect = raw.get("expect", {})
@@ -190,14 +200,15 @@ class AppRequest:
 
 
 class AppEndpoint(Entity):
-    """Harness-driven application; records every delivery it receives."""
+    """Harness-driven application; fills in its oldest outstanding request
+    from each delivery it receives."""
 
     kind = "app"
 
     def __init__(self, app_id: str, node_id: str):
         super().__init__(app_id, node_id=node_id)
         self.outstanding: deque[AppRequest] = deque()
-        self.completed: list[AppRequest] = []
+        self.last_ok_key_id: str | None = None
 
     def on_message(self, env: Envelope) -> None:
         msg = env.msg
@@ -211,13 +222,8 @@ class AppEndpoint(Entity):
         request.status = msg.status
         request.key_id = msg.key_id
         request.material = msg.material
-        self.completed.append(request)
-
-    def last_ok_key_id(self) -> str | None:
-        for request in reversed(self.completed):
-            if request.status == STATUS_OK and request.key_id:
-                return request.key_id
-        return None
+        if msg.status == STATUS_OK and msg.key_id:
+            self.last_ok_key_id = msg.key_id
 
 
 # ── deterministic kernel: event heap + instantaneous message pump ──
@@ -358,7 +364,7 @@ class Simulation:
         app = self.apps.get(source)
         if app is None:
             raise ConfigError(f"'key_id_from' names unknown app {source!r}")
-        key_id = app.last_ok_key_id()
+        key_id = app.last_ok_key_id
         if key_id is None:
             raise ConfigError(f"app {source!r} has no delivered key to reference")
         return key_id

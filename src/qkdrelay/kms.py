@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .linksim import AVAILABLE, KeyPool, KeyRecord
+from .linksim import KeyPool
 from .protocol import (
     STATUS_DECRYPT,
     STATUS_NO_KEY,
@@ -103,7 +103,7 @@ class PendingRelay:
     reply_to: str
     request: GetKey | RelayRequest
     timer: object = None
-    key: KeyRecord | None = None  # initiator keeps K1 reserved here
+    k1_id: str | None = None  # K1, which the initiator keeps reserved
 
 
 class KmsEntity(Entity):
@@ -184,23 +184,22 @@ class KmsEntity(Entity):
 
     def _handle_get_key(self, msg: GetKey, requester: str) -> None:
         # Direct serve and relay initiation both take the next key, FIFO.
-        record = self.pool.reserve_next()
-        if record is None:
+        key_id = self.pool.reserve_next()
+        if key_id is None:
             self._deliver(requester, "", b"", STATUS_NO_KEY)
             return
         if self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=None) is None:
-            self.pool.consume(record.id)
-            self._deliver(requester, record.id, record.material, STATUS_OK)
+            self._deliver(requester, key_id, self.pool.consume(key_id), STATUS_OK)
             return
-        # Relay: record is K1, kept reserved until the chain completes.
+        # Relay: the key is K1, kept reserved until the chain completes.
         self._forward(
             self.peer_kms_id,
             RelayProcessRequest(
-                app_src=msg.app_src, app_dst=msg.app_dst, id_relay_key=record.id
+                app_src=msg.app_src, app_dst=msg.app_dst, id_relay_key=key_id
             ),
             requester,
             msg,
-            key=record,
+            k1_id=key_id,
         )
 
     def _handle_get_key_with_id(self, msg: GetKeyWithId, requester: str) -> None:
@@ -215,12 +214,11 @@ class KmsEntity(Entity):
             self._deliver(requester, msg.key_id, entry.material, STATUS_OK)
             return
         # Direct case: the id names a key in this KMS's own pool.
-        record = self.pool.get(msg.key_id)
-        if record is not None and record.state == AVAILABLE:
-            self.pool.consume(record.id)
-            self._deliver(requester, record.id, record.material, STATUS_OK)
-            return
-        self._deliver(requester, msg.key_id, b"", STATUS_NO_KEY)
+        material = self.pool.take(msg.key_id)
+        if material is None:
+            self._deliver(requester, msg.key_id, b"", STATUS_NO_KEY)
+        else:
+            self._deliver(requester, msg.key_id, material, STATUS_OK)
 
     def _store_entry_expired(self, entry: DeliveredKey) -> bool:
         if self.delivered_ttl_ms is None:
@@ -234,28 +232,26 @@ class KmsEntity(Entity):
         if rule is None:
             self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
-        record = self.pool.get(msg.id_relay_key)
-        if record is None or record.state != AVAILABLE:
+        k1 = self.pool.take(msg.id_relay_key)
+        if k1 is None:
             self.send(peer, _reply(msg, STATUS_NO_KEY))
             return
-        self.pool.consume(record.id)
-        self._pass_on(msg, rule, record.material, peer)
+        self._pass_on(msg, rule, k1, peer)
 
     def _handle_ext_key_request(self, msg: ExtKeyRequest, sender: str) -> None:
         if msg.id_association not in self.rules:
             self.send(sender, _reply(msg, STATUS_NO_RULE))
             return
-        k2 = self.pool.reserve_next()
-        if k2 is None:
+        k2_id = self.pool.reserve_next()
+        if k2_id is None:
             self.send(sender, _reply(msg, STATUS_NO_KEY))
             return
-        self.pool.consume(k2.id)
-        k3 = otp_xor(msg.value_relay_key, k2.material)
+        k3 = otp_xor(msg.value_relay_key, self.pool.consume(k2_id))
         self._forward(
             self.peer_kms_id,
             KeyRelay(
                 encrypted_relay_key=k3,
-                id_key_encryption=k2.id,
+                id_key_encryption=k2_id,
                 id_relay_key=msg.id_relay_key,
                 app_src=msg.app_src,
                 app_dst=msg.app_dst,
@@ -270,12 +266,11 @@ class KmsEntity(Entity):
         if rule is None:
             self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
-        k2 = self.pool.get(msg.id_key_encryption)
-        if k2 is None or k2.state != AVAILABLE:
+        k2 = self.pool.take(msg.id_key_encryption)
+        if k2 is None:
             self.send(peer, _reply(msg, STATUS_DECRYPT))
             return
-        self.pool.consume(k2.id)
-        self._pass_on(msg, rule, otp_xor(msg.encrypted_relay_key, k2.material), peer)
+        self._pass_on(msg, rule, otp_xor(msg.encrypted_relay_key, k2), peer)
 
     def _pass_on(
         self, msg: RelayProcessRequest | KeyRelay, rule: RelayRule, k1: bytes, peer: str
@@ -309,13 +304,13 @@ class KmsEntity(Entity):
         onward: RelayRequest,
         reply_to: str,
         request: GetKey | RelayRequest,
-        key: KeyRecord | None = None,
+        k1_id: str | None = None,
     ) -> None:
         """Send onward, and hold request's reply to reply_to until onward is
         answered or times out."""
         self.send(to, onward)
         id_relay_key = onward.id_relay_key
-        pending = PendingRelay(_AWAITS[type(onward)], reply_to, request, key=key)
+        pending = PendingRelay(_AWAITS[type(onward)], reply_to, request, k1_id=k1_id)
         pending.timer = self.services.schedule_timer(
             self.timeout_ms, lambda: self._on_timeout(id_relay_key)
         )
@@ -345,10 +340,10 @@ class KmsEntity(Entity):
     def _resolve(self, pending: PendingRelay, status: str) -> None:
         """Send the reply owed to the pending request, with status unchanged."""
         if isinstance(pending.request, GetKey):
-            k1 = pending.key
-            self.pool.consume(k1.id)  # consumed even on failure, never reused
-            material = k1.material if status == STATUS_OK else b""
-            self._deliver(pending.reply_to, k1.id, material, status)
+            # K1 is consumed even on failure, never reused.
+            k1 = self.pool.consume(pending.k1_id)
+            material = k1 if status == STATUS_OK else b""
+            self._deliver(pending.reply_to, pending.k1_id, material, status)
         else:
             self.send(pending.reply_to, _reply(pending.request, status))
 

@@ -1,115 +1,121 @@
 """Per-link key generation standing in for the quantum channel.
 
-Each link owns two mirrored pools, one per endpoint KMS. Generation appends
-the same (id, material) records to both pools in the same order, so the
-endpoint views never diverge. Key material is hash-derived from
-(seed, link id, counter), which keeps generation deterministic under any
-interleaving of generate/tick calls. Nothing in this module ever puts key
-material on the simulated transport.
+Each link owns one key table, shared by the pools at its two endpoint KMSs:
+the key ids in generation order, and id -> material. A pool keeps only its
+own endpoint's state, so both ends always see the same keys in the same
+order. Key material is hash-derived from (seed, link id, counter), which
+keeps generation deterministic under any interleaving of generate/tick
+calls. Nothing in this module ever puts key material on the simulated
+transport.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .topology import Topology, render_kms_id
 
-AVAILABLE = "available"
-RESERVED = "reserved"
-CONSUMED = "consumed"
 
-
-@dataclass
-class KeyRecord:
-    id: str
-    material: bytes
-    state: str = AVAILABLE
-
-
-def derive_key(seed: int, link_id: str, index: int, key_size: int) -> KeyRecord:
+def derive_key(seed: int, link_id: str, index: int, key_size: int) -> tuple[str, bytes]:
     """Deterministic (id, material) for the index-th key of a link."""
     kid = hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
     material = hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(
         key_size
     )
-    return KeyRecord(id=kid, material=material)
+    return kid, material
+
+
+class KeyTable:
+    """One link's keys, shared by both endpoint pools: the ids in generation
+    order, and id -> material."""
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.material: dict[str, bytes] = {}
 
 
 class KeyPool:
     """One endpoint's view of a link's keys, owned by exactly one KMS.
 
-    Records keep insertion (generation) order; reservation is FIFO over the
-    available ones. State moves one way: available -> reserved -> consumed,
-    or available -> consumed when a key is taken by id. Since no record ever
+    The keys themselves live in the link's shared ``KeyTable``; the pool
+    holds only the ids this endpoint has reserved or consumed. Every other
+    key in the table is available. State moves one way: available ->
+    reserved -> consumed, or available -> consumed when a key is taken by
+    id. Reservation is FIFO over the available keys. Since no key ever
     becomes available again, ``reserve_next`` keeps a cursor into generation
-    order: every record behind it is reserved or consumed, so a scan never
-    has to look there again.
+    order: every key behind it is reserved or consumed, and every key ahead
+    of it is available or consumed.
     """
 
-    def __init__(self, link_id: str, owner_kms: str):
+    def __init__(self, link_id: str, owner_kms: str, table: KeyTable):
         self.link_id = link_id
         self.owner_kms = owner_kms
-        self.records: dict[str, KeyRecord] = {}
-        self.generated_total = 0
-        self.consumed_total = 0
-        self._order: list[KeyRecord] = []
+        self.table = table
+        self.reserved: set[str] = set()
+        self.consumed: set[str] = set()
         self._cursor = 0
 
-    def append(self, record: KeyRecord) -> None:
-        if record.id in self.records:
-            raise RuntimeError(f"key id {record.id} recurred on link {self.link_id}")
-        self.records[record.id] = record
-        self._order.append(record)
-        self.generated_total += 1
+    @property
+    def generated_total(self) -> int:
+        return len(self.table.ids)
 
-    def reserve_next(self) -> KeyRecord | None:
-        order = self._order
-        while self._cursor < len(order):
-            record = order[self._cursor]
+    @property
+    def consumed_total(self) -> int:
+        return len(self.consumed)
+
+    def reserve_next(self) -> str | None:
+        ids = self.table.ids
+        while self._cursor < len(ids):
+            key_id = ids[self._cursor]
             self._cursor += 1
-            if record.state == AVAILABLE:
-                record.state = RESERVED
-                return record
+            if key_id not in self.consumed:
+                self.reserved.add(key_id)
+                return key_id
         return None
 
-    def get(self, key_id: str) -> KeyRecord | None:
-        return self.records.get(key_id)
+    def take(self, key_id: str) -> bytes | None:
+        """Consume key_id if this pool holds it available; its material,
+        else None."""
+        held = key_id in self.reserved or key_id in self.consumed
+        if held or key_id not in self.table.material:
+            return None
+        return self.consume(key_id)
 
-    def consume(self, key_id: str) -> KeyRecord:
-        record = self.records[key_id]
-        if record.state == CONSUMED:
+    def consume(self, key_id: str) -> bytes:
+        material = self.table.material[key_id]
+        if key_id in self.consumed:
             raise RuntimeError(f"key {key_id} consumed twice on link {self.link_id}")
-        record.state = CONSUMED
-        self.consumed_total += 1
-        return record
+        self.reserved.discard(key_id)
+        self.consumed.add(key_id)
+        return material
 
     def counts(self) -> dict[str, int]:
-        out = {AVAILABLE: 0, RESERVED: 0, CONSUMED: 0}
-        for record in self.records.values():
-            out[record.state] += 1
-        return out
-
-    def consumed_ids(self) -> set[str]:
-        return {r.id for r in self.records.values() if r.state == CONSUMED}
+        reserved, consumed = len(self.reserved), len(self.consumed)
+        return {
+            "available": len(self.table.ids) - reserved - consumed,
+            "reserved": reserved,
+            "consumed": consumed,
+        }
 
 
 class LinkSimulator:
-    """Owns every pool in the network and the per-link generation state."""
+    """Owns every key table and pool in the network and the per-link
+    generation state."""
 
     def __init__(self, topology: Topology, seed: int):
         self.topology = topology
         self.seed = seed
         self.key_size = topology.config.key_size_bytes
-        self._counters: dict[str, int] = {l: 0 for l in topology.links}
         self._carry: dict[str, float] = {l: 0.0 for l in topology.links}
+        self.tables: dict[str, KeyTable] = {}
         self.pools: dict[str, KeyPool] = {}
-        # key id -> material, filled as keys are generated (audit lookups).
+        # key id -> material across all links (audit lookups).
         self._material: dict[str, bytes] = {}
         for link in topology.links.values():
+            table = self.tables[link.id] = KeyTable()
             for end in link.endpoints():
                 kms = render_kms_id(end, link.id)
-                self.pools[kms] = KeyPool(link.id, kms)
+                self.pools[kms] = KeyPool(link.id, kms, table)
 
     def pool_for(self, kms_id: str) -> KeyPool:
         return self.pools[kms_id]
@@ -122,18 +128,16 @@ class LinkSimulator:
         )
 
     def generate_keys(self, link_id: str, n: int) -> list[str]:
-        """Append n fresh keys to both endpoint pools; returns the new ids."""
-        a, b = self.link_pools(link_id)
-        ids = []
-        for _ in range(n):
-            index = self._counters[link_id]
-            self._counters[link_id] = index + 1
-            record = derive_key(self.seed, link_id, index, self.key_size)
-            a.append(KeyRecord(id=record.id, material=record.material))
-            b.append(KeyRecord(id=record.id, material=record.material))
-            self._material[record.id] = record.material
-            ids.append(record.id)
-        return ids
+        """Append n fresh keys to the link's table; returns the new ids."""
+        table = self.tables[link_id]
+        start = len(table.ids)
+        for index in range(start, start + n):
+            key_id, material = derive_key(self.seed, link_id, index, self.key_size)
+            if key_id in table.material:
+                raise RuntimeError(f"key id {key_id} recurred on link {link_id}")
+            table.ids.append(key_id)
+            table.material[key_id] = self._material[key_id] = material
+        return table.ids[start:]
 
     def tick(self, link_id: str, dt_seconds: float) -> int:
         """Advance generation by dt: floor(rate*dt + carry) keys, carrying
@@ -159,7 +163,7 @@ class LinkSimulator:
 
     def link_consumed_ids(self, link_id: str) -> set[str]:
         a, b = self.link_pools(link_id)
-        return a.consumed_ids() | b.consumed_ids()
+        return a.consumed | b.consumed
 
     def pool_report(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -168,8 +172,6 @@ class LinkSimulator:
             out[link_id] = {
                 "generated": a.generated_total,
                 "consumed_distinct": len(self.link_consumed_ids(link_id)),
-                "endpoints": {
-                    p.owner_kms: p.counts() for p in (a, b)
-                },
+                "endpoints": {p.owner_kms: p.counts() for p in (a, b)},
             }
         return out

@@ -236,8 +236,10 @@ def _config_from_dict(obj: dict) -> SimConfig:
         raise ParseError("config: 'key_size_bytes' must be positive")
     if cfg.request_timeout_ms <= 0:
         raise ParseError("config: 'request_timeout_ms' must be positive")
-    if cfg.cache_ttl_ms < 0:
-        raise ParseError("config: 'cache_ttl_ms' must be >= 0")
+    for key in ("cache_ttl_ms", "session_lifetime_ms", "delivered_key_ttl_ms"):
+        value = getattr(cfg, key)
+        if value is not None and value < 0:
+            raise ParseError(f"config: {key!r} must be >= 0")
     return cfg
 
 

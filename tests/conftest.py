@@ -8,7 +8,14 @@ import random
 
 import pytest
 
-from qkdrelay.harness import Scenario, ScenarioEvent, Simulation, run, scenario_from_dict
+from qkdrelay.harness import (
+    AppRequest,
+    Scenario,
+    ScenarioEvent,
+    Simulation,
+    run,
+    scenario_from_dict,
+)
 from qkdrelay.topology import Topology, topology_from_dict
 
 MESH4 = {
@@ -190,6 +197,11 @@ def single_get_key(app_src: str = "APP_A", app_dst: str = "APP_B") -> Scenario:
             "expect": {},
         }
     )
+
+
+def resolved(sim: Simulation, app_id: str) -> list[AppRequest]:
+    """app_id's requests that have been answered, in the order it issued them."""
+    return [r for r in sim.requests if r.app_src == app_id and r.status is not None]
 
 
 def run_events(topology: Topology, events: list[dict], seed: int = 1, **kwargs):

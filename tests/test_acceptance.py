@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import chain, chain_dict, mesh4, pair_scenario, run_events
+from conftest import chain, chain_dict, mesh4, pair_scenario, resolved, run_events
 from qkdrelay import data_path
 from qkdrelay.harness import load_scenario, load_topology_file, run
 from qkdrelay.protocol import (
@@ -110,7 +110,7 @@ def test_c03_otp_wire_check_over_randomized_runs():
     for seed in range(100):
         topo = mesh4({"APP_A": "N1", "APP_B": "N4"}) if seed % 2 else chain(3)
         result = run_events(topo, [GET_KEY_EVENT], seed=seed)
-        if result.sim.apps["APP_A"].completed[0].status != STATUS_OK:
+        if resolved(result.sim, "APP_A")[0].status != STATUS_OK:
             failures.append(f"seed {seed}: relay did not complete")
             continue
         pools = result.sim.linksim
@@ -195,7 +195,7 @@ def test_c06_key_budget_is_exactly_path_length():
     t0 = time.perf_counter()
     for n_links in (1, 2, 5, 31):
         result = run_events(chain(n_links), [GET_KEY_EVENT], seed=4)
-        request = result.sim.apps["APP_A"].completed[0]
+        request = resolved(result.sim, "APP_A")[0]
         if request.status != STATUS_OK:
             failures.append(f"L={n_links}: status {request.status}")
             continue
@@ -219,7 +219,7 @@ def test_c07_empty_second_link_fails_without_leaking():
     raw["links"][1]["initial_pool"] = 0
     result = run_events(topology_from_dict(raw), [GET_KEY_EVENT], seed=4)
 
-    request = result.sim.apps["APP_A"].completed[0]
+    request = resolved(result.sim, "APP_A")[0]
     if request.status != STATUS_NO_KEY:
         failures.append(f"initiator got {request.status}, wanted {STATUS_NO_KEY}")
     stores = {k: len(kms.delivered) for k, kms in result.sim.kms.items() if kms.delivered}
@@ -260,11 +260,11 @@ def test_c09_discovery_cache_effect_and_transparency():
         failures.append(f"{cold_discoveries} discoveries without cache, wanted 2")
 
     def delivered(result):
-        return [(r.key_id, r.material) for r in result.sim.apps["APP_A"].completed]
+        return [(r.key_id, r.material) for r in resolved(result.sim, "APP_A")]
 
     if delivered(warm) != delivered(cold):
         failures.append("cache changed the delivered key material")
-    if any(r.status != STATUS_OK for r in warm.sim.apps["APP_A"].completed):
+    if any(r.status != STATUS_OK for r in resolved(warm.sim, "APP_A")):
         failures.append("cached run did not complete")
     _verdict("C9 discovery cache effect with material transparency", failures)
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from conftest import chain, mesh4, pair_scenario, run_events, write_json
+from conftest import chain, mesh4, pair_scenario, resolved, run_events, write_json
 from qkdrelay import data_path, harness, load_scenario, protocol, run, trace
 from qkdrelay.harness import (
     ConfigError,
@@ -52,6 +52,44 @@ def minimal_events():
         ({"events": [{"at": 0, "event": "tick_links", "dt_ms": 0}]}, "positive"),
         ({"events": [], "expect": {"exit_code": 0}}, "unknown key"),
         ({"events": [], "retries": 3}, "unknown key"),
+        (
+            {"events": [{"at": 0, "event": "tick_links", "dt_ms": 1, "links": 5}]},
+            "array of strings",
+        ),
+        (
+            {"events": [{"at": 0, "event": "tick_links", "dt_ms": 1, "links": "ab"}]},
+            "array of strings",
+        ),
+        (
+            {"events": [{"at": 0, "event": "tick_links", "dt_ms": 1, "links": ["a", 1]}]},
+            "array of strings",
+        ),
+        (
+            {"events": [{"at": 0, "event": "app_get_key", "app_src": "A", "app_dst": "B",
+                         "via_node": ["N1"]}]},
+            "'via_node' must be a string",
+        ),
+        (
+            {"events": [{"at": 0, "event": "app_get_key", "app_src": ["A"], "app_dst": "B"}]},
+            "'app_src' must be a string",
+        ),
+        (
+            {"events": [{"at": 0, "event": "app_get_key", "app_src": "A", "app_dst": ["B"]}]},
+            "'app_dst' must be a string",
+        ),
+        (
+            {"events": [{"at": 0, "event": "app_get_key_with_id", "app_src": "B",
+                         "app_dst": "A", "key_id_from": ["A"]}]},
+            "'key_id_from' must be a string",
+        ),
+        (
+            {"events": [{"at": 0, "event": "drop_message", "n": 1, "of_type": "key_rely"}]},
+            "unknown message type",
+        ),
+        (
+            {"events": [{"at": 0, "event": "corrupt_message", "n": 1, "of_type": ["key_relay"]}]},
+            "unknown message type",
+        ),
     ],
 )
 def test_scenario_schema_rejections(raw, message):
@@ -129,7 +167,7 @@ def test_dropped_relay_process_request_times_out(mesh4_relay_topology):
             {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         ],
     )
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_TIMEOUT
     assert result.sim.kernel.now_ms == 1000  # the request timeout fired
     assert result.report["quiescent"]
@@ -145,7 +183,7 @@ def test_dropped_key_relay_cascades_timeouts(mesh4_relay_topology):
             {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         ],
     )
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_TIMEOUT
     assert result.report["quiescent"]
     # Late completions from upstream hops land as logged orphans.
@@ -164,8 +202,8 @@ def test_corrupted_key_relay_breaks_e2e_equality(mesh4_relay_topology):
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    got_a = result.sim.apps["APP_A"].completed[0]
-    got_b = result.sim.apps["APP_B"].completed[0]
+    got_a = resolved(result.sim, "APP_A")[0]
+    got_b = resolved(result.sim, "APP_B")[0]
     # Nothing in the protocol detects the flip; only the materials disagree.
     assert got_a.status == got_b.status == STATUS_OK
     assert got_a.material != got_b.material
@@ -360,8 +398,8 @@ def test_two_initiators_share_links_without_interference():
             {"at": 0, "event": "app_get_key", "app_src": "APP_C", "app_dst": "APP_D"},
         ],
     )
-    a = result.sim.apps["APP_A"].completed[0]
-    c = result.sim.apps["APP_C"].completed[0]
+    a = resolved(result.sim, "APP_A")[0]
+    c = resolved(result.sim, "APP_C")[0]
     assert a.status == c.status == STATUS_OK
     assert a.key_id != c.key_id
     assert a.material != c.material
@@ -375,5 +413,5 @@ def test_pool_exhaustion_across_consecutive_relays():
         for t in (0, 1, 2)
     ]
     result = run_events(topo, events)
-    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK, STATUS_NO_KEY]

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import grid_dict, grid_events, mesh4, random_topology, run_events
 from qkdrelay.kms import KmsEntity
-from qkdrelay.linksim import AVAILABLE, RESERVED, LinkSimulator
+from qkdrelay.linksim import LinkSimulator, derive_key
 from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
 from qkdrelay.topology import render_kms_id, topology_from_dict
 
@@ -68,36 +68,101 @@ def test_parse_kms_id_matches_name_scan():
                     topo.parse_kms_id(name)
 
 
-# ── linksim: FIFO cursor and material index ──
+# ── linksim: shared key table, FIFO cursor and material index ──
 
 
-def scan_next_available(pool):
-    return next((r for r in pool.records.values() if r.state == AVAILABLE), None)
+class KeyStates:
+    """The reference: each key's state at each endpoint, written out per key
+    and scanned in generation order."""
+
+    def __init__(self, seed: int, link_id: str):
+        self.seed = seed
+        self.link_id = link_id
+        self.order: list[str] = []
+        self.material: dict[str, bytes] = {}
+        self.state: tuple[dict[str, str], dict[str, str]] = ({}, {})
+
+    def generated(self, n: int) -> None:
+        for index in range(len(self.order), len(self.order) + n):
+            key_id, material = derive_key(self.seed, self.link_id, index, 32)
+            self.order.append(key_id)
+            self.material[key_id] = material
+            for state in self.state:
+                state[key_id] = "available"
+
+    def ids(self, end: int, wanted: str) -> list[str]:
+        return [k for k in self.order if self.state[end][k] == wanted]
+
+    def counts(self, end: int) -> dict[str, int]:
+        return {s: len(self.ids(end, s)) for s in ("available", "reserved", "consumed")}
 
 
 def test_reserve_next_matches_fifo_scan_under_random_operations():
     rng = random.Random(47)
     for trial in range(40):
         sim = LinkSimulator(mesh4(), seed=trial)
-        sim.generate_keys("d", rng.randint(0, 6))
-        pool, _ = sim.link_pools("d")
+        ref = KeyStates(trial, "d")
+        ref.generated(len(sim.generate_keys("d", rng.randint(0, 6))))
+        foreign = sim.generate_keys("c", 2)  # another link's keys
+        pools = sim.link_pools("d")
         for _ in range(80):
+            end = rng.randrange(2)
+            pool, state = pools[end], ref.state[end]
             op = rng.random()
-            if op < 0.4:
-                want = scan_next_available(pool)
-                assert pool.reserve_next() is want
+            if op < 0.3:
+                available = ref.ids(end, "available")
+                want = available[0] if available else None
+                assert pool.reserve_next() == want
+                if want is not None:
+                    state[want] = "reserved"
             elif op < 0.6:
-                # A pickup by id (get_key_with_id) jumps the FIFO.
-                available = [r for r in pool.records.values() if r.state == AVAILABLE]
+                # A pickup by id (get_key_with_id) jumps the FIFO; it may name
+                # a key in any state, on another link, or none at all.
+                key_id = rng.choice(ref.order + foreign + ["no-such-key"])
+                available = state.get(key_id) == "available"
+                assert pool.take(key_id) == (ref.material[key_id] if available else None)
                 if available:
-                    pool.consume(rng.choice(available).id)
+                    state[key_id] = "consumed"
             elif op < 0.8:
-                reserved = [r for r in pool.records.values() if r.state == RESERVED]
+                reserved = ref.ids(end, "reserved")
                 if reserved:
-                    pool.consume(rng.choice(reserved).id)
+                    key_id = rng.choice(reserved)
+                    assert pool.consume(key_id) == ref.material[key_id]
+                    state[key_id] = "consumed"
             else:
-                sim.tick("d", rng.choice([0.0, 0.1, 0.25]))
-        assert sum(pool.counts().values()) == pool.generated_total
+                ref.generated(sim.tick("d", rng.choice([0.0, 0.1, 0.25])))
+            for e, p in enumerate(pools):
+                assert p.counts() == ref.counts(e)
+                assert p.generated_total == len(ref.order)
+                assert p.consumed_total == len(ref.ids(e, "consumed"))
+            assert sim.link_consumed_ids("d") == set(ref.ids(0, "consumed")) | set(
+                ref.ids(1, "consumed")
+            )
+        for pool in sim.link_pools("c"):
+            assert pool.counts() == {"available": 2, "reserved": 0, "consumed": 0}
+
+
+def test_endpoint_pools_share_one_table():
+    sim = LinkSimulator(mesh4(), seed=1)
+    tables = []
+    for link_id in ("a", "b", "c", "d"):
+        a, b = sim.link_pools(link_id)
+        assert a.table is b.table is sim.tables[link_id]
+        assert a.reserved is not b.reserved and a.consumed is not b.consumed
+        tables.append(a.table)
+    assert len({id(t) for t in tables}) == 4
+
+
+def test_take_on_another_links_key_consumes_nothing():
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.fill_initial()
+    pool, _ = sim.link_pools("d")
+    for other, _ in map(sim.link_pools, ("a", "b", "c")):
+        for key_id in other.table.ids:
+            assert sim.find_material(key_id) is not None
+            assert pool.take(key_id) is None
+    assert pool.counts() == {"available": 8, "reserved": 0, "consumed": 0}
+    assert all(not p.consumed for p in sim.pools.values())
 
 
 def test_reserve_next_after_id_jump_exhaustion_and_tick():
@@ -105,13 +170,12 @@ def test_reserve_next_after_id_jump_exhaustion_and_tick():
     first, second, third = sim.generate_keys("d", 3)
     pool, _ = sim.link_pools("d")
     pool.consume(second)  # taken by id, out of FIFO order
-    assert pool.reserve_next().id == first
-    assert pool.reserve_next().id == third
+    assert pool.reserve_next() == first
+    assert pool.reserve_next() == third
     assert pool.reserve_next() is None
     assert pool.reserve_next() is None  # exhausted stays exhausted
     assert sim.tick("d", 0.1) == 1
-    (fresh,) = [r for r in pool.records.values() if r.state == AVAILABLE]
-    assert pool.reserve_next() is fresh
+    assert pool.reserve_next() == pool.table.ids[-1]
     assert pool.reserve_next() is None
 
 
@@ -123,16 +187,13 @@ def test_find_material_matches_pool_scan():
     other.fill_initial()
 
     def scan(key_id):
-        for pool in sim.pools.values():
-            record = pool.records.get(key_id)
-            if record is not None:
-                return record.material
+        for table in sim.tables.values():
+            if key_id in table.material:
+                return table.material[key_id]
         return None
 
-    known = [r.id for pool in sim.pools.values() for r in pool.records.values()]
-    unknown = ["", "no-such-key"] + [
-        r.id for pool in other.pools.values() for r in pool.records.values()
-    ]
+    known = [k for table in sim.tables.values() for k in table.ids]
+    unknown = ["", "no-such-key"] + [k for table in other.tables.values() for k in table.ids]
     for key_id in known + unknown:
         assert sim.find_material(key_id) == scan(key_id)
     assert all(sim.find_material(k) is None for k in unknown)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import chain, mesh4, mesh4_dict, run_events
+from conftest import chain, mesh4, mesh4_dict, resolved, run_events
 from qkdrelay.harness import ScenarioEvent, Simulation
 from qkdrelay.kms import RelayRule
 from qkdrelay.topology import topology_from_dict
@@ -40,11 +40,11 @@ def one_get_key():
 def test_direct_serves_fifo_key():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     result = run_events(topo, one_get_key())
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_OK
     pool = result.sim.linksim.pool_for("KMS_3d")
-    assert request.key_id == next(iter(pool.records))  # oldest key served first
-    assert request.material == pool.records[request.key_id].material
+    assert request.key_id == pool.table.ids[0]  # oldest key served first
+    assert request.material == pool.table.material[request.key_id]
     assert pool.counts()["consumed"] == 1
 
 
@@ -54,7 +54,7 @@ def test_direct_empty_pool_fails_no_key():
         link["initial_pool"] = 0
     topo = topology_from_dict(raw)
     result = run_events(topo, one_get_key())
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_NO_KEY
     assert request.material == b""
 
@@ -73,7 +73,7 @@ def test_direct_pool_refills_by_tick():
         {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ]
     result = run_events(topo, events)
-    first, second = result.sim.apps["APP_A"].completed
+    first, second = resolved(result.sim, "APP_A")
     assert first.status == STATUS_NO_KEY
     assert second.status == STATUS_OK
 
@@ -82,7 +82,7 @@ def test_get_key_with_id_from_own_pool_and_misses():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     sim = Simulation(topo, seed=1)
     pool = sim.linksim.pool_for("KMS_4d")
-    key_id = next(iter(pool.records))
+    key_id = pool.table.ids[0]
     events = [
         {"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",
          "app_dst": "APP_A", "key_id": key_id},
@@ -92,7 +92,7 @@ def test_get_key_with_id_from_own_pool_and_misses():
          "app_dst": "APP_A", "key_id": "f00d"},          # never existed
     ]
     result = run_events(topo, events)
-    statuses = [r.status for r in result.sim.apps["APP_B"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_B")]
     assert statuses == [STATUS_OK, STATUS_NO_KEY, STATUS_NO_KEY]
 
 
@@ -108,8 +108,8 @@ def test_relay_end_to_end_key_equality(mesh4_relay_topology):
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    (got_a,) = result.sim.apps["APP_A"].completed
-    (got_b,) = result.sim.apps["APP_B"].completed
+    (got_a,) = resolved(result.sim, "APP_A")
+    (got_b,) = resolved(result.sim, "APP_B")
     assert got_a.status == got_b.status == STATUS_OK
     assert got_a.key_id == got_b.key_id
     assert got_a.material == got_b.material
@@ -136,7 +136,7 @@ def test_relay_key_budget_one_per_link(mesh4_relay_topology):
 
 def test_relay_delivered_store_holds_target_copy(mesh4_relay_topology):
     result = run_events(mesh4_relay_topology, one_get_key())
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     store = result.sim.kms["KMS_4d"].delivered
     assert (request.key_id, "APP_A", "APP_B") in store
     assert store[(request.key_id, "APP_A", "APP_B")].material == request.material
@@ -152,7 +152,7 @@ def test_relay_two_hop_chain():
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    a, b = result.sim.apps["APP_A"].completed[0], result.sim.apps["APP_B"].completed[0]
+    a, b = resolved(result.sim, "APP_A")[0], resolved(result.sim, "APP_B")[0]
     assert a.status == b.status == STATUS_OK
     assert a.material == b.material
     assert len(msgs_of(result.records, "key_relay")) == 2
@@ -174,8 +174,8 @@ def test_pickup_is_idempotent_until_consumed(mesh4_relay_topology):
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    statuses = [r.status for r in result.sim.apps["APP_B"].completed]
-    materials = {r.material for r in result.sim.apps["APP_B"].completed}
+    statuses = [r.status for r in resolved(result.sim, "APP_B")]
+    materials = {r.material for r in resolved(result.sim, "APP_B")}
     assert statuses == [STATUS_OK, STATUS_OK]
     assert len(materials) == 1
 
@@ -194,7 +194,7 @@ def test_relay_fails_no_key_when_second_link_empty():
         ],
     )
     result = run_events(topo, one_get_key())
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_NO_KEY
     assert msgs_of(result.records, "key_relay") == []
     assert result.sim.kms["KMS_4d"].delivered == {}
@@ -213,7 +213,7 @@ def test_relay_fails_no_key_when_first_link_empty():
         ],
     )
     result = run_events(topo, one_get_key())
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_NO_KEY
     assert msgs_of(result.records, "relay_process_request") == []
 
@@ -310,7 +310,7 @@ def test_orphan_completion_with_wrong_type_is_dropped(mesh4_relay_topology):
 
 def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topology):
     sim = Simulation(mesh4_relay_topology, seed=1)
-    k1_id = next(iter(sim.kms["KMS_1b"].pool.records))
+    k1_id = sim.kms["KMS_1b"].pool.table.ids[0]
     # The initiator's RelayProcessRequest is lost, so its entry for K1 stays
     # pending until the timeout; a KeyRelayResponse for K1 must not settle it.
     sim.transport.add_fault(FaultRule(op="drop", nth=1, of_type="relay_process_request"))
@@ -324,7 +324,7 @@ def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topol
         [ScenarioEvent(at=0, event="app_get_key", params={"app_src": "APP_A", "app_dst": "APP_B"})]
     )
     assert sim.kms["KMS_1b"].orphan_count == 1
-    (request,) = sim.apps["APP_A"].completed
+    (request,) = resolved(sim, "APP_A")
     assert (request.status, request.material) == (STATUS_TIMEOUT, b"")
 
 
@@ -373,7 +373,7 @@ def test_delivered_store_ttl_expiry():
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    (pickup,) = result.sim.apps["APP_B"].completed
+    (pickup,) = resolved(result.sim, "APP_B")
     assert pickup.status == STATUS_NO_RULE  # state existed but lapsed
 
 
@@ -390,7 +390,7 @@ def test_delivered_store_within_ttl():
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    (pickup,) = result.sim.apps["APP_B"].completed
+    (pickup,) = resolved(result.sim, "APP_B")
     assert pickup.status == STATUS_OK
 
 

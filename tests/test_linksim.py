@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mesh4
-from qkdrelay.linksim import AVAILABLE, CONSUMED, RESERVED, LinkSimulator, derive_key
+from qkdrelay.linksim import LinkSimulator, derive_key
 
 
 def pools_equal(sim: LinkSimulator, link_id: str) -> bool:
+    """Both endpoints read one table, whose id order is its material order."""
     a, b = sim.link_pools(link_id)
-    return [(r.id, r.material) for r in a.records.values()] == [
-        (r.id, r.material) for r in b.records.values()
-    ]
+    return a.table is b.table and list(a.table.material) == a.table.ids
 
 
 def test_generate_zero_is_empty():
@@ -31,9 +30,10 @@ def test_generation_synchronizes_both_pools():
     a, b = sim.link_pools("d")
     assert a.owner_kms == "KMS_3d"
     assert b.owner_kms == "KMS_4d"
-    for record in a.records.values():
-        assert len(record.material) == 32
-        assert record.state == AVAILABLE
+    assert a.table.ids == ids
+    assert all(len(a.table.material[k]) == 32 for k in ids)
+    for pool in (a, b):
+        assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
 
 
 def test_same_seed_same_sequence():
@@ -42,9 +42,7 @@ def test_same_seed_same_sequence():
     assert one.generate_keys("b", 5) == two.generate_keys("b", 5)
     p1, _ = one.link_pools("b")
     p2, _ = two.link_pools("b")
-    assert [r.material for r in p1.records.values()] == [
-        r.material for r in p2.records.values()
-    ]
+    assert list(p1.table.material.values()) == list(p2.table.material.values())
 
 
 def test_different_seeds_different_keys():
@@ -59,11 +57,11 @@ def test_links_have_independent_streams():
 
 
 def test_derive_key_shapes():
-    record = derive_key(0, "d", 0, 16)
-    assert len(record.material) == 16
-    assert record.id == record.id.lower()
-    int(record.id, 16)  # 128-bit lowercase hex
-    assert len(record.id) == 32
+    key_id, material = derive_key(0, "d", 0, 16)
+    assert len(material) == 16
+    assert key_id == key_id.lower()
+    int(key_id, 16)  # 128-bit lowercase hex
+    assert len(key_id) == 32
 
 
 def test_key_size_from_config():
@@ -71,8 +69,8 @@ def test_key_size_from_config():
     sim = LinkSimulator(topo, seed=1)
     sim.generate_keys("a", 1)
     a, _ = sim.link_pools("a")
-    (record,) = a.records.values()
-    assert len(record.material) == 16
+    (material,) = a.table.material.values()
+    assert len(material) == 16
 
 
 # ── tick carry accounting ──
@@ -124,23 +122,36 @@ def test_reserve_consume_lifecycle():
     sim.generate_keys("d", 2)
     pool, _ = sim.link_pools("d")
     first = pool.reserve_next()
-    assert first.state == RESERVED
+    assert first in pool.reserved
     second = pool.reserve_next()
-    assert second.id != first.id  # FIFO skips reserved keys
-    pool.consume(first.id)
-    assert pool.records[first.id].state == CONSUMED
+    assert second != first  # FIFO skips reserved keys
+    assert pool.consume(first) == sim.find_material(first)
+    assert first in pool.consumed and first not in pool.reserved
     with pytest.raises(RuntimeError, match="consumed twice"):
-        pool.consume(first.id)
+        pool.consume(first)
+
+
+def test_take_consumes_only_an_available_key():
+    sim = LinkSimulator(mesh4(), seed=1)
+    first, second = sim.generate_keys("d", 2)
+    pool, peer = sim.link_pools("d")
+    assert pool.reserve_next() == first
+    assert pool.take(first) is None  # reserved
+    assert pool.take(second) == sim.find_material(second)
+    assert pool.take(second) is None  # consumed
+    assert pool.take("no-such-key") is None
+    assert pool.counts() == {"available": 0, "reserved": 1, "consumed": 1}
+    assert peer.take(second) == sim.find_material(second)  # the other end's own state
 
 
 def test_counts_conserved():
     sim = LinkSimulator(mesh4(), seed=1)
     sim.generate_keys("d", 5)
     pool, _ = sim.link_pools("d")
-    pool.consume(pool.reserve_next().id)
+    pool.consume(pool.reserve_next())
     pool.reserve_next()
     counts = pool.counts()
-    assert counts == {AVAILABLE: 3, RESERVED: 1, CONSUMED: 1}
+    assert counts == {"available": 3, "reserved": 1, "consumed": 1}
     assert sum(counts.values()) == pool.generated_total
 
 
@@ -164,5 +175,5 @@ def test_find_material_returns_generated_material():
     sim = LinkSimulator(mesh4(), seed=1)
     (key_id,) = sim.generate_keys("c", 1)
     pool, _ = sim.link_pools("c")
-    assert sim.find_material(key_id) == pool.records[key_id].material
+    assert sim.find_material(key_id) == pool.table.material[key_id]
     assert sim.find_material("no-such-key") is None

@@ -104,6 +104,9 @@ def test_validation_rejections(mutate, message):
         lambda r: r["apps"][0].pop("node"),
         lambda r: r["links"][0].update(key_rate="fast"),
         lambda r: r["links"][0].update(initial_pool=True),
+        lambda r: r.update(config={"cache_ttl_ms": -1}),
+        lambda r: r.update(config={"session_lifetime_ms": -1}),
+        lambda r: r.update(config={"delivered_key_ttl_ms": -1}),
     ],
 )
 def test_schema_strictness(mutate):

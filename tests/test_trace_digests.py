@@ -11,11 +11,15 @@ branch, with and without a session lifetime.
 The backward half of the relay chain (completions, failure replies,
 timeouts, orphans) runs only under faults, so the fault-path cases below pin
 each run's digest together with the total KMS orphan count.
+
+The run report's pools, requests and controller state never reach the trace,
+so the packaged scenarios and the faulted grids pin their digest as well.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -45,6 +49,13 @@ PACKAGED = [
     ),
 ]
 
+# scenario -> digest of report_digest's sections
+PACKAGED_REPORTS = {
+    "direct.json": "962f19e5adaea7408a5c88504c26f014952ddcd31337f6837e4bfab54aba865e",
+    "relay1hop.json": "74d5ebcc7ed2e362df1e36764b903532677c839699301274581e4a1de2950b62",
+    "linear32.json": "eab1e49803549daf50830b057cf10254cd393a456033a90d92a4fd6ad26ff616",
+}
+
 # (session_lifetime_ms, digest)
 GRIDS = [
     (None, "3b313e42c387c7dfe006db10dde3d5aa7846f2a6fa6fe1d4767fc965bbb1bf9d"),
@@ -60,13 +71,28 @@ def raw_digest(lines: list[str]) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("topology_name,scenario_name,expected", PACKAGED)
-def test_packaged_raw_trace_digest(topology_name, scenario_name, expected):
+def report_digest(report: dict) -> str:
+    sections = {k: report[k] for k in ("pools", "requests", "controller")}
+    return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
+
+
+def run_packaged(topology_name: str, scenario_name: str):
     topology = load_topology_file(data_path("topologies", topology_name))
     scenario = load_scenario(data_path("scenarios", scenario_name))
-    result = run(topology, scenario, seed=SEED)
+    return run(topology, scenario, seed=SEED)
+
+
+@pytest.mark.parametrize("topology_name,scenario_name,expected", PACKAGED)
+def test_packaged_raw_trace_digest(topology_name, scenario_name, expected):
+    result = run_packaged(topology_name, scenario_name)
     assert result.exit_code == 0
     assert raw_digest(result.trace_lines) == expected
+
+
+@pytest.mark.parametrize("topology_name,scenario_name", [p[:2] for p in PACKAGED])
+def test_packaged_report_digest(topology_name, scenario_name):
+    result = run_packaged(topology_name, scenario_name)
+    assert report_digest(result.report) == PACKAGED_REPORTS[scenario_name]
 
 
 @pytest.mark.parametrize("session_lifetime_ms,expected", GRIDS)
@@ -283,6 +309,18 @@ GRID_FAULTS = {
     (4, 60): ("74d7f122c0b0ed251035ab2de24fc5e33d6c43d256afb87dd99332f95d8ee3e7", 5),
 }
 
+# (rng seed, session_lifetime_ms) -> digest of report_digest's sections; 5x5 grid
+GRID_FAULT_REPORTS = {
+    (1, None): "9bc14ff9c505c77081939c2680e8266b2c4838f89d42b85b7644714709299991",
+    (1, 60): "3c9924fbeddcb01e6e181b21ade992cfb6a91777841819788e114759979204c4",
+    (2, None): "ccb943edca1c87e91b645b4243d5f0edba4dfbf85e294c44990790b51859bf76",
+    (2, 60): "06b7125c1f4572d8b7980f4330487105ac66d49ba8061b2e16a7237bcb36c27c",
+    (3, None): "086fec23ab4b59a22abf76c7b04635f82339be7945f476fb993362f368bf218e",
+    (3, 60): "ef6ae9b3524ace716a14771fc43887bf9832cbd1ce174907820f802b40f5088b",
+    (4, None): "c8eb6b0538ec8da980a71cadd3270b1e87f8cc9421501e7a9b5ac0abf19f11c8",
+    (4, 60): "48d73ed70634b1ac793fb31e334369e190f30c782ba90aa399bf48b621a26ead",
+}
+
 
 def pair_events(at: int) -> list[dict]:
     return [
@@ -353,10 +391,13 @@ def chain_exhausted_summary(link: int) -> tuple[str, int]:
     return fault_run_summary(raw, chain_events([]))
 
 
-def grid_fault_summary(seed: int, session_lifetime_ms: int | None) -> tuple[str, int]:
+def grid_fault_case(seed: int, session_lifetime_ms: int | None) -> tuple[dict, list[dict]]:
     raw = grid_dict(5, initial_pool=32, session_lifetime_ms=session_lifetime_ms)
-    events = grid_fault_events(raw, random.Random(seed), pairs=40, faults=6)
-    return fault_run_summary(raw, events)
+    return raw, grid_fault_events(raw, random.Random(seed), pairs=40, faults=6)
+
+
+def grid_fault_summary(seed: int, session_lifetime_ms: int | None) -> tuple[str, int]:
+    return fault_run_summary(*grid_fault_case(seed, session_lifetime_ms))
 
 
 @pytest.mark.parametrize("op", ["drop", "corrupt"])
@@ -376,3 +417,10 @@ def test_grid_fault_digest(seed, session_lifetime_ms):
     assert grid_fault_summary(seed, session_lifetime_ms) == GRID_FAULTS[
         (seed, session_lifetime_ms)
     ]
+
+
+@pytest.mark.parametrize("seed,session_lifetime_ms", list(GRID_FAULT_REPORTS))
+def test_grid_fault_report_digest(seed, session_lifetime_ms):
+    raw, events = grid_fault_case(seed, session_lifetime_ms)
+    result = run_events(topology_from_dict(raw), events, seed=SEED)
+    assert report_digest(result.report) == GRID_FAULT_REPORTS[(seed, session_lifetime_ms)]

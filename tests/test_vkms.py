@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import mesh4, run_events
+from conftest import mesh4, resolved, run_events
 from qkdrelay.protocol import STATUS_OK, STATUS_TIMEOUT, STATUS_UNKNOWN_APP, message_type
 
 
@@ -24,7 +24,7 @@ def test_request_via_wrong_node_refused_locally():
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A",
           "app_dst": "APP_B", "via_node": "N2"}],
     )
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_UNKNOWN_APP
     # Refused at the facade: the controller never heard about it.
     assert count_type(result.records, "kms_discovery_request") == 0
@@ -36,7 +36,7 @@ def test_unknown_destination_app():
         topo,
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_Z"}],
     )
-    (request,) = result.sim.apps["APP_A"].completed
+    (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_UNKNOWN_APP
     # This one did need the controller to find out.
     assert count_type(result.records, "kms_discovery_request") == 1
@@ -47,7 +47,7 @@ def test_cache_disabled_discovers_every_time():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})  # cache_ttl_ms defaults to 0
     result = run_events(topo, two_direct_requests())
     assert count_type(result.records, "kms_discovery_request") == 2
-    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
 
 
@@ -55,7 +55,7 @@ def test_cache_enabled_discovers_once():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
     result = run_events(topo, two_direct_requests())
     assert count_type(result.records, "kms_discovery_request") == 1
-    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
 
 
@@ -64,8 +64,8 @@ def test_cache_transparent_to_key_material():
     topo_warm = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
     cold = run_events(topo_cold, two_direct_requests(), seed=11)
     warm = run_events(topo_warm, two_direct_requests(), seed=11)
-    cold_keys = [(r.key_id, r.material) for r in cold.sim.apps["APP_A"].completed]
-    warm_keys = [(r.key_id, r.material) for r in warm.sim.apps["APP_A"].completed]
+    cold_keys = [(r.key_id, r.material) for r in resolved(cold.sim, "APP_A")]
+    warm_keys = [(r.key_id, r.material) for r in resolved(warm.sim, "APP_A")]
     assert cold_keys == warm_keys
 
 
@@ -127,9 +127,9 @@ def test_relay_requests_share_cache_path(mesh4_relay_topology):
     assert count_type(result.records, "kms_discovery_request") == 1
     assert count_type(result.records, "relay_path_install") == 4
     assert count_type(result.records, "key_relay") == 2
-    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
-    keys = {r.key_id for r in result.sim.apps["APP_A"].completed}
+    keys = {r.key_id for r in resolved(result.sim, "APP_A")}
     assert len(keys) == 2  # fresh E2E key each time
 
 
@@ -140,7 +140,7 @@ def test_lost_discovery_times_out_and_frees_its_queue():
         *two_direct_requests(),
     ]
     result = run_events(topo, events)
-    statuses = [r.status for r in result.sim.apps["APP_A"].completed]
+    statuses = [r.status for r in resolved(result.sim, "APP_A")]
     # Discovery replies are matched by queue position: the second reply
     # serves the first request, and the second request times out.
     assert statuses == [STATUS_OK, STATUS_TIMEOUT]
