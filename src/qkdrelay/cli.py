@@ -6,6 +6,7 @@ two trace files. Exit codes: 0 success, 1 expectation/diff failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -77,15 +78,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         topology = load_topology_file(args.topology)
+        if args.weight_policy is not None:
+            topology = dataclasses.replace(topology, weight_policy=args.weight_policy)
+        if args.cache_ttl is not None:
+            config = dataclasses.replace(topology.config, cache_ttl_ms=args.cache_ttl)
+            topology = dataclasses.replace(topology, config=config)
         scenario = load_scenario(args.scenario)
-        result = run(
-            topology,
-            scenario,
-            seed=args.seed,
-            weight_policy=args.weight_policy,
-            cache_ttl_ms=args.cache_ttl,
-            trace_out=args.trace_out,
-        )
+        result = run(topology, scenario, seed=args.seed, trace_out=args.trace_out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -44,6 +44,7 @@ from .protocol import (
     message_type,
     otp_xor,
 )
+from .topology import SimConfig
 
 log = logging.getLogger(__name__)
 
@@ -118,15 +119,14 @@ class KmsEntity(Entity):
         link_id: str,
         peer_kms_id: str,
         pool: KeyPool,
-        timeout_ms: int = 1000,
-        delivered_ttl_ms: int | None = None,
+        config: SimConfig,
     ):
         super().__init__(kms_id, node_id=node_id)
         self.link_id = link_id
         self.peer_kms_id = peer_kms_id
         self.pool = pool
-        self.timeout_ms = timeout_ms
-        self.delivered_ttl_ms = delivered_ttl_ms
+        self.timeout_ms = config.request_timeout_ms
+        self.delivered_ttl_ms = config.delivered_key_ttl_ms
         self.rules: dict[str, RelayRule] = {}
         # (app_src, app_dst, prev_hop) -> newest matching rule.
         self._rule_index: dict[tuple[str, str, str | None], RelayRule] = {}

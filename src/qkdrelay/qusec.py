@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import protocol
@@ -115,14 +115,6 @@ class SessionState:
     created_ms: int
     status: str = SESSION_INSTALLED
 
-    @property
-    def first_kms(self) -> str:
-        return self.kms_path[0]
-
-    @property
-    def last_kms(self) -> str:
-        return self.kms_path[-1]
-
     def to_dict(self) -> dict:
         return {
             "id_association": self.id_association,
@@ -139,16 +131,11 @@ class QusecEntity(Entity):
 
     kind = "controller"
 
-    def __init__(
-        self,
-        topology: Topology,
-        seed: int,
-        weight_policy: str | None = None,
-    ):
+    def __init__(self, topology: Topology, seed: int):
         super().__init__(QUSEC_ID, node_id=None)
         self.topology = topology
         self.seed = seed
-        self.weight_policy = weight_policy or topology.weight_policy
+        self.weight_policy = topology.weight_policy
         self.session_lifetime_ms = topology.config.session_lifetime_ms
         self.sessions: list[SessionState] = []
         # sessions[:_live_from] have expired; session_gc advances it.
@@ -186,11 +173,6 @@ class QusecEntity(Entity):
             end += 1
         self._live_from = end
         return end - start
-
-    def _add_session(self, session: SessionState) -> None:
-        """Every new session goes through here, so the index stays whole."""
-        self.sessions.append(session)
-        self._newest_session[(session.app_src, session.app_dst)] = session
 
     def _find_reusable_session(self, app_src: str, app_dst: str) -> SessionState | None:
         """Newest live session in which the requester is the target.
@@ -245,62 +227,46 @@ class QusecEntity(Entity):
         session = self._find_reusable_session(msg.app_src, msg.app_dst)
         if session is not None:
             session.status = SESSION_COMPLETED
-            self._respond(reply_to, msg, session.last_kms)
+            self._respond(reply_to, msg, session.kms_path[-1])
             return
 
-        # (a) both apps inside one link domain: direct delivery, no installs.
-        shared = self.topology.links_between(src_node, dst_node)
-        if shared:
-            link = min(
-                shared, key=lambda l: (link_weight(l, self.weight_policy), l.id)
-            )
-            kms_path = (
-                render_kms_id(src_node, link.id),
-                render_kms_id(dst_node, link.id),
-            )
-            self._add_session(
-                SessionState(
-                    id_association=self._new_association_id(),
-                    app_src=msg.app_src,
-                    app_dst=msg.app_dst,
-                    kms_path=kms_path,
-                    created_ms=now,
-                )
-            )
-            self._respond(reply_to, msg, kms_path[0])
-            return
-
-        # (c) relay path: install rules on every KMS, last-to-first so
-        # downstream rules exist before the initiator can act.
         try:
-            kms_list = compute_relay_path(
-                self.topology, src_node, dst_node, self.weight_policy
-            )
+            kms_path = self._kms_path(src_node, dst_node)
         except NoPathError:
             self._fail(reply_to, msg, "no_path")
             return
 
+        # (a) A direct link needs no rules. (c) A relay path gets one on every
+        # KMS, last-to-first, so downstream rules exist before the initiator
+        # can act.
         assoc = self._new_association_id()
-        for i in range(len(kms_list) - 1, -1, -1):
-            install = RelayPathInstall(
-                id_association=assoc,
-                prev_hop=kms_list[i - 1] if i > 0 else None,
-                next_hop=kms_list[i + 1] if i < len(kms_list) - 1 else None,
-                app_src=msg.app_src,
-                app_dst=msg.app_dst,
-            )
-            self.send(kms_list[i], install)
-            self.install_count += 1
-        self._add_session(
-            SessionState(
-                id_association=assoc,
-                app_src=msg.app_src,
-                app_dst=msg.app_dst,
-                kms_path=tuple(kms_list),
-                created_ms=now,
-            )
+        if len(kms_path) > 2:
+            for i in range(len(kms_path) - 1, -1, -1):
+                install = RelayPathInstall(
+                    id_association=assoc,
+                    prev_hop=kms_path[i - 1] if i > 0 else None,
+                    next_hop=kms_path[i + 1] if i < len(kms_path) - 1 else None,
+                    app_src=msg.app_src,
+                    app_dst=msg.app_dst,
+                )
+                self.send(kms_path[i], install)
+                self.install_count += 1
+        session = SessionState(assoc, msg.app_src, msg.app_dst, kms_path, now)
+        self.sessions.append(session)
+        self._newest_session[(msg.app_src, msg.app_dst)] = session
+        self._respond(reply_to, msg, kms_path[0])
+
+    def _kms_path(self, src_node: str, dst_node: str) -> tuple[str, ...]:
+        """(a) Both apps inside one link domain: the two KMSs of the
+        lowest-weight shared link (ties by link id). Else (c) the KMSs of the
+        shortest relay path; raises NoPathError when there is none."""
+        shared = self.topology.links_between(src_node, dst_node)
+        if shared:
+            link = min(shared, key=lambda l: (link_weight(l, self.weight_policy), l.id))
+            return (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
+        return tuple(
+            compute_relay_path(self.topology, src_node, dst_node, self.weight_policy)
         )
-        self._respond(reply_to, msg, kms_list[0])
 
     # ── state dump ──
 

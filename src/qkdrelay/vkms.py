@@ -42,17 +42,11 @@ class VkmsEntity(Entity):
 
     kind = "vkms"
 
-    def __init__(
-        self,
-        node_id: str,
-        topology: Topology,
-        cache_ttl_ms: int = 0,
-        timeout_ms: int = 1000,
-    ):
+    def __init__(self, node_id: str, topology: Topology):
         super().__init__(vkms_name(node_id), node_id=node_id)
         self.topology = topology
-        self.cache_ttl_ms = cache_ttl_ms
-        self.timeout_ms = timeout_ms
+        self.cache_ttl_ms = topology.config.cache_ttl_ms
+        self.timeout_ms = topology.config.request_timeout_ms
         # (app_src, app_dst) -> (kms_id, expires_ms)
         self.cache: dict[tuple[str, str], tuple[str, int]] = {}
         self.awaiting_discovery: dict[tuple[str, str], deque[PendingApp]] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import random
 
@@ -204,9 +205,23 @@ def resolved(sim: Simulation, app_id: str) -> list[AppRequest]:
     return [r for r in sim.requests if r.app_src == app_id and r.status is not None]
 
 
-def run_events(topology: Topology, events: list[dict], seed: int = 1, **kwargs):
+def run_events(
+    topology: Topology,
+    events: list[dict],
+    seed: int = 1,
+    weight_policy: str | None = None,
+    **config,
+):
+    """Run events on topology, with weight_policy and any SimConfig fields
+    given here replacing the topology's own."""
+    if weight_policy is not None:
+        topology = dataclasses.replace(topology, weight_policy=weight_policy)
+    if config:
+        topology = dataclasses.replace(
+            topology, config=dataclasses.replace(topology.config, **config)
+        )
     scenario = scenario_from_dict({"name": "inline", "events": events, "expect": {}})
-    return run(topology, scenario, seed=seed, **kwargs)
+    return run(topology, scenario, seed=seed)
 
 
 @pytest.fixture

@@ -117,6 +117,15 @@ def test_run_rejects_negative_cache_ttl(relay_files, capsys):
     assert "cache-ttl" in capsys.readouterr().err
 
 
+def test_run_expectation_on_unknown_link_exits_two(relay_files, tmp_path, capsys):
+    topo, _ = relay_files
+    scenario = write_json(
+        tmp_path / "zz.json", {"events": [], "expect": {"pool_consumed": {"zz": 1}}}
+    )
+    assert main(["run", "--topology", topo, "--scenario", scenario, "--seed", "5"]) == 2
+    assert "unknown link 'zz'" in capsys.readouterr().err
+
+
 def test_run_missing_files_exit_two(relay_files, tmp_path, capsys):
     topo, scenario = relay_files
     assert main(["run", "--topology", str(tmp_path / "no.json"),
@@ -164,6 +173,27 @@ def test_run_cache_ttl_flag_reduces_discoveries(relay_files, capsys):
     assert code == 0
     counts = json.loads(capsys.readouterr().out)["message_counts"]
     assert counts["kms_discovery_request"] == 1
+
+
+def test_run_topology_cache_ttl_reduces_discoveries(tmp_path, capsys):
+    topo = write_json(
+        tmp_path / "topo.json",
+        mesh4_dict({"APP_A": "N1", "APP_B": "N4"}, config={"cache_ttl_ms": 60000}),
+    )
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    scenario = write_json(tmp_path / "twice.json", {"events": events})
+
+    def discoveries(extra_args):
+        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "2",
+                     *extra_args])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)["message_counts"]["kms_discovery_request"]
+
+    assert discoveries([]) == 1
+    assert discoveries(["--cache-ttl", "0"]) == 2  # the flag overrides the file
 
 
 def test_validate_reports_derived_kms_layout(tmp_path, capsys):

@@ -90,6 +90,26 @@ def minimal_events():
             {"events": [{"at": 0, "event": "corrupt_message", "n": 1, "of_type": ["key_relay"]}]},
             "unknown message type",
         ),
+        ({"events": [], "expect": {"final_statuses": "ok"}}, "'final_statuses' must be"),
+        ({"events": [], "expect": {"final_statuses": ["ok", "fine"]}}, "'final_statuses' must be"),
+        ({"events": [], "expect": {"e2e_match": "yes"}}, "'e2e_match' must be a boolean"),
+        ({"events": [], "expect": {"pool_consumed": 5}}, "'pool_consumed' must map"),
+        ({"events": [], "expect": {"pool_consumed": {"b": -1}}}, "'pool_consumed' must map"),
+        ({"events": [], "expect": {"pool_consumed": {"b": True}}}, "'pool_consumed' must map"),
+        ({"events": [], "expect": {"message_counts": 5}}, "'message_counts' must map"),
+        ({"events": [], "expect": {"message_counts": {"key_relay": "1"}}}, "'message_counts' must map"),
+        ({"events": [], "expect": {"message_counts": {"key_rely": 1}}}, "unknown message type"),
+        ({"events": [], "expect": {"trace": 5}}, "'trace' must be a string"),
+        (
+            {"events": [{"at": 0, "event": "app_get_key_with_id", "app_src": "B",
+                         "app_dst": "A", "key_id": ""}]},
+            "'key_id' must be a non-empty string",
+        ),
+        (
+            {"events": [{"at": 0, "event": "app_get_key_with_id", "app_src": "B",
+                         "app_dst": "A", "key_id": 5}]},
+            "'key_id' must be a non-empty string",
+        ),
     ],
 )
 def test_scenario_schema_rejections(raw, message):
@@ -119,6 +139,17 @@ def test_scenario_accepts_all_event_kinds():
         "advance_clock",
         "app_get_key_with_id",
     ]
+
+
+def test_scenario_accepts_every_expect_key():
+    expect = {
+        "final_statuses": ["ok", None],
+        "e2e_match": False,
+        "pool_consumed": {"b": 0},
+        "message_counts": {"key_relay": 1},
+        "trace": "golden.jsonl",
+    }
+    assert scenario_from_dict({"events": [], "expect": expect}).expect == expect
 
 
 def test_key_id_from_without_prior_key_is_config_error(mesh4_relay_topology):
@@ -173,6 +204,28 @@ def test_dropped_relay_process_request_times_out(mesh4_relay_topology):
     assert result.report["quiescent"]
     # K1 was reserved and is gone for good, even though nothing used it.
     assert len(result.sim.linksim.link_consumed_ids("b")) == 1
+
+
+@pytest.mark.parametrize(
+    "of_type, n",
+    [
+        ("relay_process_request", 1),  # the initiating KMS's timer
+        ("get_key", 2),  # vKMS -> KMS: the vKMS's timer alone
+    ],
+)
+def test_topology_request_timeout_reaches_every_hop(of_type, n):
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4"}, config={"request_timeout_ms": 50})
+    result = run_events(
+        topo,
+        [
+            {"at": 0, "event": "drop_message", "n": n, "of_type": of_type},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        ],
+    )
+    (request,) = resolved(result.sim, "APP_A")
+    assert request.status == STATUS_TIMEOUT
+    assert result.sim.kernel.now_ms == 50
+    assert result.report["quiescent"]
 
 
 def test_dropped_key_relay_cascades_timeouts(mesh4_relay_topology):
@@ -236,12 +289,15 @@ def test_corruption_detected_by_e2e_expectation(mesh4_relay_topology, tmp_path):
         # One pair sends a single key_relay, so the fifth never comes.
         ({"event": "drop_message", "n": 5, "of_type": "key_relay"}, False),
         ({"event": "corrupt_message", "n": 1, "of_type": "key_relay"}, True),
+        # KMS_3d re-encrypts the altered K1 into the next key_relay.
+        ({"event": "corrupt_message", "n": 1, "of_type": "ext_key_request"}, True),
     ],
 )
 def test_only_a_fault_that_changed_a_message_excuses_audits(
     mesh4_relay_topology, monkeypatch, caplog, fault, changed
 ):
-    monkeypatch.setattr(harness, "audit_fifo", lambda records: ["record 0: planted"])
+    """A corruption that alters relayed key material breaks otp_wire and
+    excuses it; no fault excuses any other audit."""
     events = [{"at": 0, **fault}] + [
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         {"at": 10, "event": "app_get_key_with_id", "app_src": "APP_B",
@@ -250,10 +306,29 @@ def test_only_a_fault_that_changed_a_message_excuses_audits(
     result = run_events(mesh4_relay_topology, events)
     transport = result.sim.transport
     assert result.report["quiescent"]
-    assert result.report["audits"]["fifo"] == ["record 0: planted"]
     assert len(transport.corrupted) + len(transport.dropped) == int(changed)
     assert ("fault: corrupted" in caplog.text) == changed
-    assert result.exit_code == (0 if changed else 1)
+    assert bool(result.report["audits"]["otp_wire"]) == changed
+    assert result.exit_code == 0
+
+    monkeypatch.setattr(harness, "audit_fifo", lambda records: ["record 0: planted"])
+    result = run_events(mesh4_relay_topology, events)
+    assert result.report["audits"]["fifo"] == ["record 0: planted"]
+    assert result.exit_code == 1
+
+
+def test_a_drop_excuses_no_audit(mesh4_relay_topology, monkeypatch):
+    monkeypatch.setattr(harness, "audit_otp_wire", lambda records, linksim: ["record 0: planted"])
+    result = run_events(
+        mesh4_relay_topology,
+        [
+            {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        ],
+    )
+    assert len(result.sim.transport.dropped) == 1
+    assert result.report["quiescent"]
+    assert result.exit_code == 1
 
 
 # ── determinism and quiescence ──

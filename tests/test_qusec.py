@@ -181,7 +181,7 @@ def test_discovery_direct_case_picks_min_weight_shared_link():
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
     )
     (session,) = result.sim.qusec.sessions
-    assert session.first_kms == "KMS_1short"
+    assert session.kms_path[0] == "KMS_1short"
 
 
 def test_discovery_relay_case_installs_full_path(mesh4_relay_topology):
