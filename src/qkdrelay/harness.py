@@ -103,6 +103,9 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
     unknown = set(raw) - {"name", "topology", "events", "expect"}
     if unknown:
         raise ConfigError(f"scenario: unknown key {sorted(unknown)[0]!r}")
+    for key in ("name", "topology"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"scenario: {key!r} must be a string")
     if "events" not in raw or not isinstance(raw["events"], list):
         raise ConfigError("scenario: 'events' must be an array")
 
@@ -271,10 +274,7 @@ class SimKernel:
         self.send = transport.send
 
     def schedule_timer(self, delay_ms: int, callback) -> TimerHandle:
-        handle = TimerHandle(callback)
-        self._tie += 1
-        heapq.heappush(self._heap, (self.now_ms + delay_ms, self._tie, handle))
-        return handle
+        return self.schedule_at(self.now_ms + delay_ms, callback)
 
     def cancel_timer(self, handle) -> None:
         if handle is not None:
@@ -346,7 +346,7 @@ class Simulation:
                     node_id=end,
                     link_id=link.id,
                     peer_kms_id=peer,
-                    pool=self.linksim.pool_for(kms_id),
+                    pool=self.linksim.pools[kms_id],
                     config=topology.config,
                 )
                 self.kms[kms_id] = kms
@@ -407,15 +407,11 @@ class Simulation:
         elif event.event == "app_get_key_with_id":
             self._app_request(event.params, with_id=True)
         elif event.event == "tick_links":
-            links = event.params.get("links")
             dt_seconds = event.params["dt_ms"] / 1000.0
-            if links is None:
-                self.linksim.tick_all(dt_seconds)
-            else:
-                for link_id in links:
-                    if link_id not in self.topology.links:
-                        raise ConfigError(f"tick_links: unknown link {link_id!r}")
-                    self.linksim.tick(link_id, dt_seconds)
+            for link_id in event.params.get("links", self.topology.links):
+                if link_id not in self.topology.links:
+                    raise ConfigError(f"tick_links: unknown link {link_id!r}")
+                self.linksim.tick(link_id, dt_seconds)
         elif event.event == "drop_message":
             self.transport.add_fault(
                 FaultRule(op="drop", nth=event.params["n"], of_type=event.params.get("of_type"))
@@ -527,6 +523,7 @@ def _check_expectations(
     scenario: Scenario,
     trace_lines: list[str],
     message_counts: dict[str, int],
+    golden: list[str] | None,
 ) -> tuple[list[dict], TraceDiff | None]:
     checks: list[dict] = []
     expect = scenario.expect
@@ -561,9 +558,6 @@ def _check_expectations(
 
     if "pool_consumed" in expect:
         wanted = expect["pool_consumed"]
-        unknown = wanted.keys() - sim.topology.links.keys()
-        if unknown:
-            raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
         got = {
             link_id: len(sim.linksim.link_consumed_ids(link_id))
             for link_id in wanted
@@ -577,12 +571,7 @@ def _check_expectations(
         ok = got == wanted
         add("message_counts", ok, "" if ok else f"expected {wanted}, got {got}")
 
-    if "trace" in expect:
-        golden_path = os.path.join(scenario.base_dir, expect["trace"])
-        try:
-            golden = read_trace_lines(golden_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read golden trace: {exc}") from None
+    if golden is not None:
         diff = compare_lines(golden, trace_lines)
         add("golden_trace", diff.is_empty, "" if diff.is_empty else diff.describe())
 
@@ -593,7 +582,18 @@ def run(
     topology: Topology, scenario: Scenario, seed: int, trace_out: str | None = None
 ) -> RunResult:
     """Run scenario on a fresh Simulation. Every setting comes from topology:
-    its weight_policy and its config."""
+    its weight_policy and its config. Configuration errors are raised before
+    anything is simulated or written."""
+    unknown = scenario.expect.get("pool_consumed", {}).keys() - topology.links.keys()
+    if unknown:
+        raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
+    golden = None
+    if "trace" in scenario.expect:
+        try:
+            golden = read_trace_lines(os.path.join(scenario.base_dir, scenario.expect["trace"]))
+        except OSError as exc:
+            raise ConfigError(f"cannot read golden trace: {exc}") from None
+
     sim = Simulation(topology, seed)
     sim.run_events(scenario.events)
 
@@ -609,7 +609,7 @@ def run(
         counts[tag] = counts.get(tag, 0) + 1
 
     audits = run_audits(sim)
-    checks, diff = _check_expectations(sim, scenario, trace_lines, counts)
+    checks, diff = _check_expectations(sim, scenario, trace_lines, counts, golden)
     quiescent = (
         sim.transport.pending() == 0
         and sim.kernel.live_timers() == 0

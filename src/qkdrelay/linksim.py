@@ -1,12 +1,13 @@
 """Per-link key generation standing in for the quantum channel.
 
 Each link owns one key table, shared by the pools at its two endpoint KMSs:
-the key ids in generation order, and id -> material. A pool keeps only its
-own endpoint's state, so both ends always see the same keys in the same
-order. Key material is hash-derived from (seed, link id, counter), which
+the key ids in generation order, and id -> index. A pool keeps only its own
+endpoint's state, so both ends always see the same keys in the same order.
+Key ids and material are hash-derived from (seed, link id, index), which
 keeps generation deterministic under any interleaving of generate/tick
-calls. Nothing in this module ever puts key material on the simulated
-transport.
+calls. Ids are derived when a key is generated; material is derived each
+time it is read and never stored. Nothing in this module ever puts key
+material on the simulated transport.
 """
 
 from __future__ import annotations
@@ -16,22 +17,27 @@ import hashlib
 from .topology import Topology, render_kms_id
 
 
-def derive_key(seed: int, link_id: str, index: int, key_size: int) -> tuple[str, bytes]:
-    """Deterministic (id, material) for the index-th key of a link."""
-    kid = hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
-    material = hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(
-        key_size
-    )
-    return kid, material
+def derive_key_id(seed: int, link_id: str, index: int) -> str:
+    """Deterministic id of the index-th key of a link."""
+    return hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
 
 
 class KeyTable:
     """One link's keys, shared by both endpoint pools: the ids in generation
-    order, and id -> material."""
+    order, and id -> index."""
 
-    def __init__(self) -> None:
+    def __init__(self, seed: int, link_id: str, key_size: int) -> None:
+        self.seed = seed
+        self.link_id = link_id
+        self.key_size = key_size
         self.ids: list[str] = []
-        self.material: dict[str, bytes] = {}
+        self.index: dict[str, int] = {}
+
+    def material(self, key_id: str) -> bytes:
+        """Deterministic material of a key of this link, derived anew on each
+        call; KeyError if the link never generated key_id."""
+        text = f"{self.seed}|{self.link_id}|{self.index[key_id]}|key"
+        return hashlib.shake_256(text.encode()).digest(self.key_size)
 
 
 class KeyPool:
@@ -47,8 +53,7 @@ class KeyPool:
     of it is available or consumed.
     """
 
-    def __init__(self, link_id: str, owner_kms: str, table: KeyTable):
-        self.link_id = link_id
+    def __init__(self, owner_kms: str, table: KeyTable):
         self.owner_kms = owner_kms
         self.table = table
         self.reserved: set[str] = set()
@@ -77,14 +82,14 @@ class KeyPool:
         """Consume key_id if this pool holds it available; its material,
         else None."""
         held = key_id in self.reserved or key_id in self.consumed
-        if held or key_id not in self.table.material:
+        if held or key_id not in self.table.index:
             return None
         return self.consume(key_id)
 
     def consume(self, key_id: str) -> bytes:
-        material = self.table.material[key_id]
+        material = self.table.material(key_id)
         if key_id in self.consumed:
-            raise RuntimeError(f"key {key_id} consumed twice on link {self.link_id}")
+            raise RuntimeError(f"key {key_id} consumed twice on link {self.table.link_id}")
         self.reserved.discard(key_id)
         self.consumed.add(key_id)
         return material
@@ -104,21 +109,17 @@ class LinkSimulator:
 
     def __init__(self, topology: Topology, seed: int):
         self.topology = topology
-        self.seed = seed
-        self.key_size = topology.config.key_size_bytes
         self._carry: dict[str, float] = {l: 0.0 for l in topology.links}
         self.tables: dict[str, KeyTable] = {}
         self.pools: dict[str, KeyPool] = {}
-        # key id -> material across all links (audit lookups).
-        self._material: dict[str, bytes] = {}
+        # key id -> its link's table, across all links (audit lookups).
+        self._table_of: dict[str, KeyTable] = {}
+        key_size = topology.config.key_size_bytes
         for link in topology.links.values():
-            table = self.tables[link.id] = KeyTable()
+            table = self.tables[link.id] = KeyTable(seed, link.id, key_size)
             for end in link.endpoints():
                 kms = render_kms_id(end, link.id)
-                self.pools[kms] = KeyPool(link.id, kms, table)
-
-    def pool_for(self, kms_id: str) -> KeyPool:
-        return self.pools[kms_id]
+                self.pools[kms] = KeyPool(kms, table)
 
     def link_pools(self, link_id: str) -> tuple[KeyPool, KeyPool]:
         link = self.topology.links[link_id]
@@ -132,11 +133,12 @@ class LinkSimulator:
         table = self.tables[link_id]
         start = len(table.ids)
         for index in range(start, start + n):
-            key_id, material = derive_key(self.seed, link_id, index, self.key_size)
-            if key_id in table.material:
+            key_id = derive_key_id(table.seed, link_id, index)
+            if key_id in table.index:
                 raise RuntimeError(f"key id {key_id} recurred on link {link_id}")
             table.ids.append(key_id)
-            table.material[key_id] = self._material[key_id] = material
+            table.index[key_id] = index
+            self._table_of[key_id] = table
         return table.ids[start:]
 
     def tick(self, link_id: str, dt_seconds: float) -> int:
@@ -149,9 +151,6 @@ class LinkSimulator:
         self.generate_keys(link_id, n)
         return n
 
-    def tick_all(self, dt_seconds: float) -> dict[str, int]:
-        return {l: self.tick(l, dt_seconds) for l in self.topology.links}
-
     def fill_initial(self) -> None:
         for link in self.topology.links.values():
             self.generate_keys(link.id, link.initial_pool)
@@ -159,7 +158,8 @@ class LinkSimulator:
     # ── audit helpers for tests and trace checks ──
 
     def find_material(self, key_id: str) -> bytes | None:
-        return self._material.get(key_id)
+        table = self._table_of.get(key_id)
+        return None if table is None else table.material(key_id)
 
     def link_consumed_ids(self, link_id: str) -> set[str]:
         a, b = self.link_pools(link_id)

@@ -126,6 +126,25 @@ def test_run_expectation_on_unknown_link_exits_two(relay_files, tmp_path, capsys
     assert "unknown link 'zz'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expect, message",
+    [
+        ({"pool_consumed": {"zz": 1}}, "unknown link 'zz'"),
+        ({"trace": "no-such-golden.jsonl"}, "cannot read golden trace"),
+    ],
+)
+def test_run_config_error_found_before_simulating(relay_files, tmp_path, capsys, expect, message):
+    topo, scenario = relay_files
+    raw = json.loads(pathlib.Path(scenario).read_text())
+    bad = write_json(tmp_path / "bad.json", {**raw, "expect": expect})
+    trace = tmp_path / "trace.jsonl"
+    code = main(["run", "--topology", topo, "--scenario", bad, "--seed", "5",
+                 "--trace-out", str(trace), "--quiet"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not trace.exists()
+
+
 def test_run_missing_files_exit_two(relay_files, tmp_path, capsys):
     topo, scenario = relay_files
     assert main(["run", "--topology", str(tmp_path / "no.json"),

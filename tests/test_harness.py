@@ -110,6 +110,8 @@ def minimal_events():
                          "app_dst": "A", "key_id": 5}]},
             "'key_id' must be a non-empty string",
         ),
+        ({"name": 5, "events": []}, "'name' must be a string"),
+        ({"topology": 7, "events": []}, "'topology' must be a string"),
     ],
 )
 def test_scenario_schema_rejections(raw, message):
@@ -185,9 +187,9 @@ def test_tick_links_selected_links_only():
     result = run_events(
         topo, [{"at": 0, "event": "tick_links", "dt_ms": 1000, "links": ["a"]}]
     )
-    pools = result.sim.linksim
-    assert pools.pool_for("KMS_1a").generated_total == 8 + 10
-    assert pools.pool_for("KMS_1b").generated_total == 8
+    pools = result.sim.linksim.pools
+    assert pools["KMS_1a"].generated_total == 8 + 10
+    assert pools["KMS_1b"].generated_total == 8
 
 
 def test_dropped_relay_process_request_times_out(mesh4_relay_topology):

@@ -6,13 +6,14 @@ index that drifts from its data shows up as a disagreement on random inputs.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from conftest import grid_dict, grid_events, mesh4, random_topology, run_events
 from qkdrelay.kms import KmsEntity
-from qkdrelay.linksim import LinkSimulator, derive_key
+from qkdrelay.linksim import LinkSimulator
 from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
 from qkdrelay.topology import render_kms_id, topology_from_dict
 
@@ -68,12 +69,22 @@ def test_parse_kms_id_matches_name_scan():
                     topo.parse_kms_id(name)
 
 
-# ── linksim: shared key table, FIFO cursor and material index ──
+# ── linksim: shared key table, FIFO cursor and derived material ──
+
+
+def eager_key(seed: int, link_id: str, index: int) -> tuple[str, bytes]:
+    """The link's key stream written out: the index-th key's id and its
+    32-byte material, both derived up front."""
+    stem = f"{seed}|{link_id}|{index}"
+    return (
+        hashlib.shake_256(f"{stem}|id".encode()).hexdigest(16),
+        hashlib.shake_256(f"{stem}|key".encode()).digest(32),
+    )
 
 
 class KeyStates:
-    """The reference: each key's state at each endpoint, written out per key
-    and scanned in generation order."""
+    """The reference: each key's material and its state at each endpoint,
+    stored per key when generated and scanned in generation order."""
 
     def __init__(self, seed: int, link_id: str):
         self.seed = seed
@@ -84,7 +95,7 @@ class KeyStates:
 
     def generated(self, n: int) -> None:
         for index in range(len(self.order), len(self.order) + n):
-            key_id, material = derive_key(self.seed, self.link_id, index, 32)
+            key_id, material = eager_key(self.seed, self.link_id, index)
             self.order.append(key_id)
             self.material[key_id] = material
             for state in self.state:
@@ -103,7 +114,10 @@ def test_reserve_next_matches_fifo_scan_under_random_operations():
         sim = LinkSimulator(mesh4(), seed=trial)
         ref = KeyStates(trial, "d")
         ref.generated(len(sim.generate_keys("d", rng.randint(0, 6))))
-        foreign = sim.generate_keys("c", 2)  # another link's keys
+        foreign_ref = KeyStates(trial, "c")
+        foreign_ref.generated(len(sim.generate_keys("c", 2)))
+        foreign = foreign_ref.order  # another link's keys
+        stranger = eager_key(trial + 1, "d", 0)[0]  # another seed's key
         pools = sim.link_pools("d")
         for _ in range(80):
             end = rng.randrange(2)
@@ -118,7 +132,7 @@ def test_reserve_next_matches_fifo_scan_under_random_operations():
             elif op < 0.6:
                 # A pickup by id (get_key_with_id) jumps the FIFO; it may name
                 # a key in any state, on another link, or none at all.
-                key_id = rng.choice(ref.order + foreign + ["no-such-key"])
+                key_id = rng.choice(ref.order + foreign + ["no-such-key", stranger])
                 available = state.get(key_id) == "available"
                 assert pool.take(key_id) == (ref.material[key_id] if available else None)
                 if available:
@@ -140,6 +154,28 @@ def test_reserve_next_matches_fifo_scan_under_random_operations():
             )
         for pool in sim.link_pools("c"):
             assert pool.counts() == {"available": 2, "reserved": 0, "consumed": 0}
+        # Every key's material, read every way, at both ends.
+        for key_id in foreign:
+            assert sim.find_material(key_id) == foreign_ref.material[key_id]
+        for key_id in ("no-such-key", stranger):
+            assert sim.find_material(key_id) is None
+        for end, pool in enumerate(pools):
+            for key_id in foreign + ["no-such-key", stranger]:
+                assert pool.take(key_id) is None
+                with pytest.raises(KeyError):
+                    pool.table.material(key_id)
+            for key_id in ref.order:
+                want = ref.material[key_id]
+                assert pool.table.material(key_id) == want
+                assert sim.find_material(key_id) == want
+                state = ref.state[end][key_id]
+                if state == "available":
+                    assert pool.take(key_id) == want
+                elif state == "reserved":
+                    assert pool.consume(key_id) == want
+                else:
+                    assert pool.take(key_id) is None
+            assert pool.counts()["consumed"] == len(ref.order)
 
 
 def test_endpoint_pools_share_one_table():
@@ -182,14 +218,15 @@ def test_reserve_next_after_id_jump_exhaustion_and_tick():
 def test_find_material_matches_pool_scan():
     sim = LinkSimulator(mesh4(), seed=3)
     sim.fill_initial()
-    sim.tick_all(0.35)
+    for link_id in sim.tables:
+        sim.tick(link_id, 0.35)
     other = LinkSimulator(mesh4(), seed=4)
     other.fill_initial()
 
     def scan(key_id):
         for table in sim.tables.values():
-            if key_id in table.material:
-                return table.material[key_id]
+            if key_id in table.ids:
+                return table.material(key_id)
         return None
 
     known = [k for table in sim.tables.values() for k in table.ids]

@@ -42,9 +42,9 @@ def test_direct_serves_fifo_key():
     result = run_events(topo, one_get_key())
     (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_OK
-    pool = result.sim.linksim.pool_for("KMS_3d")
+    pool = result.sim.linksim.pools["KMS_3d"]
     assert request.key_id == pool.table.ids[0]  # oldest key served first
-    assert request.material == pool.table.material[request.key_id]
+    assert request.material == pool.table.material(request.key_id)
     assert pool.counts()["consumed"] == 1
 
 
@@ -81,7 +81,7 @@ def test_direct_pool_refills_by_tick():
 def test_get_key_with_id_from_own_pool_and_misses():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     sim = Simulation(topo, seed=1)
-    pool = sim.linksim.pool_for("KMS_4d")
+    pool = sim.linksim.pools["KMS_4d"]
     key_id = pool.table.ids[0]
     events = [
         {"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",

@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mesh4
-from qkdrelay.linksim import LinkSimulator, derive_key
+from qkdrelay.linksim import LinkSimulator, derive_key_id
 
 
 def pools_equal(sim: LinkSimulator, link_id: str) -> bool:
-    """Both endpoints read one table, whose id order is its material order."""
+    """Both endpoints read one table, whose id -> index map follows its
+    generation order."""
     a, b = sim.link_pools(link_id)
-    return a.table is b.table and list(a.table.material) == a.table.ids
+    return a.table is b.table and list(a.table.index.items()) == [
+        (k, i) for i, k in enumerate(a.table.ids)
+    ]
 
 
 def test_generate_zero_is_empty():
@@ -31,7 +34,7 @@ def test_generation_synchronizes_both_pools():
     assert a.owner_kms == "KMS_3d"
     assert b.owner_kms == "KMS_4d"
     assert a.table.ids == ids
-    assert all(len(a.table.material[k]) == 32 for k in ids)
+    assert all(len(a.table.material(k)) == 32 for k in ids)
     for pool in (a, b):
         assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
 
@@ -42,7 +45,9 @@ def test_same_seed_same_sequence():
     assert one.generate_keys("b", 5) == two.generate_keys("b", 5)
     p1, _ = one.link_pools("b")
     p2, _ = two.link_pools("b")
-    assert list(p1.table.material.values()) == list(p2.table.material.values())
+    assert [p1.table.material(k) for k in p1.table.ids] == [
+        p2.table.material(k) for k in p2.table.ids
+    ]
 
 
 def test_different_seeds_different_keys():
@@ -57,8 +62,7 @@ def test_links_have_independent_streams():
 
 
 def test_derive_key_shapes():
-    key_id, material = derive_key(0, "d", 0, 16)
-    assert len(material) == 16
+    key_id = derive_key_id(0, "d", 0)  # material size: test_key_size_from_config
     assert key_id == key_id.lower()
     int(key_id, 16)  # 128-bit lowercase hex
     assert len(key_id) == 32
@@ -67,10 +71,9 @@ def test_derive_key_shapes():
 def test_key_size_from_config():
     topo = mesh4(config={"key_size_bytes": 16})
     sim = LinkSimulator(topo, seed=1)
-    sim.generate_keys("a", 1)
+    (key_id,) = sim.generate_keys("a", 1)
     a, _ = sim.link_pools("a")
-    (material,) = a.table.material.values()
-    assert len(material) == 16
+    assert len(a.table.material(key_id)) == 16
 
 
 # ── tick carry accounting ──
@@ -175,5 +178,7 @@ def test_find_material_returns_generated_material():
     sim = LinkSimulator(mesh4(), seed=1)
     (key_id,) = sim.generate_keys("c", 1)
     pool, _ = sim.link_pools("c")
-    assert sim.find_material(key_id) == pool.table.material[key_id]
+    assert sim.find_material(key_id) == pool.table.material(key_id)
     assert sim.find_material("no-such-key") is None
+    with pytest.raises(KeyError):
+        pool.table.material("no-such-key")
