@@ -15,9 +15,12 @@ field set is fixed when its class is created, the message classes are
 frozen, and so every record of a type has the same keys: sorting them per
 record would give the same order each time.
 
-The transport keeps global FIFO order (which implies per-channel FIFO),
-assigns per-sender sequence numbers, and records every delivered envelope
-in order; that log is the conformance trace.
+Messages are frozen dataclasses; the envelope around each one is an
+immutable named tuple, so no logged record can be rewritten. The transport
+keeps global FIFO order (which implies per-channel FIFO), assigns
+per-sender sequence numbers, computes each (sender, receiver) pair's
+channel once, and records every delivered envelope in order; that log is
+the conformance trace.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -238,9 +242,13 @@ def octet_fields(msg: Message) -> tuple[str, ...]:
 # ── envelope and codec ──
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Transport record: {seq, from, to, channel, type, body} on the wire."""
+class Envelope(NamedTuple):
+    """Transport record: {seq, from, to, channel, type, body} on the wire.
+
+    An immutable tuple: cheap to build once per message, and no entity can
+    rewrite a record after it is logged. A copy with another message is
+    env._replace(msg=...).
+    """
 
     seq: int
     sender: str
@@ -468,9 +476,12 @@ def channel_for(sender: Entity, receiver: Entity) -> str:
 class Transport:
     """Instrumented in-memory message fabric.
 
-    send() enqueues; pop_next() dequeues in global send order and appends the
-    envelope to the delivered-order log. Per-sender seq numbers are assigned
-    here, and armed fault rules are applied at send time. `dropped` and
+    send() wraps each message in one immutable Envelope and enqueues it;
+    pop_next() dequeues in global send order and appends the envelope to the
+    delivered-order log. Per-sender seq numbers are assigned here, and armed
+    fault rules are applied at send time. A pair's channel is kept in a
+    (sender id, receiver id) map, filled only after both ids resolve to
+    registered entities, so an unknown id raises on every send. `dropped` and
     `corrupted` keep the envelopes a fault actually changed; a corrupt rule
     that fires on a message with no non-empty octet field leaves it as it
     was and is not kept.
@@ -484,6 +495,7 @@ class Transport:
         self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
         self._seq: dict[str, int] = {}
+        self._channels: dict[tuple[str, str], str] = {}
 
     def register(self, entity: Entity) -> None:
         if entity.entity_id in self.entities:
@@ -493,22 +505,24 @@ class Transport:
     def add_fault(self, rule: FaultRule) -> None:
         self.faults.append(rule)
 
-    def send(self, sender_id: str, receiver_id: str, msg: Message) -> None:
+    def _channel(self, sender_id: str, receiver_id: str) -> str:
+        """channel_for the pair; remembered only once both entities exist."""
         sender = self.entities.get(sender_id)
         receiver = self.entities.get(receiver_id)
         if sender is None:
             raise UnknownEntityError(f"unknown sender {sender_id!r}")
         if receiver is None:
             raise UnknownEntityError(f"unknown receiver {receiver_id!r}")
+        channel = self._channels[sender_id, receiver_id] = channel_for(sender, receiver)
+        return channel
+
+    def send(self, sender_id: str, receiver_id: str, msg: Message) -> None:
+        channel = self._channels.get((sender_id, receiver_id))
+        if channel is None:
+            channel = self._channel(sender_id, receiver_id)
         seq = self._seq.get(sender_id, 0) + 1
         self._seq[sender_id] = seq
-        env = Envelope(
-            seq=seq,
-            sender=sender_id,
-            receiver=receiver_id,
-            channel=channel_for(sender, receiver),
-            msg=msg,
-        )
+        env = Envelope(seq, sender_id, receiver_id, channel, msg)
         for rule in self.faults:
             if rule.matches(msg):
                 rule.fired = True
@@ -519,7 +533,7 @@ class Transport:
                     return
                 corrupted = corrupt_message(msg)
                 if corrupted != msg:
-                    env = replace(env, msg=corrupted)
+                    env = env._replace(msg=corrupted)
                     self.corrupted.append(env)
                     log.warning("fault: corrupted %s %s->%s",
                                 message_type(msg), sender_id, receiver_id)

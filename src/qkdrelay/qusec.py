@@ -53,38 +53,80 @@ def link_weight(link: Link, policy: str) -> float:
     raise ValueError(f"unknown weight policy {policy!r}")
 
 
+def link_weights(topology: Topology, policy: str) -> dict[str, float]:
+    """link id -> weight under policy."""
+    return {link.id: link_weight(link, policy) for link in topology.links.values()}
+
+
+def path_tree(
+    topology: Topology, src: str, weights: dict[str, float]
+) -> dict[str, tuple[str, str] | None]:
+    """Dijkstra from src to every reachable node, as parent pointers.
+
+    Maps each reachable node to (parent node, link id) on its shortest path,
+    and src to None. Ties are broken by the lexicographically smallest node
+    sequence, then link sequence, which the heap ordering gives directly by
+    carrying the paths in the entries. Any prefix of such a path is itself
+    one, so the paths form a tree. A push that cannot beat the node's best
+    queued entry is skipped: it would pop after that entry and be discarded.
+    The comparison needs a total order on costs, which finite weights give.
+    """
+    tree: dict[str, tuple[str, str] | None] = {}
+    best = {src: (0.0, (src,), ())}
+    heap = [best[src]]
+    while heap:
+        cost, nodes, links = heappop(heap)
+        here = nodes[-1]
+        if here in tree:
+            continue
+        tree[here] = (nodes[-2], links[-1]) if links else None
+        for neighbor, link in topology.neighbors(here):
+            if neighbor in tree:
+                continue
+            entry = (cost + weights[link.id], nodes + (neighbor,), links + (link.id,))
+            queued = best.get(neighbor)
+            if queued is None or entry < queued:
+                best[neighbor] = entry
+                heappush(heap, entry)
+    return tree
+
+
+def tree_path(
+    tree: dict[str, tuple[str, str] | None], dst: str
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(node sequence, link sequence) from the tree's root to dst, by
+    walking the parent pointers back; raises NoPathError if dst is not in
+    the tree."""
+    if dst not in tree:
+        raise NoPathError(f"no path to {dst!r}")
+    nodes, links = [dst], []
+    step = tree[dst]
+    while step is not None:
+        parent, link_id = step
+        nodes.append(parent)
+        links.append(link_id)
+        step = tree[parent]
+    return tuple(reversed(nodes)), tuple(reversed(links))
+
+
 def shortest_path(
     topology: Topology, src: str, dst: str, policy: str
 ) -> tuple[float, tuple[str, ...], tuple[str, ...]]:
-    """Dijkstra over the node/link graph.
+    """Shortest src -> dst path in a fresh path_tree.
 
-    Returns (cost, node sequence, link sequence). Ties are broken by the
-    lexicographically smallest node sequence, then link sequence, which the
-    heap ordering gives us directly by carrying the paths in the entries.
+    Returns (cost, node sequence, link sequence). The cost is summed along
+    the path in order, as the search accumulated it.
     """
     if src not in topology.nodes or dst not in topology.nodes:
         raise NoPathError(f"unknown node in pair ({src!r}, {dst!r})")
     if src == dst:
         raise SameNodeError(f"src and dst are both {src!r}")
-
-    heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (src,), ())]
-    done: set[str] = set()
-    while heap:
-        cost, nodes, links = heappop(heap)
-        here = nodes[-1]
-        if here in done:
-            continue
-        done.add(here)
-        if here == dst:
-            return cost, nodes, links
-        for neighbor, link in topology.neighbors(here):
-            if neighbor in done:
-                continue
-            heappush(
-                heap,
-                (cost + link_weight(link, policy), nodes + (neighbor,), links + (link.id,)),
-            )
-    raise NoPathError(f"no path from {src!r} to {dst!r}")
+    weights = link_weights(topology, policy)
+    nodes, links = tree_path(path_tree(topology, src, weights), dst)
+    cost = 0.0
+    for link_id in links:
+        cost += weights[link_id]
+    return cost, nodes, links
 
 
 def expand_to_kms(node_path: tuple[str, ...], link_path: tuple[str, ...]) -> list[str]:
@@ -136,6 +178,9 @@ class QusecEntity(Entity):
         self.topology = topology
         self.seed = seed
         self.weight_policy = topology.weight_policy
+        self._weights = link_weights(topology, self.weight_policy)
+        # source node -> its path_tree; weights never change during a run.
+        self._trees: dict[str, dict[str, tuple[str, str] | None]] = {}
         self.session_lifetime_ms = topology.config.session_lifetime_ms
         self.sessions: list[SessionState] = []
         # sessions[:_live_from] have expired; session_gc advances it.
@@ -262,11 +307,12 @@ class QusecEntity(Entity):
         shortest relay path; raises NoPathError when there is none."""
         shared = self.topology.links_between(src_node, dst_node)
         if shared:
-            link = min(shared, key=lambda l: (link_weight(l, self.weight_policy), l.id))
+            link = min(shared, key=lambda l: (self._weights[l.id], l.id))
             return (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
-        return tuple(
-            compute_relay_path(self.topology, src_node, dst_node, self.weight_policy)
-        )
+        tree = self._trees.get(src_node)
+        if tree is None:
+            tree = self._trees[src_node] = path_tree(self.topology, src_node, self._weights)
+        return tuple(expand_to_kms(*tree_path(tree, dst_node)))
 
     # ── state dump ──
 

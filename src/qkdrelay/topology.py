@@ -12,6 +12,7 @@ rendered-name map behind KMS name parsing.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -198,10 +199,18 @@ def _require_str(obj: dict, key: str, where: str) -> str:
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:
+    """A finite number as float. json.loads accepts NaN and Infinity (and
+    1e400 overflows to infinity); none of them is a usable rate or length."""
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: {key!r} must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: {key!r} must be a finite number")
+    return value
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:

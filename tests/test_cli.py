@@ -244,6 +244,21 @@ def test_validate_bad_json_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["key_rate", "distance_km"])
+def test_non_finite_link_number_exits_two(relay_files, tmp_path, capsys, key, literal):
+    _, scenario = relay_files
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    raw["links"][0][key] = "@"
+    topo = tmp_path / "t.json"
+    topo.write_text(json.dumps(raw).replace('"@"', literal), encoding="utf-8")
+    assert main(["validate", "--topology", str(topo)]) == 2
+    assert main(["run", "--topology", str(topo), "--scenario", scenario, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{key!r} must be a finite number") == 2
+    assert "Traceback" not in err
+
+
 def test_diff_matching_traces(relay_files, tmp_path, capsys):
     topo, scenario = relay_files
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

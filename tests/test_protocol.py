@@ -32,6 +32,7 @@ from qkdrelay.protocol import (
     RelayPathInstall,
     Transport,
     UnknownEntityError,
+    channel_for,
     corrupt_message,
     decode,
     encode,
@@ -248,7 +249,8 @@ def test_encode_matches_reference_codec_on_hard_strings(tag, text):
     assert records_to_lines(envs) == [reference_encode(env).decode() for env in envs]
 
 
-def test_records_to_lines_matches_reference_codec_on_a_faulted_grid():
+def faulted_grid_run():
+    """A 5x5 grid run with three corruptions and one drop."""
     raw = grid_dict(5, initial_pool=16, session_lifetime_ms=60)
     faults = [
         {"at": 0, "event": "corrupt_message", "n": 3, "of_type": "key_relay"},
@@ -257,7 +259,11 @@ def test_records_to_lines_matches_reference_codec_on_a_faulted_grid():
         {"at": 0, "event": "drop_message", "n": 4, "of_type": "key_relay_response"},
     ]
     events = faults + grid_events(raw, random.Random(8), pairs=30)
-    result = run_events(topology_from_dict(raw), events, seed=2)
+    return run_events(topology_from_dict(raw), events, seed=2)
+
+
+def test_records_to_lines_matches_reference_codec_on_a_faulted_grid():
+    result = faulted_grid_run()
     records = result.records
     assert len(result.sim.transport.corrupted) == 3 and result.sim.transport.dropped
     assert set(MESSAGE_TYPES) <= {message_type(env.msg) for env in records}
@@ -434,6 +440,43 @@ def test_unknown_entities_rejected():
         transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b"))
     with pytest.raises(UnknownEntityError):
         transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+
+
+def test_unknown_entities_rejected_after_the_pair_map_is_warm():
+    transport = make_transport()
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+    for _ in range(2):
+        with pytest.raises(UnknownEntityError, match="unknown receiver 'ghost'"):
+            transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+        with pytest.raises(UnknownEntityError, match="unknown sender 'ghost'"):
+            transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+    assert [transport.pop_next().seq for _ in range(2)] == [1, 2]
+    assert transport.pop_next() is None
+    # An entity registered later gets its own channel, not a stale one.
+    transport.register(Sink("ghost", "N3"))
+    transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+    transport.send("KMS_3b", "ghost", GetKey(app_src="a", app_dst="b"))
+    assert [transport.pop_next().channel for _ in range(2)] == [CHANNEL_INTER, CHANNEL_INTRA]
+
+
+def test_every_record_channel_matches_channel_for_on_a_faulted_grid():
+    result = faulted_grid_run()
+    entities = result.sim.transport.entities
+    for env in result.records:
+        assert env.channel == channel_for(entities[env.sender], entities[env.receiver])
+    channels = {env.channel for env in result.records}
+    assert channels == {CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL}
+
+
+def test_envelope_is_immutable():
+    env = Envelope(seq=1, sender="APP_A", receiver="vKMS_1", channel=CHANNEL_INTRA,
+                   msg=GetKey(app_src="APP_A", app_dst="APP_B"))
+    for name in ("seq", "sender", "receiver", "channel", "msg"):
+        with pytest.raises(AttributeError):
+            setattr(env, name, None)
+    assert env._replace(seq=2) == Envelope(2, "APP_A", "vKMS_1", CHANNEL_INTRA, env.msg)
+    assert env.seq == 1
 
 
 # ── fault injection ──

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
 
-from conftest import chain, mesh4, random_topology, run_events
+from conftest import chain, grid_dict, mesh4, random_topology, run_events
 from qkdrelay.harness import Simulation
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
 from qkdrelay.qusec import (
@@ -18,7 +19,10 @@ from qkdrelay.qusec import (
     compute_relay_path,
     expand_to_kms,
     link_weight,
+    link_weights,
+    path_tree,
     shortest_path,
+    tree_path,
 )
 from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
 
@@ -64,6 +68,106 @@ def test_spf_matches_brute_force_over_random_graphs():
             assert len(set(nodes)) == len(nodes)
             cases += 1
     assert cases >= 300
+
+
+# ── path trees against the early-exit Dijkstra ──
+
+
+def reference_shortest_path(topology, src, dst, policy):
+    """Dijkstra that stops at dst, carrying whole paths in the heap entries
+    so that ties go to the lexicographically smallest node sequence, then
+    link sequence. The controller ran this once per discovery before it
+    kept one path tree per source node."""
+    if src not in topology.nodes or dst not in topology.nodes:
+        raise NoPathError(f"unknown node in pair ({src!r}, {dst!r})")
+    if src == dst:
+        raise SameNodeError(f"src and dst are both {src!r}")
+
+    heap = [(0.0, (src,), ())]
+    done = set()
+    while heap:
+        cost, nodes, links = heapq.heappop(heap)
+        here = nodes[-1]
+        if here in done:
+            continue
+        done.add(here)
+        if here == dst:
+            return cost, nodes, links
+        for neighbor, link in topology.neighbors(here):
+            if neighbor in done:
+                continue
+            heapq.heappush(
+                heap,
+                (cost + link_weight(link, policy), nodes + (neighbor,), links + (link.id,)),
+            )
+    raise NoPathError(f"no path from {src!r} to {dst!r}")
+
+
+def with_parallel_links(raw: dict, rng: random.Random, equal: bool) -> dict:
+    """Copy of raw with up to three links parallel to existing ones, some
+    with their endpoints swapped. Their ids sort before every original id,
+    and they keep the original's weights (equal) or draw new ones."""
+    extra = []
+    for i, link in enumerate(rng.sample(raw["links"], min(3, len(raw["links"])))):
+        a, b = (link["b"], link["a"]) if rng.random() < 0.5 else (link["a"], link["b"])
+        drawn = {} if equal else {
+            "key_rate": rng.choice([0.5, 1.0, 2.0, 5.0, 10.0]),
+            "distance_km": rng.choice([1.0, 2.0, 4.0, 8.0, 16.0]),
+        }
+        extra.append({**link, "id": f"a{i}", "a": a, "b": b, **drawn})
+    return {**raw, "links": raw["links"] + extra}
+
+
+def oracle_topologies():
+    rng = random.Random(2025)
+    for trial in range(240):
+        raw = random_topology(rng)
+        if trial % 3:
+            raw = with_parallel_links(raw, rng, equal=trial % 3 == 1)
+        yield topology_from_dict(raw)
+    yield topology_from_dict(grid_dict(6, initial_pool=0, session_lifetime_ms=None))
+
+
+def test_path_tree_matches_reference_dijkstra_for_every_pair():
+    triples = 0
+    for topo in oracle_topologies():
+        node_ids = sorted(topo.nodes)
+        for policy in WEIGHT_POLICIES:
+            weights = link_weights(topo, policy)
+            for src in node_ids:
+                tree = path_tree(topo, src, weights)
+                assert set(tree) == set(topo.nodes)
+                assert tree[src] is None
+                for dst in node_ids:
+                    if dst == src:
+                        continue
+                    expected = reference_shortest_path(topo, src, dst, policy)
+                    assert tree_path(tree, dst) == expected[1:]
+                    assert shortest_path(topo, src, dst, policy) == expected
+                    triples += 1
+    assert triples > 10000
+
+
+def test_controller_keeps_one_tree_per_source_node():
+    topo = topology_from_dict(grid_dict(4, initial_pool=8, session_lifetime_ms=None))
+    pairs = [("APP_1", "APP_16"), ("APP_1", "APP_11"), ("APP_6", "APP_16"), ("APP_1", "APP_8")]
+    result = run_events(
+        topo,
+        [
+            {"at": 100 * i, "event": "app_get_key", "app_src": src, "app_dst": dst}
+            for i, (src, dst) in enumerate(pairs)
+        ],
+    )
+    qusec = result.sim.qusec
+    assert sorted(qusec._trees) == ["N1", "N6"]
+    weights = link_weights(topo, topo.weight_policy)
+    for node, tree in qusec._trees.items():
+        assert tree == path_tree(topo, node, weights)
+    for session, (src, dst) in zip(qusec.sessions, pairs):
+        src_node, dst_node = topo.apps[src], topo.apps[dst]
+        assert list(session.kms_path) == compute_relay_path(
+            topo, src_node, dst_node, topo.weight_policy
+        )
 
 
 def test_spf_tie_break_is_deterministic_and_lexicographic():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +121,26 @@ def test_schema_strictness(mutate):
 def test_load_rejects_non_json():
     with pytest.raises(ParseError):
         load_topology("not json {")
+
+
+# json.loads takes NaN, Infinity and -Infinity, and 1e400 overflows to
+# infinity; a 400-digit integer is too large for a float.
+NON_FINITE_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400)
+
+
+def non_finite_topology_text(key: str, literal: str) -> str:
+    raw = mesh4_dict()
+    raw["links"][0][key] = "@"
+    return json.dumps(raw).replace('"@"', literal)
+
+
+@pytest.mark.parametrize(
+    "literal", NON_FINITE_LITERALS, ids=["NaN", "Infinity", "-Infinity", "1e400", "10**400"]
+)
+@pytest.mark.parametrize("key", ["key_rate", "distance_km"])
+def test_load_rejects_non_finite_link_numbers(key, literal):
+    with pytest.raises(ParseError, match=f"{key!r} must be a finite number"):
+        load_topology(non_finite_topology_text(key, literal))
 
 
 def test_round_trip():
