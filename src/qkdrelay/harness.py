@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -578,6 +579,26 @@ def _check_expectations(
     return checks, diff
 
 
+def _check_tick_amounts(topology: Topology, events: list[ScenarioEvent]) -> None:
+    """Every tick_links event must generate a finite number of keys on each
+    link it names, that is key_rate * dt must be a finite float."""
+    for event in events:
+        if event.event != "tick_links":
+            continue
+        for link_id in event.params.get("links", topology.links):
+            link = topology.links.get(link_id)
+            if link is None:
+                continue  # execute_event reports the unknown link
+            try:
+                finite = math.isfinite(link.key_rate * (event.params["dt_ms"] / 1000.0))
+            except OverflowError:  # dt_ms itself is too large for a float
+                finite = False
+            if not finite:
+                raise ConfigError(
+                    f"tick_links at {event.at} ms: key_rate * dt on link {link_id!r} is not finite"
+                )
+
+
 def run(
     topology: Topology, scenario: Scenario, seed: int, trace_out: str | None = None
 ) -> RunResult:
@@ -587,6 +608,7 @@ def run(
     unknown = scenario.expect.get("pool_consumed", {}).keys() - topology.links.keys()
     if unknown:
         raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
+    _check_tick_amounts(topology, scenario.events)
     golden = None
     if "trace" in scenario.expect:
         try:

@@ -1,13 +1,15 @@
 """Per-link key generation standing in for the quantum channel.
 
 Each link owns one key table, shared by the pools at its two endpoint KMSs:
-the key ids in generation order, and id -> index. A pool keeps only its own
-endpoint's state, so both ends always see the same keys in the same order.
-Key ids and material are hash-derived from (seed, link id, index), which
-keeps generation deterministic under any interleaving of generate/tick
-calls. Ids are derived when a key is generated; material is derived each
-time it is read and never stored. Nothing in this module ever puts key
-material on the simulated transport.
+how many keys the link has generated, and the ids derived so far. A pool
+keeps only its own endpoint's state, so both ends always see the same keys
+in the same order. Key ids and material are hash-derived from (seed, link
+id, index), which keeps generation deterministic under any interleaving of
+generate/tick calls. Generating a key only raises the link's count: its id
+is derived when first needed, always as a prefix in index order, so a run
+hashes only the ids it reserves or looks up. Material is derived each time
+it is read and never stored. Nothing in this module ever puts key material
+on the simulated transport.
 """
 
 from __future__ import annotations
@@ -23,20 +25,59 @@ def derive_key_id(seed: int, link_id: str, index: int) -> str:
 
 
 class KeyTable:
-    """One link's keys, shared by both endpoint pools: the ids in generation
-    order, and id -> index."""
+    """One link's keys, shared by both endpoint pools.
 
-    def __init__(self, seed: int, link_id: str, key_size: int) -> None:
+    ``generated`` counts the keys the link has produced. Their ids are
+    derived only when first needed, always as a prefix in index order:
+    ``_ids`` holds the first len(_ids) of them and ``_index`` maps each back
+    to its index. Every derived id is also entered in ``owners``, the
+    simulator's id -> table map across all links.
+    """
+
+    def __init__(self, seed: int, link_id: str, key_size: int, owners: dict[str, KeyTable]):
         self.seed = seed
         self.link_id = link_id
         self.key_size = key_size
-        self.ids: list[str] = []
-        self.index: dict[str, int] = {}
+        self.generated = 0
+        self._ids: list[str] = []
+        self._index: dict[str, int] = {}
+        self._owners = owners
+
+    def id_at(self, index: int) -> str:
+        """Id of the index-th generated key, deriving every id before it
+        that is not derived yet."""
+        if not 0 <= index < self.generated:
+            raise IndexError(f"link {self.link_id} has no key {index}")
+        ids = self._ids
+        while len(ids) <= index:
+            key_id = derive_key_id(self.seed, self.link_id, len(ids))
+            if key_id in self._index:
+                raise RuntimeError(f"key id {key_id} recurred on link {self.link_id}")
+            self._index[key_id] = len(ids)
+            ids.append(key_id)
+            self._owners[key_id] = self
+        return ids[index]
+
+    def derive_all(self) -> None:
+        """Derive the ids of every generated key."""
+        if len(self._ids) < self.generated:
+            self.id_at(self.generated - 1)
+
+    def index_of(self, key_id: str) -> int | None:
+        """Index of key_id if this link generated it, else None. A miss
+        first derives the rest of the generated ids, so an id is refused
+        only once every generated id has been compared with it."""
+        if key_id not in self._index:
+            self.derive_all()
+        return self._index.get(key_id)
 
     def material(self, key_id: str) -> bytes:
         """Deterministic material of a key of this link, derived anew on each
         call; KeyError if the link never generated key_id."""
-        text = f"{self.seed}|{self.link_id}|{self.index[key_id]}|key"
+        index = self.index_of(key_id)
+        if index is None:
+            raise KeyError(key_id)
+        text = f"{self.seed}|{self.link_id}|{index}|key"
         return hashlib.shake_256(text.encode()).digest(self.key_size)
 
 
@@ -45,12 +86,14 @@ class KeyPool:
 
     The keys themselves live in the link's shared ``KeyTable``; the pool
     holds only the ids this endpoint has reserved or consumed. Every other
-    key in the table is available. State moves one way: available ->
-    reserved -> consumed, or available -> consumed when a key is taken by
-    id. Reservation is FIFO over the available keys. Since no key ever
-    becomes available again, ``reserve_next`` keeps a cursor into generation
-    order: every key behind it is reserved or consumed, and every key ahead
-    of it is available or consumed.
+    generated key is available, whether or not its id is derived yet. State
+    moves one way: available -> reserved -> consumed, or available ->
+    consumed when a key is taken by id. Reservation is FIFO over the
+    available keys. Since no key ever becomes available again,
+    ``reserve_next`` keeps a cursor into generation order: every key behind
+    it is reserved or consumed, and every key ahead of it is available or
+    consumed. The cursor reads ids through ``KeyTable.id_at``, so reserving
+    derives them in generation order, only as far as the cursor has gone.
     """
 
     def __init__(self, owner_kms: str, table: KeyTable):
@@ -62,16 +105,16 @@ class KeyPool:
 
     @property
     def generated_total(self) -> int:
-        return len(self.table.ids)
+        return self.table.generated
 
     @property
     def consumed_total(self) -> int:
         return len(self.consumed)
 
     def reserve_next(self) -> str | None:
-        ids = self.table.ids
-        while self._cursor < len(ids):
-            key_id = ids[self._cursor]
+        table = self.table
+        while self._cursor < table.generated:
+            key_id = table.id_at(self._cursor)
             self._cursor += 1
             if key_id not in self.consumed:
                 self.reserved.add(key_id)
@@ -82,7 +125,7 @@ class KeyPool:
         """Consume key_id if this pool holds it available; its material,
         else None."""
         held = key_id in self.reserved or key_id in self.consumed
-        if held or key_id not in self.table.index:
+        if held or self.table.index_of(key_id) is None:
             return None
         return self.consume(key_id)
 
@@ -97,7 +140,7 @@ class KeyPool:
     def counts(self) -> dict[str, int]:
         reserved, consumed = len(self.reserved), len(self.consumed)
         return {
-            "available": len(self.table.ids) - reserved - consumed,
+            "available": self.table.generated - reserved - consumed,
             "reserved": reserved,
             "consumed": consumed,
         }
@@ -112,11 +155,12 @@ class LinkSimulator:
         self._carry: dict[str, float] = {l: 0.0 for l in topology.links}
         self.tables: dict[str, KeyTable] = {}
         self.pools: dict[str, KeyPool] = {}
-        # key id -> its link's table, across all links (audit lookups).
+        # derived key id -> its link's table, across all links (audit lookups).
         self._table_of: dict[str, KeyTable] = {}
         key_size = topology.config.key_size_bytes
         for link in topology.links.values():
-            table = self.tables[link.id] = KeyTable(seed, link.id, key_size)
+            table = KeyTable(seed, link.id, key_size, self._table_of)
+            self.tables[link.id] = table
             for end in link.endpoints():
                 kms = render_kms_id(end, link.id)
                 self.pools[kms] = KeyPool(kms, table)
@@ -128,18 +172,10 @@ class LinkSimulator:
             self.pools[render_kms_id(link.b, link_id)],
         )
 
-    def generate_keys(self, link_id: str, n: int) -> list[str]:
-        """Append n fresh keys to the link's table; returns the new ids."""
-        table = self.tables[link_id]
-        start = len(table.ids)
-        for index in range(start, start + n):
-            key_id = derive_key_id(table.seed, link_id, index)
-            if key_id in table.index:
-                raise RuntimeError(f"key id {key_id} recurred on link {link_id}")
-            table.ids.append(key_id)
-            table.index[key_id] = index
-            self._table_of[key_id] = table
-        return table.ids[start:]
+    def generate_keys(self, link_id: str, n: int) -> None:
+        """Add n fresh keys to the link's table; their ids are derived when
+        first needed."""
+        self.tables[link_id].generated += n
 
     def tick(self, link_id: str, dt_seconds: float) -> int:
         """Advance generation by dt: floor(rate*dt + carry) keys, carrying
@@ -158,7 +194,13 @@ class LinkSimulator:
     # ── audit helpers for tests and trace checks ──
 
     def find_material(self, key_id: str) -> bytes | None:
+        """Material of key_id on whichever link generated it, else None. A
+        miss first derives the rest of every link's generated ids."""
         table = self._table_of.get(key_id)
+        if table is None:
+            for each in self.tables.values():
+                each.derive_all()
+            table = self._table_of.get(key_id)
         return None if table is None else table.material(key_id)
 
     def link_consumed_ids(self, link_id: str) -> set[str]:

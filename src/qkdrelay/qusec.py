@@ -139,13 +139,6 @@ def expand_to_kms(node_path: tuple[str, ...], link_path: tuple[str, ...]) -> lis
     return out
 
 
-def compute_relay_path(
-    topology: Topology, src_node: str, dst_node: str, policy: str
-) -> list[str]:
-    _, nodes, links = shortest_path(topology, src_node, dst_node, policy)
-    return expand_to_kms(nodes, links)
-
-
 @dataclass
 class SessionState:
     """One end-to-end establishment: ordered KMS list of length 2L."""

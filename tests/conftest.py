@@ -17,6 +17,7 @@ from qkdrelay.harness import (
     run,
     scenario_from_dict,
 )
+from qkdrelay.linksim import KeyTable
 from qkdrelay.topology import Topology, topology_from_dict
 
 MESH4 = {
@@ -68,6 +69,11 @@ def chain_dict(n_links: int, initial_pool: int = 4, **overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def key_ids(table: KeyTable) -> list[str]:
+    """Every generated id of a link's key table, in generation order."""
+    return [table.id_at(i) for i in range(table.generated)]
 
 
 def chain(n_links: int, initial_pool: int = 4, **overrides) -> Topology:

@@ -259,6 +259,24 @@ def test_non_finite_link_number_exits_two(relay_files, tmp_path, capsys, key, li
     assert "Traceback" not in err
 
 
+def test_tick_of_non_finite_key_count_exits_two(tmp_path, capsys):
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    raw["links"][0]["key_rate"] = 1e308
+    topo = write_json(tmp_path / "t.json", raw)
+    scenario = write_json(
+        tmp_path / "s.json", {"events": [{"at": 0, "event": "tick_links", "dt_ms": 2000}]}
+    )
+    trace = tmp_path / "trace.jsonl"
+    assert main(["validate", "--topology", topo]) == 0
+    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1",
+                 "--trace-out", str(trace)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "tick_links at 0 ms: key_rate * dt on link 'a' is not finite" in err
+    assert "Traceback" not in err
+    assert not trace.exists()
+
+
 def test_diff_matching_traces(relay_files, tmp_path, capsys):
     topo, scenario = relay_files
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

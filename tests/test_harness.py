@@ -6,15 +6,17 @@ import json
 
 import pytest
 
-from conftest import chain, mesh4, pair_scenario, resolved, run_events, write_json
-from qkdrelay import data_path, harness, load_scenario, protocol, run, trace
+from conftest import chain, mesh4, mesh4_dict, pair_scenario, resolved, run_events, write_json
+from qkdrelay import data_path, harness, linksim, load_scenario, protocol, run, trace
 from qkdrelay.harness import (
     ConfigError,
     Simulation,
     load_topology_file,
     scenario_from_dict,
 )
+from qkdrelay.linksim import derive_key_id
 from qkdrelay.protocol import STATUS_NO_KEY, STATUS_OK, STATUS_TIMEOUT
+from qkdrelay.topology import topology_from_dict
 
 # ── scenario schema ──
 
@@ -190,6 +192,51 @@ def test_tick_links_selected_links_only():
     pools = result.sim.linksim.pools
     assert pools["KMS_1a"].generated_total == 8 + 10
     assert pools["KMS_1b"].generated_total == 8
+
+
+def fast_link_a():
+    """mesh4 whose link a has a finite rate that overflows a float once
+    multiplied by a dt of two seconds."""
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    raw["links"][0]["key_rate"] = 1e308
+    return topology_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "params, link_id",
+    [
+        ({"dt_ms": 2000}, "a"),
+        ({"dt_ms": 2000, "links": ["b", "a"]}, "a"),
+        ({"dt_ms": 10**400, "links": ["b"]}, "b"),  # dt_ms alone overflows a float
+    ],
+)
+def test_tick_of_non_finite_key_count_is_config_error_before_building(
+    monkeypatch, params, link_id
+):
+    topo = fast_link_a()
+    scenario = scenario_from_dict({"events": [{"at": 0, "event": "tick_links", **params}]})
+    monkeypatch.setattr(harness, "Simulation", None)  # a run that builds one fails otherwise
+    with pytest.raises(ConfigError, match=f"key_rate \\* dt on link '{link_id}' is not finite"):
+        run(topo, scenario, seed=1)
+
+
+def test_tick_of_huge_finite_key_count_runs(monkeypatch):
+    derived = []
+
+    def derive(seed, link_id, index):
+        derived.append(index)
+        assert len(derived) < 1000, "derived ids the run never needed"
+        return derive_key_id(seed, link_id, index)
+
+    monkeypatch.setattr(linksim, "derive_key_id", derive)
+    topo = fast_link_a()
+    events = [
+        {"at": 0, "event": "tick_links", "dt_ms": 1000, "links": ["a"]},
+        {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    result = run(topo, scenario_from_dict({"events": events}), seed=1)
+    assert result.exit_code == 0
+    assert result.sim.linksim.pools["KMS_1a"].generated_total == 8 + int(1e308)
 
 
 def test_dropped_relay_process_request_times_out(mesh4_relay_topology):

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import grid_dict, grid_events, mesh4, random_topology, run_events
+from conftest import grid_dict, grid_events, key_ids, mesh4, random_topology, run_events
 from qkdrelay.kms import KmsEntity
 from qkdrelay.linksim import LinkSimulator
 from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
@@ -113,9 +113,12 @@ def test_reserve_next_matches_fifo_scan_under_random_operations():
     for trial in range(40):
         sim = LinkSimulator(mesh4(), seed=trial)
         ref = KeyStates(trial, "d")
-        ref.generated(len(sim.generate_keys("d", rng.randint(0, 6))))
+        n = rng.randint(0, 6)
+        sim.generate_keys("d", n)
+        ref.generated(n)
         foreign_ref = KeyStates(trial, "c")
-        foreign_ref.generated(len(sim.generate_keys("c", 2)))
+        sim.generate_keys("c", 2)
+        foreign_ref.generated(2)
         foreign = foreign_ref.order  # another link's keys
         stranger = eager_key(trial + 1, "d", 0)[0]  # another seed's key
         pools = sim.link_pools("d")
@@ -194,7 +197,7 @@ def test_take_on_another_links_key_consumes_nothing():
     sim.fill_initial()
     pool, _ = sim.link_pools("d")
     for other, _ in map(sim.link_pools, ("a", "b", "c")):
-        for key_id in other.table.ids:
+        for key_id in key_ids(other.table):
             assert sim.find_material(key_id) is not None
             assert pool.take(key_id) is None
     assert pool.counts() == {"available": 8, "reserved": 0, "consumed": 0}
@@ -203,15 +206,16 @@ def test_take_on_another_links_key_consumes_nothing():
 
 def test_reserve_next_after_id_jump_exhaustion_and_tick():
     sim = LinkSimulator(mesh4(), seed=1)
-    first, second, third = sim.generate_keys("d", 3)
+    sim.generate_keys("d", 3)
     pool, _ = sim.link_pools("d")
+    first, second, third = key_ids(pool.table)
     pool.consume(second)  # taken by id, out of FIFO order
     assert pool.reserve_next() == first
     assert pool.reserve_next() == third
     assert pool.reserve_next() is None
     assert pool.reserve_next() is None  # exhausted stays exhausted
     assert sim.tick("d", 0.1) == 1
-    assert pool.reserve_next() == pool.table.ids[-1]
+    assert pool.reserve_next() == pool.table.id_at(3)
     assert pool.reserve_next() is None
 
 
@@ -225,12 +229,12 @@ def test_find_material_matches_pool_scan():
 
     def scan(key_id):
         for table in sim.tables.values():
-            if key_id in table.ids:
+            if key_id in key_ids(table):
                 return table.material(key_id)
         return None
 
-    known = [k for table in sim.tables.values() for k in table.ids]
-    unknown = ["", "no-such-key"] + [k for table in other.tables.values() for k in table.ids]
+    known = [k for table in sim.tables.values() for k in key_ids(table)]
+    unknown = ["", "no-such-key"] + [k for table in other.tables.values() for k in key_ids(table)]
     for key_id in known + unknown:
         assert sim.find_material(key_id) == scan(key_id)
     assert all(sim.find_material(k) is None for k in unknown)

@@ -43,7 +43,7 @@ def test_direct_serves_fifo_key():
     (request,) = resolved(result.sim, "APP_A")
     assert request.status == STATUS_OK
     pool = result.sim.linksim.pools["KMS_3d"]
-    assert request.key_id == pool.table.ids[0]  # oldest key served first
+    assert request.key_id == pool.table.id_at(0)  # oldest key served first
     assert request.material == pool.table.material(request.key_id)
     assert pool.counts()["consumed"] == 1
 
@@ -82,7 +82,7 @@ def test_get_key_with_id_from_own_pool_and_misses():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     sim = Simulation(topo, seed=1)
     pool = sim.linksim.pools["KMS_4d"]
-    key_id = pool.table.ids[0]
+    key_id = pool.table.id_at(0)
     events = [
         {"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",
          "app_dst": "APP_A", "key_id": key_id},
@@ -310,7 +310,7 @@ def test_orphan_completion_with_wrong_type_is_dropped(mesh4_relay_topology):
 
 def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topology):
     sim = Simulation(mesh4_relay_topology, seed=1)
-    k1_id = sim.kms["KMS_1b"].pool.table.ids[0]
+    k1_id = sim.kms["KMS_1b"].pool.table.id_at(0)
     # The initiator's RelayProcessRequest is lost, so its entry for K1 stays
     # pending until the timeout; a KeyRelayResponse for K1 must not settle it.
     sim.transport.add_fault(FaultRule(op="drop", nth=1, of_type="relay_process_request"))

@@ -2,38 +2,51 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh4
+from conftest import key_ids, mesh4, mesh4_dict
+from qkdrelay import linksim
+from qkdrelay.harness import Simulation
 from qkdrelay.linksim import LinkSimulator, derive_key_id
+from qkdrelay.topology import topology_from_dict
+
+
+def generate(sim: LinkSimulator, link_id: str, n: int) -> list[str]:
+    """Generate n keys on the link; their ids, read through id_at."""
+    table = sim.tables[link_id]
+    start = table.generated
+    sim.generate_keys(link_id, n)
+    return [table.id_at(i) for i in range(start, start + n)]
 
 
 def pools_equal(sim: LinkSimulator, link_id: str) -> bool:
-    """Both endpoints read one table, whose id -> index map follows its
-    generation order."""
+    """Both endpoints read one table, whose ids follow its generation order
+    and map back to their indexes."""
     a, b = sim.link_pools(link_id)
-    return a.table is b.table and list(a.table.index.items()) == [
-        (k, i) for i, k in enumerate(a.table.ids)
-    ]
+    ids = key_ids(a.table)
+    return a.table is b.table and [a.table.index_of(k) for k in ids] == list(range(len(ids)))
 
 
 def test_generate_zero_is_empty():
     sim = LinkSimulator(mesh4(), seed=7)
-    assert sim.generate_keys("d", 0) == []
+    assert generate(sim, "d", 0) == []
+    assert sim.tables["d"].generated == 0
 
 
 def test_generation_synchronizes_both_pools():
     sim = LinkSimulator(mesh4(), seed=7)
-    ids = sim.generate_keys("d", 3)
+    ids = generate(sim, "d", 3)
     assert len(ids) == 3
     assert len(set(ids)) == 3
     assert pools_equal(sim, "d")
     a, b = sim.link_pools("d")
     assert a.owner_kms == "KMS_3d"
     assert b.owner_kms == "KMS_4d"
-    assert a.table.ids == ids
+    assert key_ids(a.table) == ids
     assert all(len(a.table.material(k)) == 32 for k in ids)
     for pool in (a, b):
         assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
@@ -42,23 +55,23 @@ def test_generation_synchronizes_both_pools():
 def test_same_seed_same_sequence():
     one = LinkSimulator(mesh4(), seed=42)
     two = LinkSimulator(mesh4(), seed=42)
-    assert one.generate_keys("b", 5) == two.generate_keys("b", 5)
+    assert generate(one, "b", 5) == generate(two, "b", 5)
     p1, _ = one.link_pools("b")
     p2, _ = two.link_pools("b")
-    assert [p1.table.material(k) for k in p1.table.ids] == [
-        p2.table.material(k) for k in p2.table.ids
+    assert [p1.table.material(k) for k in key_ids(p1.table)] == [
+        p2.table.material(k) for k in key_ids(p2.table)
     ]
 
 
 def test_different_seeds_different_keys():
     one = LinkSimulator(mesh4(), seed=1)
     two = LinkSimulator(mesh4(), seed=2)
-    assert one.generate_keys("b", 3) != two.generate_keys("b", 3)
+    assert generate(one, "b", 3) != generate(two, "b", 3)
 
 
 def test_links_have_independent_streams():
     sim = LinkSimulator(mesh4(), seed=1)
-    assert set(sim.generate_keys("a", 4)).isdisjoint(sim.generate_keys("b", 4))
+    assert set(generate(sim, "a", 4)).isdisjoint(generate(sim, "b", 4))
 
 
 def test_derive_key_shapes():
@@ -71,7 +84,7 @@ def test_derive_key_shapes():
 def test_key_size_from_config():
     topo = mesh4(config={"key_size_bytes": 16})
     sim = LinkSimulator(topo, seed=1)
-    (key_id,) = sim.generate_keys("a", 1)
+    (key_id,) = generate(sim, "a", 1)
     a, _ = sim.link_pools("a")
     assert len(a.table.material(key_id)) == 16
 
@@ -136,7 +149,7 @@ def test_reserve_consume_lifecycle():
 
 def test_take_consumes_only_an_available_key():
     sim = LinkSimulator(mesh4(), seed=1)
-    first, second = sim.generate_keys("d", 2)
+    first, second = generate(sim, "d", 2)
     pool, peer = sim.link_pools("d")
     assert pool.reserve_next() == first
     assert pool.take(first) is None  # reserved
@@ -176,9 +189,182 @@ def test_fill_initial_respects_topology():
 
 def test_find_material_returns_generated_material():
     sim = LinkSimulator(mesh4(), seed=1)
-    (key_id,) = sim.generate_keys("c", 1)
+    (key_id,) = generate(sim, "c", 1)
     pool, _ = sim.link_pools("c")
     assert sim.find_material(key_id) == pool.table.material(key_id)
     assert sim.find_material("no-such-key") is None
     with pytest.raises(KeyError):
         pool.table.material("no-such-key")
+
+
+# ── lazy id derivation ──
+
+
+def eager_id(seed: int, link_id: str, index: int) -> str:
+    return hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
+
+
+def eager_material(seed: int, link_id: str, index: int) -> bytes:
+    return hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(32)
+
+
+class EagerLinks:
+    """The reference: every id hashed the moment its key is generated, and
+    each key's state at each endpoint scanned in generation order."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.ids: dict[str, list[str]] = {"c": [], "d": []}
+        self.where: dict[str, tuple[str, int]] = {}  # id -> (link, index)
+        self.state: tuple[dict[str, str], dict[str, str]] = ({}, {})  # link d
+
+    def generate(self, link_id: str, n: int) -> None:
+        ids = self.ids[link_id]
+        for index in range(len(ids), len(ids) + n):
+            key_id = eager_id(self.seed, link_id, index)
+            ids.append(key_id)
+            self.where[key_id] = (link_id, index)
+            if link_id == "d":
+                for state in self.state:
+                    state[key_id] = "available"
+
+    def material(self, key_id: str) -> bytes | None:
+        if key_id not in self.where:
+            return None
+        return eager_material(self.seed, *self.where[key_id])
+
+    def counts(self, end: int) -> dict[str, int]:
+        out = {"available": 0, "reserved": 0, "consumed": 0}
+        for state in self.state[end].values():
+            out[state] += 1
+        return out
+
+
+LAZY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("generate"), st.sampled_from("cd"), st.integers(0, 5)),
+        st.tuples(st.just("tick"), st.sampled_from("cd"), st.sampled_from([0.0, 0.1, 0.35])),
+        st.tuples(st.just("reserve"), st.integers(0, 1), st.just(0)),
+        st.tuples(st.just("take"), st.integers(0, 1), st.integers(0, 40)),
+        st.tuples(st.just("consume"), st.integers(0, 1), st.integers(0, 40)),
+        st.tuples(st.just("find"), st.just(0), st.integers(0, 40)),
+    ),
+    max_size=40,
+)
+
+
+@given(LAZY_OPS)
+@settings(max_examples=150, deadline=None)
+def test_lazy_table_matches_eager_reference(ops):
+    sim = LinkSimulator(mesh4(), seed=11)
+    ref = EagerLinks(11)
+    pools = sim.link_pools("d")
+
+    def pick(choice: int) -> str:
+        # Link d's and link c's generated ids, derived or not, an id of
+        # link d that is not generated yet, and an id of no link.
+        known = ref.ids["d"] + ref.ids["c"]
+        extra = [eager_id(11, "d", len(ref.ids["d"])), "no-such-key"]
+        return (known + extra)[choice % (len(known) + 2)]
+
+    for op, arg, choice in ops:
+        if op == "generate":
+            sim.generate_keys(arg, choice)
+            ref.generate(arg, choice)
+        elif op == "tick":
+            ref.generate(arg, sim.tick(arg, choice))
+        elif op == "reserve":
+            state = ref.state[arg]
+            want = next((k for k in ref.ids["d"] if state[k] == "available"), None)
+            assert pools[arg].reserve_next() == want
+            if want is not None:
+                state[want] = "reserved"
+        elif op == "take":
+            key_id = pick(choice)
+            available = ref.state[arg].get(key_id) == "available"
+            assert pools[arg].take(key_id) == (ref.material(key_id) if available else None)
+            if available:
+                ref.state[arg][key_id] = "consumed"
+        elif op == "consume":
+            key_id = pick(choice)
+            if ref.state[arg].get(key_id) == "reserved":
+                assert pools[arg].consume(key_id) == ref.material(key_id)
+                ref.state[arg][key_id] = "consumed"
+        else:
+            key_id = pick(choice)
+            assert sim.find_material(key_id) == ref.material(key_id)
+        for end, pool in enumerate(pools):
+            assert pool.counts() == ref.counts(end)
+            assert pool.generated_total == len(ref.ids["d"])
+        assert sim.tables["c"].generated == len(ref.ids["c"])
+    for link_id in ("c", "d"):
+        assert key_ids(sim.tables[link_id]) == ref.ids[link_id]
+
+
+def test_take_and_find_material_of_an_id_not_yet_derived():
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.generate_keys("d", 5)
+    pool, peer = sim.link_pools("d")
+    fifth, sixth = derive_key_id(1, "d", 4), derive_key_id(1, "d", 5)
+    assert sim.find_material(fifth) == eager_material(1, "d", 4)
+    assert pool.take(fifth) == eager_material(1, "d", 4)
+    assert pool.counts() == {"available": 4, "reserved": 0, "consumed": 1}
+    assert pool.reserve_next() == derive_key_id(1, "d", 0)  # FIFO order kept
+    # The sixth key is not generated yet: refused, then served once it is.
+    assert pool.take(sixth) is None and sim.find_material(sixth) is None
+    sim.generate_keys("d", 1)
+    assert peer.take(sixth) == eager_material(1, "d", 5)
+
+    fresh = LinkSimulator(mesh4(), seed=1)
+    fresh.generate_keys("d", 5)
+    assert fresh.find_material(fifth) == eager_material(1, "d", 4)
+
+
+def test_id_at_reads_only_generated_keys():
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.generate_keys("d", 2)
+    table = sim.tables["d"]
+    assert table.id_at(1) == derive_key_id(1, "d", 1)
+    for index in (2, -1):
+        with pytest.raises(IndexError):
+            table.id_at(index)
+    assert sim.find_material(derive_key_id(1, "d", 2)) is None
+
+
+def test_take_of_another_links_id_is_refused():
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.generate_keys("c", 3)
+    sim.generate_keys("d", 3)
+    pool, _ = sim.link_pools("d")
+    foreign = derive_key_id(1, "c", 2)
+    assert pool.take(foreign) is None
+    assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
+    owner, _ = sim.link_pools("c")
+    assert owner.take(foreign) == eager_material(1, "c", 2)
+
+
+def test_recurring_id_is_still_caught(monkeypatch):
+    monkeypatch.setattr(linksim, "derive_key_id", lambda seed, link_id, index: "same")
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.generate_keys("d", 2)
+    pool, _ = sim.link_pools("d")
+    assert pool.reserve_next() == "same"
+    with pytest.raises(RuntimeError, match="key id same recurred on link d"):
+        pool.reserve_next()
+    sim.generate_keys("c", 2)
+    with pytest.raises(RuntimeError, match="recurred on link c"):
+        sim.find_material("no-such-key")
+
+
+def test_simulation_set_up_derives_no_id(monkeypatch):
+    def refuse(seed, link_id, index):
+        raise AssertionError(f"derived id {index} of link {link_id} at set-up")
+
+    raw = mesh4_dict()
+    raw["links"][3]["initial_pool"] = 10**9
+    monkeypatch.setattr(linksim, "derive_key_id", refuse)
+    sim = Simulation(topology_from_dict(raw), seed=1)
+    pools = sim.linksim.link_pools("d")
+    for pool in pools:
+        assert pool.counts() == {"available": 10**9, "reserved": 0, "consumed": 0}
+    assert sim.linksim.pool_report()["d"]["generated"] == 10**9

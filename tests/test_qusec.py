@@ -16,7 +16,6 @@ from qkdrelay.qusec import (
     SESSION_INSTALLED,
     NoPathError,
     SameNodeError,
-    compute_relay_path,
     expand_to_kms,
     link_weight,
     link_weights,
@@ -25,6 +24,13 @@ from qkdrelay.qusec import (
     tree_path,
 )
 from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
+
+
+def compute_relay_path(topology, src_node, dst_node, policy):
+    """The KMS path of a fresh shortest-path search from src_node to dst_node."""
+    _, nodes, links = shortest_path(topology, src_node, dst_node, policy)
+    return expand_to_kms(nodes, links)
+
 
 # ── brute-force oracle ──
 
