@@ -2,6 +2,11 @@
 through a single deterministic event loop, and checks the resulting trace
 against expectations, golden traces, and the protocol's safety audits.
 
+The event loop makes one pass over each record, at the point where it is
+delivered: it encodes the trace line, counts the message type and runs the
+safety audits, and then hands the envelope to its receiver. Nothing keeps
+the envelope afterwards, so a run holds its trace as lines only.
+
 Time is simulated integer milliseconds. Message hops are instantaneous;
 the clock only moves between timed events (scenario entries and timers), so
 traces carry no timestamps and are stable for golden comparison.
@@ -15,13 +20,15 @@ import logging
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 from .kms import KmsEntity
 from .linksim import LinkSimulator
 from .protocol import (
     CHANNEL_INTRA,
     MESSAGE_TYPES,
+    OCTET_FIELDS,
     PLAINTEXT_OCTET_FIELDS,
     STATUS_OK,
     STATUSES,
@@ -34,6 +41,8 @@ from .protocol import (
     KeyDelivery,
     KeyRelay,
     Transport,
+    decode,
+    encode_str,
     message_to_body,  # noqa: F401  unused here; a lookup point the benchmark's tracer patches
     message_type,
     octet_fields,
@@ -48,7 +57,12 @@ from .topology import (
     render_kms_id,
     vkms_name,
 )
-from .trace import TraceDiff, compare_lines, read_trace_lines, records_to_lines
+from .trace import (
+    TraceDiff,
+    compare_lines,
+    read_trace_lines,
+    records_to_lines,  # noqa: F401  unused here; a lookup point the benchmark's tracer patches
+)
 from .vkms import VkmsEntity
 
 log = logging.getLogger(__name__)
@@ -264,15 +278,23 @@ class TimerHandle:
 
 
 class SimKernel:
-    """Single event loop owning the clock, the transport pump, and timers."""
+    """Single event loop owning the clock, the transport pump, and timers.
 
-    def __init__(self, transport: Transport):
+    The pump is where each record is delivered, and the one place that
+    reads it: it appends the record's line to ``trace_lines`` (record i is
+    line i), bumps its message class in ``type_counts`` and hands it to
+    ``checker``, whose violation lists are the run's audits.
+    """
+
+    def __init__(self, transport: Transport, checker: RecordChecker):
         self.transport = transport
         self.now_ms = 0
         self._heap: list[tuple[int, int, TimerHandle]] = []
         self._tie = 0
-        self.delivered_count = 0
         self.send = transport.send
+        self.trace_lines: list[str] = []
+        self.type_counts: dict[type, int] = {}
+        self.checker = checker
 
     def schedule_timer(self, delay_ms: int, callback) -> TimerHandle:
         return self.schedule_at(self.now_ms + delay_ms, callback)
@@ -290,15 +312,20 @@ class SimKernel:
         return handle
 
     def _pump_messages(self) -> None:
-        while True:
-            env = self.transport.pop_next()
-            if env is None:
-                return
-            self.delivered_count += 1
-            if self.delivered_count > _MESSAGE_BUDGET:
+        pop_next = self.transport.pop_next
+        entities = self.transport.entities
+        lines = self.trace_lines
+        counts = self.type_counts
+        check = self.checker.check
+        while (env := pop_next()) is not None:
+            i = len(lines)
+            if i >= _MESSAGE_BUDGET:
                 raise RuntimeError("message budget exhausted; dispatch loop suspected")
-            receiver = self.transport.entities[env.receiver]
-            receiver.on_message(env)
+            lines.append(encode_str(env))
+            cls = type(env.msg)
+            counts[cls] = counts.get(cls, 0) + 1
+            check(i, env)
+            entities[env.receiver].on_message(env)
 
     def run_to_quiescence(self) -> None:
         self._pump_messages()
@@ -323,8 +350,8 @@ class Simulation:
     def __init__(self, topology: Topology, seed: int):
         self.topology = topology
         self.transport = Transport()
-        self.kernel = SimKernel(self.transport)
         self.linksim = LinkSimulator(topology, seed)
+        self.kernel = SimKernel(self.transport, RecordChecker(self.linksim))
 
         self.qusec = QusecEntity(topology, seed)
         self.vkms: dict[str, VkmsEntity] = {}
@@ -369,22 +396,15 @@ class Simulation:
         if "key_id" in params:
             return params["key_id"]
         source = params["key_id_from"]
-        app = self.apps.get(source)
-        if app is None:
-            raise ConfigError(f"'key_id_from' names unknown app {source!r}")
-        key_id = app.last_ok_key_id
+        key_id = self.apps[source].last_ok_key_id
         if key_id is None:
             raise ConfigError(f"app {source!r} has no delivered key to reference")
         return key_id
 
     def _app_request(self, params: dict, with_id: bool) -> None:
         app_id = params["app_src"]
-        app = self.apps.get(app_id)
-        if app is None:
-            raise ConfigError(f"unknown app {app_id!r} in scenario event")
+        app = self.apps[app_id]
         via_node = params.get("via_node", self.topology.apps[app_id])
-        if via_node not in self.topology.nodes:
-            raise ConfigError(f"'via_node' names unknown node {via_node!r}")
         if with_id:
             msg = GetKeyWithId(
                 app_src=app_id,
@@ -410,8 +430,6 @@ class Simulation:
         elif event.event == "tick_links":
             dt_seconds = event.params["dt_ms"] / 1000.0
             for link_id in event.params.get("links", self.topology.links):
-                if link_id not in self.topology.links:
-                    raise ConfigError(f"tick_links: unknown link {link_id!r}")
                 self.linksim.tick(link_id, dt_seconds)
         elif event.event == "drop_message":
             self.transport.add_fault(
@@ -436,87 +454,145 @@ class Simulation:
 
 # ── audits: trace-level safety properties ──
 
+# Message classes that declare a key-material field: the only records the
+# three octet audits can flag.
+_OCTET_TYPES = frozenset(
+    cls for cls in MESSAGE_TYPES.values() if any(f.name in OCTET_FIELDS for f in fields(cls))
+)
 
-def audit_controller_blindness(records: list[Envelope]) -> list[str]:
-    """No record to or from the controller may carry a key-material field."""
-    violations = []
-    for i, env in enumerate(records):
+
+class RecordChecker:
+    """The four safety audits, applied one record at a time in delivered
+    order; ``i`` is the record's index, which is its trace line. Each rule
+    is one method that appends to its own list in ``violations``. ``check``
+    applies all four: fifo to every record, the octet audits only to the
+    classes in _OCTET_TYPES. ``linksim`` is read by otp_wire alone."""
+
+    def __init__(self, linksim: LinkSimulator | None = None):
+        self.linksim = linksim
+        self.violations: dict[str, list[str]] = {
+            "controller_blindness": [],
+            "plaintext_channels": [],
+            "otp_wire": [],
+            "fifo": [],
+        }
+        self._last_seq: dict[tuple[str, str], int] = {}
+
+    def check(self, i: int, env: Envelope) -> None:
+        self.fifo(i, env)
+        if type(env.msg) in _OCTET_TYPES:
+            self.controller_blindness(i, env)
+            self.plaintext_channels(i, env)
+            self.otp_wire(i, env)
+
+    def controller_blindness(self, i: int, env: Envelope) -> None:
+        """No record to or from the controller may carry a key-material field."""
         if env.sender != QUSEC_ID and env.receiver != QUSEC_ID:
-            continue
+            return
         present = octet_fields(env.msg)
         if present:
-            violations.append(
+            self.violations["controller_blindness"].append(
                 f"record {i}: controller record carries {list(present)} ({message_type(env.msg)})"
             )
-    return violations
 
-
-def audit_plaintext_channels(records: list[Envelope]) -> list[str]:
-    """Plaintext key material only ever rides intra-node records."""
-    violations = []
-    for i, env in enumerate(records):
+    def plaintext_channels(self, i: int, env: Envelope) -> None:
+        """Plaintext key material only ever rides intra-node records."""
         if env.channel == CHANNEL_INTRA:
-            continue
+            return
         for name in PLAINTEXT_OCTET_FIELDS:
             if getattr(env.msg, name, None):
-                violations.append(
+                self.violations["plaintext_channels"].append(
                     f"record {i}: plaintext {name!r} on {env.channel} channel"
                 )
-    return violations
 
+    def otp_wire(self, i: int, env: Envelope) -> None:
+        """Every KeyRelay payload must equal K1 xor K2 and differ from K1.
 
-def audit_otp_wire(records: list[Envelope], linksim: LinkSimulator) -> list[str]:
-    """Every KeyRelay payload must equal K1 xor K2 and differ from K1."""
-    violations = []
-    for i, env in enumerate(records):
-        if not isinstance(env.msg, KeyRelay):
-            continue
-        k1 = linksim.find_material(env.msg.id_relay_key)
-        k2 = linksim.find_material(env.msg.id_key_encryption)
+        Material depends only on (seed, link, index), and a KeyRelay names
+        only ids its sender already reserved, so the verdict at delivery is
+        the one a check after the run would give."""
+        msg = env.msg
+        if not isinstance(msg, KeyRelay):
+            return
+        found = self.violations["otp_wire"]
+        k1 = self.linksim.find_material(msg.id_relay_key)
+        k2 = self.linksim.find_material(msg.id_key_encryption)
         if k1 is None or k2 is None:
-            violations.append(f"record {i}: KeyRelay names unknown key ids")
-            continue
-        if env.msg.encrypted_relay_key != otp_xor(k1, k2):
-            violations.append(f"record {i}: payload != K1 xor K2")
-        if any(k2) and env.msg.encrypted_relay_key == k1:
-            violations.append(f"record {i}: payload equals K1 with non-zero K2")
-    return violations
+            found.append(f"record {i}: KeyRelay names unknown key ids")
+            return
+        if msg.encrypted_relay_key != otp_xor(k1, k2):
+            found.append(f"record {i}: payload != K1 xor K2")
+        if any(k2) and msg.encrypted_relay_key == k1:
+            found.append(f"record {i}: payload equals K1 with non-zero K2")
 
-
-def audit_fifo(records: list[Envelope]) -> list[str]:
-    """Per ordered (sender, receiver) pair, seq numbers strictly increase."""
-    violations = []
-    last: dict[tuple[str, str], int] = {}
-    for i, env in enumerate(records):
+    def fifo(self, i: int, env: Envelope) -> None:
+        """Per ordered (sender, receiver) pair, seq numbers strictly increase."""
         pair = (env.sender, env.receiver)
-        if pair in last and env.seq <= last[pair]:
-            violations.append(f"record {i}: seq {env.seq} after {last[pair]} on {pair}")
-        last[pair] = env.seq
-    return violations
+        last = self._last_seq.get(pair)
+        if last is not None and env.seq <= last:
+            self.violations["fifo"].append(f"record {i}: seq {env.seq} after {last} on {pair}")
+        self._last_seq[pair] = env.seq
 
 
-def run_audits(sim: Simulation) -> dict[str, list[str]]:
-    records = sim.transport.records
-    return {
-        "controller_blindness": audit_controller_blindness(records),
-        "plaintext_channels": audit_plaintext_channels(records),
-        "otp_wire": audit_otp_wire(records, sim.linksim),
-        "fifo": audit_fifo(records),
-    }
+def _audit(name: str, records: Sequence[Envelope], linksim: LinkSimulator | None = None) -> list[str]:
+    """One audit over a whole trace, by the same rule the run applies."""
+    checker = RecordChecker(linksim)
+    rule = getattr(checker, name)
+    for i, env in enumerate(records):
+        rule(i, env)
+    return checker.violations[name]
+
+
+def audit_controller_blindness(records: Sequence[Envelope]) -> list[str]:
+    return _audit("controller_blindness", records)
+
+
+def audit_plaintext_channels(records: Sequence[Envelope]) -> list[str]:
+    return _audit("plaintext_channels", records)
+
+
+def audit_otp_wire(records: Sequence[Envelope], linksim: LinkSimulator) -> list[str]:
+    return _audit("otp_wire", records, linksim)
+
+
+def audit_fifo(records: Sequence[Envelope]) -> list[str]:
+    return _audit("fifo", records)
 
 
 # ── full run with expectations ──
+
+
+class TraceRecords(Sequence[Envelope]):
+    """Read-only view of trace lines as envelopes: item i is
+    decode(lines[i]), decoded anew on each read; len() decodes nothing."""
+
+    __slots__ = ("_lines",)
+
+    def __init__(self, lines: list[str]):
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [decode(line) for line in self._lines[index]]
+        return decode(self._lines[index])
 
 
 @dataclass
 class RunResult:
     sim: Simulation
     scenario: Scenario
-    records: list[Envelope]
     trace_lines: list[str]
     report: dict
     exit_code: int
     diff: TraceDiff | None = None
+
+    @property
+    def records(self) -> TraceRecords:
+        """The delivered envelopes, decoded from trace_lines when read."""
+        return TraceRecords(self.trace_lines)
 
 
 def _check_expectations(
@@ -579,24 +655,39 @@ def _check_expectations(
     return checks, diff
 
 
-def _check_tick_amounts(topology: Topology, events: list[ScenarioEvent]) -> None:
-    """Every tick_links event must generate a finite number of keys on each
-    link it names, that is key_rate * dt must be a finite float."""
-    for event in events:
-        if event.event != "tick_links":
-            continue
-        for link_id in event.params.get("links", topology.links):
-            link = topology.links.get(link_id)
-            if link is None:
-                continue  # execute_event reports the unknown link
-            try:
-                finite = math.isfinite(link.key_rate * (event.params["dt_ms"] / 1000.0))
-            except OverflowError:  # dt_ms itself is too large for a float
-                finite = False
-            if not finite:
-                raise ConfigError(
-                    f"tick_links at {event.at} ms: key_rate * dt on link {link_id!r} is not finite"
-                )
+def check_scenario(topology: Topology, scenario: Scenario) -> None:
+    """Every check that depends only on (topology, scenario): the links,
+    apps and nodes the scenario names exist, each tick generates a finite
+    number of keys, and expectations name only known links."""
+    unknown = scenario.expect.get("pool_consumed", {}).keys() - topology.links.keys()
+    if unknown:
+        raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
+    for event in scenario.events:
+        params = event.params
+        if event.event == "tick_links":
+            for link_id in params.get("links", topology.links):
+                link = topology.links.get(link_id)
+                if link is None:
+                    raise ConfigError(f"tick_links: unknown link {link_id!r}")
+                # key_rate * dt must be a finite float.
+                try:
+                    finite = math.isfinite(link.key_rate * (params["dt_ms"] / 1000.0))
+                except OverflowError:  # dt_ms itself is too large for a float
+                    finite = False
+                if not finite:
+                    raise ConfigError(
+                        f"tick_links at {event.at} ms: key_rate * dt on link {link_id!r} is not finite"
+                    )
+        elif event.event in ("app_get_key", "app_get_key_with_id"):
+            app_id = params["app_src"]
+            if app_id not in topology.apps:
+                raise ConfigError(f"unknown app {app_id!r} in scenario event")
+            via_node = params.get("via_node", topology.apps[app_id])
+            if via_node not in topology.nodes:
+                raise ConfigError(f"'via_node' names unknown node {via_node!r}")
+            source = params.get("key_id_from")
+            if source is not None and source not in topology.apps:
+                raise ConfigError(f"'key_id_from' names unknown app {source!r}")
 
 
 def run(
@@ -604,11 +695,9 @@ def run(
 ) -> RunResult:
     """Run scenario on a fresh Simulation. Every setting comes from topology:
     its weight_policy and its config. Configuration errors are raised before
-    anything is simulated or written."""
-    unknown = scenario.expect.get("pool_consumed", {}).keys() - topology.links.keys()
-    if unknown:
-        raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
-    _check_tick_amounts(topology, scenario.events)
+    anything is simulated or written, except a key_id_from whose app has no
+    delivered key yet, which only the run can tell."""
+    check_scenario(topology, scenario)
     golden = None
     if "trace" in scenario.expect:
         try:
@@ -619,18 +708,15 @@ def run(
     sim = Simulation(topology, seed)
     sim.run_events(scenario.events)
 
-    records = sim.transport.records
-    trace_lines = records_to_lines(records)
+    kernel = sim.kernel
+    trace_lines = kernel.trace_lines
     if trace_out:
         with open(trace_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
 
-    counts: dict[str, int] = {}
-    for env in records:
-        tag = message_type(env.msg)
-        counts[tag] = counts.get(tag, 0) + 1
-
-    audits = run_audits(sim)
+    tags = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+    counts = {tags[cls]: n for cls, n in kernel.type_counts.items()}
+    audits = kernel.checker.violations
     checks, diff = _check_expectations(sim, scenario, trace_lines, counts, golden)
     quiescent = (
         sim.transport.pending() == 0
@@ -652,7 +738,7 @@ def run(
         "seed": seed,
         "sim_time_ms": sim.kernel.now_ms,
         "quiescent": quiescent,
-        "records": len(records),
+        "records": len(trace_lines),
         "message_counts": counts,
         "requests": [
             {
@@ -677,7 +763,6 @@ def run(
     return RunResult(
         sim=sim,
         scenario=scenario,
-        records=records,
         trace_lines=trace_lines,
         report=report,
         exit_code=exit_code,

@@ -16,11 +16,11 @@ frozen, and so every record of a type has the same keys: sorting them per
 record would give the same order each time.
 
 Messages are frozen dataclasses; the envelope around each one is an
-immutable named tuple, so no logged record can be rewritten. The transport
-keeps global FIFO order (which implies per-channel FIFO), assigns
-per-sender sequence numbers, computes each (sender, receiver) pair's
-channel once, and records every delivered envelope in order; that log is
-the conformance trace.
+immutable named tuple, so no record can be rewritten once sent. The
+transport keeps global FIFO order (which implies per-channel FIFO), assigns
+per-sender sequence numbers and computes each (sender, receiver) pair's
+channel once. It keeps no log of what it delivers: the caller that pops an
+envelope encodes it into the conformance trace (see harness.SimKernel).
 """
 
 from __future__ import annotations
@@ -477,8 +477,9 @@ class Transport:
     """Instrumented in-memory message fabric.
 
     send() wraps each message in one immutable Envelope and enqueues it;
-    pop_next() dequeues in global send order and appends the envelope to the
-    delivered-order log. Per-sender seq numbers are assigned here, and armed
+    pop_next() dequeues in global send order and keeps nothing, so a
+    delivered envelope lives only as long as its receiver and the caller
+    that traces it hold it. Per-sender seq numbers are assigned here, and armed
     fault rules are applied at send time. A pair's channel is kept in a
     (sender id, receiver id) map, filled only after both ids resolve to
     registered entities, so an unknown id raises on every send. `dropped` and
@@ -490,7 +491,6 @@ class Transport:
     def __init__(self):
         self.entities: dict[str, Entity] = {}
         self._queue: deque[Envelope] = deque()
-        self.records: list[Envelope] = []
         self.dropped: list[Envelope] = []
         self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
@@ -546,6 +546,4 @@ class Transport:
     def pop_next(self) -> Envelope | None:
         if not self._queue:
             return None
-        env = self._queue.popleft()
-        self.records.append(env)
-        return env
+        return self._queue.popleft()

@@ -18,6 +18,7 @@ from qkdrelay.harness import (
     scenario_from_dict,
 )
 from qkdrelay.linksim import KeyTable
+from qkdrelay.protocol import Envelope, decode
 from qkdrelay.topology import Topology, topology_from_dict
 
 MESH4 = {
@@ -209,6 +210,11 @@ def single_get_key(app_src: str = "APP_A", app_dst: str = "APP_B") -> Scenario:
 def resolved(sim: Simulation, app_id: str) -> list[AppRequest]:
     """app_id's requests that have been answered, in the order it issued them."""
     return [r for r in sim.requests if r.app_src == app_id and r.status is not None]
+
+
+def delivered(sim: Simulation) -> list[Envelope]:
+    """The envelopes sim has delivered so far, decoded from its trace lines."""
+    return [decode(line) for line in sim.kernel.trace_lines]
 
 
 def run_events(

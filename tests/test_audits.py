@@ -35,6 +35,7 @@ from qkdrelay.protocol import (
     KeyRelay,
     KmsDiscoveryRequest,
     KmsDiscoveryResponse,
+    decode,
     message_to_body,
     message_type,
     otp_xor,
@@ -236,7 +237,7 @@ def oracle_runs():
 def test_octet_audits_match_body_scans():
     compared = 0
     for result in oracle_runs():
-        records = result.records + BAD_RECORDS
+        records = [decode(line) for line in result.trace_lines] + BAD_RECORDS
         for new, old in (
             (audit_controller_blindness, body_controller_blindness),
             (audit_plaintext_channels, body_plaintext_channels),
@@ -246,3 +247,40 @@ def test_octet_audits_match_body_scans():
             assert new(records) == want
         compared += len(records)
     assert compared > 1000
+
+
+# ── the streamed pass: audits run at delivery ──
+
+
+def test_run_audits_equal_batch_audits_over_the_trace():
+    """run() audits each record as it is delivered; over the finished trace,
+    the batch audits give exactly the same violations."""
+    faulted = 0
+    for result in oracle_runs():
+        records = [decode(line) for line in result.trace_lines]
+        linksim = result.sim.linksim
+        assert result.report["audits"] == {
+            "controller_blindness": audit_controller_blindness(records),
+            "plaintext_channels": audit_plaintext_channels(records),
+            "otp_wire": audit_otp_wire(records, linksim),
+            "fifo": audit_fifo(records),
+        }
+        faulted += bool(result.report["audits"]["otp_wire"])
+    assert faulted == 1, "the faulted grid must give otp_wire something to find"
+
+
+def test_corrupted_key_relay_violation_names_its_trace_line():
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N4"}),
+        [
+            {"at": 0, "event": "corrupt_message", "n": 1, "of_type": "key_relay"},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        ],
+    )
+    (violation,) = result.report["audits"]["otp_wire"]
+    index = int(violation.split(":")[0].removeprefix("record "))
+    assert violation == f"record {index}: payload != K1 xor K2"
+    record = decode(result.trace_lines[index])
+    assert message_type(record.msg) == "key_relay"
+    assert record == result.sim.transport.corrupted[0]
+    assert result.exit_code == 0  # a corrupted KeyRelay excuses otp_wire

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -173,6 +175,55 @@ def test_unknown_scenario_app_is_config_error(mesh4_relay_topology):
         )
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"event": "tick_links", "dt_ms": 100, "links": ["a", "zz"]},
+         "tick_links: unknown link 'zz'"),
+        ({"event": "app_get_key", "app_src": "APP_Z", "app_dst": "APP_B"},
+         "unknown app 'APP_Z' in scenario event"),
+        ({"event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B", "via_node": "N9"},
+         "'via_node' names unknown node 'N9'"),
+        ({"event": "app_get_key_with_id", "app_src": "APP_B", "app_dst": "APP_A",
+          "key_id_from": "APP_Z"},
+         "'key_id_from' names unknown app 'APP_Z'"),
+    ],
+)
+def test_scenario_naming_unknown_entities_fails_before_any_event(
+    mesh4_relay_topology, monkeypatch, bad, message
+):
+    executed = []
+    execute_event = Simulation.execute_event
+
+    def spy(self, event):
+        executed.append(event.event)
+        execute_event(self, event)
+
+    monkeypatch.setattr(Simulation, "execute_event", spy)
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 10, **bad},
+    ]
+    with pytest.raises(ConfigError) as info:
+        run_events(mesh4_relay_topology, events)
+    assert str(info.value) == message
+    assert executed == []
+    # The same scenario without the bad event runs, through the same spy.
+    assert run_events(mesh4_relay_topology, events[:1]).exit_code == 0
+    assert executed == ["app_get_key"]
+
+
+def test_message_budget_counts_trace_lines(mesh4_relay_topology, monkeypatch):
+    monkeypatch.setattr(harness, "_MESSAGE_BUDGET", 5)
+    sim = Simulation(mesh4_relay_topology, seed=1)
+    sim.execute_event(harness.ScenarioEvent(
+        at=0, event="app_get_key", params={"app_src": "APP_A", "app_dst": "APP_B"}
+    ))
+    with pytest.raises(RuntimeError, match="message budget exhausted"):
+        sim.kernel.run_to_quiescence()
+    assert len(sim.kernel.trace_lines) == 5
+
+
 # ── time, timers, faults ──
 
 
@@ -181,7 +232,7 @@ def test_advance_clock_moves_simulated_time(mesh4_relay_topology):
         mesh4_relay_topology, [{"at": 5000, "event": "advance_clock"}]
     )
     assert result.sim.kernel.now_ms == 5000
-    assert result.records == []
+    assert result.trace_lines == [] and len(result.records) == 0
 
 
 def test_tick_links_selected_links_only():
@@ -330,6 +381,17 @@ def test_corruption_detected_by_e2e_expectation(mesh4_relay_topology, tmp_path):
     assert not check["ok"]
 
 
+def planted(audit: str):
+    """A RecordChecker rule that reports one violation, on the first record
+    it is applied to."""
+
+    def rule(self, i, env):
+        if not self.violations[audit]:
+            self.violations[audit].append(f"record {i}: planted")
+
+    return rule
+
+
 @pytest.mark.parametrize(
     "fault, changed",
     [
@@ -360,14 +422,14 @@ def test_only_a_fault_that_changed_a_message_excuses_audits(
     assert bool(result.report["audits"]["otp_wire"]) == changed
     assert result.exit_code == 0
 
-    monkeypatch.setattr(harness, "audit_fifo", lambda records: ["record 0: planted"])
+    monkeypatch.setattr(harness.RecordChecker, "fifo", planted("fifo"))
     result = run_events(mesh4_relay_topology, events)
     assert result.report["audits"]["fifo"] == ["record 0: planted"]
     assert result.exit_code == 1
 
 
 def test_a_drop_excuses_no_audit(mesh4_relay_topology, monkeypatch):
-    monkeypatch.setattr(harness, "audit_otp_wire", lambda records, linksim: ["record 0: planted"])
+    monkeypatch.setattr(harness.RecordChecker, "otp_wire", planted("otp_wire"))
     result = run_events(
         mesh4_relay_topology,
         [
@@ -377,6 +439,7 @@ def test_a_drop_excuses_no_audit(mesh4_relay_topology, monkeypatch):
     )
     assert len(result.sim.transport.dropped) == 1
     assert result.report["quiescent"]
+    assert result.report["audits"]["otp_wire"]
     assert result.exit_code == 1
 
 
@@ -451,7 +514,7 @@ def test_packaged_linear32_scenario():
 
 def test_each_record_is_encoded_once(monkeypatch):
     encoded = []
-    to_line = trace.encode_str
+    to_line = protocol.encode_str
 
     def counted_encode(env):
         encoded.append(env)
@@ -464,6 +527,8 @@ def test_each_record_is_encoded_once(monkeypatch):
         bodies.append(msg)
         return to_body(msg)
 
+    # Where delivery looks the encoder up, and where records_to_lines does.
+    monkeypatch.setattr(harness, "encode_str", counted_encode)
     monkeypatch.setattr(trace, "encode_str", counted_encode)
     # Both places a caller may look message_to_body up, as the benchmark patches them.
     monkeypatch.setattr(protocol, "message_to_body", counted_body)
@@ -473,9 +538,39 @@ def test_each_record_is_encoded_once(monkeypatch):
     result = run(topology, scenario, seed=7)
     assert result.exit_code == 0
     assert result.diff is not None and result.diff.is_empty
-    assert len(encoded) == len(result.records)
-    assert all(a is b for a, b in zip(encoded, result.records))
+    assert len(encoded) == len(result.trace_lines)
+    assert list(result.records) == encoded
     assert bodies == []
+
+
+def test_no_delivered_message_outlives_the_run(monkeypatch):
+    """After run(), neither the Simulation nor the RunResult holds a
+    delivered message: the trace keeps lines only."""
+    refs = []
+    pop_next = protocol.Transport.pop_next
+
+    def watched_pop_next(self):
+        env = pop_next(self)
+        if env is not None:
+            refs.append(weakref.ref(env.msg))
+        return env
+
+    monkeypatch.setattr(protocol.Transport, "pop_next", watched_pop_next)
+    for topology, scenario in (
+        ("mesh4_direct.json", "direct.json"),
+        ("mesh4_relay.json", "relay1hop.json"),
+        ("chain32.json", "linear32.json"),
+    ):
+        result = run(
+            load_topology_file(data_path("topologies", topology)),
+            load_scenario(data_path("scenarios", scenario)),
+            seed=7,
+        )
+        assert result.exit_code == 0
+        gc.collect()
+        assert len(refs) == len(result.trace_lines)
+        assert [r for r in refs if r() is not None] == []
+        refs.clear()
 
 
 def test_golden_mismatch_reported_with_diff(mesh4_relay_topology, tmp_path):

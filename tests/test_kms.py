@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import chain, mesh4, mesh4_dict, resolved, run_events
+from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
 from qkdrelay.harness import ScenarioEvent, Simulation
 from qkdrelay.kms import RelayRule
 from qkdrelay.topology import topology_from_dict
@@ -225,7 +225,7 @@ def test_relay_process_request_without_rule():
         RelayProcessRequest(app_src="APP_A", app_dst="APP_B", id_relay_key="cafe"),
     )
     sim.kernel.run_to_quiescence()
-    (response,) = msgs_of(sim.transport.records, "relay_process_response")
+    (response,) = msgs_of(delivered(sim), "relay_process_response")
     assert response.msg.status == STATUS_NO_RULE
     # The initiator had no pending entry for it: logged orphan, no crash.
     assert sim.kms["KMS_1b"].orphan_count == 1
@@ -245,7 +245,7 @@ def test_key_relay_with_unknown_association():
         ),
     )
     sim.kernel.run_to_quiescence()
-    (response,) = msgs_of(sim.transport.records, "key_relay_response")
+    (response,) = msgs_of(delivered(sim), "key_relay_response")
     assert response.msg.status == STATUS_NO_RULE
 
 
@@ -262,12 +262,12 @@ def test_ext_key_request_with_unknown_association_acks_no_rule():
         ),
     )
     sim.kernel.run_to_quiescence()
-    (ack,) = msgs_of(sim.transport.records, "ack_request")
+    (ack,) = msgs_of(delivered(sim), "ack_request")
     assert (ack.sender, ack.receiver) == ("KMS_3d", "KMS_3b")
     assert ack.msg == AckRequest(
         id_relay_key="cafe", ack_status=STATUS_NO_RULE, app_src="APP_A", app_dst="APP_B"
     )
-    assert msgs_of(sim.transport.records, "key_relay") == []
+    assert msgs_of(delivered(sim), "key_relay") == []
 
 
 def test_key_relay_with_unknown_encryption_key_fails_decrypt():
@@ -292,7 +292,7 @@ def test_key_relay_with_unknown_encryption_key_fails_decrypt():
         ),
     )
     sim.kernel.run_to_quiescence()
-    (response,) = msgs_of(sim.transport.records, "key_relay_response")
+    (response,) = msgs_of(delivered(sim), "key_relay_response")
     assert response.msg.status == STATUS_DECRYPT
     assert sim.kms["KMS_4d"].delivered == {}
 
@@ -305,7 +305,7 @@ def test_orphan_completion_with_wrong_type_is_dropped(mesh4_relay_topology):
     )
     sim.kernel.run_to_quiescence()
     assert sim.kms["KMS_1b"].orphan_count == 1
-    assert msgs_of(sim.transport.records, "key_delivery") == []
+    assert msgs_of(delivered(sim), "key_delivery") == []
 
 
 def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topology):

@@ -39,6 +39,7 @@ from qkdrelay.protocol import (
     message_type,
     otp_xor,
 )
+from qkdrelay.harness import RecordChecker, SimKernel
 from qkdrelay.topology import topology_from_dict
 from qkdrelay.trace import records_to_lines
 
@@ -412,7 +413,18 @@ def test_transport_fifo_and_seq():
     envs = [transport.pop_next() for _ in range(3)]
     assert [e.seq for e in envs] == [1, 2, 3]
     assert transport.pop_next() is None
-    assert transport.records == envs  # delivered order is the trace
+
+
+def test_kernel_traces_in_delivered_order():
+    transport = make_transport()
+    kernel = SimKernel(transport, RecordChecker())  # no KeyRelay: otp_wire reads no key
+    for _ in range(2):
+        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
+    transport.send("KMS_1b", "KMS_3b", GetKey(app_src="APP_A", app_dst="APP_B"))
+    kernel.run_to_quiescence()
+    envs = transport.entities["vKMS_1"].seen + transport.entities["KMS_3b"].seen
+    assert [e.seq for e in envs] == [1, 2, 1]
+    assert [decode(line) for line in kernel.trace_lines] == envs  # delivered order is the trace
 
 
 def test_channel_derivation():

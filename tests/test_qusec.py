@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import chain, grid_dict, mesh4, random_topology, run_events
+from conftest import chain, delivered, grid_dict, mesh4, random_topology, run_events
 from qkdrelay.harness import Simulation
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
 from qkdrelay.qusec import (
@@ -379,7 +379,7 @@ def test_discovery_unknown_app_and_same_node():
     sim.transport.send("vKMS_1", "QuSeC", KmsDiscoveryRequest("APP_A", "APP_B"))
     sim.kernel.run_to_quiescence()
     responses = [
-        e.msg for e in sim.transport.records
+        e.msg for e in delivered(sim)
         if message_type(e.msg) == "kms_discovery_response"
     ]
     assert [r.id_kms for r in responses] == [None, None]
