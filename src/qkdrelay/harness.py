@@ -22,6 +22,7 @@ import os
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .kms import KmsEntity
 from .linksim import LinkSimulator
@@ -87,6 +88,12 @@ _EVENT_FIELDS = {
     "corrupt_message": ({"n"}, {"of_type"}),
     "advance_clock": (set(), set()),
 }
+# Per event kind, the keys its entry must have and the keys it may have,
+# "at" and "event" included.
+_ENTRY_KEYS = {
+    kind: (required | {"at", "event"}, required | optional | {"at", "event"})
+    for kind, (required, optional) in _EVENT_FIELDS.items()
+}
 
 _EXPECT_KEYS = {
     "final_statuses",
@@ -127,53 +134,52 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
     events: list[ScenarioEvent] = []
     last_at = 0
     for i, entry in enumerate(raw["events"]):
-        where = f"events[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected an object")
-        if not isinstance(entry.get("at"), int) or isinstance(entry.get("at"), bool):
-            raise ConfigError(f"{where}: 'at' must be an integer (simulated ms)")
+            raise ConfigError(f"events[{i}]: expected an object")
+        at = entry.get("at")
+        if not isinstance(at, int) or isinstance(at, bool):
+            raise ConfigError(f"events[{i}]: 'at' must be an integer (simulated ms)")
         kind = entry.get("event")
-        if kind not in _EVENT_FIELDS:
-            raise ConfigError(f"{where}: unknown event {kind!r}")
-        at = entry["at"]
+        entry_keys = _ENTRY_KEYS.get(kind)
+        if entry_keys is None:
+            raise ConfigError(f"events[{i}]: unknown event {kind!r}")
         if at < 0:
-            raise ConfigError(f"{where}: 'at' must be >= 0")
+            raise ConfigError(f"events[{i}]: 'at' must be >= 0")
         if at < last_at:
-            raise ConfigError(f"{where}: events must be sorted by time")
+            raise ConfigError(f"events[{i}]: events must be sorted by time")
         last_at = at
-        required, optional = _EVENT_FIELDS[kind]
-        params = {k: v for k, v in entry.items() if k not in ("at", "event")}
-        missing = required - set(params)
-        if missing:
-            raise ConfigError(f"{where}: missing field {sorted(missing)[0]!r}")
-        extra = set(params) - required - optional
-        if extra:
-            raise ConfigError(f"{where}: unknown field {sorted(extra)[0]!r}")
-        if kind == "app_get_key_with_id":
-            if ("key_id" in params) == ("key_id_from" in params):
-                raise ConfigError(
-                    f"{where}: exactly one of 'key_id'/'key_id_from' is required"
-                )
-        if kind in ("drop_message", "corrupt_message"):
+        required, allowed = entry_keys
+        if not required <= entry.keys() <= allowed:
+            missing = required - entry.keys()
+            if missing:
+                raise ConfigError(f"events[{i}]: missing field {sorted(missing)[0]!r}")
+            extra = entry.keys() - allowed
+            raise ConfigError(f"events[{i}]: unknown field {sorted(extra)[0]!r}")
+        params = entry.copy()
+        del params["at"], params["event"]
+        if kind in ("app_get_key", "app_get_key_with_id"):
+            if kind == "app_get_key_with_id" and ("key_id" in params) == ("key_id_from" in params):
+                raise ConfigError(f"events[{i}]: exactly one of 'key_id'/'key_id_from' is required")
+            for key in ("app_src", "app_dst", "via_node", "key_id_from"):
+                if key in params and not isinstance(params[key], str):
+                    raise ConfigError(f"events[{i}]: {key!r} must be a string")
+            if "key_id" in params and not (isinstance(params["key_id"], str) and params["key_id"]):
+                raise ConfigError(f"events[{i}]: 'key_id' must be a non-empty string")
+        elif kind in ("drop_message", "corrupt_message"):
             n = params["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-                raise ConfigError(f"{where}: 'n' must be a positive integer")
+                raise ConfigError(f"events[{i}]: 'n' must be a positive integer")
             of_type = params.get("of_type", "get_key")
             if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
-                raise ConfigError(f"{where}: unknown message type {of_type!r}")
-        if kind == "tick_links":
+                raise ConfigError(f"events[{i}]: unknown message type {of_type!r}")
+        elif kind == "tick_links":
             dt = params["dt_ms"]
             if isinstance(dt, bool) or not isinstance(dt, int) or dt <= 0:
-                raise ConfigError(f"{where}: 'dt_ms' must be a positive integer")
+                raise ConfigError(f"events[{i}]: 'dt_ms' must be a positive integer")
             links = params.get("links", [])
             if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
-                raise ConfigError(f"{where}: 'links' must be an array of strings")
-        for key in ("app_src", "app_dst", "via_node", "key_id_from"):
-            if key in params and not isinstance(params[key], str):
-                raise ConfigError(f"{where}: {key!r} must be a string")
-        if "key_id" in params and not (isinstance(params["key_id"], str) and params["key_id"]):
-            raise ConfigError(f"{where}: 'key_id' must be a non-empty string")
-        events.append(ScenarioEvent(at=at, event=kind, params=params))
+                raise ConfigError(f"events[{i}]: 'links' must be an array of strings")
+        events.append(ScenarioEvent(at, kind, params))
 
     expect = raw.get("expect", {})
     if not isinstance(expect, dict):
@@ -280,6 +286,12 @@ class TimerHandle:
 class SimKernel:
     """Single event loop owning the clock, the transport pump, and timers.
 
+    The loop walks two time-ordered sources at once: the scenario's events,
+    in a list sorted by ``at``, and the runtime timers, in a heap ordered by
+    (time, push order). At each step it runs the next event if its time is
+    not after the heap's top, else it pops the heap, so an event beats a
+    timer due at the same ms. Scenario events never enter the heap.
+
     The pump is where each record is delivered, and the one place that
     reads it: it appends the record's line to ``trace_lines`` (record i is
     line i), bumps its message class in ``type_counts`` and hands it to
@@ -327,15 +339,36 @@ class SimKernel:
             check(i, env)
             entities[env.receiver].on_message(env)
 
-    def run_to_quiescence(self) -> None:
-        self._pump_messages()
-        while self._heap:
-            at, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.now_ms = max(self.now_ms, at)
-            handle.callback()
-            self._pump_messages()
+    def run_to_quiescence(
+        self, events: Sequence[ScenarioEvent] = (), execute=None
+    ) -> None:
+        """Run until no message, event or live timer is left. events must be
+        sorted by ``at`` and not start before the clock; execute(event) runs
+        one of them."""
+        if events and events[0].at < self.now_ms:
+            raise ConfigError(
+                f"cannot schedule in the past ({events[0].at} < {self.now_ms})"
+            )
+        heap = self._heap
+        heappop = heapq.heappop
+        pump = self._pump_messages
+        pump()
+        next_event, n_events = 0, len(events)
+        while True:
+            if next_event < n_events and (not heap or events[next_event].at <= heap[0][0]):
+                event = events[next_event]
+                next_event += 1
+                self.now_ms = event.at
+                execute(event)
+            elif heap:
+                at, _, handle = heappop(heap)
+                if handle.cancelled:
+                    continue
+                self.now_ms = max(self.now_ms, at)
+                handle.callback()
+            else:
+                return
+            pump()
 
     def live_timers(self) -> int:
         return sum(1 for _, _, h in self._heap if not h.cancelled)
@@ -445,11 +478,11 @@ class Simulation:
             raise ConfigError(f"unknown event {event.event!r}")
 
     def run_events(self, events: list[ScenarioEvent]) -> None:
-        for event in events:
-            self.kernel.schedule_at(
-                event.at, lambda ev=event: self.execute_event(ev)
-            )
-        self.kernel.run_to_quiescence()
+        """Run events in time order (a stable sort: equal times keep list
+        order) to quiescence."""
+        self.kernel.run_to_quiescence(
+            sorted(events, key=attrgetter("at")), self.execute_event
+        )
 
 
 # ── audits: trace-level safety properties ──

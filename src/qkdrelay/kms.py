@@ -49,22 +49,6 @@ from .topology import SimConfig
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class RelayRule:
-    """Installed role of this KMS in one association.
-
-    prev_hop none means this KMS initiates the association; next_hop none
-    means it terminates it. A next_hop that is not the across-link peer is
-    always a KMS on the same node.
-    """
-
-    id_association: str
-    prev_hop: str | None
-    next_hop: str | None
-    app_src: str
-    app_dst: str
-
-
 @dataclass
 class DeliveredKey:
     material: bytes
@@ -127,9 +111,13 @@ class KmsEntity(Entity):
         self.pool = pool
         self.timeout_ms = config.request_timeout_ms
         self.delivered_ttl_ms = config.delivered_key_ttl_ms
-        self.rules: dict[str, RelayRule] = {}
+        # A rule is the install message itself: this KMS's role in one
+        # association. prev_hop none means this KMS initiates it; next_hop
+        # none means it terminates it. A next_hop that is not the
+        # across-link peer is always a KMS on the same node.
+        self.rules: dict[str, RelayPathInstall] = {}
         # (app_src, app_dst, prev_hop) -> newest matching rule.
-        self._rule_index: dict[tuple[str, str, str | None], RelayRule] = {}
+        self._rule_index: dict[tuple[str, str, str | None], RelayPathInstall] = {}
         self.delivered: dict[tuple[str, str, str], DeliveredKey] = {}
         self.pending: dict[str, PendingRelay] = {}
         self.orphan_count = 0
@@ -137,19 +125,12 @@ class KmsEntity(Entity):
     # ── rule installation ──
 
     def install_rule(self, msg: RelayPathInstall) -> None:
-        rule = RelayRule(
-            id_association=msg.id_association,
-            prev_hop=msg.prev_hop,
-            next_hop=msg.next_hop,
-            app_src=msg.app_src,
-            app_dst=msg.app_dst,
-        )
-        self.rules[msg.id_association] = rule
-        self._rule_index[(rule.app_src, rule.app_dst, rule.prev_hop)] = rule
+        self.rules[msg.id_association] = msg
+        self._rule_index[(msg.app_src, msg.app_dst, msg.prev_hop)] = msg
 
     def _rule_for_pair(
         self, app_src: str, app_dst: str, prev_hop: str | None
-    ) -> RelayRule | None:
+    ) -> RelayPathInstall | None:
         """Newest rule matching the ordered app pair and chain position
         (prev_hop none selects initiator rules). Association ids are unique
         and a path visits each KMS once, so the last rule installed for a
@@ -273,7 +254,7 @@ class KmsEntity(Entity):
         self._pass_on(msg, rule, otp_xor(msg.encrypted_relay_key, k2), peer)
 
     def _pass_on(
-        self, msg: RelayProcessRequest | KeyRelay, rule: RelayRule, k1: bytes, peer: str
+        self, msg: RelayProcessRequest | KeyRelay, rule: RelayPathInstall, k1: bytes, peer: str
     ) -> None:
         """K1 has crossed a link into this KMS: store it for pickup where the
         chain ends, else hand it to the next KMS on this node."""

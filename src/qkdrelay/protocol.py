@@ -4,16 +4,19 @@ Field sets are wire-exact; the codec rejects unknown envelope or body keys
 and unknown message types. Octet-valued fields travel as lowercase hex.
 
 A trace line is canonical JSON: sorted keys, compact separators, ASCII
-only. Each message type has one line encoder, built once at import from a
-per-type field plan (``dataclasses.fields``). It is a ``%`` template in
-which the envelope keys and the type's body keys, each in sorted order, and
-its type tag are fixed text, with one converter per field: the JSON string
+only. Each message type has one line encoder, compiled once at import from
+a per-type field plan (``dataclasses.fields``) into straight-line code, as
+``dataclasses`` and ``namedtuple`` build their methods. It unpacks the
+envelope, reads each body field by attribute and renders it inline into a
+``%`` template in which the envelope keys and the type's body keys, each in
+sorted order, and its type tag are fixed text. Per field: the JSON string
 escaper that ``ensure_ascii`` uses, ``null`` for an absent hop or KMS id,
-quoted hex for octets, the canonical encoder for ``ext``, and an integer
-``seq``. Fixing the key order at import is sound because a dataclass's
-field set is fixed when its class is created, the message classes are
-frozen, and so every record of a type has the same keys: sorting them per
-record would give the same order each time.
+hex between fixed quotes for octets, the canonical encoder for ``ext`` (an
+empty one is the literal ``{}``), and an integer ``seq``. Fixing the key
+order at import is sound because a dataclass's field set is fixed when its
+class is created, the message classes are frozen, and so every record of a
+type has the same keys: sorting them per record would give the same order
+each time.
 
 Messages are frozen dataclasses; the envelope around each one is an
 immutable named tuple, so no record can be rewritten once sent. The
@@ -342,46 +345,45 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _quote_or_null(value: str | None) -> str:
-    return "null" if value is None else _quote(value)
-
-
-def _quote_hex(value: bytes) -> str:
-    return '"' + value.hex() + '"'
-
-
-def _field_encoder(name: str, is_octet: bool):
+def _field_source(name: str, is_octet: bool) -> str:
+    """Source of the expression that renders msg.<name> as JSON text; octet
+    fields are quoted by their template."""
+    value = f"msg.{name}"
     if is_octet:
-        return _quote_hex
+        return f"{value}.hex()"
     if name in _NONEABLE_FIELDS:
-        return _quote_or_null
+        return f'"null" if {value} is None else _quote({value})'
     if name == "ext":
-        return canonical_json
-    return _quote
+        # An empty dict is the only ext anything sends; canonical_json({}) is "{}".
+        return f'"{{}}" if type({value}) is dict and not {value} else canonical_json({value})'
+    return f"_quote({value})"
 
 
 def _line_encoder(cls: type):
-    """encode_str for one message type: a % template whose fixed text is the
-    sorted envelope keys, the type's sorted body keys and its type tag."""
+    """encode_str for one message type, compiled from straight-line source:
+    a % template whose fixed text is the sorted envelope keys, the type's
+    sorted body keys and its type tag, filled by one expression per field."""
     plan = sorted(_FIELD_PLANS[cls])
-    body = ",".join(_quote(name) + ":%s" for name, _ in plan)
+    body = ",".join(
+        _quote(name) + (':"%s"' if is_octet else ":%s") for name, is_octet in plan
+    )
     template = (
         '{"body":{' + body + '},"channel":%s,"from":%s,"seq":%d,"to":%s,"type":'
         + _quote(_TYPE_TAGS[cls]) + "}"
     )
-    converters = [(_field_encoder(name, is_octet), name) for name, is_octet in plan]
-
-    def encode_line(env: Envelope) -> str:
-        msg = env.msg
-        return template % (
-            *[convert(getattr(msg, name)) for convert, name in converters],
-            _quote(env.channel),
-            _quote(env.sender),
-            env.seq,
-            _quote(env.receiver),
-        )
-
-    return encode_line
+    name = f"encode_{_TYPE_TAGS[cls]}"
+    values = "".join(f"        {_field_source(f, is_octet)},\n" for f, is_octet in plan)
+    source = (
+        f"def {name}(env):\n"
+        "    seq, sender, receiver, channel, msg = env\n"
+        "    return template % (\n"
+        f"{values}"
+        "        _quote(channel), _quote(sender), seq, _quote(receiver),\n"
+        "    )\n"
+    )
+    namespace = {"template": template, "_quote": _quote, "canonical_json": canonical_json}
+    exec(source, namespace)
+    return namespace[name]
 
 
 _LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
@@ -390,11 +392,6 @@ _LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
 def encode_str(env: Envelope) -> str:
     """Canonical JSON text: sorted keys, compact separators, lowercase hex."""
     return _LINE_ENCODERS[type(env.msg)](env)
-
-
-def encode(env: Envelope) -> bytes:
-    """encode_str() as bytes."""
-    return encode_str(env).encode("utf-8")
 
 
 def decode(data: bytes | str) -> Envelope:

@@ -137,9 +137,6 @@ class Topology:
 
     # ── graph helpers ──
 
-    def incident_links(self, node_id: str) -> list[Link]:
-        return [link for _, link in self.adjacency.get(node_id, ())]
-
     def neighbors(self, node_id: str) -> list[tuple[str, Link]]:
         """(neighbor node, connecting link) pairs, in link file order.
         The list is the index itself: callers must not mutate it."""
@@ -171,12 +168,6 @@ class Topology:
 
     def kms_node(self, rendered: str) -> str:
         return self.parse_kms_id(rendered)[0]
-
-    def resolve_app(self, app_id: str) -> str:
-        try:
-            return self.apps[app_id]
-        except KeyError:
-            raise UnknownAppError(f"app {app_id!r} is not registered") from None
 
 
 # ── file schema ──

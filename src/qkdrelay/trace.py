@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .protocol import OCTET_FIELDS, CodecError, Envelope, canonical_json, decode, encode_str
+from .protocol import OCTET_FIELDS, Envelope, canonical_json, encode_str
 
 _KEY_ID_FIELDS = ("key_id", "id_relay_key", "id_key_encryption")
 _ASSOC_FIELDS = ("id_association",)
@@ -109,10 +109,3 @@ def trace_compare(expected_path: str, actual_path: str) -> TraceDiff:
 
 def records_to_lines(records: list[Envelope]) -> list[str]:
     return [encode_str(env) for env in records]
-
-
-def parse_trace_line(line: str) -> Envelope:
-    try:
-        return decode(line)
-    except CodecError as exc:
-        raise TraceParseError(str(exc)) from None

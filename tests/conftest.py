@@ -1,4 +1,5 @@
-"""Shared builders: the 4-node mesh, linear chains, and run helpers."""
+"""Shared builders: the 4-node mesh, linear chains, run helpers, and the
+small codec and topology lookups only the tests use."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ from qkdrelay.harness import (
     scenario_from_dict,
 )
 from qkdrelay.linksim import KeyTable
-from qkdrelay.protocol import Envelope, decode
-from qkdrelay.topology import Topology, topology_from_dict
+from qkdrelay.protocol import CodecError, Envelope, decode, encode_str
+from qkdrelay.topology import Link, Topology, UnknownAppError, topology_from_dict
+from qkdrelay.trace import TraceParseError
 
 MESH4 = {
     "nodes": [{"id": "N1"}, {"id": "N2"}, {"id": "N3"}, {"id": "N4"}],
@@ -75,6 +77,32 @@ def chain_dict(n_links: int, initial_pool: int = 4, **overrides) -> dict:
 def key_ids(table: KeyTable) -> list[str]:
     """Every generated id of a link's key table, in generation order."""
     return [table.id_at(i) for i in range(table.generated)]
+
+
+def incident_links(topology: Topology, node_id: str) -> list[Link]:
+    """The links at node_id, in link file order."""
+    return [link for _, link in topology.adjacency.get(node_id, ())]
+
+
+def resolve_app(topology: Topology, app_id: str) -> str:
+    """The node app_id is attached to."""
+    try:
+        return topology.apps[app_id]
+    except KeyError:
+        raise UnknownAppError(f"app {app_id!r} is not registered") from None
+
+
+def encode(env: Envelope) -> bytes:
+    """encode_str() as bytes."""
+    return encode_str(env).encode("utf-8")
+
+
+def parse_trace_line(line: str) -> Envelope:
+    """decode() for one trace line, raising the trace module's error."""
+    try:
+        return decode(line)
+    except CodecError as exc:
+        raise TraceParseError(str(exc)) from None
 
 
 def chain(n_links: int, initial_pool: int = 4, **overrides) -> Topology:

@@ -12,6 +12,8 @@ from conftest import chain, mesh4, mesh4_dict, pair_scenario, resolved, run_even
 from qkdrelay import data_path, harness, linksim, load_scenario, protocol, run, trace
 from qkdrelay.harness import (
     ConfigError,
+    Scenario,
+    ScenarioEvent,
     Simulation,
     load_topology_file,
     scenario_from_dict,
@@ -233,6 +235,58 @@ def test_advance_clock_moves_simulated_time(mesh4_relay_topology):
     )
     assert result.sim.kernel.now_ms == 5000
     assert result.trace_lines == [] and len(result.records) == 0
+
+
+def test_event_runs_before_a_timer_due_at_the_same_ms():
+    """X's get_key at 1000 ms ties with the timeout of A's request, whose
+    KeyRelay was dropped at 0: the scenario event runs first."""
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_X": "N1", "APP_C": "N3"})
+    timeout_ms = topo.config.request_timeout_ms
+    result = run_events(
+        topo,
+        [
+            {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+            {"at": timeout_ms, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_C"},
+        ],
+        seed=3,
+    )
+    lines = result.trace_lines
+    x_get_key = next(
+        i for i, line in enumerate(lines) if '"from":"APP_X"' in line and '"type":"get_key"' in line
+    )
+    first_timeout = next(i for i, line in enumerate(lines) if STATUS_TIMEOUT in line)
+    assert x_get_key < first_timeout
+    assert result.sim.kernel.now_ms == timeout_ms
+
+
+def get_key_event(at: int, app_src: str, app_dst: str) -> ScenarioEvent:
+    return ScenarioEvent(at, "app_get_key", {"app_src": app_src, "app_dst": app_dst})
+
+
+def test_hand_built_scenario_runs_in_stable_time_order():
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_X": "N1", "APP_C": "N3"})
+    unsorted = [
+        get_key_event(20, "APP_A", "APP_B"),
+        get_key_event(0, "APP_X", "APP_C"),
+        get_key_event(20, "APP_C", "APP_X"),
+        get_key_event(10, "APP_B", "APP_A"),
+    ]
+    ordered = [unsorted[1], unsorted[3], unsorted[0], unsorted[2]]
+    results = [run(topo, Scenario("s", events, {}), seed=1) for events in (unsorted, ordered)]
+    assert [r.app_src for r in results[0].sim.requests] == ["APP_X", "APP_B", "APP_A", "APP_C"]
+    assert results[0].trace_lines == results[1].trace_lines
+    assert results[0].exit_code == 0
+
+
+def test_event_before_the_kernel_clock_is_config_error(mesh4_relay_topology):
+    sim = Simulation(mesh4_relay_topology, seed=1)
+    sim.run_events([ScenarioEvent(at=50, event="advance_clock", params={})])
+    with pytest.raises(ConfigError, match="in the past"):
+        sim.run_events([get_key_event(60, "APP_A", "APP_B"), get_key_event(40, "APP_A", "APP_B")])
+    assert sim.requests == [] and sim.kernel.trace_lines == []
+    with pytest.raises(ConfigError, match="in the past"):
+        run(mesh4_relay_topology, Scenario("s", [get_key_event(-1, "APP_A", "APP_B")], {}), seed=1)
 
 
 def test_tick_links_selected_links_only():
@@ -545,7 +599,9 @@ def test_each_record_is_encoded_once(monkeypatch):
 
 def test_no_delivered_message_outlives_the_run(monkeypatch):
     """After run(), neither the Simulation nor the RunResult holds a
-    delivered message: the trace keeps lines only."""
+    delivered message: the trace keeps lines only. The one exception is a
+    KMS's rule table, whose rules are the RelayPathInstall messages it was
+    sent; every survivor must be one of those, and each rule one survivor."""
     refs = []
     pop_next = protocol.Transport.pop_next
 
@@ -569,7 +625,9 @@ def test_no_delivered_message_outlives_the_run(monkeypatch):
         assert result.exit_code == 0
         gc.collect()
         assert len(refs) == len(result.trace_lines)
-        assert [r for r in refs if r() is not None] == []
+        rules = {id(rule) for kms in result.sim.kms.values() for rule in kms.rules.values()}
+        alive = [r() for r in refs if r() is not None]
+        assert sorted(id(msg) for msg in alive) == sorted(rules)
         refs.clear()
 
 

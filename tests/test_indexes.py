@@ -11,7 +11,15 @@ import random
 
 import pytest
 
-from conftest import grid_dict, grid_events, key_ids, mesh4, random_topology, run_events
+from conftest import (
+    grid_dict,
+    grid_events,
+    incident_links,
+    key_ids,
+    mesh4,
+    random_topology,
+    run_events,
+)
 from qkdrelay.kms import KmsEntity
 from qkdrelay.linksim import LinkSimulator
 from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
@@ -43,7 +51,7 @@ def test_graph_helpers_match_link_scans():
             assert topo.neighbors(u) == [
                 (l.other_end(u), l) for l in links if u in l.endpoints()
             ]
-            assert topo.incident_links(u) == [l for l in links if u in l.endpoints()]
+            assert incident_links(topo, u) == [l for l in links if u in l.endpoints()]
             for v in probes:
                 assert topo.links_between(u, v) == [
                     l for l in links if {u, v} == set(l.endpoints())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_dict, grid_events, run_events
+from conftest import encode, grid_dict, grid_events, run_events
 from qkdrelay import protocol
 from qkdrelay.protocol import (
     CHANNEL_CONTROL,
@@ -35,7 +35,6 @@ from qkdrelay.protocol import (
     channel_for,
     corrupt_message,
     decode,
-    encode,
     message_type,
     otp_xor,
 )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mesh4, mesh4_dict
+from conftest import incident_links, mesh4, mesh4_dict, resolve_app
 from qkdrelay.topology import (
     ROLE_SIMPLE,
     ROLE_TRUSTED_RELAY,
@@ -201,10 +201,10 @@ def test_ambiguous_kms_names_rejected():
 
 def test_resolve_app():
     topo = mesh4({"APP_A": "N1", "APP_B": "N4"})
-    assert topo.resolve_app("APP_A") == "N1"
-    assert topo.resolve_app("APP_B") == "N4"
+    assert resolve_app(topo, "APP_A") == "N1"
+    assert resolve_app(topo, "APP_B") == "N4"
     with pytest.raises(UnknownAppError):
-        topo.resolve_app("APP_Z")
+        resolve_app(topo, "APP_Z")
 
 
 # ── role derivation over random connected graphs ──
@@ -243,7 +243,7 @@ def test_role_is_simple_iff_single_link(graph):
     }
     topo = topology_from_dict(raw)
     for node in topo.nodes.values():
-        degree = len(topo.incident_links(node.id))
+        degree = len(incident_links(topo, node.id))
         assert (node.role == ROLE_SIMPLE) == (degree == 1)
         assert node.role in (ROLE_SIMPLE, ROLE_TRUSTED_RELAY)
         assert len(node.kms_ids) == degree

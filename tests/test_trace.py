@@ -6,14 +6,13 @@ import json
 
 import pytest
 
-from conftest import mesh4, pair_scenario
+from conftest import mesh4, pair_scenario, parse_trace_line
 from qkdrelay.harness import run
 from qkdrelay.topology import topology_from_dict
 from qkdrelay.trace import (
     TraceParseError,
     canonicalize_lines,
     compare_lines,
-    parse_trace_line,
     trace_compare,
 )
 
