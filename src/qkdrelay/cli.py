@@ -11,13 +11,7 @@ import json
 import sys
 
 from .harness import ConfigError, load_scenario, load_topology_file, run
-from .topology import (
-    WEIGHT_POLICIES,
-    ParseError,
-    ValidationError,
-    load_topology,
-    render_kms_id,
-)
+from .topology import WEIGHT_POLICIES, ParseError, ValidationError, load_topology
 from .trace import TraceParseError, trace_compare
 
 EXIT_OK = 0
@@ -116,14 +110,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    kms_ids = sorted(render_kms_id(n, l) for (n, l) in topology.kms_pairs())
     print(
         json.dumps(
             {
                 "nodes": len(topology.nodes),
                 "links": len(topology.links),
                 "apps": len(topology.apps),
-                "kms": kms_ids,
+                "kms": sorted(topology.kms_names),
                 "weight_policy": topology.weight_policy,
             },
             indent=2,
@@ -136,10 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         diff = trace_compare(args.expected, args.actual)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TraceParseError as exc:
+    except (OSError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if diff.is_empty:

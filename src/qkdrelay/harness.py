@@ -21,7 +21,7 @@ import math
 import os
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .kms import KmsEntity
@@ -29,7 +29,7 @@ from .linksim import LinkSimulator
 from .protocol import (
     CHANNEL_INTRA,
     MESSAGE_TYPES,
-    OCTET_FIELDS,
+    OCTET_TYPES,
     PLAINTEXT_OCTET_FIELDS,
     STATUS_OK,
     STATUSES,
@@ -309,19 +309,17 @@ class SimKernel:
         self.checker = checker
 
     def schedule_timer(self, delay_ms: int, callback) -> TimerHandle:
-        return self.schedule_at(self.now_ms + delay_ms, callback)
-
-    def cancel_timer(self, handle) -> None:
-        if handle is not None:
-            handle.cancelled = True
-
-    def schedule_at(self, at_ms: int, callback) -> TimerHandle:
+        at_ms = self.now_ms + delay_ms
         if at_ms < self.now_ms:
             raise ConfigError(f"cannot schedule in the past ({at_ms} < {self.now_ms})")
         handle = TimerHandle(callback)
         self._tie += 1
         heapq.heappush(self._heap, (at_ms, self._tie, handle))
         return handle
+
+    def cancel_timer(self, handle) -> None:
+        if handle is not None:
+            handle.cancelled = True
 
     def _pump_messages(self) -> None:
         pop_next = self.transport.pop_next
@@ -405,7 +403,6 @@ class Simulation:
                 kms = KmsEntity(
                     kms_id,
                     node_id=end,
-                    link_id=link.id,
                     peer_kms_id=peer,
                     pool=self.linksim.pools[kms_id],
                     config=topology.config,
@@ -464,13 +461,10 @@ class Simulation:
             dt_seconds = event.params["dt_ms"] / 1000.0
             for link_id in event.params.get("links", self.topology.links):
                 self.linksim.tick(link_id, dt_seconds)
-        elif event.event == "drop_message":
+        elif event.event in ("drop_message", "corrupt_message"):
+            op = event.event.removesuffix("_message")
             self.transport.add_fault(
-                FaultRule(op="drop", nth=event.params["n"], of_type=event.params.get("of_type"))
-            )
-        elif event.event == "corrupt_message":
-            self.transport.add_fault(
-                FaultRule(op="corrupt", nth=event.params["n"], of_type=event.params.get("of_type"))
+                FaultRule(op=op, nth=event.params["n"], of_type=event.params.get("of_type"))
             )
         elif event.event == "advance_clock":
             pass  # the timestamp itself moved the clock
@@ -487,19 +481,14 @@ class Simulation:
 
 # ── audits: trace-level safety properties ──
 
-# Message classes that declare a key-material field: the only records the
-# three octet audits can flag.
-_OCTET_TYPES = frozenset(
-    cls for cls in MESSAGE_TYPES.values() if any(f.name in OCTET_FIELDS for f in fields(cls))
-)
-
 
 class RecordChecker:
     """The four safety audits, applied one record at a time in delivered
     order; ``i`` is the record's index, which is its trace line. Each rule
     is one method that appends to its own list in ``violations``. ``check``
-    applies all four: fifo to every record, the octet audits only to the
-    classes in _OCTET_TYPES. ``linksim`` is read by otp_wire alone."""
+    applies all four: fifo to every record, the octet audits only to
+    protocol.OCTET_TYPES, the only classes they can flag. ``linksim`` is
+    read by otp_wire alone."""
 
     def __init__(self, linksim: LinkSimulator | None = None):
         self.linksim = linksim
@@ -513,7 +502,7 @@ class RecordChecker:
 
     def check(self, i: int, env: Envelope) -> None:
         self.fifo(i, env)
-        if type(env.msg) in _OCTET_TYPES:
+        if type(env.msg) in OCTET_TYPES:
             self.controller_blindness(i, env)
             self.plaintext_channels(i, env)
             self.otp_wire(i, env)

@@ -100,13 +100,11 @@ class KmsEntity(Entity):
         self,
         kms_id: str,
         node_id: str,
-        link_id: str,
         peer_kms_id: str,
         pool: KeyPool,
         config: SimConfig,
     ):
         super().__init__(kms_id, node_id=node_id)
-        self.link_id = link_id
         self.peer_kms_id = peer_kms_id
         self.pool = pool
         self.timeout_ms = config.request_timeout_ms
@@ -333,7 +331,7 @@ class KmsEntity(Entity):
     def dump_state(self) -> dict:
         return {
             "kms_id": self.entity_id,
-            "link": self.link_id,
+            "link": self.pool.table.link_id,
             "rules": {
                 a: {
                     "prev_hop": r.prev_hop,

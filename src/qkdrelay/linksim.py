@@ -155,22 +155,21 @@ class LinkSimulator:
         self._carry: dict[str, float] = {l: 0.0 for l in topology.links}
         self.tables: dict[str, KeyTable] = {}
         self.pools: dict[str, KeyPool] = {}
+        # link id -> its (a, b) endpoint pools.
+        self._link_pools: dict[str, tuple[KeyPool, KeyPool]] = {}
         # derived key id -> its link's table, across all links (audit lookups).
         self._table_of: dict[str, KeyTable] = {}
         key_size = topology.config.key_size_bytes
         for link in topology.links.values():
             table = KeyTable(seed, link.id, key_size, self._table_of)
             self.tables[link.id] = table
-            for end in link.endpoints():
-                kms = render_kms_id(end, link.id)
-                self.pools[kms] = KeyPool(kms, table)
+            pools = tuple(KeyPool(render_kms_id(end, link.id), table) for end in link.endpoints())
+            self._link_pools[link.id] = pools
+            for pool in pools:
+                self.pools[pool.owner_kms] = pool
 
     def link_pools(self, link_id: str) -> tuple[KeyPool, KeyPool]:
-        link = self.topology.links[link_id]
-        return (
-            self.pools[render_kms_id(link.a, link_id)],
-            self.pools[render_kms_id(link.b, link_id)],
-        )
+        return self._link_pools[link_id]
 
     def generate_keys(self, link_id: str, n: int) -> None:
         """Add n fresh keys to the link's table; their ids are derived when

@@ -234,6 +234,8 @@ _OCTET_FIELDS_OF: dict[type, tuple[str, ...]] = {
     cls: tuple(name for name in OCTET_FIELDS if name in cls.__dataclass_fields__)
     for cls in MESSAGE_TYPES.values()
 }
+# Message types that declare a key-material field.
+OCTET_TYPES = frozenset(cls for cls, names in _OCTET_FIELDS_OF.items() if names)
 
 
 def octet_fields(msg: Message) -> tuple[str, ...]:

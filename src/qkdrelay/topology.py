@@ -1,16 +1,18 @@
 """Network model: nodes, QKD links, the app registry, and KMS naming.
 
 The topology is loaded once from a JSON config and is immutable afterwards.
-Node roles are never configured; they are derived from link incidence
-(one incident link makes a simple node, two or more make a trusted relay).
+Roles are never configured; they are derived from link incidence
+(one incident link makes a simple node, two or more make a trusted relay),
+and ``Topology.nodes`` maps each node id to its role.
 
 Because nothing changes after load, the loader builds the lookup indexes
 once, while it validates: an adjacency map behind every graph helper and a
-rendered-name map behind KMS name parsing.
+rendered-name map, one entry per KMS seat, behind ``kms_node``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -40,10 +42,6 @@ class ValidationError(TopologyError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class UnknownAppError(TopologyError):
-    """App id absent from the registry."""
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,6 @@ class Link:
         raise ValueError(f"node {node_id!r} is not an endpoint of link {self.id!r}")
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    role: str
-    kms_ids: tuple[str, ...]
-
-
 def node_label(node_id: str) -> str:
     """Index part used in KMS/vKMS names: N3 -> 3, anything else verbatim."""
     m = _NODE_INDEX_RE.match(node_id)
@@ -117,13 +108,15 @@ def _build_adjacency(
 class Topology:
     """Immutable network description plus the app registry.
 
-    ``adjacency`` (node -> (neighbor, link) pairs in link file order) and
-    ``kms_names`` (rendered KMS name -> (node, link)) are indexes that
-    ``topology_from_dict`` derives from ``nodes`` and ``links``. Nothing
-    changes after load, so they never go stale.
+    ``nodes`` maps each node id to its derived role. ``adjacency`` (node ->
+    (neighbor, link) pairs in link file order) and ``kms_names`` (rendered
+    KMS name -> (node, link), one entry per KMS seat, read through
+    ``kms_node``) are indexes that ``topology_from_dict`` derives from the
+    node ids and ``links``. Nothing changes after load, so they never go
+    stale.
     """
 
-    nodes: dict[str, Node]
+    nodes: dict[str, str]
     links: dict[str, Link]
     apps: dict[str, str]
     weight_policy: str
@@ -147,39 +140,20 @@ class Topology:
 
     # ── naming ──
 
-    def kms_pairs(self) -> list[tuple[str, str]]:
-        """Every (node, link) KMS seat in the network."""
-        out = []
-        for link in self.links.values():
-            out.append((link.a, link.id))
-            out.append((link.b, link.id))
-        return out
-
-    def parse_kms_id(self, rendered: str) -> tuple[str, str]:
-        """Invert render_kms_id against this topology.
-
-        Load-time validation guarantees at most one (node, link) pair can
-        produce a given rendered name.
-        """
+    def kms_node(self, rendered: str) -> str:
+        """The node of the KMS named rendered. Load-time validation guarantees
+        at most one (node, link) pair can produce a given rendered name."""
         try:
-            return self.kms_names[rendered]
+            return self.kms_names[rendered][0]
         except KeyError:
             raise KeyError(f"no KMS named {rendered!r} in this topology") from None
-
-    def kms_node(self, rendered: str) -> str:
-        return self.parse_kms_id(rendered)[0]
 
 
 # ── file schema ──
 
 _LINK_KEYS = {"id", "a", "b", "key_rate", "distance_km", "initial_pool"}
-_CONFIG_KEYS = {
-    "key_size_bytes",
-    "request_timeout_ms",
-    "session_lifetime_ms",
-    "delivered_key_ttl_ms",
-    "cache_ttl_ms",
-}
+# SimConfig's fields in declaration order, which is the order they serialize in.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig))
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -223,7 +197,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 
 
 def _config_from_dict(obj: dict) -> SimConfig:
-    _check_keys(obj, _CONFIG_KEYS, set(), "config")
+    _check_keys(obj, set(_CONFIG_FIELDS), set(), "config")
     kwargs = {}
     for key in ("key_size_bytes", "request_timeout_ms", "cache_ttl_ms"):
         if key in obj:
@@ -311,20 +285,12 @@ def topology_from_dict(raw: dict) -> Topology:
 
     adjacency = _build_adjacency(nodes, links)
 
-    # Node roles and per-node KMS seats.
-    built_nodes: dict[str, Node] = {}
+    roles: dict[str, str] = {}
     for node_id in nodes:
-        incident = adjacency[node_id]
-        if not incident:
+        degree = len(adjacency[node_id])
+        if not degree:
             violations.append(f"node {node_id!r} has no incident links")
-        role = ROLE_TRUSTED_RELAY if len(incident) >= 2 else ROLE_SIMPLE
-        built_nodes[node_id] = Node(
-            id=node_id,
-            role=role,
-            kms_ids=tuple(
-                render_kms_id(node_id, l) for l in sorted(l.id for _, l in incident)
-            ),
-        )
+        roles[node_id] = ROLE_TRUSTED_RELAY if degree >= 2 else ROLE_SIMPLE
 
     # Connectivity over the undirected node/link graph.
     if nodes:
@@ -357,7 +323,7 @@ def topology_from_dict(raw: dict) -> Topology:
         raise ValidationError(violations)
 
     return Topology(
-        nodes=built_nodes,
+        nodes=roles,
         links=links,
         apps=apps,
         weight_policy=policy,
@@ -397,7 +363,7 @@ def topology_to_dict(topology: Topology) -> dict:
     if topology.config != SimConfig():
         cfg = SimConfig()
         out = {}
-        for name in _CONFIG_KEYS:
+        for name in _CONFIG_FIELDS:
             value = getattr(topology.config, name)
             if value != getattr(cfg, name):
                 out[name] = value

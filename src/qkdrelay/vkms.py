@@ -49,8 +49,9 @@ class VkmsEntity(Entity):
         self.timeout_ms = topology.config.request_timeout_ms
         # (app_src, app_dst) -> (kms_id, expires_ms)
         self.cache: dict[tuple[str, str], tuple[str, int]] = {}
-        self.awaiting_discovery: dict[tuple[str, str], deque[PendingApp]] = {}
-        self.awaiting_delivery: dict[str, deque[PendingApp]] = {}
+        # What a reply names -> the requests waiting on it, oldest first: the
+        # (app_src, app_dst) pair for a discovery, the KMS id for a delivery.
+        self.awaiting: dict[tuple[str, str] | str, deque[PendingApp]] = {}
 
     # ── cache ──
 
@@ -102,48 +103,49 @@ class VkmsEntity(Entity):
         pair = (msg.app_src, msg.app_dst)
         cached = self._cache_lookup(pair)
         if cached is not None:
-            self._forward_to_kms(pending, cached)
+            self._await(cached, pending, cached, msg)
             return
-        queue = self.awaiting_discovery.setdefault(pair, deque())
+        self._await(
+            pair, pending, QUSEC_ID, KmsDiscoveryRequest(app_src=msg.app_src, app_dst=msg.app_dst)
+        )
+
+    def _await(self, key, pending: PendingApp, to: str, msg) -> None:
+        """Queue pending under the key its reply will name, arm its timer,
+        then send msg to `to`."""
+        queue = self.awaiting.setdefault(key, deque())
         queue.append(pending)
         pending.timer = self.services.schedule_timer(
             self.timeout_ms, lambda: self._on_timeout(pending, queue)
         )
-        self.send(
-            QUSEC_ID, KmsDiscoveryRequest(app_src=msg.app_src, app_dst=msg.app_dst)
-        )
+        self.send(to, msg)
+
+    def _answered(self, key) -> PendingApp | None:
+        """Pop the oldest request waiting on key and cancel its timer; None
+        if no request waits on it."""
+        queue = self.awaiting.get(key)
+        if not queue:
+            log.warning("%s dropping orphan reply for %s", self.entity_id, key)
+            return None
+        pending = queue.popleft()
+        self.services.cancel_timer(pending.timer)
+        return pending
 
     def _handle_discovery_response(self, msg: KmsDiscoveryResponse) -> None:
         pair = (msg.app_src, msg.app_dst)
-        queue = self.awaiting_discovery.get(pair)
-        if not queue:
-            log.warning("%s dropping orphan discovery response for %s", self.entity_id, pair)
+        pending = self._answered(pair)
+        if pending is None:
             return
-        pending = queue.popleft()
-        self.services.cancel_timer(pending.timer)
         if msg.id_kms is None:
             self._fail(pending.app_id, pending.request, STATUS_UNKNOWN_APP)
             return
         self._cache_insert(pair, msg.id_kms)
-        self._forward_to_kms(pending, msg.id_kms)
-
-    def _forward_to_kms(self, pending: PendingApp, kms_id: str) -> None:
-        queue = self.awaiting_delivery.setdefault(kms_id, deque())
-        queue.append(pending)
-        pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(pending, queue)
-        )
-        self.send(kms_id, pending.request)
+        self._await(msg.id_kms, pending, msg.id_kms, pending.request)
 
     def _handle_key_delivery(self, msg: KeyDelivery, kms_id: str) -> None:
-        queue = self.awaiting_delivery.get(kms_id)
-        if not queue:
-            log.warning("%s dropping orphan delivery from %s", self.entity_id, kms_id)
-            return
-        pending = queue.popleft()
-        self.services.cancel_timer(pending.timer)
-        # Downstream status passes through unchanged.
-        self.send(pending.app_id, msg)
+        pending = self._answered(kms_id)
+        if pending is not None:
+            # Downstream status passes through unchanged.
+            self.send(pending.app_id, msg)
 
     def _on_timeout(self, pending: PendingApp, queue: deque[PendingApp]) -> None:
         if pending in queue:

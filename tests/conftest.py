@@ -20,7 +20,7 @@ from qkdrelay.harness import (
 )
 from qkdrelay.linksim import KeyTable
 from qkdrelay.protocol import CodecError, Envelope, decode, encode_str
-from qkdrelay.topology import Link, Topology, UnknownAppError, topology_from_dict
+from qkdrelay.topology import Link, Topology, topology_from_dict
 from qkdrelay.trace import TraceParseError
 
 MESH4 = {
@@ -82,14 +82,6 @@ def key_ids(table: KeyTable) -> list[str]:
 def incident_links(topology: Topology, node_id: str) -> list[Link]:
     """The links at node_id, in link file order."""
     return [link for _, link in topology.adjacency.get(node_id, ())]
-
-
-def resolve_app(topology: Topology, app_id: str) -> str:
-    """The node app_id is attached to."""
-    try:
-        return topology.apps[app_id]
-    except KeyError:
-        raise UnknownAppError(f"app {app_id!r} is not registered") from None
 
 
 def encode(env: Envelope) -> bytes:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -224,6 +225,22 @@ def test_validate_reports_derived_kms_layout(tmp_path, capsys):
     assert {"KMS_1a", "KMS_1b", "KMS_2a", "KMS_2c", "KMS_3b", "KMS_3c", "KMS_3d", "KMS_4d"} == set(
         summary["kms"]
     )
+
+
+# packaged topology -> sha256 of its `qkdrelay validate` stdout; the two mesh4
+# files differ only in where APP_A sits, which the summary does not show.
+VALIDATE_STDOUT = {
+    "chain32.json": "5989df69f49fe416db257794bfc78ae2e8835a563e144ce24e0e6e4855ba61fe",
+    "mesh4_direct.json": "e1a20cc3b26e58571fda5a07f454ad1e1b8df766353786550cf63a101834fbf0",
+    "mesh4_relay.json": "e1a20cc3b26e58571fda5a07f454ad1e1b8df766353786550cf63a101834fbf0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_STDOUT))
+def test_validate_packaged_stdout_pinned(name, capsys):
+    assert main(["validate", "--topology", data_path("topologies", name)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_STDOUT[name]
 
 
 def test_validate_lists_all_violations(tmp_path, capsys):

@@ -289,6 +289,14 @@ def test_event_before_the_kernel_clock_is_config_error(mesh4_relay_topology):
         run(mesh4_relay_topology, Scenario("s", [get_key_event(-1, "APP_A", "APP_B")], {}), seed=1)
 
 
+def test_timer_in_the_past_is_config_error(mesh4_relay_topology):
+    sim = Simulation(mesh4_relay_topology, seed=1)
+    sim.run_events([ScenarioEvent(at=50, event="advance_clock", params={})])
+    with pytest.raises(ConfigError, match=r"in the past \(49 < 50\)"):
+        sim.kernel.schedule_timer(-1, lambda: None)
+    assert sim.kernel.live_timers() == 0
+
+
 def test_tick_links_selected_links_only():
     topo = mesh4({"APP_A": "N1", "APP_B": "N4"})
     result = run_events(

@@ -65,16 +65,18 @@ def test_parse_kms_id_matches_name_scan():
         if trial % 2:
             raw = with_parallel_links(raw, rng)
         topo = topology_from_dict(raw)
-        seats = topo.kms_pairs()
+        seats = [(end, l.id) for l in topo.links.values() for end in l.endpoints()]
         names = [render_kms_id(n, l) for n, l in seats] + ["KMS_99z", "KMS_", ""]
+        assert sorted(topo.kms_names) == sorted(names[: len(seats)])
         for name in names:
             matches = [(n, l) for n, l in seats if render_kms_id(n, l) == name]
             if matches:
-                assert topo.parse_kms_id(name) == matches[0]
+                assert topo.kms_names[name] == matches[0]
                 assert topo.kms_node(name) == matches[0][0]
             else:
+                assert name not in topo.kms_names
                 with pytest.raises(KeyError):
-                    topo.parse_kms_id(name)
+                    topo.kms_node(name)
 
 
 # ── linksim: shared key table, FIFO cursor and derived material ──

@@ -313,7 +313,7 @@ def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topol
     # The initiator's RelayProcessRequest is lost, so its entry for K1 stays
     # pending until the timeout; a KeyRelayResponse for K1 must not settle it.
     sim.transport.add_fault(FaultRule(op="drop", nth=1, of_type="relay_process_request"))
-    sim.kernel.schedule_at(
+    sim.kernel.schedule_timer(
         500,
         lambda: sim.transport.send(
             "KMS_3b", "KMS_1b", KeyRelayResponse(status=STATUS_OK, id_relay_key=k1_id)

@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import incident_links, mesh4, mesh4_dict, resolve_app
+import qkdrelay
+from conftest import incident_links, mesh4, mesh4_dict
 from qkdrelay.topology import (
     ROLE_SIMPLE,
     ROLE_TRUSTED_RELAY,
     ParseError,
     SimConfig,
-    UnknownAppError,
     ValidationError,
     load_topology,
     node_label,
@@ -27,16 +30,17 @@ from qkdrelay.topology import (
 
 def test_mesh4_kms_ids_regenerate():
     topo = mesh4()
-    all_kms = {render_kms_id(n, l) for (n, l) in topo.kms_pairs()}
+    all_kms = {render_kms_id(end, l.id) for l in topo.links.values() for end in l.endpoints()}
     assert {"KMS_1b", "KMS_3b", "KMS_3d", "KMS_4d"} <= all_kms
     assert len(all_kms) == 8  # 4 links x 2 endpoints
+    assert set(topo.kms_names) == all_kms
 
 
 def test_mesh4_roles():
     topo = mesh4()
-    assert topo.nodes["N4"].role == ROLE_SIMPLE
+    assert topo.nodes["N4"] == ROLE_SIMPLE
     for node_id in ("N1", "N2", "N3"):
-        assert topo.nodes[node_id].role == ROLE_TRUSTED_RELAY
+        assert topo.nodes[node_id] == ROLE_TRUSTED_RELAY
 
 
 def test_single_link_both_simple():
@@ -50,8 +54,7 @@ def test_single_link_both_simple():
             "weight_policy": "distance",
         }
     )
-    assert topo.nodes["N1"].role == ROLE_SIMPLE
-    assert topo.nodes["N2"].role == ROLE_SIMPLE
+    assert topo.nodes == {"N1": ROLE_SIMPLE, "N2": ROLE_SIMPLE}
 
 
 def test_dangling_link_endpoint_rejected():
@@ -157,6 +160,41 @@ def test_round_trip_with_config():
     assert load_topology(serialize_topology(topo)) == topo
 
 
+# Serializes mesh4_relay.json with every config field set to a non-default.
+_SERIALIZE_WITH_CONFIG = """
+import dataclasses
+from qkdrelay import data_path
+from qkdrelay.topology import SimConfig, load_topology, serialize_topology
+with open(data_path("topologies", "mesh4_relay.json"), encoding="utf-8") as fh:
+    topo = load_topology(fh.read())
+config = SimConfig(key_size_bytes=16, request_timeout_ms=500, session_lifetime_ms=9000,
+                   delivered_key_ttl_ms=4000, cache_ttl_ms=250)
+print(serialize_topology(dataclasses.replace(topo, config=config)), end="")
+"""
+
+
+def test_serialize_is_independent_of_string_hashing():
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(qkdrelay.__file__)))
+    texts = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        texts.append(
+            subprocess.run(
+                [sys.executable, "-c", _SERIALIZE_WITH_CONFIG],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+        )
+    assert texts[0] == texts[1]
+    assert list(json.loads(texts[0])["config"]) == [
+        "key_size_bytes",
+        "request_timeout_ms",
+        "session_lifetime_ms",
+        "delivered_key_ttl_ms",
+        "cache_ttl_ms",
+    ]
+
+
 def test_default_config_not_serialized():
     text = serialize_topology(mesh4())
     assert '"config"' not in text
@@ -175,10 +213,13 @@ def test_kms_naming_convention():
 
 def test_kms_id_parse_inverts_render():
     topo = mesh4()
-    for pair in topo.kms_pairs():
-        assert topo.parse_kms_id(render_kms_id(*pair)) == pair
+    for link in topo.links.values():
+        for end in link.endpoints():
+            name = render_kms_id(end, link.id)
+            assert topo.kms_names[name] == (end, link.id)
+            assert topo.kms_node(name) == end
     with pytest.raises(KeyError):
-        topo.parse_kms_id("KMS_9z")
+        topo.kms_node("KMS_9z")
 
 
 def test_ambiguous_kms_names_rejected():
@@ -194,17 +235,6 @@ def test_ambiguous_kms_names_rejected():
     }
     with pytest.raises(ValidationError, match="ambiguous"):
         topology_from_dict(raw)
-
-
-# ── app registry ──
-
-
-def test_resolve_app():
-    topo = mesh4({"APP_A": "N1", "APP_B": "N4"})
-    assert resolve_app(topo, "APP_A") == "N1"
-    assert resolve_app(topo, "APP_B") == "N4"
-    with pytest.raises(UnknownAppError):
-        resolve_app(topo, "APP_Z")
 
 
 # ── role derivation over random connected graphs ──
@@ -242,11 +272,12 @@ def test_role_is_simple_iff_single_link(graph):
         "weight_policy": "hop_count",
     }
     topo = topology_from_dict(raw)
-    for node in topo.nodes.values():
-        degree = len(incident_links(topo, node.id))
-        assert (node.role == ROLE_SIMPLE) == (degree == 1)
-        assert node.role in (ROLE_SIMPLE, ROLE_TRUSTED_RELAY)
-        assert len(node.kms_ids) == degree
+    assert list(topo.nodes) == node_ids
+    for node_id, role in topo.nodes.items():
+        degree = len(incident_links(topo, node_id))
+        assert (role == ROLE_SIMPLE) == (degree == 1)
+        assert role in (ROLE_SIMPLE, ROLE_TRUSTED_RELAY)
+        assert sum(node == node_id for node, _ in topo.kms_names.values()) == degree
 
 
 def test_sim_config_defaults():

@@ -13,7 +13,10 @@ timeouts, orphans) runs only under faults, so the fault-path cases below pin
 each run's digest together with the total KMS orphan count.
 
 The run report's pools, requests and controller state never reach the trace,
-so the packaged scenarios and the faulted grids pin their digest as well.
+so the packaged scenarios and the faulted grids pin their digest as well. Each
+packaged scenario and each grid case also pins the digest of its whole report
+(``full_report_digest``), so a change that must leave reports untouched is
+checked byte for byte.
 """
 
 from __future__ import annotations
@@ -56,11 +59,24 @@ PACKAGED_REPORTS = {
     "linear32.json": "eab1e49803549daf50830b057cf10254cd393a456033a90d92a4fd6ad26ff616",
 }
 
+# scenario -> full_report_digest
+PACKAGED_FULL_REPORTS = {
+    "direct.json": "991dbc7b5929446ac1a5d6242a96963d14370962196bf6658dbdd53005063f5b",
+    "relay1hop.json": "07562537ccd56b9e8792b5f0d302d8d49aec28a512136cd1904a2b1b53db302d",
+    "linear32.json": "ef013fbf6ea9f26b634bb5284d2ee97baa6bcb2aa584853a2a1df85e90109650",
+}
+
 # (session_lifetime_ms, digest)
 GRIDS = [
     (None, "3b313e42c387c7dfe006db10dde3d5aa7846f2a6fa6fe1d4767fc965bbb1bf9d"),
     (150, "2a178ee5f2b87321d14b2cba4b1f03a0930fdf9b1ec3ae4709bc89407e53ee79"),
 ]
+
+# session_lifetime_ms -> full_report_digest of the GRIDS run
+GRID_FULL_REPORTS = {
+    None: "8a7cbf88b9c480aa96c7df8256673049fed530f3690807ec31c6b38a3d54405e",
+    150: "205a44c93f12cdfd8a45319a342622ab551552c7cd0dc8bac97db59318df3084",
+}
 
 
 def raw_digest(lines: list[str]) -> str:
@@ -74,6 +90,10 @@ def raw_digest(lines: list[str]) -> str:
 def report_digest(report: dict) -> str:
     sections = {k: report[k] for k in ("pools", "requests", "controller")}
     return hashlib.sha256(json.dumps(sections, sort_keys=True).encode()).hexdigest()
+
+
+def full_report_digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 def run_packaged(topology_name: str, scenario_name: str):
@@ -93,6 +113,7 @@ def test_packaged_raw_trace_digest(topology_name, scenario_name, expected):
 def test_packaged_report_digest(topology_name, scenario_name):
     result = run_packaged(topology_name, scenario_name)
     assert report_digest(result.report) == PACKAGED_REPORTS[scenario_name]
+    assert full_report_digest(result.report) == PACKAGED_FULL_REPORTS[scenario_name]
 
 
 @pytest.mark.parametrize("session_lifetime_ms,expected", GRIDS)
@@ -102,6 +123,7 @@ def test_grid_raw_trace_digest(session_lifetime_ms, expected):
     result = run_events(topology_from_dict(raw), events, seed=SEED)
     assert result.report["quiescent"]
     assert raw_digest(result.trace_lines) == expected
+    assert full_report_digest(result.report) == GRID_FULL_REPORTS[session_lifetime_ms]
 
 
 # ── fault paths ──
@@ -321,6 +343,18 @@ GRID_FAULT_REPORTS = {
     (4, 60): "48d73ed70634b1ac793fb31e334369e190f30c782ba90aa399bf48b621a26ead",
 }
 
+# (rng seed, session_lifetime_ms) -> full_report_digest; 5x5 grid
+GRID_FAULT_FULL_REPORTS = {
+    (1, None): "4bd765238291caa8eee2c833238ac1e6f41b7deb8cdc123108e5020ab666eb1e",
+    (1, 60): "34610f639508df5b6c601bede67c52f459cda0950951f98c1a5391bb607308f4",
+    (2, None): "6160f84beb3a750d612f16d9091e7f9e5a6817fbbfe3851fa7c0675c58bc8be6",
+    (2, 60): "f557e64fc1229ee43e993b16665da59c1b81e20dfd4941159f15385754b0cbcb",
+    (3, None): "adacccfba5de5ac9267461d3e856bda3b90235cd155de4920c5ed70d34e3227a",
+    (3, 60): "3c574a56c655d92810f04d32108a64254159f742929050bef3df45ff988db05b",
+    (4, None): "1749b662582dc99d9c41307220a0881390db1300d346114b9e8170c8c17d1b2a",
+    (4, 60): "6463cae62fc1e93187b105ca60f5765e079683eb7489c8d1fa3b527adcb73664",
+}
+
 
 def pair_events(at: int) -> list[dict]:
     return [
@@ -424,3 +458,4 @@ def test_grid_fault_report_digest(seed, session_lifetime_ms):
     raw, events = grid_fault_case(seed, session_lifetime_ms)
     result = run_events(topology_from_dict(raw), events, seed=SEED)
     assert report_digest(result.report) == GRID_FAULT_REPORTS[(seed, session_lifetime_ms)]
+    assert full_report_digest(result.report) == GRID_FAULT_FULL_REPORTS[(seed, session_lifetime_ms)]

@@ -105,12 +105,7 @@ def test_vkms_never_stores_material():
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
     )
     vkms = result.sim.vkms["N3"]
-    assert vkms.awaiting_delivery == {} or all(
-        not q for q in vkms.awaiting_delivery.values()
-    )
-    assert vkms.awaiting_discovery == {} or all(
-        not q for q in vkms.awaiting_discovery.values()
-    )
+    assert all(not q for q in vkms.awaiting.values())
 
 
 def test_relay_requests_share_cache_path(mesh4_relay_topology):
@@ -145,4 +140,4 @@ def test_lost_discovery_times_out_and_frees_its_queue():
     # serves the first request, and the second request times out.
     assert statuses == [STATUS_OK, STATUS_TIMEOUT]
     assert result.report["quiescent"]
-    assert not any(result.sim.vkms["N3"].awaiting_discovery.values())
+    assert not any(result.sim.vkms["N3"].awaiting.values())
