@@ -11,7 +11,7 @@ import json
 import sys
 
 from .harness import ConfigError, load_scenario, load_topology_file, run
-from .topology import WEIGHT_POLICIES, ParseError, ValidationError, load_topology
+from .topology import WEIGHT_POLICIES
 from .trace import TraceParseError, trace_compare
 
 EXIT_OK = 0
@@ -78,12 +78,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             config = dataclasses.replace(topology.config, cache_ttl_ms=args.cache_ttl)
             topology = dataclasses.replace(topology, config=config)
         scenario = load_scenario(args.scenario)
-        result = run(topology, scenario, seed=args.seed, trace_out=args.trace_out)
+        result = run(topology, scenario, seed=args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     payload = json.dumps(result.report, indent=2, sort_keys=True)
+    if args.trace_out:
+        with open(args.trace_out, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in result.trace_lines)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -96,17 +99,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.topology, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        topology = load_topology(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as exc:
+        topology = load_topology_file(args.topology)
+    except ConfigError as exc:
+        if not exc.violations:
+            print(f"error: {exc}", file=sys.stderr)
         for violation in exc.violations:
             print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_CONFIG

@@ -72,7 +72,12 @@ _MESSAGE_BUDGET = 1_000_000
 
 
 class ConfigError(Exception):
-    """Bad scenario/topology input; maps to exit code 2."""
+    """Bad scenario/topology input; maps to exit code 2. violations lists a
+    topology's semantic violations, one per item, when they are the cause."""
+
+    def __init__(self, message: str, violations: list[str] | None = None):
+        super().__init__(message)
+        self.violations = violations or []
 
 
 # ── scenario schema ──
@@ -712,13 +717,11 @@ def check_scenario(topology: Topology, scenario: Scenario) -> None:
                 raise ConfigError(f"'key_id_from' names unknown app {source!r}")
 
 
-def run(
-    topology: Topology, scenario: Scenario, seed: int, trace_out: str | None = None
-) -> RunResult:
+def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     """Run scenario on a fresh Simulation. Every setting comes from topology:
     its weight_policy and its config. Configuration errors are raised before
-    anything is simulated or written, except a key_id_from whose app has no
-    delivered key yet, which only the run can tell."""
+    anything is simulated, except a key_id_from whose app has no delivered
+    key yet, which only the run can tell."""
     check_scenario(topology, scenario)
     golden = None
     if "trace" in scenario.expect:
@@ -732,9 +735,6 @@ def run(
 
     kernel = sim.kernel
     trace_lines = kernel.trace_lines
-    if trace_out:
-        with open(trace_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace_lines) + ("\n" if trace_lines else ""))
 
     tags = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
     counts = {tags[cls]: n for cls, n in kernel.type_counts.items()}
@@ -800,5 +800,7 @@ def load_topology_file(path: str) -> Topology:
         raise ConfigError(f"cannot read topology: {exc}") from None
     try:
         return load_topology(text)
-    except (ParseError, ValidationError) as exc:
+    except ParseError as exc:
         raise ConfigError(f"invalid topology: {exc}") from None
+    except ValidationError as exc:
+        raise ConfigError(f"invalid topology: {exc}", exc.violations) from None

@@ -88,7 +88,6 @@ class PendingRelay:
     reply_to: str
     request: GetKey | RelayRequest
     timer: object = None
-    k1_id: str | None = None  # K1, which the initiator keeps reserved
 
 
 class KmsEntity(Entity):
@@ -178,7 +177,6 @@ class KmsEntity(Entity):
             ),
             requester,
             msg,
-            k1_id=key_id,
         )
 
     def _handle_get_key_with_id(self, msg: GetKeyWithId, requester: str) -> None:
@@ -278,18 +276,13 @@ class KmsEntity(Entity):
     # ── completions, backward direction ──
 
     def _forward(
-        self,
-        to: str,
-        onward: RelayRequest,
-        reply_to: str,
-        request: GetKey | RelayRequest,
-        k1_id: str | None = None,
+        self, to: str, onward: RelayRequest, reply_to: str, request: GetKey | RelayRequest
     ) -> None:
         """Send onward, and hold request's reply to reply_to until onward is
         answered or times out."""
         self.send(to, onward)
         id_relay_key = onward.id_relay_key
-        pending = PendingRelay(_AWAITS[type(onward)], reply_to, request, k1_id=k1_id)
+        pending = PendingRelay(_AWAITS[type(onward)], reply_to, request)
         pending.timer = self.services.schedule_timer(
             self.timeout_ms, lambda: self._on_timeout(id_relay_key)
         )
@@ -305,24 +298,21 @@ class KmsEntity(Entity):
             )
             return
         status = msg.ack_status if isinstance(msg, AckRequest) else msg.status
-        self.services.cancel_timer(pending.timer)
-        del self.pending[msg.id_relay_key]
-        self._resolve(pending, status)
+        self._resolve(msg.id_relay_key, status)
 
     def _on_timeout(self, id_relay_key: str) -> None:
-        pending = self.pending.pop(id_relay_key, None)
-        if pending is None:
-            return
         log.warning("%s timed out waiting on key %s", self.entity_id, id_relay_key)
-        self._resolve(pending, STATUS_TIMEOUT)
+        self._resolve(id_relay_key, STATUS_TIMEOUT)
 
-    def _resolve(self, pending: PendingRelay, status: str) -> None:
-        """Send the reply owed to the pending request, with status unchanged."""
+    def _resolve(self, id_relay_key: str, status: str) -> None:
+        """End the wait on id_relay_key: cancel its timer, send the owed reply."""
+        pending = self.pending.pop(id_relay_key)
+        self.services.cancel_timer(pending.timer)
         if isinstance(pending.request, GetKey):
-            # K1 is consumed even on failure, never reused.
-            k1 = self.pool.consume(pending.k1_id)
+            # The initiator waits under K1's id. K1 is consumed even on failure.
+            k1 = self.pool.consume(id_relay_key)
             material = k1 if status == STATUS_OK else b""
-            self._deliver(pending.reply_to, pending.k1_id, material, status)
+            self._deliver(pending.reply_to, id_relay_key, material, status)
         else:
             self.send(pending.reply_to, _reply(pending.request, status))
 

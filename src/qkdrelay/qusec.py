@@ -65,25 +65,26 @@ def path_tree(
 
     Maps each reachable node to (parent node, link id) on its shortest path,
     and src to None. Ties are broken by the lexicographically smallest node
-    sequence, then link sequence, which the heap ordering gives directly by
-    carrying the paths in the entries. Any prefix of such a path is itself
-    one, so the paths form a tree. A push that cannot beat the node's best
-    queued entry is skipped: it would pop after that entry and be discarded.
-    The comparison needs a total order on costs, which finite weights give.
+    sequence, then link sequence. An entry carries its nodes and last link
+    only: entries with equal nodes were pushed while settling one parent, so
+    they differ only in that link. Any prefix of such a path is itself one,
+    so the paths form a tree. A push that cannot beat the node's best queued
+    entry is skipped: it would pop after that entry and be discarded. The
+    comparison needs a total order on costs, which finite weights give.
     """
     tree: dict[str, tuple[str, str] | None] = {}
-    best = {src: (0.0, (src,), ())}
+    best = {src: (0.0, (src,), "")}
     heap = [best[src]]
     while heap:
-        cost, nodes, links = heappop(heap)
+        cost, nodes, link_id = heappop(heap)
         here = nodes[-1]
         if here in tree:
             continue
-        tree[here] = (nodes[-2], links[-1]) if links else None
+        tree[here] = (nodes[-2], link_id) if link_id else None
         for neighbor, link in topology.neighbors(here):
             if neighbor in tree:
                 continue
-            entry = (cost + weights[link.id], nodes + (neighbor,), links + (link.id,))
+            entry = (cost + weights[link.id], nodes + (neighbor,), link.id)
             queued = best.get(neighbor)
             if queued is None or entry < queued:
                 best[neighbor] = entry

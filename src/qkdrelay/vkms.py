@@ -3,7 +3,8 @@
 Resolves the serving KMS through the controller (with an optional TTL cache
 of discovery results), forwards the original request, and relays the
 KeyDelivery back. Key material is never stored here beyond the in-flight
-forwarding of a single delivery.
+forwarding of a single delivery. The vKMS times a request's discovery and
+its delivery, each from its start; each KMS hop times its onward request.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class VkmsEntity(Entity):
         self.timeout_ms = topology.config.request_timeout_ms
         # (app_src, app_dst) -> (kms_id, expires_ms)
         self.cache: dict[tuple[str, str], tuple[str, int]] = {}
-        # What a reply names -> the requests waiting on it, oldest first: the
+        # What a reply names -> its open requests, oldest first: the
         # (app_src, app_dst) pair for a discovery, the KMS id for a delivery.
         self.awaiting: dict[tuple[str, str] | str, deque[PendingApp]] = {}
 
@@ -104,30 +105,29 @@ class VkmsEntity(Entity):
         cached = self._cache_lookup(pair)
         if cached is not None:
             self._await(cached, pending, cached, msg)
-            return
-        self._await(
-            pair, pending, QUSEC_ID, KmsDiscoveryRequest(app_src=msg.app_src, app_dst=msg.app_dst)
-        )
+        else:
+            self._await(pair, pending, QUSEC_ID, KmsDiscoveryRequest(msg.app_src, msg.app_dst))
 
     def _await(self, key, pending: PendingApp, to: str, msg) -> None:
         """Queue pending under the key its reply will name, arm its timer,
-        then send msg to `to`."""
-        queue = self.awaiting.setdefault(key, deque())
-        queue.append(pending)
+        then send msg to `to`: each queue's timers fire in its order."""
+        self.awaiting.setdefault(key, deque()).append(pending)
         pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(pending, queue)
+            self.timeout_ms, lambda: self._on_timeout(pending, key)
         )
         self.send(to, msg)
 
     def _answered(self, key) -> PendingApp | None:
-        """Pop the oldest request waiting on key and cancel its timer; None
-        if no request waits on it."""
+        """Pop the oldest request waiting on key, cancel its timer and
+        delete the entry it empties; None if no request waits on it."""
         queue = self.awaiting.get(key)
-        if not queue:
+        if queue is None:
             log.warning("%s dropping orphan reply for %s", self.entity_id, key)
             return None
         pending = queue.popleft()
         self.services.cancel_timer(pending.timer)
+        if not queue:
+            del self.awaiting[key]
         return pending
 
     def _handle_discovery_response(self, msg: KmsDiscoveryResponse) -> None:
@@ -147,7 +147,7 @@ class VkmsEntity(Entity):
             # Downstream status passes through unchanged.
             self.send(pending.app_id, msg)
 
-    def _on_timeout(self, pending: PendingApp, queue: deque[PendingApp]) -> None:
-        if pending in queue:
-            queue.remove(pending)
-            self._fail(pending.app_id, pending.request, STATUS_TIMEOUT)
+    def _on_timeout(self, pending: PendingApp, key) -> None:
+        if self._answered(key) is not pending:
+            raise RuntimeError(f"{self.entity_id}: a younger request timed out first")
+        self._fail(pending.app_id, pending.request, STATUS_TIMEOUT)

@@ -11,6 +11,7 @@ import pytest
 from conftest import chain_dict, mesh4_dict, write_json
 from qkdrelay import data_path
 from qkdrelay.cli import main
+from qkdrelay.harness import load_scenario, load_topology_file, run
 
 
 @pytest.fixture
@@ -259,6 +260,39 @@ def test_validate_bad_json_exits_two(tmp_path, capsys):
     assert main(["validate", "--topology", str(path)]) == 2
     assert main(["validate", "--topology", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_validate_read_and_parse_errors_match_run(relay_files, tmp_path, capsys):
+    _, scenario = relay_files
+    bad = tmp_path / "t.json"
+    bad.write_text("not json")
+    missing = str(tmp_path / "missing.json")
+    for path in (str(bad), missing):
+        assert main(["validate", "--topology", path]) == 2
+        validate_err = capsys.readouterr().err
+        assert main(["run", "--topology", path, "--scenario", scenario, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == validate_err
+    assert main(["validate", "--topology", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid topology: invalid JSON: ")
+    assert main(["validate", "--topology", missing]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read topology: ")
+
+
+def test_run_writes_the_trace_of_a_failing_run(relay_files, tmp_path, capsys):
+    topo, _ = relay_files
+    raw = {
+        "events": [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
+        "expect": {"final_statuses": ["failed_no_key"]},
+    }
+    scenario = write_json(tmp_path / "wrong.json", raw)
+    trace = tmp_path / "out.jsonl"
+    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "5",
+                 "--trace-out", str(trace), "--quiet"])
+    assert code == 1
+    capsys.readouterr()
+    result = run(load_topology_file(topo), load_scenario(scenario), seed=5)
+    assert result.exit_code == 1 and result.trace_lines
+    assert trace.read_bytes() == "".join(f"{line}\n" for line in result.trace_lines).encode()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import weakref
 
 import pytest
@@ -122,6 +123,25 @@ def minimal_events():
 )
 def test_scenario_schema_rejections(raw, message):
     with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([], "scenario: top level must be an object"),
+        ("events", "scenario: top level must be an object"),
+        ({"events": ["app_get_key"]}, "events[0]: expected an object"),
+        (
+            {"events": [{"at": 0, "event": "advance_clock"}, None]},
+            "events[1]: expected an object",
+        ),
+        ({"events": [], "expect": ["final_statuses"]}, "scenario: 'expect' must be an object"),
+        ({"events": [], "expect": None}, "scenario: 'expect' must be an object"),
+    ],
+)
+def test_scenario_rejects_non_objects(raw, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         scenario_from_dict(raw)
 
 

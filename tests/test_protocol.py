@@ -344,6 +344,70 @@ def test_decode_rejects_uppercase_hex():
         decode(json.dumps(obj))
 
 
+def _line_of(msg, sender="KMS_3d", receiver="vKMS_3") -> dict:
+    env = Envelope(seq=1, sender=sender, receiver=receiver, channel=CHANNEL_INTRA, msg=msg)
+    return json.loads(encode(env))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff\xfe", "not UTF-8"),
+        ("{", "invalid JSON"),
+        ("[]", "envelope must be an object"),
+    ],
+)
+def test_decode_rejects_unreadable_input(data, message):
+    with pytest.raises(CodecError, match=message):
+        decode(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seq", "1", "'seq' must be an integer"),
+        ("seq", True, "'seq' must be an integer"),
+        ("from", 5, "'from' must be a string"),
+        ("to", None, "'to' must be a string"),
+        ("type", 7, "'type' must be a string"),
+        ("body", [], "body must be an object"),
+    ],
+)
+def test_decode_rejects_bad_envelope_value(key, value, message):
+    obj = _sample_line()
+    obj[key] = value
+    with pytest.raises(CodecError, match=message):
+        decode(json.dumps(obj))
+
+
+_ACK = AckRequest(id_relay_key="k1", ack_status="ok", app_src="APP_A", app_dst="APP_B")
+_INSTALL = RelayPathInstall(
+    id_association="a1", prev_hop=None, next_hop="KMS_3d", app_src="APP_A", app_dst="APP_B"
+)
+
+
+@pytest.mark.parametrize(
+    "msg, field, value, message",
+    [
+        (KeyDelivery(key_id="k", material=b"\x01", status="ok"), "material", 5,
+         "key_delivery: field 'material' must be hex"),
+        (KeyDelivery(key_id="k", material=b"\x01", status="ok"), "material", "zz",
+         "key_delivery: field 'material' must be hex"),
+        (_ACK, "ext", [], "ack_request: field 'ext' must be an object"),
+        (_INSTALL, "prev_hop", 5, "relay_path_install: field 'prev_hop' must be string or null"),
+        (_INSTALL, "next_hop", ["KMS_3d"],
+         "relay_path_install: field 'next_hop' must be string or null"),
+        (GetKey(app_src="APP_A", app_dst="APP_B"), "app_src", 5,
+         "get_key: field 'app_src' must be a string"),
+    ],
+)
+def test_decode_rejects_bad_field_value(msg, field, value, message):
+    obj = _line_of(msg)
+    obj["body"][field] = value
+    with pytest.raises(CodecError, match=message):
+        decode(json.dumps(obj))
+
+
 def test_null_hops_encode_as_json_null():
     env = Envelope(
         seq=1,
@@ -451,6 +515,12 @@ def test_unknown_entities_rejected():
         transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b"))
     with pytest.raises(UnknownEntityError):
         transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+
+
+def test_register_rejects_a_duplicate_entity_id():
+    transport = make_transport()
+    with pytest.raises(UnknownEntityError, match="entity 'KMS_1b' already registered"):
+        transport.register(Sink("KMS_1b", "N1"))
 
 
 def test_unknown_entities_rejected_after_the_pair_map_is_warm():

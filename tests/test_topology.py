@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -119,6 +120,59 @@ def test_schema_strictness(mutate):
     mutate(raw)
     with pytest.raises(ParseError):
         topology_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda r: r["nodes"][0].update(id=""), "node: 'id' must be a non-empty string"),
+        (lambda r: r["links"][0].update(id=""), "link: 'id' must be a non-empty string"),
+        (lambda r: r["apps"][0].update(node=""), "app: 'node' must be a non-empty string"),
+        (lambda r: r["nodes"].append("N5"), "node: expected an object"),
+        (lambda r: r["links"].append(["N1", "N4"]), "link: expected an object"),
+        (lambda r: r["apps"].append(None), "app: expected an object"),
+        (lambda r: r.update(config={"key_size_bytes": 0}),
+         "config: 'key_size_bytes' must be positive"),
+        (lambda r: r.update(config={"request_timeout_ms": -5}),
+         "config: 'request_timeout_ms' must be positive"),
+        (lambda r: r.update(nodes={"N1": {}}), "topology: 'nodes' must be an array"),
+        (lambda r: r.update(links="a,b,c,d"), "topology: 'links' must be an array"),
+        (lambda r: r.update(apps=None), "topology: 'apps' must be an array"),
+        (lambda r: r.update(weight_policy=["hop_count"]),
+         "topology: 'weight_policy' must be a string"),
+    ],
+)
+def test_schema_rejection_messages(mutate, message):
+    raw = mesh4_dict()
+    mutate(raw)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        topology_from_dict(raw)
+
+
+def test_duplicate_app_id_rejected():
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    raw["apps"].append({"id": "APP_A", "node": "N2"})
+    with pytest.raises(ValidationError, match="duplicate app id 'APP_A'") as exc:
+        topology_from_dict(raw)
+    assert exc.value.violations == ["duplicate app id 'APP_A'"]
+
+
+def test_node_without_links_rejected():
+    raw = mesh4_dict()
+    raw["nodes"].append({"id": "N5"})
+    with pytest.raises(ValidationError, match="node 'N5' has no incident links") as exc:
+        topology_from_dict(raw)
+    # An isolated node also disconnects the graph.
+    assert exc.value.violations == [
+        "node 'N5' has no incident links",
+        "graph is disconnected (unreachable: ['N5'])",
+    ]
+
+
+@pytest.mark.parametrize("text", ["[]", '"mesh4"', "null", "4"])
+def test_load_rejects_non_object_top_level(text):
+    with pytest.raises(ParseError, match="^topology: top level must be an object$"):
+        load_topology(text)
 
 
 def test_load_rejects_non_json():

@@ -17,6 +17,12 @@ so the packaged scenarios and the faulted grids pin their digest as well. Each
 packaged scenario and each grid case also pins the digest of its whole report
 (``full_report_digest``), so a change that must leave reports untouched is
 checked byte for byte.
+
+The request path (app, vKMS, QuSeC and the serving KMS) is pinned the same
+way: chain runs that drop each of its message types, runs whose requests
+overlap on shared KMSs, and runs where a lost discovery lets another
+request's answer be handed to the wrong request. Every run here must end
+with no open wait in any vKMS or KMS.
 """
 
 from __future__ import annotations
@@ -27,9 +33,10 @@ import random
 
 import pytest
 
-from conftest import chain_dict, grid_dict, grid_events, run_events
+from conftest import chain_dict, grid_dict, grid_events, mesh4_dict, run_events
 from qkdrelay import data_path
 from qkdrelay.harness import load_scenario, load_topology_file, run
+from qkdrelay.protocol import MESSAGE_TYPES
 from qkdrelay.topology import topology_from_dict
 
 SEED = 5
@@ -136,6 +143,15 @@ RELAY_TYPES = (
     "ack_request",
     "relay_process_response",
     "key_delivery",
+)
+# The messages between an app, its vKMS, QuSeC and the serving KMS. None
+# carries key material, so corrupting one changes nothing: only drops move
+# the request path.
+VKMS_TYPES = (
+    "get_key",
+    "get_key_with_id",
+    "kms_discovery_request",
+    "kms_discovery_response",
 )
 PAIR_SPACING_MS = 3000  # more than the 1000 ms timeout: pairs never overlap
 
@@ -459,3 +475,320 @@ def test_grid_fault_report_digest(seed, session_lifetime_ms):
     result = run_events(topology_from_dict(raw), events, seed=SEED)
     assert report_digest(result.report) == GRID_FAULT_REPORTS[(seed, session_lifetime_ms)]
     assert full_report_digest(result.report) == GRID_FAULT_FULL_REPORTS[(seed, session_lifetime_ms)]
+
+
+# (of_type, n) -> (digest, orphans); 4-link chain, message dropped
+CHAIN_VKMS_DROPS = {
+    ("get_key", 1): (
+        "8a59a2acc5660d59e95def3062e5ac39c214151c696aa80919b07f5dd275dcc0",
+        0,
+    ),
+    ("get_key", 2): (
+        "d2cf0f9e6aa0e3a951b93c30f8ae38b27d3818f085d38de20824bf88e8f856be",
+        0,
+    ),
+    ("get_key", 3): (
+        "2229de0566f3df725de460ba1dd655496b3f0947cffb594d94fda5f387434232",
+        0,
+    ),
+    ("get_key_with_id", 1): (
+        "0fe634d540c829f9da31eea7128865b15f91cd738cb01914de413e1b0a3d677e",
+        0,
+    ),
+    ("get_key_with_id", 2): (
+        "1a6cf0ff3b27fc9b4bb43e9124370faf828c3d42842e2e37013c04f09111bb88",
+        0,
+    ),
+    ("get_key_with_id", 3): (
+        "53afab95fb818ba5f8ea9f0397679632382fccd31c3c6dc6ce8bcfe94e0f56de",
+        0,
+    ),
+    ("kms_discovery_request", 1): (
+        "fc3937cad4075a64f72afaa325118484aaa4cad3445bf4230bb281b0b2174ba7",
+        0,
+    ),
+    ("kms_discovery_request", 2): (
+        "38e72f92629b5a9f877c9b5e833f890af637fabc8e44611124339e8c43f8517c",
+        0,
+    ),
+    ("kms_discovery_request", 3): (
+        "1724122b5e832d12df4dca1e95a999eed6369565a5d1d5e8d01d0722489a3bc6",
+        0,
+    ),
+    ("kms_discovery_response", 1): (
+        "0a1b5a03487738e22a91d0d7d53aa11b1788cc78c60d11ed8a2caa69ad90a5a8",
+        0,
+    ),
+    ("kms_discovery_response", 2): (
+        "0dbc9ca90b2c7e51afd28da954dffd1f97873302c95aea537476f771d2d72d1e",
+        0,
+    ),
+    ("kms_discovery_response", 3): (
+        "cead1512d61aac4e70833db0b86416359b18030bbdf6a400194bdbea64380ab3",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("of_type", VKMS_TYPES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_vkms_drop_digest(of_type, n):
+    assert chain_fault_summary("drop", of_type, n) == CHAIN_VKMS_DROPS[(of_type, n)]
+
+
+# ── overlapping requests ──
+
+# Two apps share N1's KMS seats, and every request of the run is issued
+# within 1500 ms, so requests wait on the same pair or the same KMS at once
+# whenever a drop holds one of them up.
+OVERLAP_APPS = {"APP_A": "N1", "APP_X": "N1", "APP_B": "N4", "APP_C": "N3", "APP_D": "N2"}
+OVERLAP_WARM_UP = [
+    ("APP_A", "APP_B"),
+    ("APP_X", "APP_C"),
+    ("APP_B", "APP_D"),
+    ("APP_C", "APP_A"),
+    ("APP_D", "APP_X"),
+]
+
+# (rng seed, cache_ttl_ms) -> (digest, full_report_digest); mesh4, five apps
+OVERLAPS = {
+    (1, 0): (
+        "15a0a7e56f0a0dde1aebd3b1e9c8b8608cc9206dcc030039fde4bfa96342297f",
+        "d591621bd9bcfba1fe3b132fc6596cc41b01f3d1f451afafd26fec0cf9b46874",
+    ),
+    (1, 5000): (
+        "7faf2a0bfce928790ae5caac255a648e30afe50c640ac3b8464a87263ed819d0",
+        "c4e567b8a8b29fa30d677336a4272051d0d228f0f59d09df3f40cda1229f70e6",
+    ),
+    (2, 0): (
+        "762afbef357445a024168ef4b12006227e9c22ef66e915a1072cf8e8c5acf789",
+        "6f4ef1b8598f47b0b9c34f83bfd90df849e26ede2bd70a2f7e0417a8b4f95b99",
+    ),
+    (2, 5000): (
+        "914686597f69452d4983e2f2d0b68bca36fd125ff4af6e832c567881ddef0858",
+        "9507bda6c66ffdf44f0efb107ace1585f474a9b6c1dc10a1bc0cd07d303ac0bb",
+    ),
+    (4, 0): (
+        "8d10da5b94a3e39a7dbf794d66879f2eb151a2d28ddefaea1bf1240bb980f8b6",
+        "d9b0fc0ecf76125bafb353860666a9311a31541f05431f216fabcbb6bc6c0ca1",
+    ),
+    (4, 5000): (
+        "ca73f7f12987166e78ec210ba079bb19927760e6bf522ce9e419b5be2e21fdfa",
+        "26f3c0131d0b3e1de55f21ddaef49a190320735008490f3e5ecb840ece4342b8",
+    ),
+}
+
+
+def overlap_events(rng: random.Random, requests: int = 30) -> list[dict]:
+    """A clean warm-up get_key per app at 0 ms, then four drops of request
+    path messages and one random fault of any type, then `requests` random
+    requests between 20 and 1500 ms, about a third of them get_key_with_id
+    naming the destination app's last key."""
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": src, "app_dst": dst}
+        for src, dst in OVERLAP_WARM_UP
+    ]
+    events += [
+        {
+            "at": 10,
+            "event": "drop_message",
+            "n": rng.randint(1, 8),
+            "of_type": rng.choice(VKMS_TYPES + ("key_delivery",)),
+        }
+        for _ in range(4)
+    ]
+    events.append(
+        {
+            "at": 10,
+            "event": rng.choice(("drop_message", "corrupt_message")),
+            "n": rng.randint(1, 8),
+            "of_type": rng.choice(list(MESSAGE_TYPES)),
+        }
+    )
+    apps = list(OVERLAP_APPS)
+    for at in sorted(rng.randrange(20, 1500, 10) for _ in range(requests)):
+        src, dst = rng.sample(apps, 2)
+        if rng.random() < 0.3:
+            events.append(
+                {
+                    "at": at,
+                    "event": "app_get_key_with_id",
+                    "app_src": src,
+                    "app_dst": dst,
+                    "key_id_from": dst,
+                }
+            )
+        else:
+            events.append({"at": at, "event": "app_get_key", "app_src": src, "app_dst": dst})
+    return events
+
+
+def overlap_run(seed: int, cache_ttl_ms: int):
+    raw = mesh4_dict(OVERLAP_APPS)
+    for link in raw["links"]:
+        link["initial_pool"] = 16
+    raw["config"] = {"cache_ttl_ms": cache_ttl_ms}
+    return run_events(topology_from_dict(raw), overlap_events(random.Random(seed)), seed=SEED)
+
+
+@pytest.mark.parametrize("seed,cache_ttl_ms", list(OVERLAPS))
+def test_overlapping_requests_digest(seed, cache_ttl_ms):
+    result = overlap_run(seed, cache_ttl_ms)
+    assert result.exit_code == (0 if result.report["quiescent"] else 1)
+    assert (
+        raw_digest(result.trace_lines),
+        full_report_digest(result.report),
+    ) == OVERLAPS[(seed, cache_ttl_ms)]
+
+
+# ── a request that another request's discovery answer takes ──
+
+# Replies are matched by queue position, so when a request's own discovery
+# is lost, the next answer for its app pair is handed to it in a later ms.
+# It then waits on its KMS from that ms, while the request that asked in
+# that ms keeps waiting on the pair. Mesh4 with APP_A and APP_X at N1 and
+# APP_B at N4; every case drops APP_A's first discovery request.
+STALE_CASES = {
+    # APP_A's second request hands its answer to the first, whose relay
+    # then stalls. The first waits on its KMS from 200 ms, so it still
+    # waits when APP_X's request joins that KMS's queue at 1100 ms.
+    "taken_answer_stalls": [
+        {"at": 60, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 1100, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+    ],
+    # As above, but APP_X's request joined the same KMS queue at 50 ms,
+    # before the taken request joined it and after that request arrived.
+    "taken_answer_queues_behind_a_younger_request": [
+        {"at": 10, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 50, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+        {"at": 60, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ],
+    # APP_X's request joins the KMS queue in the ms the taken request
+    # arrived, before the taken request joins it later in that ms: the two
+    # wait in the order they joined, not the order they arrived.
+    "taken_answer_in_the_same_ms": [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ],
+    # As above, and the taken request's relay is lost too, so both time out.
+    # A send is counted only by the first rule it fires, so the second n=1
+    # rule takes the second relay request.
+    "taken_answer_in_the_same_ms_stalls": [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ],
+    # The taken request is served at once; the one that asked times out.
+    "taken_answer_served": [
+        {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 700, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+    ],
+}
+
+# (case, cache_ttl_ms) -> (digest, full_report_digest)
+STALE = {
+    ("taken_answer_stalls", 0): (
+        "03414920b54ad4fdaf00e388f6a95d8e07b399f5d0875dbe469087b111883eb2",
+        "41c788a8756e5eeaf0cb0bdb44fedea3d268b84719cf485355d532332fe0e58c",
+    ),
+    ("taken_answer_stalls", 60000): (
+        "03414920b54ad4fdaf00e388f6a95d8e07b399f5d0875dbe469087b111883eb2",
+        "41c788a8756e5eeaf0cb0bdb44fedea3d268b84719cf485355d532332fe0e58c",
+    ),
+    ("taken_answer_queues_behind_a_younger_request", 0): (
+        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
+        "a1fe19e21a4388acc82edb84bc9feab20d47866e4a24353235d19317a7cc11c6",
+    ),
+    ("taken_answer_queues_behind_a_younger_request", 60000): (
+        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
+        "a1fe19e21a4388acc82edb84bc9feab20d47866e4a24353235d19317a7cc11c6",
+    ),
+    ("taken_answer_in_the_same_ms", 0): (
+        "bf619f39bf75ebd842850e416f92ad07e7184746635fe8f9ae20fd76de0c7d60",
+        "357d79413fd1661b0fb718e377d0a9fa62c3b7e2b4dcab071f2a421c475fc0ad",
+    ),
+    ("taken_answer_in_the_same_ms", 60000): (
+        "bf619f39bf75ebd842850e416f92ad07e7184746635fe8f9ae20fd76de0c7d60",
+        "357d79413fd1661b0fb718e377d0a9fa62c3b7e2b4dcab071f2a421c475fc0ad",
+    ),
+    ("taken_answer_in_the_same_ms_stalls", 0): (
+        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
+        "5a70cb223aa629650d0ef19d5f1abbed4478170090021b10424e7fb331f05d85",
+    ),
+    ("taken_answer_in_the_same_ms_stalls", 60000): (
+        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
+        "5a70cb223aa629650d0ef19d5f1abbed4478170090021b10424e7fb331f05d85",
+    ),
+    ("taken_answer_served", 0): (
+        "f76abcf79ed9bc98ca1f0f690787a8d7019369f8cf6c5e173fb692c5cd22be86",
+        "d2ccfa2d384916077dcfa4d6fd9538230728360e6e45c076de9e7b97e94d2ea7",
+    ),
+    ("taken_answer_served", 60000): (
+        "f76abcf79ed9bc98ca1f0f690787a8d7019369f8cf6c5e173fb692c5cd22be86",
+        "d2ccfa2d384916077dcfa4d6fd9538230728360e6e45c076de9e7b97e94d2ea7",
+    ),
+}
+
+
+def stale_run(case: str, cache_ttl_ms: int):
+    events = [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "kms_discovery_request"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        *STALE_CASES[case],
+    ]
+    raw = mesh4_dict({"APP_A": "N1", "APP_X": "N1", "APP_B": "N4"})
+    raw["config"] = {"cache_ttl_ms": cache_ttl_ms}
+    return run_events(topology_from_dict(raw), events, seed=SEED)
+
+
+@pytest.mark.parametrize("case,cache_ttl_ms", list(STALE))
+def test_taken_discovery_answer_digest(case, cache_ttl_ms):
+    result = stale_run(case, cache_ttl_ms)
+    assert result.report["quiescent"]
+    assert (
+        raw_digest(result.trace_lines),
+        full_report_digest(result.report),
+    ) == STALE[(case, cache_ttl_ms)]
+
+
+# ── bounded state ──
+
+# Every run above, as (kind, key).
+ALL_RUNS = (
+    [("grid", session_lifetime_ms) for session_lifetime_ms, _ in GRIDS]
+    + [("grid_fault", key) for key in GRID_FAULTS]
+    + [("chain_vkms_drop", key) for key in CHAIN_VKMS_DROPS]
+    + [("overlap", key) for key in OVERLAPS]
+    + [("taken", key) for key in STALE]
+)
+
+
+def run_case(kind: str, key):
+    if kind == "grid":
+        raw = grid_dict(5, initial_pool=32, session_lifetime_ms=key)
+        events = grid_events(raw, random.Random(11), pairs=40)
+    elif kind == "grid_fault":
+        raw, events = grid_fault_case(*key)
+    elif kind == "chain_vkms_drop":
+        of_type, n = key
+        raw = chain_dict(4, initial_pool=8)
+        events = chain_events([{"event": "drop_message", "n": n, "of_type": of_type}])
+    elif kind == "overlap":
+        return overlap_run(*key)
+    else:
+        return stale_run(*key)
+    return run_events(topology_from_dict(raw), events, seed=SEED)
+
+
+@pytest.mark.parametrize("kind,key", ALL_RUNS, ids=[f"{kind}-{key}" for kind, key in ALL_RUNS])
+def test_run_leaves_no_open_wait(kind, key):
+    # A run ends when no timer is live, and every open wait has one, so no
+    # vKMS queue and no KMS wait may be left, even by a run that leaves an
+    # app request open because its reply was dropped on the way to the app.
+    result = run_case(kind, key)
+    assert [v.awaiting for v in result.sim.vkms.values() if v.awaiting] == []
+    assert [k.pending for k in result.sim.kms.values() if k.pending] == []

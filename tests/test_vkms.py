@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+from collections import deque
+
+import pytest
+
 from conftest import mesh4, resolved, run_events
-from qkdrelay.protocol import STATUS_OK, STATUS_TIMEOUT, STATUS_UNKNOWN_APP, message_type
+from qkdrelay.harness import Simulation
+from qkdrelay.protocol import (
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    STATUS_UNKNOWN_APP,
+    GetKey,
+    message_type,
+)
+from qkdrelay.vkms import PendingApp
 
 
 def count_type(records, type_tag) -> int:
@@ -105,7 +117,7 @@ def test_vkms_never_stores_material():
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
     )
     vkms = result.sim.vkms["N3"]
-    assert all(not q for q in vkms.awaiting.values())
+    assert vkms.awaiting == {}
 
 
 def test_relay_requests_share_cache_path(mesh4_relay_topology):
@@ -140,4 +152,17 @@ def test_lost_discovery_times_out_and_frees_its_queue():
     # serves the first request, and the second request times out.
     assert statuses == [STATUS_OK, STATUS_TIMEOUT]
     assert result.report["quiescent"]
-    assert not any(result.sim.vkms["N3"].awaiting.values())
+    assert result.sim.vkms["N3"].awaiting == {}
+
+
+def test_a_timeout_that_is_not_the_oldest_raises():
+    # A request's timer is armed as it joins its queue and cancelled as it
+    # leaves, so a timer can only fire for the oldest request of its queue;
+    # anything else is a broken invariant and must not end some other
+    # request silently.
+    vkms = Simulation(mesh4({"APP_A": "N3", "APP_B": "N4"}), seed=1).vkms["N3"]
+    request = GetKey(app_src="APP_A", app_dst="APP_B")
+    older, younger = (PendingApp("APP_A", request) for _ in range(2))
+    vkms.awaiting["KMS_3d"] = deque([older, younger])
+    with pytest.raises(RuntimeError, match="vKMS_3: a younger request timed out first"):
+        vkms._on_timeout(younger, "KMS_3d")
