@@ -55,8 +55,6 @@ from .topology import (
     Topology,
     ValidationError,
     load_topology,
-    render_kms_id,
-    vkms_name,
 )
 from .trace import (
     TraceDiff,
@@ -298,8 +296,10 @@ class SimKernel:
     timer due at the same ms. Scenario events never enter the heap.
 
     The pump is where each record is delivered, and the one place that
-    reads it: it appends the record's line to ``trace_lines`` (record i is
-    line i), bumps its message class in ``type_counts`` and hands it to
+    reads it. It drains the transport's ``queue`` in place, so what
+    handlers send while it runs is delivered in the same pass. For each
+    record it appends the line to ``trace_lines`` (record i is line i),
+    bumps its message class in ``type_counts`` and hands it to
     ``checker``, whose violation lists are the run's audits.
     """
 
@@ -327,12 +327,14 @@ class SimKernel:
             handle.cancelled = True
 
     def _pump_messages(self) -> None:
-        pop_next = self.transport.pop_next
+        queue = self.transport.queue
+        popleft = queue.popleft
         entities = self.transport.entities
         lines = self.trace_lines
         counts = self.type_counts
         check = self.checker.check
-        while (env := pop_next()) is not None:
+        while queue:
+            env = popleft()
             i = len(lines)
             if i >= _MESSAGE_BUDGET:
                 raise RuntimeError("message budget exhausted; dispatch loop suspected")
@@ -402,17 +404,16 @@ class Simulation:
             self.vkms[node_id] = vkms
             entities.append(vkms)
         for link in topology.links.values():
-            for end in link.endpoints():
-                kms_id = render_kms_id(end, link.id)
-                peer = render_kms_id(link.other_end(end), link.id)
+            pool_a, pool_b = self.linksim.link_pools(link.id)
+            for end, pool, peer in ((link.a, pool_a, pool_b), (link.b, pool_b, pool_a)):
                 kms = KmsEntity(
-                    kms_id,
+                    pool.owner_kms,
                     node_id=end,
-                    peer_kms_id=peer,
-                    pool=self.linksim.pools[kms_id],
+                    peer_kms_id=peer.owner_kms,
+                    pool=pool,
                     config=topology.config,
                 )
-                self.kms[kms_id] = kms
+                self.kms[pool.owner_kms] = kms
                 entities.append(kms)
         for app_id, node_id in topology.apps.items():
             app = AppEndpoint(app_id, node_id)
@@ -455,7 +456,7 @@ class Simulation:
         )
         app.outstanding.append(request)
         self.requests.append(request)
-        app.send(vkms_name(via_node), msg)
+        app.send(self.vkms[via_node].entity_id, msg)
 
     def execute_event(self, event: ScenarioEvent) -> None:
         if event.event == "app_get_key":

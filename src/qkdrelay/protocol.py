@@ -32,6 +32,7 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import NamedTuple
 
 log = logging.getLogger(__name__)
@@ -414,17 +415,15 @@ def decode(data: bytes | str) -> Envelope:
 
 @dataclass
 class FaultRule:
-    """Applies to the nth matching send (1-based), once."""
+    """Applies to the nth matching send (1-based), once: the transport
+    removes the rule when it fires."""
 
     op: str  # "drop" | "corrupt"
     nth: int
     of_type: str | None = None
     seen: int = 0
-    fired: bool = False
 
     def matches(self, msg: Message) -> bool:
-        if self.fired:
-            return False
         if self.of_type is not None and message_type(msg) != self.of_type:
             return False
         self.seen += 1
@@ -455,10 +454,10 @@ class Entity:
         self.services = None
 
     def bind(self, services) -> None:
+        """Attach the kernel. From then on send(receiver, msg) is
+        services.send with this entity as the sender, reached in one call."""
         self.services = services
-
-    def send(self, receiver: str, msg: Message) -> None:
-        self.services.send(self.entity_id, receiver, msg)
+        self.send = partial(services.send, self.entity_id)
 
     def on_message(self, env: Envelope) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -475,21 +474,23 @@ def channel_for(sender: Entity, receiver: Entity) -> str:
 class Transport:
     """Instrumented in-memory message fabric.
 
-    send() wraps each message in one immutable Envelope and enqueues it;
-    pop_next() dequeues in global send order and keeps nothing, so a
-    delivered envelope lives only as long as its receiver and the caller
-    that traces it hold it. Per-sender seq numbers are assigned here, and armed
-    fault rules are applied at send time. A pair's channel is kept in a
-    (sender id, receiver id) map, filled only after both ids resolve to
-    registered entities, so an unknown id raises on every send. `dropped` and
-    `corrupted` keep the envelopes a fault actually changed; a corrupt rule
-    that fires on a message with no non-empty octet field leaves it as it
-    was and is not kept.
+    send() wraps each message in one immutable Envelope and appends it to
+    ``queue``, a deque in global send order, which the kernel's pump
+    drains in place. Nothing here keeps a delivered envelope, so it lives
+    only as long as its receiver and the caller that traces it hold it.
+    Per-sender seq numbers are assigned here, and armed fault rules are
+    applied at send time; a rule that fires is removed, as it can never
+    match again. A pair's channel is kept in a (sender id, receiver id)
+    map, filled only after both ids resolve to registered entities, so an
+    unknown id raises on every send. `dropped` and `corrupted` keep the
+    envelopes a fault actually changed; a corrupt rule that fires on a
+    message with no non-empty octet field leaves it as it was and is not
+    kept.
     """
 
     def __init__(self):
         self.entities: dict[str, Entity] = {}
-        self._queue: deque[Envelope] = deque()
+        self.queue: deque[Envelope] = deque()
         self.dropped: list[Envelope] = []
         self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
@@ -521,10 +522,12 @@ class Transport:
             channel = self._channel(sender_id, receiver_id)
         seq = self._seq.get(sender_id, 0) + 1
         self._seq[sender_id] = seq
-        env = Envelope(seq, sender_id, receiver_id, channel, msg)
-        for rule in self.faults:
+        # tuple.__new__ builds the named tuple without its Python-level
+        # __new__, which would only forward the five fields.
+        env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, channel, msg))
+        for i, rule in enumerate(self.faults):
             if rule.matches(msg):
-                rule.fired = True
+                del self.faults[i]
                 if rule.op == "drop":
                     self.dropped.append(env)
                     log.warning("fault: dropped %s %s->%s",
@@ -537,12 +540,8 @@ class Transport:
                     log.warning("fault: corrupted %s %s->%s",
                                 message_type(msg), sender_id, receiver_id)
                 break
-        self._queue.append(env)
+        self.queue.append(env)
 
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self.queue)
 
-    def pop_next(self) -> Envelope | None:
-        if not self._queue:
-            return None
-        return self._queue.popleft()

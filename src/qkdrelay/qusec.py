@@ -175,6 +175,8 @@ class QusecEntity(Entity):
         self._weights = link_weights(topology, self.weight_policy)
         # source node -> its path_tree; weights never change during a run.
         self._trees: dict[str, dict[str, tuple[str, str] | None]] = {}
+        # (src_node, dst_node) -> its _kms_path, for the same reason.
+        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self.session_lifetime_ms = topology.config.session_lifetime_ms
         self.sessions: list[SessionState] = []
         # sessions[:_live_from] have expired; session_gc advances it.
@@ -298,15 +300,23 @@ class QusecEntity(Entity):
     def _kms_path(self, src_node: str, dst_node: str) -> tuple[str, ...]:
         """(a) Both apps inside one link domain: the two KMSs of the
         lowest-weight shared link (ties by link id). Else (c) the KMSs of the
-        shortest relay path; raises NoPathError when there is none."""
+        shortest relay path; raises NoPathError when there is none. Computed
+        once per ordered node pair: weights and links never change during a
+        run. A NoPathError is not remembered."""
+        path = self._paths.get((src_node, dst_node))
+        if path is not None:
+            return path
         shared = self.topology.links_between(src_node, dst_node)
         if shared:
             link = min(shared, key=lambda l: (self._weights[l.id], l.id))
-            return (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
-        tree = self._trees.get(src_node)
-        if tree is None:
-            tree = self._trees[src_node] = path_tree(self.topology, src_node, self._weights)
-        return tuple(expand_to_kms(*tree_path(tree, dst_node)))
+            path = (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
+        else:
+            tree = self._trees.get(src_node)
+            if tree is None:
+                tree = self._trees[src_node] = path_tree(self.topology, src_node, self._weights)
+            path = tuple(expand_to_kms(*tree_path(tree, dst_node)))
+        self._paths[src_node, dst_node] = path
+        return path
 
     # ── state dump ──
 

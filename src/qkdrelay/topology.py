@@ -70,13 +70,6 @@ class Link:
     def endpoints(self) -> tuple[str, str]:
         return (self.a, self.b)
 
-    def other_end(self, node_id: str) -> str:
-        if node_id == self.a:
-            return self.b
-        if node_id == self.b:
-            return self.a
-        raise ValueError(f"node {node_id!r} is not an endpoint of link {self.id!r}")
-
 
 def node_label(node_id: str) -> str:
     """Index part used in KMS/vKMS names: N3 -> 3, anything else verbatim."""

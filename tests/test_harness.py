@@ -629,17 +629,17 @@ def test_no_delivered_message_outlives_the_run(monkeypatch):
     """After run(), neither the Simulation nor the RunResult holds a
     delivered message: the trace keeps lines only. The one exception is a
     KMS's rule table, whose rules are the RelayPathInstall messages it was
-    sent; every survivor must be one of those, and each rule one survivor."""
+    sent; every survivor must be one of those, and each rule one survivor.
+    The kernel hands every delivered record to RecordChecker.check once, so
+    that is where the messages are watched."""
     refs = []
-    pop_next = protocol.Transport.pop_next
+    check = harness.RecordChecker.check
 
-    def watched_pop_next(self):
-        env = pop_next(self)
-        if env is not None:
-            refs.append(weakref.ref(env.msg))
-        return env
+    def watched_check(self, i, env):
+        refs.append(weakref.ref(env.msg))
+        check(self, i, env)
 
-    monkeypatch.setattr(protocol.Transport, "pop_next", watched_pop_next)
+    monkeypatch.setattr(harness.RecordChecker, "check", watched_check)
     for topology, scenario in (
         ("mesh4_direct.json", "direct.json"),
         ("mesh4_relay.json", "relay1hop.json"),

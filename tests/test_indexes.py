@@ -49,7 +49,7 @@ def test_graph_helpers_match_link_scans():
         probes = sorted(topo.nodes) + ["N99"]
         for u in probes:
             assert topo.neighbors(u) == [
-                (l.other_end(u), l) for l in links if u in l.endpoints()
+                (l.b if u == l.a else l.a, l) for l in links if u in l.endpoints()
             ]
             assert incident_links(topo, u) == [l for l in links if u in l.endpoints()]
             for v in probes:

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
+import itertools
 import random
 
 import pytest
 
 from conftest import chain, delivered, grid_dict, mesh4, random_topology, run_events
-from qkdrelay.harness import Simulation
+from qkdrelay import data_path, qusec
+from qkdrelay.harness import Simulation, load_topology_file
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
 from qkdrelay.qusec import (
     SESSION_COMPLETED,
     SESSION_EXPIRED,
     SESSION_INSTALLED,
     NoPathError,
+    QusecEntity,
     SameNodeError,
     expand_to_kms,
     link_weight,
@@ -23,7 +27,7 @@ from qkdrelay.qusec import (
     shortest_path,
     tree_path,
 )
-from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
+from qkdrelay.topology import WEIGHT_POLICIES, Topology, render_kms_id, topology_from_dict
 
 
 def compute_relay_path(topology, src_node, dst_node, policy):
@@ -174,6 +178,87 @@ def test_controller_keeps_one_tree_per_source_node():
         assert list(session.kms_path) == compute_relay_path(
             topo, src_node, dst_node, topo.weight_policy
         )
+
+
+def fresh_kms_path(topology, src_node, dst_node):
+    """The controller's path rule computed from scratch: the lowest-weight
+    link joining the two nodes (ties by link id), else the KMSs of a fresh
+    shortest-path search."""
+    policy = topology.weight_policy
+    shared = [l for l in topology.links.values() if {l.a, l.b} == {src_node, dst_node}]
+    if shared:
+        link = min(shared, key=lambda l: (link_weight(l, policy), l.id))
+        return (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
+    return tuple(compute_relay_path(topology, src_node, dst_node, policy))
+
+
+def memo_topologies():
+    yield mesh4()
+    yield load_topology_file(data_path("topologies", "chain32.json"))
+    rng = random.Random(2026)
+    for trial in range(6):
+        raw = random_topology(rng)
+        if trial % 2:
+            raw = with_parallel_links(raw, rng, equal=trial % 4 == 1)
+        yield topology_from_dict(raw)
+
+
+def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
+    calls = {"links_between": 0, "path_tree": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(Topology, "links_between", spy("links_between", Topology.links_between))
+    monkeypatch.setattr(qusec, "path_tree", spy("path_tree", qusec.path_tree))
+    pairs_seen = 0
+    for base in memo_topologies():
+        for policy in WEIGHT_POLICIES:
+            topo = dataclasses.replace(base, weight_policy=policy)
+            pairs = list(itertools.permutations(sorted(topo.nodes), 2))
+            expected = {(src, dst): fresh_kms_path(topo, src, dst) for src, dst in pairs}
+            controller = QusecEntity(topo, seed=1)
+            calls.update(links_between=0, path_tree=0)
+            for src, dst in pairs:
+                assert controller._kms_path(src, dst) == expected[src, dst]
+            assert calls["links_between"] == len(pairs)
+            assert calls["path_tree"] <= len(topo.nodes)
+            first = dict(calls)
+            for src, dst in pairs:
+                assert controller._kms_path(src, dst) == expected[src, dst]
+            assert calls == first  # the second round computed nothing
+            assert set(controller._paths) == set(pairs)
+            pairs_seen += len(pairs)
+    assert pairs_seen > 3 * 32 * 33
+
+
+def test_kms_path_memo_keeps_no_failure():
+    controller = QusecEntity(mesh4(), seed=1)
+    for _ in range(2):
+        with pytest.raises(NoPathError):
+            controller._kms_path("N1", "N9")
+    assert controller._paths == {}
+
+
+def test_kms_path_memo_grows_with_node_pairs_not_requests():
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_C": "N3", "APP_D": "N4"})
+    rng = random.Random(11)
+    app_pairs = [("APP_A", "APP_B"), ("APP_C", "APP_B"), ("APP_C", "APP_D"), ("APP_B", "APP_A")]
+    chosen = [rng.choice(app_pairs) for _ in range(120)]
+    result = run_events(
+        topo,
+        [{"at": 2000 * i, "event": "app_get_key", "app_src": src, "app_dst": dst}
+         for i, (src, dst) in enumerate(chosen)],
+    )
+    qusec_state = result.sim.qusec
+    assert qusec_state.discovery_count == len(chosen)
+    served = {(topo.apps[src], topo.apps[dst]) for src, dst in chosen}
+    assert set(qusec_state._paths) <= served
+    assert len(qusec_state._paths) <= len(served) < len(chosen)
 
 
 def test_spf_tie_break_is_deterministic_and_lexicographic():
