@@ -33,6 +33,7 @@ from .protocol import (
     PLAINTEXT_OCTET_FIELDS,
     STATUS_OK,
     STATUSES,
+    TYPE_TAGS,
     Entity,
     Envelope,
     ExtKeyRequest,
@@ -107,7 +108,7 @@ _EXPECT_KEYS = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioEvent:
     at: int
     event: str
@@ -238,7 +239,7 @@ def load_scenario(path: str) -> Scenario:
 # ── application endpoints ──
 
 
-@dataclass
+@dataclass(slots=True)
 class AppRequest:
     app_src: str
     app_dst: str
@@ -279,11 +280,15 @@ class AppEndpoint(Entity):
 
 
 class TimerHandle:
-    __slots__ = ("callback", "cancelled")
+    """A timer in the kernel's heap. ``callback`` is what it will run, and
+    None once it is cancelled or has fired: a spent handle holds nothing,
+    so what its callback referenced is freed by reference counting as
+    soon as the wait ends, not by the cyclic collector."""
+
+    __slots__ = ("callback",)
 
     def __init__(self, callback):
         self.callback = callback
-        self.cancelled = False
 
 
 class SimKernel:
@@ -323,8 +328,10 @@ class SimKernel:
         return handle
 
     def cancel_timer(self, handle) -> None:
+        """Disarm handle and drop its callback; the handle itself stays in
+        the heap until its time comes. None, or a spent handle, is a no-op."""
         if handle is not None:
-            handle.cancelled = True
+            handle.callback = None
 
     def _pump_messages(self) -> None:
         queue = self.transport.queue
@@ -367,16 +374,18 @@ class SimKernel:
                 execute(event)
             elif heap:
                 at, _, handle = heappop(heap)
-                if handle.cancelled:
+                callback = handle.callback
+                if callback is None:
                     continue
+                handle.callback = None
                 self.now_ms = max(self.now_ms, at)
-                handle.callback()
+                callback()
             else:
                 return
             pump()
 
     def live_timers(self) -> int:
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        return sum(1 for _, _, h in self._heap if h.callback is not None)
 
 
 # ── simulation assembly ──
@@ -737,8 +746,7 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     kernel = sim.kernel
     trace_lines = kernel.trace_lines
 
-    tags = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
-    counts = {tags[cls]: n for cls, n in kernel.type_counts.items()}
+    counts = {TYPE_TAGS[cls]: n for cls, n in kernel.type_counts.items()}
     audits = kernel.checker.violations
     checks, diff = _check_expectations(sim, scenario, trace_lines, counts, golden)
     quiescent = (

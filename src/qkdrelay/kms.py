@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 from .linksim import KeyPool
 from .protocol import (
@@ -49,7 +50,7 @@ from .topology import SimConfig
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveredKey:
     material: bytes
     stored_ms: int
@@ -80,7 +81,7 @@ def _reply(request: RelayRequest, status: str) -> RelayReply:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRelay:
     """A request whose reply waits on the reply to an onward request."""
 
@@ -279,12 +280,13 @@ class KmsEntity(Entity):
         self, to: str, onward: RelayRequest, reply_to: str, request: GetKey | RelayRequest
     ) -> None:
         """Send onward, and hold request's reply to reply_to until onward is
-        answered or times out."""
+        answered or times out. The timer's callback is a partial, not a
+        closure; the kernel drops it when the wait ends."""
         self.send(to, onward)
         id_relay_key = onward.id_relay_key
         pending = PendingRelay(_AWAITS[type(onward)], reply_to, request)
         pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(id_relay_key)
+            self.timeout_ms, partial(self._on_timeout, id_relay_key)
         )
         self.pending[id_relay_key] = pending
 

@@ -215,14 +215,14 @@ MESSAGE_TYPES: dict[str, type] = {
     "key_delivery": KeyDelivery,
 }
 
-_TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
 
 _STATUS_FIELDS = ("status", "ack_status")
 _NONEABLE_FIELDS = ("prev_hop", "next_hop", "id_kms")
 
 
 def message_type(msg: Message) -> str:
-    return _TYPE_TAGS[type(msg)]
+    return TYPE_TAGS[type(msg)]
 
 
 # Per message type, (field name, carries octets) in declaration order.
@@ -372,9 +372,9 @@ def _line_encoder(cls: type):
     )
     template = (
         '{"body":{' + body + '},"channel":%s,"from":%s,"seq":%d,"to":%s,"type":'
-        + _quote(_TYPE_TAGS[cls]) + "}"
+        + _quote(TYPE_TAGS[cls]) + "}"
     )
-    name = f"encode_{_TYPE_TAGS[cls]}"
+    name = f"encode_{TYPE_TAGS[cls]}"
     values = "".join(f"        {_field_source(f, is_octet)},\n" for f, is_octet in plan)
     source = (
         f"def {name}(env):\n"
@@ -525,21 +525,22 @@ class Transport:
         # tuple.__new__ builds the named tuple without its Python-level
         # __new__, which would only forward the five fields.
         env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, channel, msg))
-        for i, rule in enumerate(self.faults):
-            if rule.matches(msg):
-                del self.faults[i]
-                if rule.op == "drop":
-                    self.dropped.append(env)
-                    log.warning("fault: dropped %s %s->%s",
-                                message_type(msg), sender_id, receiver_id)
-                    return
-                corrupted = corrupt_message(msg)
-                if corrupted != msg:
-                    env = env._replace(msg=corrupted)
-                    self.corrupted.append(env)
-                    log.warning("fault: corrupted %s %s->%s",
-                                message_type(msg), sender_id, receiver_id)
-                break
+        if self.faults:
+            for i, rule in enumerate(self.faults):
+                if rule.matches(msg):
+                    del self.faults[i]
+                    if rule.op == "drop":
+                        self.dropped.append(env)
+                        log.warning("fault: dropped %s %s->%s",
+                                    message_type(msg), sender_id, receiver_id)
+                        return
+                    corrupted = corrupt_message(msg)
+                    if corrupted != msg:
+                        env = env._replace(msg=corrupted)
+                        self.corrupted.append(env)
+                        log.warning("fault: corrupted %s %s->%s",
+                                    message_type(msg), sender_id, receiver_id)
+                    break
         self.queue.append(env)
 
     def pending(self) -> int:

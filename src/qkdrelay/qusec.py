@@ -140,7 +140,7 @@ def expand_to_kms(node_path: tuple[str, ...], link_path: tuple[str, ...]) -> lis
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
     """One end-to-end establishment: ordered KMS list of length 2L."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from .protocol import (
     STATUS_TIMEOUT,
@@ -31,7 +32,7 @@ from .topology import Topology, vkms_name
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingApp:
     app_id: str
     request: GetKey | GetKeyWithId
@@ -110,10 +111,12 @@ class VkmsEntity(Entity):
 
     def _await(self, key, pending: PendingApp, to: str, msg) -> None:
         """Queue pending under the key its reply will name, arm its timer,
-        then send msg to `to`: each queue's timers fire in its order."""
+        then send msg to `to`: each queue's timers fire in its order. The
+        timer's callback is a partial, not a closure, and the kernel drops
+        it when the wait ends, so a resolved request is freed at once."""
         self.awaiting.setdefault(key, deque()).append(pending)
         pending.timer = self.services.schedule_timer(
-            self.timeout_ms, lambda: self._on_timeout(pending, key)
+            self.timeout_ms, partial(self._on_timeout, pending, key)
         )
         self.send(to, msg)
 

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import re
 import weakref
 
 import pytest
 
-from conftest import chain, mesh4, mesh4_dict, pair_scenario, resolved, run_events, write_json
-from qkdrelay import data_path, harness, linksim, load_scenario, protocol, run, trace
+from conftest import (
+    chain,
+    grid_dict,
+    grid_events,
+    mesh4,
+    mesh4_dict,
+    pair_scenario,
+    resolved,
+    run_events,
+    write_json,
+)
+from qkdrelay import data_path, harness, kms, linksim, load_scenario, protocol, run, trace, vkms
 from qkdrelay.harness import (
     ConfigError,
     Scenario,
@@ -315,6 +326,27 @@ def test_timer_in_the_past_is_config_error(mesh4_relay_topology):
     with pytest.raises(ConfigError, match=r"in the past \(49 < 50\)"):
         sim.kernel.schedule_timer(-1, lambda: None)
     assert sim.kernel.live_timers() == 0
+
+
+def test_a_spent_timer_holds_no_callback(mesh4_relay_topology):
+    """Cancelling a timer and firing it both drop its callback, and
+    live_timers() counts only the handles that still hold one."""
+    kernel = Simulation(mesh4_relay_topology, seed=1).kernel
+    fired = []
+    cancelled = kernel.schedule_timer(10, lambda: fired.append("cancelled"))
+    due = kernel.schedule_timer(20, lambda: fired.append("due"))
+    armed = kernel.schedule_timer(30, lambda: fired.append("armed"))
+    assert kernel.live_timers() == 3
+    kernel.cancel_timer(cancelled)
+    assert cancelled.callback is None
+    assert kernel.live_timers() == 2
+    kernel.cancel_timer(cancelled)
+    kernel.cancel_timer(None)
+    assert kernel.live_timers() == 2
+    kernel.run_to_quiescence([ScenarioEvent(25, "advance_clock", {})], lambda event: None)
+    assert fired == ["due", "armed"]
+    assert due.callback is None and armed.callback is None
+    assert kernel.live_timers() == 0
 
 
 def test_tick_links_selected_links_only():
@@ -657,6 +689,55 @@ def test_no_delivered_message_outlives_the_run(monkeypatch):
         alive = [r() for r in refs if r() is not None]
         assert sorted(id(msg) for msg in alive) == sorted(rules)
         refs.clear()
+
+
+# Rules that fire on all three grid sizes below, after every app's warm-up
+# pair has delivered it a key: a lost discovery reply times out at the
+# vKMS, a lost or altered relay message at the KMSes of its chain.
+GRID_FAULTS = [
+    {"at": 0, "event": "drop_message", "n": 3, "of_type": "key_relay"},
+    {"at": 0, "event": "corrupt_message", "n": 2, "of_type": "key_relay"},
+    {"at": 0, "event": "drop_message", "n": 40, "of_type": "kms_discovery_response"},
+    {"at": 0, "event": "drop_message", "n": 70, "of_type": "key_delivery"},
+    {"at": 0, "event": "drop_message", "n": 2, "of_type": "relay_process_response"},
+]
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+@pytest.mark.parametrize("pairs", [10, 40, 160])
+def test_a_run_leaves_no_cyclic_garbage(pairs, faults, monkeypatch):
+    """Request state is freed by reference counting as each request
+    resolves, whether answered or timed out: with the collector off for
+    the run and its result kept, a collection afterwards finds nothing."""
+    timeouts = {"vkms": 0, "kms": 0}
+
+    def counted(name, on_timeout):
+        def spy(self, *args):
+            timeouts[name] += 1
+            return on_timeout(self, *args)
+
+        return spy
+
+    for name, cls in (("vkms", vkms.VkmsEntity), ("kms", kms.KmsEntity)):
+        monkeypatch.setattr(cls, "_on_timeout", counted(name, cls._on_timeout))
+    raw = grid_dict(4, initial_pool=24, session_lifetime_ms=None)
+    events = grid_events(raw, random.Random(pairs), pairs=pairs)
+    if faults:
+        events = GRID_FAULTS + events
+    topology = topology_from_dict(raw)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_events(topology, events, seed=3)
+    finally:
+        gc.enable()
+    assert gc.collect() == 0
+    assert sum(r.status == STATUS_OK for r in result.sim.requests) > pairs
+    if faults:
+        assert result.sim.transport.faults == []
+        assert timeouts["vkms"] > 0 and timeouts["kms"] > 0
+    else:
+        assert result.exit_code == 0 and timeouts == {"vkms": 0, "kms": 0}
 
 
 def test_golden_mismatch_reported_with_diff(mesh4_relay_topology, tmp_path):
