@@ -27,6 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario against a topology")
+    p_run.set_defaults(handler=_cmd_run)
     p_run.add_argument("--topology", required=True, help="topology JSON file")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--seed", required=True, type=int, help="run seed (u64)")
@@ -53,12 +54,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check a topology file")
     p_val.add_argument("--topology", required=True, help="topology JSON file")
+    p_val.set_defaults(handler=_cmd_validate)
 
     p_diff = sub.add_parser(
         "diff", help="compare two traces after canonical renumbering"
     )
     p_diff.add_argument("expected", help="expected JSON-lines trace")
     p_diff.add_argument("actual", help="actual JSON-lines trace")
+    p_diff.set_defaults(handler=_cmd_diff)
 
     return parser
 
@@ -136,16 +139,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    parser.error("unknown command")  # pragma: no cover
-    return EXIT_CONFIG  # pragma: no cover
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -173,9 +173,11 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
             n = params["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ConfigError(f"events[{i}]: 'n' must be a positive integer")
-            of_type = params.get("of_type", "get_key")
-            if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
-                raise ConfigError(f"events[{i}]: unknown message type {of_type!r}")
+            # An absent of_type counts every message; a present one names a type.
+            if "of_type" in params:
+                of_type = params["of_type"]
+                if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
+                    raise ConfigError(f"events[{i}]: unknown message type {of_type!r}")
         elif kind == "tick_links":
             dt = params["dt_ms"]
             if isinstance(dt, bool) or not isinstance(dt, int) or dt <= 0:
@@ -252,8 +254,6 @@ class AppRequest:
 class AppEndpoint(Entity):
     """Harness-driven application; fills in its oldest outstanding request
     from each delivery it receives."""
-
-    kind = "app"
 
     def __init__(self, app_id: str, node_id: str):
         super().__init__(app_id, node_id=node_id)
@@ -611,9 +611,7 @@ class TraceRecords(Sequence[Envelope]):
     def __len__(self) -> int:
         return len(self._lines)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [decode(line) for line in self._lines[index]]
+    def __getitem__(self, index: int) -> Envelope:
         return decode(self._lines[index])
 
 
@@ -633,22 +631,21 @@ class RunResult:
 
 
 def _check_expectations(
-    sim: Simulation,
-    scenario: Scenario,
-    trace_lines: list[str],
-    message_counts: dict[str, int],
-    golden: list[str] | None,
+    report: dict, expect: dict, trace_lines: list[str], golden: list[str] | None
 ) -> tuple[list[dict], TraceDiff | None]:
+    """One check per expectation the scenario states, each read from the
+    run's report (its requests, pools and message counts), plus the golden
+    trace diff when a golden is given."""
     checks: list[dict] = []
-    expect = scenario.expect
     diff: TraceDiff | None = None
 
     def add(name: str, ok: bool, detail: str = "") -> None:
         checks.append({"check": name, "ok": bool(ok), "detail": detail})
 
+    requests = report["requests"]
     if "final_statuses" in expect:
         wanted = expect["final_statuses"]
-        got = [r.status for r in sim.requests]
+        got = [r["status"] for r in requests]
         ok = got == wanted
         add(
             "final_statuses",
@@ -657,11 +654,15 @@ def _check_expectations(
         )
 
     if "e2e_match" in expect:
-        by_key: dict[str, set[bytes]] = {}
-        for request in sim.requests:
-            if request.status == STATUS_OK and request.key_id:
-                by_key.setdefault(request.key_id, set()).add(request.material)
-        shared = {k: v for k, v in by_key.items() if len(v) > 1}
+        # Materials are hex here, and hex is one-to-one on bytes. A key id
+        # is shared when any ok delivery of it differs from its first.
+        first: dict[str, str] = {}
+        shared: set[str] = set()
+        for request in requests:
+            key_id, material = request["key_id"], request["material"]
+            if request["status"] == STATUS_OK and key_id:
+                if first.setdefault(key_id, material) != material:
+                    shared.add(key_id)
         matched = not shared
         ok = matched == bool(expect["e2e_match"])
         add(
@@ -672,16 +673,15 @@ def _check_expectations(
 
     if "pool_consumed" in expect:
         wanted = expect["pool_consumed"]
-        got = {
-            link_id: len(sim.linksim.link_consumed_ids(link_id))
-            for link_id in wanted
-        }
+        pools = report["pools"]
+        got = {link_id: pools[link_id]["consumed_distinct"] for link_id in wanted}
         ok = got == wanted
         add("pool_consumed", ok, "" if ok else f"expected {wanted}, got {got}")
 
     if "message_counts" in expect:
         wanted = expect["message_counts"]
-        got = {k: message_counts.get(k, 0) for k in wanted}
+        counts = report["message_counts"]
+        got = {k: counts.get(k, 0) for k in wanted}
         ok = got == wanted
         add("message_counts", ok, "" if ok else f"expected {wanted}, got {got}")
 
@@ -746,16 +746,13 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     kernel = sim.kernel
     trace_lines = kernel.trace_lines
 
-    counts = {TYPE_TAGS[cls]: n for cls, n in kernel.type_counts.items()}
     audits = kernel.checker.violations
-    checks, diff = _check_expectations(sim, scenario, trace_lines, counts, golden)
     quiescent = (
         sim.transport.pending() == 0
         and sim.kernel.live_timers() == 0
         and all(r.status is not None for r in sim.requests)
     )
 
-    failed_checks = [c for c in checks if not c["ok"]]
     # Altered key material on a KeyRelay, or on an ExtKeyRequest that the
     # next KMS re-encrypts into one, breaks otp_wire: expectations decide.
     # No fault can break another audit, so none excuses it.
@@ -770,7 +767,7 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
         "sim_time_ms": sim.kernel.now_ms,
         "quiescent": quiescent,
         "records": len(trace_lines),
-        "message_counts": counts,
+        "message_counts": {TYPE_TAGS[cls]: n for cls, n in kernel.type_counts.items()},
         "requests": [
             {
                 "app_src": r.app_src,
@@ -785,18 +782,17 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
         "pools": sim.linksim.pool_report(),
         "controller": sim.qusec.dump_state(),
         "audits": audits,
-        "checks": checks,
     }
+    checks, diff = _check_expectations(report, scenario.expect, trace_lines, golden)
+    report["checks"] = checks
 
-    exit_code = 0
-    if failed_checks or not audit_ok or not quiescent:
-        exit_code = 1
+    passed = all(c["ok"] for c in checks) and audit_ok and quiescent
     return RunResult(
         sim=sim,
         scenario=scenario,
         trace_lines=trace_lines,
         report=report,
-        exit_code=exit_code,
+        exit_code=0 if passed else 1,
         diff=diff,
     )
 

@@ -94,8 +94,6 @@ class PendingRelay:
 class KmsEntity(Entity):
     """Serial actor for one (node, link) KMS seat."""
 
-    kind = "kms"
-
     def __init__(
         self,
         kms_id: str,
@@ -317,24 +315,3 @@ class KmsEntity(Entity):
             self._deliver(pending.reply_to, id_relay_key, material, status)
         else:
             self.send(pending.reply_to, _reply(pending.request, status))
-
-    # ── introspection for tests and reports ──
-
-    def dump_state(self) -> dict:
-        return {
-            "kms_id": self.entity_id,
-            "link": self.pool.table.link_id,
-            "rules": {
-                a: {
-                    "prev_hop": r.prev_hop,
-                    "next_hop": r.next_hop,
-                    "app_src": r.app_src,
-                    "app_dst": r.app_dst,
-                }
-                for a, r in self.rules.items()
-            },
-            "delivered": sorted(k[0] for k in self.delivered),
-            "pending": sorted(self.pending),
-            "pool": self.pool.counts(),
-            "orphans": self.orphan_count,
-        }

@@ -444,9 +444,10 @@ def corrupt_message(msg: Message) -> Message:
 
 
 class Entity:
-    """Serial actor addressed by entity id; processes one envelope at a time."""
+    """Serial actor addressed by entity id; processes one envelope at a time.
 
-    kind = "entity"
+    ``node_id`` is the node the entity runs inside. Every app, vKMS and KMS
+    has one; the controller, which sits outside every node, has None."""
 
     def __init__(self, entity_id: str, node_id: str | None = None):
         self.entity_id = entity_id
@@ -464,9 +465,11 @@ class Entity:
 
 
 def channel_for(sender: Entity, receiver: Entity) -> str:
-    if sender.kind == "controller" or receiver.kind == "controller":
+    """control when either end is outside every node (the controller),
+    intra_node when both ends share a node, else inter_node."""
+    if sender.node_id is None or receiver.node_id is None:
         return CHANNEL_CONTROL
-    if sender.node_id is not None and sender.node_id == receiver.node_id:
+    if sender.node_id == receiver.node_id:
         return CHANNEL_INTRA
     return CHANNEL_INTER
 

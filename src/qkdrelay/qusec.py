@@ -165,8 +165,6 @@ class SessionState:
 class QusecEntity(Entity):
     """Serial controller actor; all transitions happen in message order."""
 
-    kind = "controller"
-
     def __init__(self, topology: Topology, seed: int):
         super().__init__(QUSEC_ID, node_id=None)
         self.topology = topology

@@ -42,8 +42,6 @@ class PendingApp:
 class VkmsEntity(Entity):
     """Serial actor fronting one node's KMS seats."""
 
-    kind = "vkms"
-
     def __init__(self, node_id: str, topology: Topology):
         super().__init__(vkms_name(node_id), node_id=node_id)
         self.topology = topology

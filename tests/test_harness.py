@@ -130,6 +130,10 @@ def minimal_events():
         ),
         ({"name": 5, "events": []}, "'name' must be a string"),
         ({"topology": 7, "events": []}, "'topology' must be a string"),
+        (
+            {"events": [{"at": 0, "event": "drop_message", "n": 1, "of_type": None}]},
+            "unknown message type None",
+        ),
     ],
 )
 def test_scenario_schema_rejections(raw, message):
@@ -457,6 +461,20 @@ def test_dropped_key_relay_cascades_timeouts(mesh4_relay_topology):
     orphans = sum(k.orphan_count for k in result.sim.kms.values())
     assert orphans >= 1
     assert result.sim.kms["KMS_4d"].delivered == {}
+
+
+def test_a_fault_without_of_type_counts_every_message(mesh4_relay_topology):
+    request = {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}
+    clean = run_events(mesh4_relay_topology, [request])
+    result = run_events(
+        mesh4_relay_topology, [{"at": 0, "event": "drop_message", "n": 3}, request]
+    )
+    # Sends are delivered in send order, so the clean run's third record is
+    # the third message sent, whatever its type.
+    (dropped,) = result.sim.transport.dropped
+    assert dropped == protocol.decode(clean.trace_lines[2])
+    assert protocol.message_type(dropped.msg) != "get_key"
+    assert result.trace_lines[:2] == clean.trace_lines[:2]
 
 
 def test_corrupted_key_relay_breaks_e2e_equality(mesh4_relay_topology):

@@ -390,12 +390,12 @@ def test_delivered_store_within_ttl():
     assert pickup.status == STATUS_OK
 
 
-def test_dump_state_reports_pool_and_rules(mesh4_relay_topology):
+def test_initiator_state_after_a_relay(mesh4_relay_topology):
     result = run_events(mesh4_relay_topology, one_get_key())
-    dump = result.sim.kms["KMS_1b"].dump_state()
-    assert dump["pool"]["consumed"] == 1
-    assert len(dump["rules"]) == 1
-    assert dump["pending"] == []
-    ((assoc, rule),) = dump["rules"].items()
-    assert rule["prev_hop"] is None
-    assert rule["next_hop"] == "KMS_3b"
+    kms = result.sim.kms["KMS_1b"]
+    assert kms.pool.counts()["consumed"] == 1
+    assert len(kms.rules) == 1
+    assert kms.pending == {}
+    (rule,) = kms.rules.values()
+    assert rule.prev_hop is None
+    assert rule.next_hop == "KMS_3b"

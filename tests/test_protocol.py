@@ -506,9 +506,7 @@ def test_channel_derivation():
 
 def test_controller_channel():
     transport = Transport()
-    controller = Sink("QuSeC")
-    controller.kind = "controller"
-    transport.register(controller)
+    transport.register(Sink("QuSeC"))  # no node: the controller
     transport.register(Sink("vKMS_1", "N1"))
     transport.send("vKMS_1", "QuSeC", GetKey(app_src="APP_A", app_dst="APP_B"))
     assert pop_next(transport).channel == CHANNEL_CONTROL

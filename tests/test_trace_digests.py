@@ -35,9 +35,15 @@ import pytest
 
 from conftest import chain_dict, grid_dict, grid_events, mesh4_dict, run_events
 from qkdrelay import data_path
-from qkdrelay.harness import load_scenario, load_topology_file, run
+from qkdrelay.harness import (
+    ConfigError,
+    load_scenario,
+    load_topology_file,
+    run,
+    scenario_from_dict,
+)
 from qkdrelay.protocol import MESSAGE_TYPES
-from qkdrelay.topology import topology_from_dict
+from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
 
 SEED = 5
 
@@ -792,3 +798,76 @@ def test_run_leaves_no_open_wait(kind, key):
     result = run_case(kind, key)
     assert [v.awaiting for v in result.sim.vkms.values() if v.awaiting] == []
     assert [k.pending for k in result.sim.kms.values() if k.pending] == []
+
+
+# ── random fault corpus ──
+
+# One digest over many seeded random grid runs: every trace, every report
+# (expectation checks included), every exit code and every configuration
+# error. A change that must leave the wire and the reports untouched keeps
+# it; -k corpus runs it alone.
+CORPUS_RUNS = 300
+CORPUS_DIGEST = "c55388b7979752255b91a317553bba98825a12110e90842c7923d6364d038f42"
+# Runs that end without a ConfigError. The rest name a key_id_from app
+# whose own request has not resolved ok yet, which only the run can tell.
+CORPUS_MIN_COMPLETED = 250
+
+
+def corpus_case(rng: random.Random) -> tuple[dict, dict]:
+    """A 3x3 or 4x4 grid with random pools, link weights, weight policy,
+    cache TTL and session lifetime, and a scenario: grid_events squeezed by
+    1, 2 or 4 so that requests overlap, 0-3 drop/corrupt rules on any
+    message type, and each kind of expectation, met or not, half the time."""
+    raw = grid_dict(
+        rng.choice((3, 4)),
+        initial_pool=rng.choice((2, 6, 16)),
+        session_lifetime_ms=rng.choice((None, 500)),
+    )
+    for link in raw["links"]:
+        link["key_rate"] = rng.choice((1.0, 10.0, 100.0))
+        link["distance_km"] = rng.choice((1.0, 10.0, 40.0))
+    raw["weight_policy"] = rng.choice(WEIGHT_POLICIES)
+    raw.setdefault("config", {})["cache_ttl_ms"] = rng.choice((0, 60, 5000))
+    events = grid_events(raw, rng, pairs=rng.randint(0, 12))
+    requests = len(events)
+    squeeze = rng.choice((1, 2, 4))
+    for event in events:
+        event["at"] //= squeeze
+    events += [
+        {
+            "at": rng.choice(events)["at"],
+            "event": rng.choice(("drop_message", "corrupt_message")),
+            "n": rng.randint(1, 8),
+            "of_type": rng.choice(list(MESSAGE_TYPES)),
+        }
+        for _ in range(rng.randint(0, 3))
+    ]
+    events.sort(key=lambda event: event["at"])  # stable: a rule follows its ms's requests
+    expect = {}
+    if rng.random() < 0.5:
+        expect["final_statuses"] = ["ok"] * requests
+    if rng.random() < 0.5:
+        expect["e2e_match"] = rng.random() < 0.8
+    if rng.random() < 0.5:
+        expect["pool_consumed"] = {rng.choice(raw["links"])["id"]: rng.randint(0, 4)}
+    if rng.random() < 0.5:
+        expect["message_counts"] = {rng.choice(list(MESSAGE_TYPES)): rng.randint(0, 40)}
+    return raw, {"name": "corpus", "events": events, "expect": expect}
+
+
+def test_random_fault_corpus_digest():
+    digest = hashlib.sha256()
+    completed = 0
+    for case in range(CORPUS_RUNS):
+        raw, scenario = corpus_case(random.Random(case))
+        try:
+            result = run(topology_from_dict(raw), scenario_from_dict(scenario), seed=case)
+        except ConfigError as exc:
+            digest.update(f"{case} error {exc}\n".encode())
+            continue
+        completed += 1
+        digest.update(f"{case} exit {result.exit_code}\n".encode())
+        digest.update(raw_digest(result.trace_lines).encode())
+        digest.update(json.dumps(result.report, sort_keys=True).encode())
+    assert completed >= CORPUS_MIN_COMPLETED
+    assert digest.hexdigest() == CORPUS_DIGEST
