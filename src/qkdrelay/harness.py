@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import os
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -252,12 +251,13 @@ class AppRequest:
 
 
 class AppEndpoint(Entity):
-    """Harness-driven application; fills in its oldest outstanding request
-    from each delivery it receives."""
+    """Harness-driven application; each delivery fills in the outstanding
+    request its id_request names."""
 
     def __init__(self, app_id: str, node_id: str):
         super().__init__(app_id, node_id=node_id)
-        self.outstanding: deque[AppRequest] = deque()
+        # id_request -> the request, until its delivery arrives.
+        self.outstanding: dict[str, AppRequest] = {}
         self.last_ok_key_id: str | None = None
 
     def on_message(self, env: Envelope) -> None:
@@ -265,10 +265,10 @@ class AppEndpoint(Entity):
         if not isinstance(msg, KeyDelivery):
             log.warning("%s ignoring %s", self.entity_id, message_type(msg))
             return
-        if not self.outstanding:
-            log.warning("%s dropping unsolicited delivery", self.entity_id)
+        request = self.outstanding.pop(msg.id_request, None)
+        if request is None:
+            log.warning("%s dropping orphan delivery for %s", self.entity_id, msg.id_request)
             return
-        request = self.outstanding.popleft()
         request.status = msg.status
         request.key_id = msg.key_id
         request.material = msg.material
@@ -447,23 +447,19 @@ class Simulation:
         return key_id
 
     def _app_request(self, params: dict, with_id: bool) -> None:
+        """Send one app request. Its id is its 1-based place in `requests`,
+        so it is unique in the run and the same for every seed."""
         app_id = params["app_src"]
         app = self.apps[app_id]
+        app_dst = params["app_dst"]
         via_node = params.get("via_node", self.topology.apps[app_id])
+        id_request = f"R{len(self.requests) + 1}"
         if with_id:
-            msg = GetKeyWithId(
-                app_src=app_id,
-                app_dst=params["app_dst"],
-                key_id=self._resolve_key_id(params),
-            )
+            msg = GetKeyWithId(app_id, app_dst, self._resolve_key_id(params), id_request)
         else:
-            msg = GetKey(app_src=app_id, app_dst=params["app_dst"])
-        request = AppRequest(
-            app_src=app_id,
-            app_dst=params["app_dst"],
-            kind=message_type(msg),
-        )
-        app.outstanding.append(request)
+            msg = GetKey(app_id, app_dst, id_request)
+        request = AppRequest(app_src=app_id, app_dst=app_dst, kind=message_type(msg))
+        app.outstanding[id_request] = request
         self.requests.append(request)
         app.send(self.vkms[via_node].entity_id, msg)
 

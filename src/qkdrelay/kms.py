@@ -156,17 +156,20 @@ class KmsEntity(Entity):
 
     # ── Get Key (direct or relay initiation) ──
 
-    def _deliver(self, to: str, key_id: str, material: bytes, status: str) -> None:
-        self.send(to, KeyDelivery(key_id=key_id, material=material, status=status))
+    def _deliver(
+        self, to: str, request: GetKey | GetKeyWithId, key_id: str, material: bytes, status: str
+    ) -> None:
+        """Answer request: the delivery carries its id_request."""
+        self.send(to, KeyDelivery(key_id, material, status, request.id_request))
 
     def _handle_get_key(self, msg: GetKey, requester: str) -> None:
         # Direct serve and relay initiation both take the next key, FIFO.
         key_id = self.pool.reserve_next()
         if key_id is None:
-            self._deliver(requester, "", b"", STATUS_NO_KEY)
+            self._deliver(requester, msg, "", b"", STATUS_NO_KEY)
             return
         if self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=None) is None:
-            self._deliver(requester, key_id, self.pool.consume(key_id), STATUS_OK)
+            self._deliver(requester, msg, key_id, self.pool.consume(key_id), STATUS_OK)
             return
         # Relay: the key is K1, kept reserved until the chain completes.
         self._forward(
@@ -180,21 +183,17 @@ class KmsEntity(Entity):
 
     def _handle_get_key_with_id(self, msg: GetKeyWithId, requester: str) -> None:
         # Target-side pickup from the delivered-keys store first.
-        entry_key = (msg.key_id, msg.app_dst, msg.app_src)
-        entry = self.delivered.get(entry_key)
-        if entry is not None:
-            if self._store_entry_expired(entry):
-                # State existed but lapsed with the session.
-                self._deliver(requester, msg.key_id, b"", STATUS_NO_RULE)
-                return
-            self._deliver(requester, msg.key_id, entry.material, STATUS_OK)
-            return
-        # Direct case: the id names a key in this KMS's own pool.
-        material = self.pool.take(msg.key_id)
-        if material is None:
-            self._deliver(requester, msg.key_id, b"", STATUS_NO_KEY)
+        entry = self.delivered.get((msg.key_id, msg.app_dst, msg.app_src))
+        if entry is None:
+            # Direct case: the id names a key in this KMS's own pool.
+            material = self.pool.take(msg.key_id)
+            status = STATUS_NO_KEY if material is None else STATUS_OK
+        elif self._store_entry_expired(entry):
+            # State existed but lapsed with the session.
+            material, status = None, STATUS_NO_RULE
         else:
-            self._deliver(requester, msg.key_id, material, STATUS_OK)
+            material, status = entry.material, STATUS_OK
+        self._deliver(requester, msg, msg.key_id, material or b"", status)
 
     def _store_entry_expired(self, entry: DeliveredKey) -> bool:
         if self.delivered_ttl_ms is None:
@@ -312,6 +311,6 @@ class KmsEntity(Entity):
             # The initiator waits under K1's id. K1 is consumed even on failure.
             k1 = self.pool.consume(id_relay_key)
             material = k1 if status == STATUS_OK else b""
-            self._deliver(pending.reply_to, id_relay_key, material, status)
+            self._deliver(pending.reply_to, pending.request, id_relay_key, material, status)
         else:
             self.send(pending.reply_to, _reply(pending.request, status))

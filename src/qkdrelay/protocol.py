@@ -99,6 +99,7 @@ def otp_xor(a: bytes, b: bytes) -> bytes:
 class GetKey:
     app_src: str
     app_dst: str
+    id_request: str
 
 
 @dataclass(frozen=True)
@@ -106,12 +107,15 @@ class GetKeyWithId:
     app_src: str
     app_dst: str
     key_id: str
+    id_request: str
 
 
 @dataclass(frozen=True)
 class KmsDiscoveryRequest:
     app_src: str
     app_dst: str
+    kind: str  # the request's type tag: get_key or get_key_with_id
+    id_request: str
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,7 @@ class KmsDiscoveryResponse:
     app_src: str
     app_dst: str
     id_kms: str | None  # none signals a failed discovery
+    id_request: str
 
 
 @dataclass(frozen=True)
@@ -183,6 +188,7 @@ class KeyDelivery:
     key_id: str
     material: bytes
     status: str
+    id_request: str
 
 
 Message = (
@@ -216,6 +222,9 @@ MESSAGE_TYPES: dict[str, type] = {
 }
 
 TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+
+# The kinds of app request a discovery can be for.
+REQUEST_KINDS = ("get_key", "get_key_with_id")
 
 _STATUS_FIELDS = ("status", "ack_status")
 _NONEABLE_FIELDS = ("prev_hop", "next_hop", "id_kms")
@@ -301,6 +310,9 @@ def message_from_body(type_tag: str, body: dict) -> Message:
         elif f.name == "ext":
             if not isinstance(value, dict):
                 raise CodecError(f"{type_tag}: field 'ext' must be an object")
+        elif f.name == "kind":
+            if value not in REQUEST_KINDS:
+                raise CodecError(f"{type_tag}: bad kind {value!r}")
         elif f.name in _NONEABLE_FIELDS:
             if value is not None and not isinstance(value, str):
                 raise CodecError(f"{type_tag}: field {f.name!r} must be string or null")

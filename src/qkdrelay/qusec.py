@@ -236,10 +236,7 @@ class QusecEntity(Entity):
                         protocol.message_type(env.msg), env.sender)
 
     def _respond(self, reply_to: str, msg: KmsDiscoveryRequest, id_kms: str | None) -> None:
-        self.send(
-            reply_to,
-            KmsDiscoveryResponse(app_src=msg.app_src, app_dst=msg.app_dst, id_kms=id_kms),
-        )
+        self.send(reply_to, KmsDiscoveryResponse(msg.app_src, msg.app_dst, id_kms, msg.id_request))
 
     def _fail(self, reply_to: str, msg: KmsDiscoveryRequest, reason: str) -> None:
         self.errors.append(
@@ -262,12 +259,14 @@ class QusecEntity(Entity):
             self._fail(reply_to, msg, "same_node")
             return
 
-        # (b) requester is the target of a live session: reuse it, no installs.
-        session = self._find_reusable_session(msg.app_src, msg.app_dst)
-        if session is not None:
-            session.status = SESSION_COMPLETED
-            self._respond(reply_to, msg, session.kms_path[-1])
-            return
+        # (b) A target's pickup of a live session's key: reuse it, no
+        # installs. A plain get_key always gets a path of its own.
+        if msg.kind == "get_key_with_id":
+            session = self._find_reusable_session(msg.app_src, msg.app_dst)
+            if session is not None:
+                session.status = SESSION_COMPLETED
+                self._respond(reply_to, msg, session.kms_path[-1])
+                return
 
         try:
             kms_path = self._kms_path(src_node, dst_node)

@@ -65,23 +65,23 @@ def ext_request(value: bytes) -> ExtKeyRequest:
 
 @pytest.mark.parametrize("sender,receiver", [("vKMS_1", QUSEC_ID), (QUSEC_ID, "vKMS_1")])
 def test_controller_blindness_flags_key_delivery_at_controller(sender, receiver):
-    record = env(KeyDelivery("k1", KEY, STATUS_OK), sender, receiver, CHANNEL_CONTROL)
+    record = env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), sender, receiver, CHANNEL_CONTROL)
     assert audit_controller_blindness([record]) == [
         "record 0: controller record carries ['material'] (key_delivery)"
     ]
 
 
 def test_controller_blindness_flags_declared_field_even_when_empty():
-    record = env(KeyDelivery("", b"", STATUS_NO_KEY), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL)
+    record = env(KeyDelivery("", b"", STATUS_NO_KEY, "R1"), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL)
     assert len(audit_controller_blindness([record])) == 1
 
 
 def test_controller_blindness_passes_control_records_without_octet_fields():
     records = [
-        env(KmsDiscoveryRequest("APP_A", "APP_B"), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL),
-        env(KmsDiscoveryResponse("APP_A", "APP_B", None), QUSEC_ID, "vKMS_1", CHANNEL_CONTROL),
+        env(KmsDiscoveryRequest("APP_A", "APP_B", "get_key", "R1"), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL),
+        env(KmsDiscoveryResponse("APP_A", "APP_B", None, "R1"), QUSEC_ID, "vKMS_1", CHANNEL_CONTROL),
         # Key material away from the controller is not this audit's business.
-        env(KeyDelivery("k1", KEY, STATUS_OK), "KMS_1a", "vKMS_1", CHANNEL_INTRA),
+        env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), "KMS_1a", "vKMS_1", CHANNEL_INTRA),
     ]
     assert audit_controller_blindness(records) == []
 
@@ -91,7 +91,7 @@ def test_controller_blindness_passes_control_records_without_octet_fields():
 
 @pytest.mark.parametrize("channel", [CHANNEL_INTER, CHANNEL_CONTROL])
 def test_plaintext_channels_flags_material_off_node(channel):
-    records = [env(KeyDelivery("k1", KEY, STATUS_OK), channel=channel)]
+    records = [env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), channel=channel)]
     assert audit_plaintext_channels(records) == [
         f"record 0: plaintext 'material' on {channel} channel"
     ]
@@ -99,7 +99,7 @@ def test_plaintext_channels_flags_material_off_node(channel):
 
 @pytest.mark.parametrize("channel", [CHANNEL_INTER, CHANNEL_CONTROL])
 def test_plaintext_channels_flags_relay_key_value_off_node(channel):
-    records = [env(GetKey("APP_A", "APP_B")), env(ext_request(KEY), channel=channel)]
+    records = [env(GetKey("APP_A", "APP_B", "R1")), env(ext_request(KEY), channel=channel)]
     assert audit_plaintext_channels(records) == [
         f"record 1: plaintext 'value_relay_key' on {channel} channel"
     ]
@@ -107,9 +107,9 @@ def test_plaintext_channels_flags_relay_key_value_off_node(channel):
 
 def test_plaintext_channels_passes_near_misses():
     records = [
-        env(KeyDelivery("", b"", STATUS_NO_KEY), channel=CHANNEL_INTER),
+        env(KeyDelivery("", b"", STATUS_NO_KEY, "R1"), channel=CHANNEL_INTER),
         env(ext_request(b""), channel=CHANNEL_CONTROL),
-        env(KeyDelivery("k1", KEY, STATUS_OK), channel=CHANNEL_INTRA),
+        env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), channel=CHANNEL_INTRA),
         env(ext_request(KEY), channel=CHANNEL_INTRA),
         # The OTP-encrypted payload may cross nodes.
         env(KeyRelay(KEY, "k2", "k1", "APP_A", "APP_B", "a1"), channel=CHANNEL_INTER),
@@ -162,7 +162,7 @@ def test_otp_wire_flags_plaintext_k1_and_unknown_ids():
 
 
 def test_fifo_flags_repeated_seq_on_one_pair():
-    msg = GetKey("APP_A", "APP_B")
+    msg = GetKey("APP_A", "APP_B", "R1")
     records = [
         env(msg, "APP_A", "vKMS_1", seq=1),
         env(msg, "APP_A", "vKMS_2", seq=1),  # same seq, other pair: fine
@@ -205,11 +205,11 @@ def body_plaintext_channels(records: list[Envelope]) -> list[str]:
 
 
 BAD_RECORDS = [
-    env(KeyDelivery("k1", KEY, STATUS_OK), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL),
-    env(KeyDelivery("k1", b"", STATUS_OK), QUSEC_ID, "vKMS_1", CHANNEL_CONTROL),
+    env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), "vKMS_1", QUSEC_ID, CHANNEL_CONTROL),
+    env(KeyDelivery("k1", b"", STATUS_OK, "R1"), QUSEC_ID, "vKMS_1", CHANNEL_CONTROL),
     env(ext_request(KEY), channel=CHANNEL_CONTROL),
     env(ext_request(KEY), channel=CHANNEL_INTER),
-    env(KeyDelivery("k1", KEY, STATUS_OK), channel=CHANNEL_INTER),
+    env(KeyDelivery("k1", KEY, STATUS_OK, "R1"), channel=CHANNEL_INTER),
 ]
 
 

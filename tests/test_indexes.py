@@ -291,6 +291,10 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     for lifetime in (None, 60, 150):
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
         events = grid_events(raw, random.Random(lifetime or 0), pairs=40)
+        if lifetime is not None:
+            # Only a pickup looks for a session to reuse: repeat the last
+            # one after its session has expired.
+            events.append({**events[-1], "at": events[-1]["at"] + lifetime + 10})
         result = run_events(topology_from_dict(raw), events, seed=2)
         assert result.report["quiescent"]
     assert seen["reused"] > 0

@@ -1,10 +1,12 @@
 """Key binding: an ok key must be one its named peer can also obtain, and
 both endpoint pools of a link must consume in step.
 
-Each xfail run below breaks one of these today while exiting 0 with every
-audit green, so it is a strict xfail naming the ROADMAP item that mends it:
-when the fix lands, the test passes and its mark must go. The cache variant
-without a cache is the passing control that shows the cache is the cause.
+Each run below once broke one of these while exiting 0 with every audit
+green: the vKMS and the app matched replies by queue position, QuSeC
+answered a plain get_key from a live session's target, and the vKMS cache
+let a pickup's terminating KMS serve a plain get_key. Replies are now
+matched by request id, and discovery and the cache carry the request kind.
+The cache case runs with and without a cache.
 """
 
 from __future__ import annotations
@@ -32,14 +34,10 @@ def assert_pools_in_step(result) -> None:
     assert {link_id: c for link_id, c in consumed.items() if c[0] != c[1]} == {}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(a): vKMS and app match replies by queue position",
-)
 def test_a_lost_relay_does_not_hand_its_request_another_requests_key():
     # A's relay (KMS_1b first) loses its KeyRelay on link d. X's direct
-    # key, also from KMS_1b, then reaches vKMS_1 while A's request is the
-    # oldest one waiting on that KMS, so A takes X's key and X times out.
+    # key, also from KMS_1b, then reaches vKMS_1 while A's request still
+    # waits on that KMS: it must go to X, not to the older request.
     topology = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_X": "N1", "APP_C": "N3"})
     result = run_events(
         topology,
@@ -55,13 +53,9 @@ def test_a_lost_relay_does_not_hand_its_request_another_requests_key():
     assert x_request.status == STATUS_OK
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1(b): QuSeC answers a plain get_key from a live session's target",
-)
 def test_a_reverse_get_key_keeps_the_pools_in_step():
-    # B's plain get_key is served as a pickup of A's session: KMS_4d
-    # consumes a second key that KMS_3d never does.
+    # B's plain get_key must not be served as a pickup of A's session,
+    # where KMS_4d would consume a second key that KMS_3d never does.
     result = run_events(
         mesh4({"APP_A": "N1", "APP_B": "N4"}),
         [get_key(0, "APP_A", "APP_B"), get_key(10, "APP_B", "APP_A")],
@@ -70,24 +64,12 @@ def test_a_reverse_get_key_keeps_the_pools_in_step():
     assert_pools_in_step(result)
 
 
-@pytest.mark.parametrize(
-    "cache_ttl_ms",
-    [
-        0,
-        pytest.param(
-            60000,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1(b): the vKMS cache is keyed by app pair alone",
-            ),
-        ),
-    ],
-)
+@pytest.mark.parametrize("cache_ttl_ms", [0, 60000])
 def test_a_get_key_after_a_pickup_keeps_the_pools_in_step(cache_ttl_ms):
-    # B's pickup caches KMS_4d for the pair (B, A). The session has expired
-    # by 2000 ms, so QuSeC's session reuse plays no part, yet a cached
-    # lookup sends B's plain get_key to KMS_4d, which serves it from link d
-    # alone. Without the cache, QuSeC installs a fresh B -> A relay.
+    # B's pickup caches KMS_4d for (B, A, get_key_with_id). The session has
+    # expired by 2000 ms, so QuSeC's session reuse plays no part. B's plain
+    # get_key must miss that entry, or KMS_4d would serve it from link d
+    # alone; QuSeC installs a fresh B -> A relay instead.
     result = run_events(
         mesh4({"APP_A": "N1", "APP_B": "N4"}),
         [

@@ -28,6 +28,7 @@ from qkdrelay.protocol import (
     GetKey,
     KeyDelivery,
     KeyRelay,
+    KmsDiscoveryRequest,
     LengthMismatchError,
     RelayPathInstall,
     Transport,
@@ -110,6 +111,8 @@ def _field_value(name: str, draw) -> object:
         return draw(st.one_of(st.none(), st.text(min_size=1, max_size=12)))
     if name == "ext":
         return draw(st.dictionaries(st.text(max_size=8), _json_values, max_size=3))
+    if name == "kind":
+        return draw(st.sampled_from(protocol.REQUEST_KINDS))
     return draw(st.text(min_size=0, max_size=16))
 
 
@@ -173,6 +176,7 @@ _EDGE_VALUES = {
     "next_hop": [None, "KMS_2\u00e9"],
     "id_kms": [None, "KMS_1a"],
     "ext": [{}, {"z": "1", "a": "\u00f1", "m": ""}],
+    "kind": ["get_key", "get_key_with_id"],
 }
 
 
@@ -276,7 +280,7 @@ def _sample_line() -> dict:
         sender="APP_A",
         receiver="vKMS_1",
         channel=CHANNEL_INTRA,
-        msg=GetKey(app_src="APP_A", app_dst="APP_B"),
+        msg=GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"),
     )
     return json.loads(encode(env))
 
@@ -322,7 +326,7 @@ def test_decode_rejects_bad_status():
         sender="KMS_3d",
         receiver="vKMS_3",
         channel=CHANNEL_INTRA,
-        msg=KeyDelivery(key_id="k", material=b"\x01", status="ok"),
+        msg=KeyDelivery(key_id="k", material=b"\x01", status="ok", id_request="R1"),
     )
     obj = json.loads(encode(env))
     obj["body"]["status"] = "great_success"
@@ -336,7 +340,7 @@ def test_decode_rejects_uppercase_hex():
         sender="KMS_3d",
         receiver="vKMS_3",
         channel=CHANNEL_INTRA,
-        msg=KeyDelivery(key_id="k", material=b"\xab", status="ok"),
+        msg=KeyDelivery(key_id="k", material=b"\xab", status="ok", id_request="R1"),
     )
     obj = json.loads(encode(env))
     obj["body"]["material"] = obj["body"]["material"].upper()
@@ -389,16 +393,18 @@ _INSTALL = RelayPathInstall(
 @pytest.mark.parametrize(
     "msg, field, value, message",
     [
-        (KeyDelivery(key_id="k", material=b"\x01", status="ok"), "material", 5,
+        (KeyDelivery(key_id="k", material=b"\x01", status="ok", id_request="R1"), "material", 5,
          "key_delivery: field 'material' must be hex"),
-        (KeyDelivery(key_id="k", material=b"\x01", status="ok"), "material", "zz",
+        (KeyDelivery(key_id="k", material=b"\x01", status="ok", id_request="R1"), "material", "zz",
          "key_delivery: field 'material' must be hex"),
         (_ACK, "ext", [], "ack_request: field 'ext' must be an object"),
         (_INSTALL, "prev_hop", 5, "relay_path_install: field 'prev_hop' must be string or null"),
         (_INSTALL, "next_hop", ["KMS_3d"],
          "relay_path_install: field 'next_hop' must be string or null"),
-        (GetKey(app_src="APP_A", app_dst="APP_B"), "app_src", 5,
+        (GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"), "app_src", 5,
          "get_key: field 'app_src' must be a string"),
+        (KmsDiscoveryRequest("APP_A", "APP_B", "get_key", "R1"), "kind", "key_relay",
+         "kms_discovery_request: bad kind 'key_relay'"),
     ],
 )
 def test_decode_rejects_bad_field_value(msg, field, value, message):
@@ -428,7 +434,7 @@ def test_null_hops_encode_as_json_null():
 
 
 def test_message_type_tags():
-    assert message_type(GetKey(app_src="x", app_dst="y")) == "get_key"
+    assert message_type(GetKey(app_src="x", app_dst="y", id_request="R1")) == "get_key"
     assert set(MESSAGE_TYPES) == {
         "get_key",
         "get_key_with_id",
@@ -477,7 +483,7 @@ def make_transport():
 def test_transport_fifo_and_seq():
     transport = make_transport()
     for _ in range(3):
-        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
+        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     envs = [pop_next(transport) for _ in range(3)]
     assert [e.seq for e in envs] == [1, 2, 3]
     assert pop_next(transport) is None
@@ -487,8 +493,8 @@ def test_kernel_traces_in_delivered_order():
     transport = make_transport()
     kernel = SimKernel(transport, RecordChecker())  # no KeyRelay: otp_wire reads no key
     for _ in range(2):
-        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
-    transport.send("KMS_1b", "KMS_3b", GetKey(app_src="APP_A", app_dst="APP_B"))
+        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
+    transport.send("KMS_1b", "KMS_3b", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     kernel.run_to_quiescence()
     envs = transport.entities["vKMS_1"].seen + transport.entities["KMS_3b"].seen
     assert [e.seq for e in envs] == [1, 2, 1]
@@ -497,8 +503,8 @@ def test_kernel_traces_in_delivered_order():
 
 def test_channel_derivation():
     transport = make_transport()
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
-    transport.send("KMS_1b", "KMS_3b", GetKey(app_src="APP_A", app_dst="APP_B"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
+    transport.send("KMS_1b", "KMS_3b", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     intra, inter = pop_next(transport), pop_next(transport)
     assert intra.channel == CHANNEL_INTRA
     assert inter.channel == CHANNEL_INTER
@@ -508,16 +514,16 @@ def test_controller_channel():
     transport = Transport()
     transport.register(Sink("QuSeC"))  # no node: the controller
     transport.register(Sink("vKMS_1", "N1"))
-    transport.send("vKMS_1", "QuSeC", GetKey(app_src="APP_A", app_dst="APP_B"))
+    transport.send("vKMS_1", "QuSeC", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     assert pop_next(transport).channel == CHANNEL_CONTROL
 
 
 def test_unknown_entities_rejected():
     transport = make_transport()
     with pytest.raises(UnknownEntityError):
-        transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+        transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b", id_request="R1"))
     with pytest.raises(UnknownEntityError):
-        transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+        transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b", id_request="R1"))
 
 
 def test_register_rejects_a_duplicate_entity_id():
@@ -528,19 +534,19 @@ def test_register_rejects_a_duplicate_entity_id():
 
 def test_unknown_entities_rejected_after_the_pair_map_is_warm():
     transport = make_transport()
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b", id_request="R1"))
     for _ in range(2):
         with pytest.raises(UnknownEntityError, match="unknown receiver 'ghost'"):
-            transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
+            transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b", id_request="R1"))
         with pytest.raises(UnknownEntityError, match="unknown sender 'ghost'"):
-            transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b"))
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b"))
+            transport.send("ghost", "vKMS_1", GetKey(app_src="a", app_dst="b", id_request="R1"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="a", app_dst="b", id_request="R1"))
     assert [pop_next(transport).seq for _ in range(2)] == [1, 2]
     assert pop_next(transport) is None
     # An entity registered later gets its own channel, not a stale one.
     transport.register(Sink("ghost", "N3"))
-    transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b"))
-    transport.send("KMS_3b", "ghost", GetKey(app_src="a", app_dst="b"))
+    transport.send("APP_A", "ghost", GetKey(app_src="a", app_dst="b", id_request="R1"))
+    transport.send("KMS_3b", "ghost", GetKey(app_src="a", app_dst="b", id_request="R1"))
     assert [pop_next(transport).channel for _ in range(2)] == [CHANNEL_INTER, CHANNEL_INTRA]
 
 
@@ -555,7 +561,7 @@ def test_every_record_channel_matches_channel_for_on_a_faulted_grid():
 
 def test_envelope_is_immutable():
     env = Envelope(seq=1, sender="APP_A", receiver="vKMS_1", channel=CHANNEL_INTRA,
-                   msg=GetKey(app_src="APP_A", app_dst="APP_B"))
+                   msg=GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     for name in ("seq", "sender", "receiver", "channel", "msg"):
         with pytest.raises(AttributeError):
             setattr(env, name, None)
@@ -570,7 +576,7 @@ def test_drop_nth_of_type():
     transport = make_transport()
     transport.add_fault(FaultRule(op="drop", nth=2, of_type="get_key"))
     for _ in range(3):
-        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
+        transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     delivered = []
     while (env := pop_next(transport)) is not None:
         delivered.append(env)
@@ -583,11 +589,11 @@ def test_drop_nth_of_type():
 def test_drop_counts_only_matching_type():
     transport = make_transport()
     transport.add_fault(FaultRule(op="drop", nth=1, of_type="key_delivery"))
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     transport.send(
-        "vKMS_1", "APP_A", KeyDelivery(key_id="k", material=b"", status="ok")
+        "vKMS_1", "APP_A", KeyDelivery(key_id="k", material=b"", status="ok", id_request="R1")
     )
-    assert pop_next(transport).msg == GetKey(app_src="APP_A", app_dst="APP_B")
+    assert pop_next(transport).msg == GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1")
     assert pop_next(transport) is None
 
 
@@ -595,8 +601,8 @@ def test_fault_fires_once():
     rule = FaultRule(op="drop", nth=1, of_type=None)
     transport = make_transport()
     transport.add_fault(rule)
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
-    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
+    transport.send("APP_A", "vKMS_1", GetKey(app_src="APP_A", app_dst="APP_B", id_request="R1"))
     assert transport.faults == []  # fired, so never tested again
     assert pop_next(transport) is not None
     assert pop_next(transport) is None
@@ -618,7 +624,7 @@ def test_corrupt_flips_octet_fields_only():
 
 
 def test_corrupt_leaves_empty_payloads():
-    msg = KeyDelivery(key_id="k", material=b"", status="ok")
+    msg = KeyDelivery(key_id="k", material=b"", status="ok", id_request="R1")
     assert corrupt_message(msg) == msg
 
 
@@ -626,7 +632,7 @@ def test_corrupt_on_wire():
     transport = make_transport()
     transport.add_fault(FaultRule(op="corrupt", nth=1, of_type="key_delivery"))
     transport.send(
-        "vKMS_1", "APP_A", KeyDelivery(key_id="k", material=b"\x01", status="ok")
+        "vKMS_1", "APP_A", KeyDelivery(key_id="k", material=b"\x01", status="ok", id_request="R1")
     )
     env = pop_next(transport)
     assert env.msg.material == b"\xa4"

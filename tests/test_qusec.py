@@ -460,14 +460,15 @@ def test_direct_session_reused_by_target_pickup():
 def test_discovery_unknown_app_and_same_node():
     topo = mesh4({"APP_A": "N1", "APP_B": "N1", "APP_C": "N4"})
     sim = Simulation(topo, seed=1)
-    sim.transport.send("vKMS_1", "QuSeC", KmsDiscoveryRequest("APP_A", "APP_Z"))
-    sim.transport.send("vKMS_1", "QuSeC", KmsDiscoveryRequest("APP_A", "APP_B"))
+    sim.transport.send("vKMS_1", "QuSeC", KmsDiscoveryRequest("APP_A", "APP_Z", "get_key", "R1"))
+    sim.transport.send("vKMS_1", "QuSeC", KmsDiscoveryRequest("APP_A", "APP_B", "get_key", "R2"))
     sim.kernel.run_to_quiescence()
     responses = [
         e.msg for e in delivered(sim)
         if message_type(e.msg) == "kms_discovery_response"
     ]
     assert [r.id_kms for r in responses] == [None, None]
+    assert [r.id_request for r in responses] == ["R1", "R2"]
     assert [e["reason"] for e in sim.qusec.errors] == ["unknown_app", "same_node"]
     assert sim.qusec.sessions == []
 

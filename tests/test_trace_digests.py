@@ -20,9 +20,9 @@ checked byte for byte.
 
 The request path (app, vKMS, QuSeC and the serving KMS) is pinned the same
 way: chain runs that drop each of its message types, runs whose requests
-overlap on shared KMSs, and runs where a lost discovery lets another
-request's answer be handed to the wrong request. Every run here must end
-with no open wait in any vKMS or KMS.
+overlap on shared KMSs, and runs where one request's discovery is lost
+while other requests share its app pair or its KMS. Every run here must
+end with no open wait in any vKMS or KMS.
 """
 
 from __future__ import annotations
@@ -51,17 +51,17 @@ PACKAGED = [
     (
         "mesh4_direct.json",
         "direct.json",
-        "026718cab5b7165ba592a2360072742a1f526610a547a5075dc0c6c6de7e97ee",
+        "61a8b63769f2d2491e14bae26a405d5780bfed79efea952f7ead6b0e712e4da0",
     ),
     (
         "mesh4_relay.json",
         "relay1hop.json",
-        "f978f9352ef6aa053dd57a72438b72a8db983bb3b6003acfa930f8f695e0a68e",
+        "a62117256635c6bd49cae9ebee290750be12a592072f972259657f52959b271f",
     ),
     (
         "chain32.json",
         "linear32.json",
-        "560bb604ef85108cff71b8d6e55645ae384e47cfb538036d60ea0c5658ccb82e",
+        "3e05c5de0564fb630f99845ae8bdfa150dd09ad4c0ad0c2f65bf5d845ae15a1a",
     ),
 ]
 
@@ -81,14 +81,14 @@ PACKAGED_FULL_REPORTS = {
 
 # (session_lifetime_ms, digest)
 GRIDS = [
-    (None, "3b313e42c387c7dfe006db10dde3d5aa7846f2a6fa6fe1d4767fc965bbb1bf9d"),
-    (150, "2a178ee5f2b87321d14b2cba4b1f03a0930fdf9b1ec3ae4709bc89407e53ee79"),
+    (None, "148ac2394b8cacf0cbb4fbba5442f36ffe6ea8f90a02de792284d06e2954db4b"),
+    (150, "148ac2394b8cacf0cbb4fbba5442f36ffe6ea8f90a02de792284d06e2954db4b"),
 ]
 
 # session_lifetime_ms -> full_report_digest of the GRIDS run
 GRID_FULL_REPORTS = {
-    None: "8a7cbf88b9c480aa96c7df8256673049fed530f3690807ec31c6b38a3d54405e",
-    150: "205a44c93f12cdfd8a45319a342622ab551552c7cd0dc8bac97db59318df3084",
+    None: "5f642b6109d9d78518a4e2d19ea2d7d64a40e1d5e2b22b29625276accb950731",
+    150: "cc7013cd10216069f6c60cb45d96dac56cbbdffef9f71e48845c3235c9bd2447",
 }
 
 
@@ -115,7 +115,10 @@ def run_packaged(topology_name: str, scenario_name: str):
     return run(topology, scenario, seed=SEED)
 
 
-@pytest.mark.parametrize("topology_name,scenario_name,expected", PACKAGED)
+# Test ids leave the digest out, so that a re-pin keeps every test's name.
+@pytest.mark.parametrize(
+    "topology_name,scenario_name,expected", PACKAGED, ids=[f"{t}-{s}" for t, s, _ in PACKAGED]
+)
 def test_packaged_raw_trace_digest(topology_name, scenario_name, expected):
     result = run_packaged(topology_name, scenario_name)
     assert result.exit_code == 0
@@ -129,7 +132,7 @@ def test_packaged_report_digest(topology_name, scenario_name):
     assert full_report_digest(result.report) == PACKAGED_FULL_REPORTS[scenario_name]
 
 
-@pytest.mark.parametrize("session_lifetime_ms,expected", GRIDS)
+@pytest.mark.parametrize("session_lifetime_ms,expected", GRIDS, ids=[str(l) for l, _ in GRIDS])
 def test_grid_raw_trace_digest(session_lifetime_ms, expected):
     raw = grid_dict(5, initial_pool=32, session_lifetime_ms=session_lifetime_ms)
     events = grid_events(raw, random.Random(11), pairs=40)
@@ -164,217 +167,217 @@ PAIR_SPACING_MS = 3000  # more than the 1000 ms timeout: pairs never overlap
 # (op, of_type, n) -> (digest, orphans); 4-link chain
 CHAIN_FAULTS = {
     ("drop", "relay_process_request", 1): (
-        "4de77d9b34d43a9ffddba8ab6a2ba7fc4548b1335a79d64984b1829a3183f6a0",
+        "fc83f72fae655c3337e7d6e96d7634995b84a69576b7a812fd3b8c68837e082c",
         0,
     ),
     ("drop", "relay_process_request", 2): (
-        "1de3c2fa529420385b3bbe026c412a1b4ca5b5e3b83028c3954e4756efe0eaf7",
+        "2537c68d6ab64d7bf85b036fa8908ae88eb7de9e3bb03f2d87a705c03fba437b",
         0,
     ),
     ("drop", "relay_process_request", 3): (
-        "1f2a55a6265bedebb1119de5d2424ad30192e1a43e66d6a25e728ef458f20339",
+        "aeb5ef27ae4c8e295917004c98d30dcff89384ba2413860e42705bbb405fad45",
         0,
     ),
     ("drop", "ext_key_request", 1): (
-        "ceb308e7a8eab355cfd4fdcbad35d5ca68edb62d544681961ad99bb84a2f1271",
+        "c3ebfa464176a01a8b4bb0590855e06cf221e7b466e961c1a1bc9c44e5e2836f",
         1,
     ),
     ("drop", "ext_key_request", 2): (
-        "5564d91892f5cd38531fae45c2fea144913c8b70df2a3edbf25631282f654901",
+        "4f61d33abd151d00ce05a2cbd372ca87c31dda135c2b83e6522c77d314156d95",
         3,
     ),
     ("drop", "ext_key_request", 3): (
-        "9cc437e2cd0b4ff85beefc27e13e740d364ac26d7f91978e1602174142f5be25",
+        "fbf192fda829f0adf2e35df51e785f7f80b1dffd58dfca957096a19283b6c812",
         5,
     ),
     ("drop", "key_relay", 1): (
-        "da6596b77c2e15c9a1074894eb2b89e6bbec1acde957c2b510143b253124a0e5",
+        "a3c4225b9e256272cd576a3d56015691d90663ccb59f616e068a5463a7dd9ce9",
         2,
     ),
     ("drop", "key_relay", 2): (
-        "94bbe17fd04101fac973ab3a5a85f247f98b62a2223e115f6ff6330e290b4abd",
+        "1720e0b0cc92d301f81e16e646ea04b6a15e447bcc7ad7085621d8bab309b033",
         4,
     ),
     ("drop", "key_relay", 3): (
-        "573b153bd12542a8cff4222108da1da36a16bb9660a44a80153c160518143e07",
+        "49faf261ed87089dea053b38c3b73c48bf8e97abee36dd0409f7f1749b95004c",
         6,
     ),
     ("drop", "key_relay_response", 1): (
-        "a876402eee014dd99f1f46d4788454475c36dfe3bab9ca22217df2cb31003bf7",
+        "8ab2a8c855c9ea7907587dd719542b1f23c0a6d12acf30befeb438f9c730e7a6",
         6,
     ),
     ("drop", "key_relay_response", 2): (
-        "b3ddac5b73a886eaa9d9c34fd0a990b5a6eddf8d30c97c93bcbf2e9ffb1ca747",
+        "00bfb0dea1d8fba4a2434f41ed3fb1c0d1bc66b3e41b8ed82ac74a52fd38e1ea",
         4,
     ),
     ("drop", "key_relay_response", 3): (
-        "08fe1e264f18a6565c177b034346335785905406998e96b4cffb9e98c9f9f378",
+        "330f8240cdc553e41d0c86b12bc3bdda1d8fb79d70d2348d0b0c3640c5811666",
         2,
     ),
     ("drop", "ack_request", 1): (
-        "5a8d7d5ab527e38f9786c69e1fef4cc7ca773f87fe48e29415328054ba5cd5b9",
+        "0de634ca49fa1456cc9d5bab5a965e5804d240dcda4fb24e460a5368d8d8e88f",
         5,
     ),
     ("drop", "ack_request", 2): (
-        "f03bcd5c171a1e5a44b2f9ba16a83044809b6c8abe97913df67145cbc9c5f8b5",
+        "8a8c134dd2dcbef5ca80373235fd2695e7d73ecfd7b9dbd1e332c22b3549bf5c",
         3,
     ),
     ("drop", "ack_request", 3): (
-        "dd76614e53e92c55f4e7b477b982cfe209e2475312ae9ce64bb38a96f92cf9ca",
+        "b2ca4724ba83bcad729769d5f57f4dad4226901234635b75637d1b007d5aa591",
         1,
     ),
     ("drop", "relay_process_response", 1): (
-        "a49dd7220b2e1134f75d1d5d7c4cb75b0d75c5ac752971e6a14f2c98d5abd2dd",
+        "0456505a0e7f696a2e74a02e5282b4249a424eb5b80146a2ba1e03a17bdc1314",
         0,
     ),
     ("drop", "relay_process_response", 2): (
-        "c7eb74cf6a13524f13810079a30683bfa19e9d1f4d43beb91fc93d7f1bef0143",
+        "c9e1993ba87aaf48a474055bb5f5b1e04baa1add0e2815b2bc7354696239d914",
         0,
     ),
     ("drop", "relay_process_response", 3): (
-        "5555ba3df70edd2e7ceaa518464eaba735f56c9888269f9d433825efba57f766",
+        "261f22bcfcfc2edc310f8f9f7b972f8c987c8b6c36d42117e8124542534387a0",
         0,
     ),
     ("drop", "key_delivery", 1): (
-        "2dfab15aa4205187b87066d72d1c550058917bf7ad2226e24aba66729583cab7",
+        "ed1c03b789034af9b71a5b6b20022933b3c6a3e3bc19f4d59a6ea6cbaa71c03d",
         0,
     ),
     ("drop", "key_delivery", 2): (
-        "c247f2fc0d39dbfa32e2c5f28ee42d29e4d672dc8cfab07f1cda20b16f34d4bf",
+        "00c42b7f37fa2ee5d3d3836a0aa8586d2752c1634470f7069249847499b26ab3",
         0,
     ),
     ("drop", "key_delivery", 3): (
-        "8f31ce294d308846a6a6d1fe7adfa785163224fc44f53075bd945bccde072d0d",
+        "c5819003adaa3121db600b445f456f2a4a328e1e961e3c67a94fe7be36718d9c",
         0,
     ),
     ("corrupt", "relay_process_request", 1): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "relay_process_request", 2): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "relay_process_request", 3): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "ext_key_request", 1): (
-        "09594197d069a07e51625181b492c1afc4bfaa5c422793ce21a46a7d001222f5",
+        "681f9e146b1db064e11acf03ab94b910df3faf8e5e11e24bbf483b6140e771bd",
         0,
     ),
     ("corrupt", "ext_key_request", 2): (
-        "65f2b39833abf31ab48e22cdfe6c3740f4cc48ab5ae28261d48a59588b997b4f",
+        "e2924e1f663fab15d5ffffd8ecd91a094a89e13b959b6247b3eb9ace5028d8c6",
         0,
     ),
     ("corrupt", "ext_key_request", 3): (
-        "2adb330a8c74deb7b0e5e095260eb2458eef87753361adfc14d2fb69bd15577c",
+        "0305a59b47702d6da292918a2101bf43594c2ae13e182b1e24046e479169dc84",
         0,
     ),
     ("corrupt", "key_relay", 1): (
-        "cf480357c0e454d9ae1fe14f42fda83bcd04c153b22ebfe1fd31080e3a2cfa57",
+        "01c28e3f9ed5c3bb55cb107193a6d604e5ce491fbb72a75d619bc5888c489c7f",
         0,
     ),
     ("corrupt", "key_relay", 2): (
-        "75194563e5cf5a86b31d583fb6ddc84c6288d6c0bbcb16cc2c379ed3cb020107",
+        "d149fe9b61595adb734ad4948948cd6d6e7093dcf41d230cbf2e40cc2b00feff",
         0,
     ),
     ("corrupt", "key_relay", 3): (
-        "2f25df99cc43666bbc136c17b322ce31281bfe54a462eea666488ab38686b8e5",
+        "3dbeffa9c62c23c45a01fa28e3593b65655db68c182b4bd20727b324e7fbe9ac",
         0,
     ),
     ("corrupt", "key_relay_response", 1): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "key_relay_response", 2): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "key_relay_response", 3): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "ack_request", 1): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "ack_request", 2): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "ack_request", 3): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "relay_process_response", 1): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "relay_process_response", 2): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "relay_process_response", 3): (
-        "12133adbeba7f3a09bf333d6b702087fab037341687eb5efc81555e438a1fa49",
+        "aa921521c12efd3c81b5b95c7c0f9bfd7686fa459625d52a4a0a3c4cb700d3fa",
         0,
     ),
     ("corrupt", "key_delivery", 1): (
-        "d3e32317a27c78ae9f4f47079ae2431f608a28f779cfd6719ccdfd88af889772",
+        "8535d4f892b6010b6198a82427000c56e7d82cecb7028f71b705e08b96f7db50",
         0,
     ),
     ("corrupt", "key_delivery", 2): (
-        "8c0c7ad773bbad07852289f95b531fa94335660c0dfcfc324c3f37bb9eb686a0",
+        "35eeed7f52972a81cf6f5478a78b946517ba4053739cdf36cfc333321093b430",
         0,
     ),
     ("corrupt", "key_delivery", 3): (
-        "694faa3547bbd638f90c468659a242da092ac83af2687970b497fb3115847d8a",
+        "779d2aa0b5b18d3955b46f2ba7f935eb5172ac7b7861513d2570019fba109a74",
         0,
     ),
 }
 
 # link (1-based) whose pool the warm-up empties -> (digest, orphans); 4-link chain
 CHAIN_EXHAUSTED = {
-    1: ("7cd7318169e9f4667ef3da8899ab08d1b7c9c7d7e924c25fc3c4515c23b53f3c", 0),
-    2: ("a930f1dd0deb8b7f93fdb7e18450f357f9f7437ddc0758e652547bdb3e3cf885", 0),
-    3: ("c185e4f6fe40034caff11b9d12cc1b5ec981ab0640f02fbff0cedf36bbe92e92", 0),
-    4: ("dfb4c55cadacf12808c7f94415758afc130a512addb3736262a0b3cb8acc6855", 0),
+    1: ("4f3a376e3c26b740ecce3298990da9c2402317958adbc202bc68db6cafe46b9f", 0),
+    2: ("bbf4a227d3e9c147e05f8087f3c851ee70e795af08cf624e5d5c3eeea529cfdd", 0),
+    3: ("6a6cc6904a3d8e76f43d2347ec79d550739759339318a50a76727d3d1d23cb9d", 0),
+    4: ("7b870541c0d6efa954e0edb90332cb8dc78dd34f9f4152e6f5feab323572070d", 0),
 }
 
 # (rng seed, session_lifetime_ms) -> (digest, orphans); 5x5 grid
 GRID_FAULTS = {
-    (1, None): ("53991bff204e24847d96f8f53be8c65e7b7030e47aa44e999501610461311c92", 6),
-    (1, 60): ("53991bff204e24847d96f8f53be8c65e7b7030e47aa44e999501610461311c92", 6),
-    (2, None): ("f0f9229bd890c886655ae85912e9501a17d4561ec96fc9bbddd61b0b0ee151e5", 2),
-    (2, 60): ("77a2481d45db6171262802af6dc85986c5ab0f060d7123fd94303688e2a6e87a", 2),
-    (3, None): ("9843f3ebba90ea4647cc707eee9a1f55a756d699b51feda07287bcc96eafd3a1", 7),
-    (3, 60): ("684956ad1e49620ed2fcae460fad515d9d010bdc15f35ee72d341412185e10c7", 7),
-    (4, None): ("74d7f122c0b0ed251035ab2de24fc5e33d6c43d256afb87dd99332f95d8ee3e7", 5),
-    (4, 60): ("74d7f122c0b0ed251035ab2de24fc5e33d6c43d256afb87dd99332f95d8ee3e7", 5),
+    (1, None): ("3c8cb9526127105fa5862bcf55ca83442ed0fc1271b66b588e54e0ad4cdfef40", 6),
+    (1, 60): ("3c8cb9526127105fa5862bcf55ca83442ed0fc1271b66b588e54e0ad4cdfef40", 6),
+    (2, None): ("ec71aecaf5ebe28b1b2e548ff428741e2656aa54b26b46dfa25b2a875e038de8", 2),
+    (2, 60): ("ec71aecaf5ebe28b1b2e548ff428741e2656aa54b26b46dfa25b2a875e038de8", 2),
+    (3, None): ("5416888893b32c1e4aa9d74c46fdfd614ca2a65d3b546d48257c903ea8fa1a2b", 13),
+    (3, 60): ("5416888893b32c1e4aa9d74c46fdfd614ca2a65d3b546d48257c903ea8fa1a2b", 13),
+    (4, None): ("a5b543feed848f9bfe0552217641818c78598e09521545c47ef93bd11742020e", 13),
+    (4, 60): ("a5b543feed848f9bfe0552217641818c78598e09521545c47ef93bd11742020e", 13),
 }
 
 # (rng seed, session_lifetime_ms) -> digest of report_digest's sections; 5x5 grid
 GRID_FAULT_REPORTS = {
-    (1, None): "9bc14ff9c505c77081939c2680e8266b2c4838f89d42b85b7644714709299991",
-    (1, 60): "3c9924fbeddcb01e6e181b21ade992cfb6a91777841819788e114759979204c4",
-    (2, None): "ccb943edca1c87e91b645b4243d5f0edba4dfbf85e294c44990790b51859bf76",
-    (2, 60): "06b7125c1f4572d8b7980f4330487105ac66d49ba8061b2e16a7237bcb36c27c",
-    (3, None): "086fec23ab4b59a22abf76c7b04635f82339be7945f476fb993362f368bf218e",
-    (3, 60): "ef6ae9b3524ace716a14771fc43887bf9832cbd1ce174907820f802b40f5088b",
-    (4, None): "c8eb6b0538ec8da980a71cadd3270b1e87f8cc9421501e7a9b5ac0abf19f11c8",
-    (4, 60): "48d73ed70634b1ac793fb31e334369e190f30c782ba90aa399bf48b621a26ead",
+    (1, None): "fa7a0b762e6c6dfb2f73086a941c173802c537616e7edb6208100bc1ba072e7c",
+    (1, 60): "a9919ccc6bdaa71952ec35c2a2a1ce96078116feb1d86066161b46564fd24b95",
+    (2, None): "dcfb4eead47cec9bd94cb584f47c5d8c1ec16d9566b657aa2ceb8d8d4418c619",
+    (2, 60): "b5ed8bc0fb1a176297d5ea55783d5bdc24ad9305fbfa9a41064af7c079d8b773",
+    (3, None): "3c408c4ae235ec7abe6421cec1a392f3e41a91f7452cd2315b70e437e2090191",
+    (3, 60): "57f3a3b48b75d30a828cf5cb72b106d30505bc07dc0afdb8110e9a58a2fbdb5e",
+    (4, None): "e5ac1c11b7295369885c4d1ff90d95c8f4c996dc0c8b32c1fb0958ce6af4ca6f",
+    (4, 60): "6b49a952f146c41f5cf3c33c3d388b1458ae70714fcc159f8a4465066a888719",
 }
 
 # (rng seed, session_lifetime_ms) -> full_report_digest; 5x5 grid
 GRID_FAULT_FULL_REPORTS = {
-    (1, None): "4bd765238291caa8eee2c833238ac1e6f41b7deb8cdc123108e5020ab666eb1e",
-    (1, 60): "34610f639508df5b6c601bede67c52f459cda0950951f98c1a5391bb607308f4",
-    (2, None): "6160f84beb3a750d612f16d9091e7f9e5a6817fbbfe3851fa7c0675c58bc8be6",
-    (2, 60): "f557e64fc1229ee43e993b16665da59c1b81e20dfd4941159f15385754b0cbcb",
-    (3, None): "adacccfba5de5ac9267461d3e856bda3b90235cd155de4920c5ed70d34e3227a",
-    (3, 60): "3c574a56c655d92810f04d32108a64254159f742929050bef3df45ff988db05b",
-    (4, None): "1749b662582dc99d9c41307220a0881390db1300d346114b9e8170c8c17d1b2a",
-    (4, 60): "6463cae62fc1e93187b105ca60f5765e079683eb7489c8d1fa3b527adcb73664",
+    (1, None): "007209021e2b987542e041761f4b216aa4ddb830eac3816b6978491df4ab8fe6",
+    (1, 60): "1317421cfc60251a30eb5253122f926664bc7cc39c41a1687c0e4ea3f07acaf5",
+    (2, None): "4f92f531ebee22918fe6e2737ea7f5641f50e35225a859a2eb99487bff8a14f1",
+    (2, 60): "ec102553a9a9c1cc73c1b7ad7a5616a2ecc210c45b5d58d767105f3ad261ee49",
+    (3, None): "5127ead08d7538309cb66f4f60d73c5ef76d918861ddc0c390d96a9cc2077192",
+    (3, 60): "b90fbf7a290f9017342610901ab97718aaa5cf8d6d38cfd41c44f31aa47ec7ac",
+    (4, None): "aa1e1246430dbef843a924d3be242f4419e7cbe92eba8b158871093d4c41df41",
+    (4, 60): "69b39a21a8fbd24b4dc88f0cc58b34e9500859cae60e6b03990bfb36128948c3",
 }
 
 
@@ -431,6 +434,12 @@ def test_run_left_with_an_open_request_exits_1():
     events = chain_events([{"event": "drop_message", "n": 2, "of_type": "key_delivery"}])
     result = run_events(topology_from_dict(chain_dict(4, initial_pool=8)), events, seed=SEED)
     assert [r.status for r in result.sim.requests].count(None) == 1
+    # Only the request whose delivery was dropped (R3) stays open; every
+    # later request gets its own key.
+    assert [r.status for r in result.sim.requests] == ["ok", "ok", None] + ["ok"] * 5
+    later = result.sim.requests[4:]
+    assert [r.key_id for r in later[0::2]] == [r.key_id for r in later[1::2]]
+    assert len({r.key_id for r in later}) == 2
     assert not result.report["quiescent"]
     assert not [c for c in result.report["checks"] if not c["ok"]]
     assert result.exit_code == 1
@@ -486,51 +495,51 @@ def test_grid_fault_report_digest(seed, session_lifetime_ms):
 # (of_type, n) -> (digest, orphans); 4-link chain, message dropped
 CHAIN_VKMS_DROPS = {
     ("get_key", 1): (
-        "8a59a2acc5660d59e95def3062e5ac39c214151c696aa80919b07f5dd275dcc0",
+        "af07da882ab5d66461102179328c42a89e297587b354a8d2fb74701e393dafcb",
         0,
     ),
     ("get_key", 2): (
-        "d2cf0f9e6aa0e3a951b93c30f8ae38b27d3818f085d38de20824bf88e8f856be",
+        "552fafef78177add78552424e9b021bdf95556029f064d88caa38278111ec11b",
         0,
     ),
     ("get_key", 3): (
-        "2229de0566f3df725de460ba1dd655496b3f0947cffb594d94fda5f387434232",
+        "742039ffd39ec67a691e81174b5f74e658373bd27bac02f99b6396176e8a4a95",
         0,
     ),
     ("get_key_with_id", 1): (
-        "0fe634d540c829f9da31eea7128865b15f91cd738cb01914de413e1b0a3d677e",
+        "300e03c4f2da1340c3b8c506e78a9d02b86b4e78bbad3b54570085b1a11cdc97",
         0,
     ),
     ("get_key_with_id", 2): (
-        "1a6cf0ff3b27fc9b4bb43e9124370faf828c3d42842e2e37013c04f09111bb88",
+        "39b85bec7dffe735f75abe293776a16316aac0210d8ec8fcfa53b869d2e646ce",
         0,
     ),
     ("get_key_with_id", 3): (
-        "53afab95fb818ba5f8ea9f0397679632382fccd31c3c6dc6ce8bcfe94e0f56de",
+        "846e34550a4a32a001917060acbc190c9c8b31b95d5f20d28df89eef9630f901",
         0,
     ),
     ("kms_discovery_request", 1): (
-        "fc3937cad4075a64f72afaa325118484aaa4cad3445bf4230bb281b0b2174ba7",
+        "e4fe30b59718d5670ccaa7e42a0b8a60bf46cd88901f601c297b692c4ddf4ee9",
         0,
     ),
     ("kms_discovery_request", 2): (
-        "38e72f92629b5a9f877c9b5e833f890af637fabc8e44611124339e8c43f8517c",
+        "4672b45a0bfa866880979f5526febfaf1ff6b65a1d2254b4b59dedb621ccd025",
         0,
     ),
     ("kms_discovery_request", 3): (
-        "1724122b5e832d12df4dca1e95a999eed6369565a5d1d5e8d01d0722489a3bc6",
+        "a71d5bd15e1fa028b59dca796a3cb04094c1dd496c4a2ef6aca03f3bbba456b1",
         0,
     ),
     ("kms_discovery_response", 1): (
-        "0a1b5a03487738e22a91d0d7d53aa11b1788cc78c60d11ed8a2caa69ad90a5a8",
+        "9269d3c383655b2983d2b7a82939930bbca2556cc00a8bd4826769adeafd8a6a",
         0,
     ),
     ("kms_discovery_response", 2): (
-        "0dbc9ca90b2c7e51afd28da954dffd1f97873302c95aea537476f771d2d72d1e",
+        "16ecc9cbdf9a64c9153e941758aee6f607de307db5f901cb158b4da581e6ffe5",
         0,
     ),
     ("kms_discovery_response", 3): (
-        "cead1512d61aac4e70833db0b86416359b18030bbdf6a400194bdbea64380ab3",
+        "a87cdcd7e2b038de17b57037af24ad644f0d835f7e355115118bde35abea8d0e",
         0,
     ),
 }
@@ -559,28 +568,28 @@ OVERLAP_WARM_UP = [
 # (rng seed, cache_ttl_ms) -> (digest, full_report_digest); mesh4, five apps
 OVERLAPS = {
     (1, 0): (
-        "15a0a7e56f0a0dde1aebd3b1e9c8b8608cc9206dcc030039fde4bfa96342297f",
-        "d591621bd9bcfba1fe3b132fc6596cc41b01f3d1f451afafd26fec0cf9b46874",
+        "5bc8cb0f6551b4ca07d162f6eed8633cd141e6572e2173319e0e4694b6f97c48",
+        "baf4c7bea07f9cf81f6bcaf4e78baf3ef980457c0cefaa01fcf9a6753c744931",
     ),
     (1, 5000): (
-        "7faf2a0bfce928790ae5caac255a648e30afe50c640ac3b8464a87263ed819d0",
-        "c4e567b8a8b29fa30d677336a4272051d0d228f0f59d09df3f40cda1229f70e6",
+        "fbd5d9d205526ebb55793ea55e8746823855458b399b0a50685bfe5850b05010",
+        "b4c9c079d0b298038d746d9e3184614079d0788950ce3edaff759213eccf9af1",
     ),
     (2, 0): (
-        "762afbef357445a024168ef4b12006227e9c22ef66e915a1072cf8e8c5acf789",
-        "6f4ef1b8598f47b0b9c34f83bfd90df849e26ede2bd70a2f7e0417a8b4f95b99",
+        "635491d76d1d4773e6f3c9ea3321966e6865e0516590f94956ee3676111d9810",
+        "b1a260ed8626682d5e2e3711c3d373660b8212d78beb01d938e16964e791a145",
     ),
     (2, 5000): (
-        "914686597f69452d4983e2f2d0b68bca36fd125ff4af6e832c567881ddef0858",
-        "9507bda6c66ffdf44f0efb107ace1585f474a9b6c1dc10a1bc0cd07d303ac0bb",
+        "1f83d442fe8c27babcff14de64b2a718229d31242d8955ea52835707ffc2ef0e",
+        "0725dbba1c2999bd0103a5f66dca7ec9ee1bcbe909410e3b029fa925363ff63b",
     ),
     (4, 0): (
-        "8d10da5b94a3e39a7dbf794d66879f2eb151a2d28ddefaea1bf1240bb980f8b6",
-        "d9b0fc0ecf76125bafb353860666a9311a31541f05431f216fabcbb6bc6c0ca1",
+        "66b85b1d3f7c70d69930083ffa05e2fb28b3c8104f7bb697a2ba5b67b6940fd9",
+        "452b94264f6cac2cf41dee4e425ef9f3a31759e9e65a0a4f4da0aef849c75bd8",
     ),
     (4, 5000): (
-        "ca73f7f12987166e78ec210ba079bb19927760e6bf522ce9e419b5be2e21fdfa",
-        "26f3c0131d0b3e1de55f21ddaef49a190320735008490f3e5ecb840ece4342b8",
+        "06e0fd83cb34bbec995da65288845306a17ed6a8e7c7c5174ffbc1e9cc5fb040",
+        "9162baaee28eb007255813d8537d48d4d40de4fb8f130e7d5ba07836ba1fdc63",
     ),
 }
 
@@ -647,39 +656,39 @@ def test_overlapping_requests_digest(seed, cache_ttl_ms):
     ) == OVERLAPS[(seed, cache_ttl_ms)]
 
 
-# ── a request that another request's discovery answer takes ──
+# ── a lost discovery among requests that share a pair or a KMS ──
 
-# Replies are matched by queue position, so when a request's own discovery
-# is lost, the next answer for its app pair is handed to it in a later ms.
-# It then waits on its KMS from that ms, while the request that asked in
-# that ms keeps waiting on the pair. Mesh4 with APP_A and APP_X at N1 and
-# APP_B at N4; every case drops APP_A's first discovery request.
+# Replies were once matched by queue position, so when a request's own
+# discovery was lost, the next answer for its app pair was handed to it in a
+# later ms, and every later reply on that queue went to the wrong request.
+# Replies are now matched by request id: the request whose discovery was
+# lost times out, and every other request ends as its own messages decide.
+# Mesh4 with APP_A and APP_X at N1 and APP_B at N4; every case drops
+# APP_A's first discovery request, so the first request (R1) times out.
 STALE_CASES = {
-    # APP_A's second request hands its answer to the first, whose relay
-    # then stalls. The first waits on its KMS from 200 ms, so it still
-    # waits when APP_X's request joins that KMS's queue at 1100 ms.
+    # APP_A's second request loses its relay and times out; APP_X's
+    # request, on the same KMS at 1100 ms, is served.
     "taken_answer_stalls": [
         {"at": 60, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
         {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         {"at": 1100, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
     ],
-    # As above, but APP_X's request joined the same KMS queue at 50 ms,
-    # before the taken request joined it and after that request arrived.
+    # APP_X's request at 50 ms and APP_A's second at 200 ms each lose
+    # their relay, so all three time out.
     "taken_answer_queues_behind_a_younger_request": [
         {"at": 10, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
         {"at": 50, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
         {"at": 60, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
         {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ],
-    # APP_X's request joins the KMS queue in the ms the taken request
-    # arrived, before the taken request joins it later in that ms: the two
-    # wait in the order they joined, not the order they arrived.
+    # All three requests in one ms: APP_X's relay is lost, APP_A's second
+    # request is served.
     "taken_answer_in_the_same_ms": [
         {"at": 0, "event": "drop_message", "n": 1, "of_type": "relay_process_request"},
         {"at": 0, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ],
-    # As above, and the taken request's relay is lost too, so both time out.
+    # As above, and APP_A's second relay is lost too, so all three time out.
     # A send is counted only by the first rule it fires, so the second n=1
     # rule takes the second relay request.
     "taken_answer_in_the_same_ms_stalls": [
@@ -688,54 +697,63 @@ STALE_CASES = {
         {"at": 0, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ],
-    # The taken request is served at once; the one that asked times out.
+    # Both later requests are served.
     "taken_answer_served": [
         {"at": 200, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         {"at": 700, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
     ],
 }
 
+# case -> every request's final status, R1 first
+STALE_STATUSES = {
+    "taken_answer_stalls": ["failed_timeout", "failed_timeout", "ok"],
+    "taken_answer_queues_behind_a_younger_request": ["failed_timeout"] * 3,
+    "taken_answer_in_the_same_ms": ["failed_timeout", "failed_timeout", "ok"],
+    "taken_answer_in_the_same_ms_stalls": ["failed_timeout"] * 3,
+    "taken_answer_served": ["failed_timeout", "ok", "ok"],
+}
+
 # (case, cache_ttl_ms) -> (digest, full_report_digest)
 STALE = {
     ("taken_answer_stalls", 0): (
-        "03414920b54ad4fdaf00e388f6a95d8e07b399f5d0875dbe469087b111883eb2",
-        "41c788a8756e5eeaf0cb0bdb44fedea3d268b84719cf485355d532332fe0e58c",
+        "ef4709161d63af168c435dc0fd0e40f5422384bbb2c7c469f9e39cbbced34279",
+        "0b251292f5abb2f3146c3300e2a682cb26ef2c95316ef3ccd2917f0aa8397e4c",
     ),
     ("taken_answer_stalls", 60000): (
-        "03414920b54ad4fdaf00e388f6a95d8e07b399f5d0875dbe469087b111883eb2",
-        "41c788a8756e5eeaf0cb0bdb44fedea3d268b84719cf485355d532332fe0e58c",
+        "ef4709161d63af168c435dc0fd0e40f5422384bbb2c7c469f9e39cbbced34279",
+        "0b251292f5abb2f3146c3300e2a682cb26ef2c95316ef3ccd2917f0aa8397e4c",
     ),
     ("taken_answer_queues_behind_a_younger_request", 0): (
-        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
-        "a1fe19e21a4388acc82edb84bc9feab20d47866e4a24353235d19317a7cc11c6",
+        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
+        "a732101e5c37e381e60a3961fc5cbc6929087e966b06429e838b19966f276c86",
     ),
     ("taken_answer_queues_behind_a_younger_request", 60000): (
-        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
-        "a1fe19e21a4388acc82edb84bc9feab20d47866e4a24353235d19317a7cc11c6",
+        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
+        "a732101e5c37e381e60a3961fc5cbc6929087e966b06429e838b19966f276c86",
     ),
     ("taken_answer_in_the_same_ms", 0): (
-        "bf619f39bf75ebd842850e416f92ad07e7184746635fe8f9ae20fd76de0c7d60",
-        "357d79413fd1661b0fb718e377d0a9fa62c3b7e2b4dcab071f2a421c475fc0ad",
+        "ca74fc6e852b24e5441573246aae519061308747413197f64c5dd1872af2ec96",
+        "0c5d4a38789c8bc7b1cd062632b0f5f1a862010d0a7e5003375a5778102c7e58",
     ),
     ("taken_answer_in_the_same_ms", 60000): (
-        "bf619f39bf75ebd842850e416f92ad07e7184746635fe8f9ae20fd76de0c7d60",
-        "357d79413fd1661b0fb718e377d0a9fa62c3b7e2b4dcab071f2a421c475fc0ad",
+        "ca74fc6e852b24e5441573246aae519061308747413197f64c5dd1872af2ec96",
+        "0c5d4a38789c8bc7b1cd062632b0f5f1a862010d0a7e5003375a5778102c7e58",
     ),
     ("taken_answer_in_the_same_ms_stalls", 0): (
-        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
-        "5a70cb223aa629650d0ef19d5f1abbed4478170090021b10424e7fb331f05d85",
+        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
+        "f655a2c4c37d90ec17ec5c93fc1a70f650c132d78262863ee2a82ac18db936db",
     ),
     ("taken_answer_in_the_same_ms_stalls", 60000): (
-        "9672f05ff16e0fc3749c34f802c6a8654ce836a23462dc4d674bd2aaa3a8bcdc",
-        "5a70cb223aa629650d0ef19d5f1abbed4478170090021b10424e7fb331f05d85",
+        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
+        "f655a2c4c37d90ec17ec5c93fc1a70f650c132d78262863ee2a82ac18db936db",
     ),
     ("taken_answer_served", 0): (
-        "f76abcf79ed9bc98ca1f0f690787a8d7019369f8cf6c5e173fb692c5cd22be86",
-        "d2ccfa2d384916077dcfa4d6fd9538230728360e6e45c076de9e7b97e94d2ea7",
+        "8de4fdfb92bfe436a55f51e2a740476b5923d642815a6f349f3fa34d3cb9b7b5",
+        "ab0a40dbdd76e2acb29c469b20e407fbd70f569f0c0aa4d4e121e8f1691b8c67",
     ),
     ("taken_answer_served", 60000): (
-        "f76abcf79ed9bc98ca1f0f690787a8d7019369f8cf6c5e173fb692c5cd22be86",
-        "d2ccfa2d384916077dcfa4d6fd9538230728360e6e45c076de9e7b97e94d2ea7",
+        "8de4fdfb92bfe436a55f51e2a740476b5923d642815a6f349f3fa34d3cb9b7b5",
+        "ab0a40dbdd76e2acb29c469b20e407fbd70f569f0c0aa4d4e121e8f1691b8c67",
     ),
 }
 
@@ -755,6 +773,7 @@ def stale_run(case: str, cache_ttl_ms: int):
 def test_taken_discovery_answer_digest(case, cache_ttl_ms):
     result = stale_run(case, cache_ttl_ms)
     assert result.report["quiescent"]
+    assert [r.status for r in result.sim.requests] == STALE_STATUSES[case]
     assert (
         raw_digest(result.trace_lines),
         full_report_digest(result.report),
@@ -807,7 +826,7 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "c55388b7979752255b91a317553bba98825a12110e90842c7923d6364d038f42"
+CORPUS_DIGEST = "99368aabf9a9ea9340918e40eb4d5a29e507ccf460dfb58ec1dd033aaa840fc4"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from collections import deque
-
-import pytest
+import logging
+from functools import partial
 
 from conftest import mesh4, resolved, run_events
-from qkdrelay.harness import Simulation
+from qkdrelay.harness import SimKernel, Simulation, scenario_from_dict
 from qkdrelay.protocol import (
     STATUS_OK,
     STATUS_TIMEOUT,
     STATUS_UNKNOWN_APP,
-    GetKey,
+    KeyDelivery,
     message_type,
 )
-from qkdrelay.vkms import PendingApp
+from qkdrelay.vkms import VkmsEntity
 
 
 def count_type(records, type_tag) -> int:
@@ -148,21 +147,68 @@ def test_lost_discovery_times_out_and_frees_its_queue():
     ]
     result = run_events(topo, events)
     statuses = [r.status for r in resolved(result.sim, "APP_A")]
-    # Discovery replies are matched by queue position: the second reply
-    # serves the first request, and the second request times out.
-    assert statuses == [STATUS_OK, STATUS_TIMEOUT]
+    # Replies are matched by request id: the request whose discovery reply
+    # was lost times out, and the second request gets its own answer.
+    assert statuses == [STATUS_TIMEOUT, STATUS_OK]
     assert result.report["quiescent"]
     assert result.sim.vkms["N3"].awaiting == {}
 
 
-def test_a_timeout_that_is_not_the_oldest_raises():
-    # A request's timer is armed as it joins its queue and cancelled as it
-    # leaves, so a timer can only fire for the oldest request of its queue;
-    # anything else is a broken invariant and must not end some other
-    # request silently.
-    vkms = Simulation(mesh4({"APP_A": "N3", "APP_B": "N4"}), seed=1).vkms["N3"]
-    request = GetKey(app_src="APP_A", app_dst="APP_B")
-    older, younger = (PendingApp("APP_A", request) for _ in range(2))
-    vkms.awaiting["KMS_3d"] = deque([older, younger])
-    with pytest.raises(RuntimeError, match="vKMS_3: a younger request timed out first"):
-        vkms._on_timeout(younger, "KMS_3d")
+def test_a_delivery_after_its_timeout_is_an_orphan(caplog):
+    # R1's get_key to KMS_3d is lost, so R1 times out at 1000 ms. A late
+    # delivery for R1 then reaches vKMS_3 while R2, from the same app to the
+    # same KMS, waits: it names R1, so it is dropped and R2 keeps waiting
+    # for its own delivery.
+    sim = Simulation(mesh4({"APP_A": "N3", "APP_B": "N4"}), seed=1)
+    late = KeyDelivery("k1", b"\x01" * 32, STATUS_OK, "R1")
+    own = KeyDelivery("k2", b"\x02" * 32, STATUS_OK, "R2")
+    for at, delivery in ((1600, late), (1700, own)):
+        sim.kernel.schedule_timer(
+            at, partial(sim.transport.send, "KMS_3d", "vKMS_3", delivery)
+        )
+    events = [
+        {"at": 0, "event": "drop_message", "n": 2, "of_type": "get_key"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 1500, "event": "drop_message", "n": 2, "of_type": "get_key"},
+        {"at": 1500, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    with caplog.at_level(logging.WARNING, logger="qkdrelay.vkms"):
+        sim.run_events(scenario_from_dict({"events": events}).events)
+    first, second = sim.requests
+    assert (first.status, first.key_id) == (STATUS_TIMEOUT, "")
+    assert (second.status, second.key_id, second.material) == (STATUS_OK, "k2", b"\x02" * 32)
+    assert "vKMS_3 dropping orphan key_delivery for R1" in caplog.messages
+    assert sim.vkms["N3"].awaiting == {}
+
+
+def test_one_vkms_timer_per_accepted_request(monkeypatch):
+    # Direct, relay, pickup, a request via the wrong node (refused, so not
+    # accepted) and one whose discovery reply is lost.
+    armed = []
+    schedule_timer = SimKernel.schedule_timer
+
+    def counted(self, delay_ms, callback):
+        owner = callback.func.__self__ if isinstance(callback, partial) else None
+        if isinstance(owner, VkmsEntity):
+            armed.append((owner.entity_id, callback.args))
+        return schedule_timer(self, delay_ms, callback)
+
+    monkeypatch.setattr(SimKernel, "schedule_timer", counted)
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_C": "N3"})
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": "APP_C", "app_dst": "APP_B"},
+        {"at": 10, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 20, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id_from": "APP_A"},
+        {"at": 30, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B",
+         "via_node": "N2"},
+        {"at": 40, "event": "drop_message", "n": 1, "of_type": "kms_discovery_response"},
+        {"at": 40, "event": "app_get_key", "app_src": "APP_C", "app_dst": "APP_B"},
+    ]
+    result = run_events(topo, events)
+    assert [r.status for r in result.sim.requests] == [
+        STATUS_OK, STATUS_OK, STATUS_OK, STATUS_UNKNOWN_APP, STATUS_TIMEOUT
+    ]
+    assert armed == [
+        ("vKMS_3", ("R1",)), ("vKMS_1", ("R2",)), ("vKMS_4", ("R3",)), ("vKMS_3", ("R5",))
+    ]
