@@ -128,7 +128,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         diff = trace_compare(args.expected, args.actual)
-    except (OSError, TraceParseError) as exc:
+    except (OSError, UnicodeDecodeError, TraceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if diff.is_empty:

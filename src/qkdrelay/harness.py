@@ -226,7 +226,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"scenario is not valid JSON: {exc}") from None
@@ -733,7 +733,7 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     if "trace" in scenario.expect:
         try:
             golden = read_trace_lines(os.path.join(scenario.base_dir, scenario.expect["trace"]))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read golden trace: {exc}") from None
 
     sim = Simulation(topology, seed)
@@ -797,7 +797,7 @@ def load_topology_file(path: str) -> Topology:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read topology: {exc}") from None
     try:
         return load_topology(text)

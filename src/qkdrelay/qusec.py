@@ -1,5 +1,9 @@
 """Centralized controller: discovery, SPF path computation, rule installs.
 
+A get_key's discovery establishes a path: an association, a session and, on
+a relay path, a rule on every KMS. A get_key_with_id's discovery only locates
+its key and opens nothing. Session lifetimes are checked when a session is read.
+
 The controller sees topology and session state only. It never holds or
 forwards key material; everything it sends or receives rides the control
 channel.
@@ -142,7 +146,8 @@ def expand_to_kms(node_path: tuple[str, ...], link_path: tuple[str, ...]) -> lis
 
 @dataclass(slots=True)
 class SessionState:
-    """One end-to-end establishment: ordered KMS list of length 2L."""
+    """One end-to-end establishment: ordered KMS list of length 2L. status is
+    installed or completed; expiry is read from the clock (QusecEntity._expired)."""
 
     id_association: str
     app_src: str
@@ -151,14 +156,14 @@ class SessionState:
     created_ms: int
     status: str = SESSION_INSTALLED
 
-    def to_dict(self) -> dict:
+    def to_dict(self, expired: bool) -> dict:
         return {
             "id_association": self.id_association,
             "app_src": self.app_src,
             "app_dst": self.app_dst,
             "kms_path": list(self.kms_path),
             "created_ms": self.created_ms,
-            "status": self.status,
+            "status": SESSION_EXPIRED if expired else self.status,
         }
 
 
@@ -169,16 +174,14 @@ class QusecEntity(Entity):
         super().__init__(QUSEC_ID, node_id=None)
         self.topology = topology
         self.seed = seed
-        self.weight_policy = topology.weight_policy
-        self._weights = link_weights(topology, self.weight_policy)
+        self._weights = link_weights(topology, topology.weight_policy)
         # source node -> its path_tree; weights never change during a run.
         self._trees: dict[str, dict[str, tuple[str, str] | None]] = {}
         # (src_node, dst_node) -> its _kms_path, for the same reason.
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
-        self.session_lifetime_ms = topology.config.session_lifetime_ms
         self.sessions: list[SessionState] = []
-        # sessions[:_live_from] have expired; session_gc advances it.
-        self._live_from = 0
+        # The clock at the last discovery: sessions expire against it.
+        self._last_discovery_ms = 0
         # (app_src, app_dst) -> that ordered pair's newest session.
         self._newest_session: dict[tuple[str, str], SessionState] = {}
         self.install_count = 0
@@ -196,33 +199,16 @@ class QusecEntity(Entity):
 
     # ── session bookkeeping ──
 
-    def session_gc(self, now_ms: int) -> int:
-        """Mark sessions older than the configured lifetime expired.
-
-        created_ms never decreases along `sessions` and the clock never runs
-        back, so the expired sessions are a prefix of `sessions` that only
-        grows: the scan resumes where the last one stopped.
-        """
-        if self.session_lifetime_ms is None:
-            return 0
-        sessions, lifetime = self.sessions, self.session_lifetime_ms
-        start = end = self._live_from
-        while end < len(sessions) and now_ms - sessions[end].created_ms > lifetime:
-            sessions[end].status = SESSION_EXPIRED
-            end += 1
-        self._live_from = end
-        return end - start
+    def _expired(self, session: SessionState) -> bool:
+        lifetime = self.topology.config.session_lifetime_ms
+        return lifetime is not None and self._last_discovery_ms - session.created_ms > lifetime
 
     def _find_reusable_session(self, app_src: str, app_dst: str) -> SessionState | None:
-        """Newest live session in which the requester is the target.
-
-        Only the pair's newest session needs a look: created_ms never
-        decreases, and session_gc runs before every lookup and expires every
-        session past the lifetime, so expired sessions are always a prefix of
-        creation order. If the newest one has expired, so have all older ones.
-        """
+        """Newest live session in which the requester is the target. Only the
+        pair's newest session needs a look: created_ms never decreases, so if
+        it has expired, so have all older ones."""
         session = self._newest_session.get((app_dst, app_src))
-        if session is None or session.status == SESSION_EXPIRED:
+        if session is None or self._expired(session):
             return None
         return session
 
@@ -245,9 +231,8 @@ class QusecEntity(Entity):
         self._respond(reply_to, msg, None)
 
     def _handle_discovery(self, msg: KmsDiscoveryRequest, reply_to: str) -> None:
-        now = self.services.now_ms
+        now = self._last_discovery_ms = self.services.now_ms
         self.discovery_count += 1
-        self.session_gc(now)
 
         apps = self.topology.apps
         src_node = apps.get(msg.app_src)
@@ -259,14 +244,14 @@ class QusecEntity(Entity):
             self._fail(reply_to, msg, "same_node")
             return
 
-        # (b) A target's pickup of a live session's key: reuse it, no
-        # installs. A plain get_key always gets a path of its own.
-        if msg.kind == "get_key_with_id":
-            session = self._find_reusable_session(msg.app_src, msg.app_dst)
-            if session is not None:
-                session.status = SESSION_COMPLETED
-                self._respond(reply_to, msg, session.kms_path[-1])
-                return
+        # (b) A pickup locates its key: where the requester's newest live
+        # session ends, else at the pair's first KMS. It opens nothing.
+        pickup = msg.kind == "get_key_with_id"
+        session = self._find_reusable_session(msg.app_src, msg.app_dst) if pickup else None
+        if session is not None:
+            session.status = SESSION_COMPLETED
+            self._respond(reply_to, msg, session.kms_path[-1])
+            return
 
         try:
             kms_path = self._kms_path(src_node, dst_node)
@@ -274,24 +259,19 @@ class QusecEntity(Entity):
             self._fail(reply_to, msg, "no_path")
             return
 
-        # (a) A direct link needs no rules. (c) A relay path gets one on every
-        # KMS, last-to-first, so downstream rules exist before the initiator
-        # can act.
-        assoc = self._new_association_id()
-        if len(kms_path) > 2:
-            for i in range(len(kms_path) - 1, -1, -1):
-                install = RelayPathInstall(
-                    id_association=assoc,
-                    prev_hop=kms_path[i - 1] if i > 0 else None,
-                    next_hop=kms_path[i + 1] if i < len(kms_path) - 1 else None,
-                    app_src=msg.app_src,
-                    app_dst=msg.app_dst,
-                )
-                self.send(kms_path[i], install)
-                self.install_count += 1
-        session = SessionState(assoc, msg.app_src, msg.app_dst, kms_path, now)
-        self.sessions.append(session)
-        self._newest_session[(msg.app_src, msg.app_dst)] = session
+        # A get_key establishes a path of its own. (a) A direct link needs no
+        # rules. (c) A relay path gets one on every KMS, last-to-first, so
+        # downstream rules exist before the initiator can act.
+        if not pickup:
+            pair = (msg.app_src, msg.app_dst)
+            assoc = self._new_association_id()
+            if len(kms_path) > 2:
+                hops = (None, *kms_path, None)
+                for i in range(len(kms_path), 0, -1):
+                    self.send(hops[i], RelayPathInstall(assoc, hops[i - 1], hops[i + 1], *pair))
+                self.install_count += len(kms_path)
+            session = self._newest_session[pair] = SessionState(assoc, *pair, kms_path, now)
+            self.sessions.append(session)
         self._respond(reply_to, msg, kms_path[0])
 
     def _kms_path(self, src_node: str, dst_node: str) -> tuple[str, ...]:
@@ -306,23 +286,23 @@ class QusecEntity(Entity):
         shared = self.topology.links_between(src_node, dst_node)
         if shared:
             link = min(shared, key=lambda l: (self._weights[l.id], l.id))
-            path = (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
+            route = (src_node, dst_node), (link.id,)
         else:
             tree = self._trees.get(src_node)
             if tree is None:
                 tree = self._trees[src_node] = path_tree(self.topology, src_node, self._weights)
-            path = tuple(expand_to_kms(*tree_path(tree, dst_node)))
-        self._paths[src_node, dst_node] = path
+            route = tree_path(tree, dst_node)
+        path = self._paths[src_node, dst_node] = tuple(expand_to_kms(*route))
         return path
 
     # ── state dump ──
 
     def dump_state(self) -> dict:
         return {
-            "weight_policy": self.weight_policy,
-            "session_lifetime_ms": self.session_lifetime_ms,
+            "weight_policy": self.topology.weight_policy,
+            "session_lifetime_ms": self.topology.config.session_lifetime_ms,
             "discovery_count": self.discovery_count,
             "install_count": self.install_count,
-            "sessions": [s.to_dict() for s in self.sessions],
+            "sessions": [s.to_dict(self._expired(s)) for s in self.sessions],
             "errors": list(self.errors),
         }

@@ -363,6 +363,43 @@ def test_diff_unreadable_or_malformed_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+# ── files that are not UTF-8: a configuration error, exit 2 ──
+
+
+@pytest.fixture
+def non_utf8(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe{bad")
+    return str(path)
+
+
+def test_validate_non_utf8_topology_exits_two(non_utf8, capsys):
+    assert main(["validate", "--topology", non_utf8]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read topology: ")
+
+
+def test_run_non_utf8_scenario_exits_two(relay_files, non_utf8, capsys):
+    topo, _ = relay_files
+    assert main(["run", "--topology", topo, "--scenario", non_utf8, "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read scenario: ")
+
+
+def test_run_non_utf8_golden_exits_two(relay_files, non_utf8, tmp_path, capsys):
+    topo, scenario = relay_files
+    raw = json.loads(pathlib.Path(scenario).read_text())
+    bad = write_json(tmp_path / "s.json", {**raw, "expect": {"trace": "bad.bin"}})
+    assert main(["run", "--topology", topo, "--scenario", bad, "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read golden trace: ")
+
+
+def test_diff_non_utf8_trace_exits_two(non_utf8, tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    good.write_text("")
+    for expected, actual in ((str(good), non_utf8), (non_utf8, non_utf8)):
+        assert main(["diff", expected, actual]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_packaged_golden_survives_cli_diff(tmp_path, capsys):
     # A run at an arbitrary seed must canonically match the shipped golden.
     trace = tmp_path / "t.jsonl"

@@ -22,7 +22,12 @@ from conftest import (
 )
 from qkdrelay.kms import KmsEntity
 from qkdrelay.linksim import LinkSimulator
-from qkdrelay.qusec import SESSION_EXPIRED, QusecEntity
+from qkdrelay.qusec import (
+    SESSION_COMPLETED,
+    SESSION_EXPIRED,
+    SESSION_INSTALLED,
+    QusecEntity,
+)
 from qkdrelay.topology import render_kms_id, topology_from_dict
 
 # ── topology: adjacency and KMS names ──
@@ -260,11 +265,12 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
 
     def checked_session(self, app_src, app_dst):
         got = find_session(self, app_src, app_dst)
+        lifetime = self.topology.config.session_lifetime_ms
         want = None
         for session in reversed(self.sessions):
             if session.app_src != app_dst or session.app_dst != app_src:
                 continue
-            if session.status == SESSION_EXPIRED:
+            if lifetime is not None and self.services.now_ms - session.created_ms > lifetime:
                 seen["expired_skipped"] += 1
                 continue
             want = session
@@ -302,29 +308,40 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     assert seen["rules"] > 0
 
 
-def test_session_gc_cursor_matches_full_scan(monkeypatch):
-    seen = {"calls": 0, "expired": 0}
-    session_gc = QusecEntity.session_gc
+def test_session_expiry_matches_full_scan(monkeypatch):
+    # After every discovery, and in the final report, a session reads as
+    # expired exactly when the clock at the last discovery is more than the
+    # lifetime past its creation. A stored status is never "expired".
+    seen = {"checks": 0, "expired": 0, "live": 0}
+    last_discovery = {}
+    handle_discovery = QusecEntity._handle_discovery
 
-    def checked_gc(self, now_ms):
-        want = [s.status for s in self.sessions]
-        want_expired = 0
-        for i, session in enumerate(self.sessions):
-            if want[i] != SESSION_EXPIRED and now_ms - session.created_ms > self.session_lifetime_ms:
-                want[i] = SESSION_EXPIRED
-                want_expired += 1
-        got_expired = session_gc(self, now_ms)
-        assert [s.status for s in self.sessions] == want
-        assert got_expired == want_expired
-        seen["calls"] += 1
-        seen["expired"] += got_expired
-        return got_expired
+    def scan(qusec, now_ms):
+        lifetime = qusec.topology.config.session_lifetime_ms
+        return [
+            SESSION_EXPIRED if now_ms - s.created_ms > lifetime else s.status
+            for s in qusec.sessions
+        ]
 
-    monkeypatch.setattr(QusecEntity, "session_gc", checked_gc)
+    def checked_discovery(self, msg, reply_to):
+        handle_discovery(self, msg, reply_to)
+        last_discovery[self] = now_ms = self.services.now_ms
+        assert {s.status for s in self.sessions} <= {SESSION_INSTALLED, SESSION_COMPLETED}
+        got = [s["status"] for s in self.dump_state()["sessions"]]
+        assert got == scan(self, now_ms)
+        seen["checks"] += 1
+        seen["expired"] += got.count(SESSION_EXPIRED)
+        seen["live"] += len(got) - got.count(SESSION_EXPIRED)
+
+    monkeypatch.setattr(QusecEntity, "_handle_discovery", checked_discovery)
     for lifetime in (60, 150):
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
         events = grid_events(raw, random.Random(lifetime), pairs=40)
         result = run_events(topology_from_dict(raw), events, seed=2)
         assert result.report["quiescent"]
-    assert seen["calls"] > 0
+        qusec = result.sim.qusec
+        reported = [s["status"] for s in result.report["controller"]["sessions"]]
+        assert reported == scan(qusec, last_discovery[qusec])
+    assert seen["checks"] > 0
     assert seen["expired"] > 0
+    assert seen["live"] > 0

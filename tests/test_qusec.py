@@ -473,29 +473,31 @@ def test_discovery_unknown_app_and_same_node():
     assert sim.qusec.sessions == []
 
 
-def test_session_gc_expiry_threshold():
+def test_session_expiry_threshold():
+    # A session lives for exactly its lifetime: a pickup at 500 ms reuses
+    # it, one at 501 ms finds it expired. Either way the pickup opens no
+    # session and installs no rule of its own.
     topo = mesh4(
         {"APP_A": "N1", "APP_B": "N4"}, config={"session_lifetime_ms": 500}
     )
-    result = run_events(
-        topo,
-        [
-            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-            # Lifetime exceeded: the pickup may not reuse the session.
-            {
-                "at": 600,
-                "event": "app_get_key_with_id",
-                "app_src": "APP_B",
-                "app_dst": "APP_A",
-                "key_id_from": "APP_A",
-            },
-        ],
-    )
-    first, second = result.sim.qusec.sessions[0], result.sim.qusec.sessions[-1]
-    assert first.status == SESSION_EXPIRED
-    # The second discovery computed a fresh reverse path instead.
-    assert second.app_src == "APP_B"
-    assert len(installs(result.records)) == 8
+    for pickup_at, status in ((500, SESSION_COMPLETED), (501, SESSION_EXPIRED)):
+        result = run_events(
+            topo,
+            [
+                {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+                {
+                    "at": pickup_at,
+                    "event": "app_get_key_with_id",
+                    "app_src": "APP_B",
+                    "app_dst": "APP_A",
+                    "key_id_from": "APP_A",
+                },
+            ],
+        )
+        (session,) = result.report["controller"]["sessions"]
+        assert session["app_src"] == "APP_A"
+        assert session["status"] == status
+        assert len(installs(result.records)) == result.sim.qusec.install_count == 4
 
 
 def test_session_survives_within_lifetime():
@@ -517,6 +519,70 @@ def test_session_survives_within_lifetime():
     )
     assert len(installs(result.records)) == 4
     assert result.sim.qusec.sessions[0].status == SESSION_COMPLETED
+
+
+def test_pickup_after_expiry_installs_nothing():
+    # The session has expired by the pickup, whose key still waits in the
+    # terminating KMS's delivered store.
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N4"}),
+        [
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+            {
+                "at": 500,
+                "event": "app_get_key_with_id",
+                "app_src": "APP_B",
+                "app_dst": "APP_A",
+                "key_id_from": "APP_A",
+            },
+        ],
+        seed=3,
+        session_lifetime_ms=100,
+    )
+    assert len(installs(result.records)) == result.sim.qusec.install_count == 4
+    assert len(result.sim.qusec.sessions) == 1
+    assert [r["status"] for r in result.report["requests"]] == ["ok", "ok"]
+    first, second = result.report["requests"]
+    assert first["key_id"] == second["key_id"]
+
+
+@pytest.mark.parametrize(
+    "policy,first_kms",
+    [("hop_count", "KMS_1b"), ("inverse_key_rate", "KMS_1a"), ("distance", "KMS_1a")],
+)
+def test_pickup_without_own_session_opens_nothing(policy, first_kms):
+    # APP_A picks up the key APP_C shares with APP_B: no (B, A) session
+    # exists, so QuSeC points APP_A at the pair's first KMS and opens
+    # nothing. The links make that KMS depend on the policy.
+    topo = mesh4(
+        {"APP_A": "N1", "APP_B": "N4", "APP_C": "N2"},
+        links=[
+            {"id": "a", "a": "N1", "b": "N2", "key_rate": 10.0, "distance_km": 1.0, "initial_pool": 8},
+            {"id": "b", "a": "N1", "b": "N3", "key_rate": 1.0, "distance_km": 50.0, "initial_pool": 8},
+            {"id": "c", "a": "N2", "b": "N3", "key_rate": 10.0, "distance_km": 1.0, "initial_pool": 8},
+            {"id": "d", "a": "N3", "b": "N4", "key_rate": 10.0, "distance_km": 5.0, "initial_pool": 8},
+        ],
+    )
+    get_key = {"at": 0, "event": "app_get_key", "app_src": "APP_C", "app_dst": "APP_B"}
+    pickup = {
+        "at": 500,
+        "event": "app_get_key_with_id",
+        "app_src": "APP_A",
+        "app_dst": "APP_B",
+        "key_id_from": "APP_C",
+    }
+    before = run_events(topo, [get_key], weight_policy=policy)
+    after = run_events(topo, [get_key, pickup], weight_policy=policy)
+    controller = after.report["controller"]
+    assert controller["sessions"] == before.report["controller"]["sessions"]
+    assert controller["install_count"] == before.report["controller"]["install_count"]
+    assert controller["discovery_count"] == before.report["controller"]["discovery_count"] + 1
+    (answer,) = [
+        e.msg.id_kms
+        for e in after.records
+        if message_type(e.msg) == "kms_discovery_response" and e.msg.id_request == "R2"
+    ]
+    assert answer == after.sim.qusec._kms_path("N1", "N4")[0] == first_kms
 
 
 def test_install_count_is_twice_link_count():

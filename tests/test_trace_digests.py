@@ -568,28 +568,28 @@ OVERLAP_WARM_UP = [
 # (rng seed, cache_ttl_ms) -> (digest, full_report_digest); mesh4, five apps
 OVERLAPS = {
     (1, 0): (
-        "5bc8cb0f6551b4ca07d162f6eed8633cd141e6572e2173319e0e4694b6f97c48",
-        "baf4c7bea07f9cf81f6bcaf4e78baf3ef980457c0cefaa01fcf9a6753c744931",
+        "9cb559434d93d34fad104d8f3334e645f386ea5ccbaea9657a9747cdd473d954",
+        "0bd8719644106cb3283da63058610482a26d6f9527830b94181cf21ba2a36242",
     ),
     (1, 5000): (
-        "fbd5d9d205526ebb55793ea55e8746823855458b399b0a50685bfe5850b05010",
-        "b4c9c079d0b298038d746d9e3184614079d0788950ce3edaff759213eccf9af1",
+        "ee80757f44705b43b60e9f75c096861b55d8f59814e37283a9bafece7026476b",
+        "212d3c56c0c2768b715d6b047a60b3c9352169733a19a5db75426c22946d4ca2",
     ),
     (2, 0): (
         "635491d76d1d4773e6f3c9ea3321966e6865e0516590f94956ee3676111d9810",
         "b1a260ed8626682d5e2e3711c3d373660b8212d78beb01d938e16964e791a145",
     ),
     (2, 5000): (
-        "1f83d442fe8c27babcff14de64b2a718229d31242d8955ea52835707ffc2ef0e",
-        "0725dbba1c2999bd0103a5f66dca7ec9ee1bcbe909410e3b029fa925363ff63b",
+        "c0644ae8c56e4e180b56926721e1282e9f55cc45b3ce902cc81ca33d44902c1c",
+        "4f41947117b044859ecf94c5a77d24260d4e3205a80cb37a77421f4c72756615",
     ),
     (4, 0): (
-        "66b85b1d3f7c70d69930083ffa05e2fb28b3c8104f7bb697a2ba5b67b6940fd9",
-        "452b94264f6cac2cf41dee4e425ef9f3a31759e9e65a0a4f4da0aef849c75bd8",
+        "7d66f6e8476c7ad3a42c9ccddbf5125a868397c7a174ec2e8192bfc0c08129d6",
+        "d24dc15004c8eae16f19dc921e98b3308d37a223a49f3ec3cb7d4ba1612ffc74",
     ),
     (4, 5000): (
-        "06e0fd83cb34bbec995da65288845306a17ed6a8e7c7c5174ffbc1e9cc5fb040",
-        "9162baaee28eb007255813d8537d48d4d40de4fb8f130e7d5ba07836ba1fdc63",
+        "bd93841b623b414ede515b4b0c027a2194dcd00a1d5c306eb7bb5855f68f0d25",
+        "81ef925dba75020c23a8c254663378af4823056ce260a863536fa60a1a51e898",
     ),
 }
 
@@ -826,7 +826,7 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "99368aabf9a9ea9340918e40eb4d5a29e507ccf460dfb58ec1dd033aaa840fc4"
+CORPUS_DIGEST = "04e7442f9802a984c3c4b5d9bc48427cd44e9d07201c61b6aebfc2d05464da89"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250
