@@ -67,18 +67,21 @@ _AWAITS = {
 }
 
 
+# Per relay request type, how to build the one reply it owes its sender.
+_REPLIES = {
+    RelayProcessRequest: lambda request, status: RelayProcessResponse(
+        status, request.id_relay_key
+    ),
+    KeyRelay: lambda request, status: KeyRelayResponse(status, request.id_relay_key),
+    ExtKeyRequest: lambda request, status: AckRequest(
+        request.id_relay_key, status, request.app_src, request.app_dst
+    ),
+}
+
+
 def _reply(request: RelayRequest, status: str) -> RelayReply:
     """The one reply a relay request owes its sender."""
-    if isinstance(request, RelayProcessRequest):
-        return RelayProcessResponse(status=status, id_relay_key=request.id_relay_key)
-    if isinstance(request, KeyRelay):
-        return KeyRelayResponse(status=status, id_relay_key=request.id_relay_key)
-    return AckRequest(
-        id_relay_key=request.id_relay_key,
-        ack_status=status,
-        app_src=request.app_src,
-        app_dst=request.app_dst,
-    )
+    return _REPLIES[type(request)](request, status)
 
 
 @dataclass(slots=True)
@@ -120,7 +123,9 @@ class KmsEntity(Entity):
 
     # ── rule installation ──
 
-    def install_rule(self, msg: RelayPathInstall) -> None:
+    def install_rule(self, msg: RelayPathInstall, sender: str | None = None) -> None:
+        """Keep msg as this KMS's rule for its association. sender is unused;
+        it is there because every handler in _HANDLERS takes one."""
         self.rules[msg.id_association] = msg
         self._rule_index[(msg.app_src, msg.app_dst, msg.prev_hop)] = msg
 
@@ -136,23 +141,13 @@ class KmsEntity(Entity):
     # ── dispatch ──
 
     def on_message(self, env: Envelope) -> None:
+        """Hand msg and its sender to the handler of msg's type (_HANDLERS)."""
         msg = env.msg
-        if isinstance(msg, RelayPathInstall):
-            self.install_rule(msg)
-        elif isinstance(msg, GetKey):
-            self._handle_get_key(msg, env.sender)
-        elif isinstance(msg, GetKeyWithId):
-            self._handle_get_key_with_id(msg, env.sender)
-        elif isinstance(msg, RelayProcessRequest):
-            self._handle_relay_process_request(msg, env.sender)
-        elif isinstance(msg, ExtKeyRequest):
-            self._handle_ext_key_request(msg, env.sender)
-        elif isinstance(msg, KeyRelay):
-            self._handle_key_relay(msg, env.sender)
-        elif isinstance(msg, (KeyRelayResponse, AckRequest, RelayProcessResponse)):
-            self._handle_completion(msg)
-        else:
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
             log.warning("%s ignoring %s", self.entity_id, message_type(msg))
+        else:
+            handler(self, msg, env.sender)
 
     # ── Get Key (direct or relay initiation) ──
 
@@ -287,16 +282,16 @@ class KmsEntity(Entity):
         )
         self.pending[id_relay_key] = pending
 
-    def _handle_completion(self, msg: RelayReply) -> None:
+    def _handle_completion(self, msg: RelayReply, sender: str) -> None:
         pending = self.pending.get(msg.id_relay_key)
-        if pending is None or not isinstance(msg, pending.awaits):
+        if pending is None or type(msg) is not pending.awaits:
             self.orphan_count += 1
             log.warning(
                 "%s dropping orphan %s for key %s",
                 self.entity_id, message_type(msg), msg.id_relay_key,
             )
             return
-        status = msg.ack_status if isinstance(msg, AckRequest) else msg.status
+        status = msg.ack_status if type(msg) is AckRequest else msg.status
         self._resolve(msg.id_relay_key, status)
 
     def _on_timeout(self, id_relay_key: str) -> None:
@@ -307,10 +302,25 @@ class KmsEntity(Entity):
         """End the wait on id_relay_key: cancel its timer, send the owed reply."""
         pending = self.pending.pop(id_relay_key)
         self.services.cancel_timer(pending.timer)
-        if isinstance(pending.request, GetKey):
+        if type(pending.request) is GetKey:
             # The initiator waits under K1's id. K1 is consumed even on failure.
             k1 = self.pool.consume(id_relay_key)
             material = k1 if status == STATUS_OK else b""
             self._deliver(pending.reply_to, pending.request, id_relay_key, material, status)
         else:
             self.send(pending.reply_to, _reply(pending.request, status))
+
+
+# Message type -> the KmsEntity method that handles it, called with the
+# message and its sender.
+_HANDLERS = {
+    RelayPathInstall: KmsEntity.install_rule,
+    GetKey: KmsEntity._handle_get_key,
+    GetKeyWithId: KmsEntity._handle_get_key_with_id,
+    RelayProcessRequest: KmsEntity._handle_relay_process_request,
+    ExtKeyRequest: KmsEntity._handle_ext_key_request,
+    KeyRelay: KmsEntity._handle_key_relay,
+    KeyRelayResponse: KmsEntity._handle_completion,
+    AckRequest: KmsEntity._handle_completion,
+    RelayProcessResponse: KmsEntity._handle_completion,
+}

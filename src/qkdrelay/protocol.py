@@ -18,12 +18,15 @@ class is created, the message classes are frozen, and so every record of a
 type has the same keys: sorting them per record would give the same order
 each time.
 
-Messages are frozen dataclasses; the envelope around each one is an
-immutable named tuple, so no record can be rewritten once sent. The
-transport keeps global FIFO order (which implies per-channel FIFO), assigns
-per-sender sequence numbers and computes each (sender, receiver) pair's
-channel once. It keeps no log of what it delivers: the caller that pops an
-envelope encodes it into the conformance trace (see harness.SimKernel).
+Messages are frozen, slotted dataclasses, and the envelope around each one
+is an immutable named tuple, so no record can be rewritten once sent. Each
+message type's ``__init__`` is compiled at import like its line encoder: it
+stores each argument straight into its slot, where the dataclass one goes
+through ``object.__setattr__`` once per field. The transport keeps global
+FIFO order (which implies per-channel FIFO), assigns per-sender sequence
+numbers and computes each (sender, receiver) pair's channel once. It keeps
+no log of what it delivers: the caller that pops an envelope encodes it
+into the conformance trace (see harness.SimKernel).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -95,39 +98,59 @@ def otp_xor(a: bytes, b: bytes) -> bytes:
 # ── message set ──
 
 
-@dataclass(frozen=True)
-class GetKey:
+class _Message:
+    """Base of every message type, which is a frozen, slotted dataclass.
+
+    A slotted class has no __weakref__ slot unless one is declared, and
+    dataclass's weakref_slot needs Python 3.11, so the base declares it:
+    every message stays weak-referenceable. It also holds the frozen
+    guards: the ones dataclass generates for a slotted class test the class
+    it was given rather than the slotted copy it returns, so they raise
+    TypeError, not FrozenInstanceError, for a name that is not a field.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class GetKey(_Message):
     app_src: str
     app_dst: str
     id_request: str
 
 
-@dataclass(frozen=True)
-class GetKeyWithId:
+@dataclass(frozen=True, slots=True)
+class GetKeyWithId(_Message):
     app_src: str
     app_dst: str
     key_id: str
     id_request: str
 
 
-@dataclass(frozen=True)
-class KmsDiscoveryRequest:
+@dataclass(frozen=True, slots=True)
+class KmsDiscoveryRequest(_Message):
     app_src: str
     app_dst: str
     kind: str  # the request's type tag: get_key or get_key_with_id
     id_request: str
 
 
-@dataclass(frozen=True)
-class KmsDiscoveryResponse:
+@dataclass(frozen=True, slots=True)
+class KmsDiscoveryResponse(_Message):
     app_src: str
     app_dst: str
     id_kms: str | None  # none signals a failed discovery
     id_request: str
 
 
-@dataclass(frozen=True)
-class RelayPathInstall:
+@dataclass(frozen=True, slots=True)
+class RelayPathInstall(_Message):
     id_association: str
     prev_hop: str | None
     next_hop: str | None
@@ -135,15 +158,15 @@ class RelayPathInstall:
     app_dst: str
 
 
-@dataclass(frozen=True)
-class RelayProcessRequest:
+@dataclass(frozen=True, slots=True)
+class RelayProcessRequest(_Message):
     app_src: str
     app_dst: str
     id_relay_key: str
 
 
-@dataclass(frozen=True)
-class ExtKeyRequest:
+@dataclass(frozen=True, slots=True)
+class ExtKeyRequest(_Message):
     id_relay_key: str
     value_relay_key: bytes
     app_src: str
@@ -152,8 +175,8 @@ class ExtKeyRequest:
     ext: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class KeyRelay:
+@dataclass(frozen=True, slots=True)
+class KeyRelay(_Message):
     encrypted_relay_key: bytes
     id_key_encryption: str
     id_relay_key: str
@@ -162,14 +185,14 @@ class KeyRelay:
     id_association: str
 
 
-@dataclass(frozen=True)
-class KeyRelayResponse:
+@dataclass(frozen=True, slots=True)
+class KeyRelayResponse(_Message):
     status: str
     id_relay_key: str
 
 
-@dataclass(frozen=True)
-class AckRequest:
+@dataclass(frozen=True, slots=True)
+class AckRequest(_Message):
     id_relay_key: str
     ack_status: str
     app_src: str
@@ -177,14 +200,14 @@ class AckRequest:
     ext: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RelayProcessResponse:
+@dataclass(frozen=True, slots=True)
+class RelayProcessResponse(_Message):
     status: str
     id_relay_key: str
 
 
-@dataclass(frozen=True)
-class KeyDelivery:
+@dataclass(frozen=True, slots=True)
+class KeyDelivery(_Message):
     key_id: str
     material: bytes
     status: str
@@ -222,6 +245,45 @@ MESSAGE_TYPES: dict[str, type] = {
 }
 
 TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
+
+# The default of a parameter whose field has a default factory: a call that
+# leaves it out gets a fresh value from the factory.
+_OMITTED = object()
+
+
+def _constructor(cls: type):
+    """__init__ for one message type, compiled from its fields into
+    straight-line source, as its line encoder is. The dataclass __init__ of
+    a frozen class sets each field through object.__setattr__; this one
+    stores each argument straight into its slot through the slot's
+    descriptor, which the frozen __setattr__ does not guard. It takes the
+    same arguments and raises the same argument errors as the dataclass
+    __init__. A message field either has no default or has a default
+    factory, which gives each message that leaves the field out a fresh
+    value."""
+    namespace = {"_OMITTED": _OMITTED}
+    params, body = [], []
+    for f in fields(cls):
+        name = f.name
+        namespace[f"_set_{name}"] = getattr(cls, name).__set__
+        value = name
+        if f.default_factory is not MISSING:
+            namespace[f"_factory_{name}"] = f.default_factory
+            params.append(f"{name}=_OMITTED")
+            value = f"_factory_{name}() if {name} is _OMITTED else {name}"
+        else:
+            params.append(name)
+        body.append(f"    _set_{name}(self, {value})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "".join(body), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+for _type in MESSAGE_TYPES.values():
+    _type.__init__ = _constructor(_type)
+    del _type.__setattr__, _type.__delattr__  # _Message's guards apply
+del _type
 
 # The kinds of app request a discovery can be for.
 REQUEST_KINDS = ("get_key", "get_key_with_id")

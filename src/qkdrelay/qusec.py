@@ -2,7 +2,15 @@
 
 A get_key's discovery establishes a path: an association, a session and, on
 a relay path, a rule on every KMS. A get_key_with_id's discovery only locates
-its key and opens nothing. Session lifetimes are checked when a session is read.
+its key and opens nothing. Session lifetimes are checked when a session is
+read, against the clock at that moment.
+
+Relay paths come from one Dijkstra per source node (``path_tree``), run on
+the first relay search from that node over a ``RankGraph``: nodes and links
+numbered in sorted-id order, so the search compares small integers yet
+breaks ties exactly as one over ids would. Each tree is kept as a parent
+array and a hop array, and each hop names the two KMSs it joins, so a
+relay path is read off the tree without rendering a KMS name.
 
 The controller sees topology and session state only. It never holds or
 forwards key material; everything it sends or receives rides the control
@@ -62,56 +70,96 @@ def link_weights(topology: Topology, policy: str) -> dict[str, float]:
     return {link.id: link_weight(link, policy) for link in topology.links.values()}
 
 
-def path_tree(
-    topology: Topology, src: str, weights: dict[str, float]
-) -> dict[str, tuple[str, str] | None]:
-    """Dijkstra from src to every reachable node, as parent pointers.
+# One hop of the rank graph, out of a node: (neighbour rank, link rank,
+# weight, this node's KMS on the link, the neighbour's KMS on the link).
+Hop = tuple[int, int, float, str, str]
 
-    Maps each reachable node to (parent node, link id) on its shortest path,
-    and src to None. Ties are broken by the lexicographically smallest node
-    sequence, then link sequence. An entry carries its nodes and last link
-    only: entries with equal nodes were pushed while settling one parent, so
-    they differ only in that link. Any prefix of such a path is itself one,
-    so the paths form a tree. A push that cannot beat the node's best queued
-    entry is skipped: it would pop after that entry and be discarded. The
+
+class RankGraph:
+    """The topology numbered for search: nodes and links ranked in sorted-id
+    order, and each node's hops (see ``Hop``) indexed by its rank, in link
+    file order. Because ranks follow sorted ids, a tuple of node or link
+    ranks compares exactly as the tuple of their ids does, so a search over
+    ranks breaks ties as one over ids would, under every weight policy."""
+
+    __slots__ = ("nodes", "links", "rank", "hops")
+
+    def __init__(self, topology: Topology, weights: dict[str, float]):
+        self.nodes = sorted(topology.nodes)
+        self.links = sorted(topology.links)
+        self.rank = {node: i for i, node in enumerate(self.nodes)}
+        link_rank = {link_id: i for i, link_id in enumerate(self.links)}
+        kms = {seat: name for name, seat in topology.kms_names.items()}
+        self.hops: list[list[Hop]] = [
+            [
+                (
+                    self.rank[neighbor],
+                    link_rank[link.id],
+                    weights[link.id],
+                    kms[node, link.id],
+                    kms[neighbor, link.id],
+                )
+                for neighbor, link in topology.neighbors(node)
+            ]
+            for node in self.nodes
+        ]
+
+
+# A path tree: per node rank, the rank it was reached from and the hop that
+# reached it. The root is its own parent and has no hop; a node the search
+# never reached has parent -1.
+Tree = tuple[list[int], list[Hop | None]]
+
+
+def path_tree(graph: RankGraph, src: int) -> Tree:
+    """Dijkstra from rank src to every reachable node, as a parent array and
+    a hop array.
+
+    Ties are broken by the lexicographically smallest node sequence, then
+    link sequence. A heap entry is (cost, node ranks, last hop): entries with
+    equal nodes were pushed while settling one parent, so their hops differ
+    only in their link rank. Any prefix of such a path is itself one, so the
+    paths form a tree. A push that cannot beat the node's best queued entry
+    is skipped: it would pop after that entry and be discarded. The
     comparison needs a total order on costs, which finite weights give.
     """
-    tree: dict[str, tuple[str, str] | None] = {}
-    best = {src: (0.0, (src,), "")}
-    heap = [best[src]]
+    size = len(graph.nodes)
+    parent = [-1] * size
+    via: list[Hop | None] = [None] * size
+    best: list[tuple | None] = [None] * size
+    hops = graph.hops
+    heap = [(0.0, (src,), None)]
     while heap:
-        cost, nodes, link_id = heappop(heap)
+        cost, nodes, hop = heappop(heap)
         here = nodes[-1]
-        if here in tree:
+        if parent[here] >= 0:
             continue
-        tree[here] = (nodes[-2], link_id) if link_id else None
-        for neighbor, link in topology.neighbors(here):
-            if neighbor in tree:
+        parent[here] = nodes[-2] if hop else here
+        via[here] = hop
+        for hop in hops[here]:
+            neighbor = hop[0]
+            if parent[neighbor] >= 0:
                 continue
-            entry = (cost + weights[link.id], nodes + (neighbor,), link.id)
-            queued = best.get(neighbor)
+            entry = (cost + hop[2], nodes + (neighbor,), hop)
+            queued = best[neighbor]
             if queued is None or entry < queued:
                 best[neighbor] = entry
                 heappush(heap, entry)
-    return tree
+    return parent, via
 
 
-def tree_path(
-    tree: dict[str, tuple[str, str] | None], dst: str
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(node sequence, link sequence) from the tree's root to dst, by
-    walking the parent pointers back; raises NoPathError if dst is not in
-    the tree."""
-    if dst not in tree:
-        raise NoPathError(f"no path to {dst!r}")
-    nodes, links = [dst], []
-    step = tree[dst]
-    while step is not None:
-        parent, link_id = step
-        nodes.append(parent)
-        links.append(link_id)
-        step = tree[parent]
-    return tuple(reversed(nodes)), tuple(reversed(links))
+def tree_path(tree: Tree, dst: int) -> list[Hop]:
+    """The hops from the tree's root to rank dst, by walking the parent
+    array back; raises NoPathError if the search never reached dst."""
+    parent, via = tree
+    if parent[dst] < 0:
+        raise NoPathError(f"no path to node rank {dst}")
+    hops = []
+    while parent[dst] != dst:
+        hops.append(via[dst])
+        dst = parent[dst]
+    hops.reverse()
+    return hops
 
 
 def shortest_path(
@@ -126,22 +174,13 @@ def shortest_path(
         raise NoPathError(f"unknown node in pair ({src!r}, {dst!r})")
     if src == dst:
         raise SameNodeError(f"src and dst are both {src!r}")
-    weights = link_weights(topology, policy)
-    nodes, links = tree_path(path_tree(topology, src, weights), dst)
+    graph = RankGraph(topology, link_weights(topology, policy))
+    hops = tree_path(path_tree(graph, graph.rank[src]), graph.rank[dst])
     cost = 0.0
-    for link_id in links:
-        cost += weights[link_id]
-    return cost, nodes, links
-
-
-def expand_to_kms(node_path: tuple[str, ...], link_path: tuple[str, ...]) -> list[str]:
-    """KMS-granularity expansion: each traversed link (u, v) contributes
-    KMS_u(link) then KMS_v(link)."""
-    out = []
-    for i, link_id in enumerate(link_path):
-        out.append(render_kms_id(node_path[i], link_id))
-        out.append(render_kms_id(node_path[i + 1], link_id))
-    return out
+    for hop in hops:
+        cost += hop[2]
+    nodes = (src, *(graph.nodes[hop[0]] for hop in hops))
+    return cost, nodes, tuple(graph.links[hop[1]] for hop in hops)
 
 
 @dataclass(slots=True)
@@ -175,13 +214,13 @@ class QusecEntity(Entity):
         self.topology = topology
         self.seed = seed
         self._weights = link_weights(topology, topology.weight_policy)
+        # The rank graph, built on the first relay search.
+        self._graph: RankGraph | None = None
         # source node -> its path_tree; weights never change during a run.
-        self._trees: dict[str, dict[str, tuple[str, str] | None]] = {}
+        self._trees: dict[str, Tree] = {}
         # (src_node, dst_node) -> its _kms_path, for the same reason.
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
         self.sessions: list[SessionState] = []
-        # The clock at the last discovery: sessions expire against it.
-        self._last_discovery_ms = 0
         # (app_src, app_dst) -> that ordered pair's newest session.
         self._newest_session: dict[tuple[str, str], SessionState] = {}
         self.install_count = 0
@@ -199,23 +238,26 @@ class QusecEntity(Entity):
 
     # ── session bookkeeping ──
 
-    def _expired(self, session: SessionState) -> bool:
+    def _expired(self, session: SessionState, now_ms: int) -> bool:
+        """Whether session's lifetime has run out by the clock now_ms."""
         lifetime = self.topology.config.session_lifetime_ms
-        return lifetime is not None and self._last_discovery_ms - session.created_ms > lifetime
+        return lifetime is not None and now_ms - session.created_ms > lifetime
 
-    def _find_reusable_session(self, app_src: str, app_dst: str) -> SessionState | None:
+    def _find_reusable_session(
+        self, app_src: str, app_dst: str, now_ms: int
+    ) -> SessionState | None:
         """Newest live session in which the requester is the target. Only the
         pair's newest session needs a look: created_ms never decreases, so if
         it has expired, so have all older ones."""
         session = self._newest_session.get((app_dst, app_src))
-        if session is None or self._expired(session):
+        if session is None or self._expired(session, now_ms):
             return None
         return session
 
     # ── discovery ──
 
     def on_message(self, env: Envelope) -> None:
-        if isinstance(env.msg, KmsDiscoveryRequest):
+        if type(env.msg) is KmsDiscoveryRequest:
             self._handle_discovery(env.msg, env.sender)
         else:
             log.warning("QuSeC ignoring unexpected %s from %s",
@@ -231,7 +273,7 @@ class QusecEntity(Entity):
         self._respond(reply_to, msg, None)
 
     def _handle_discovery(self, msg: KmsDiscoveryRequest, reply_to: str) -> None:
-        now = self._last_discovery_ms = self.services.now_ms
+        now = self.services.now_ms
         self.discovery_count += 1
 
         apps = self.topology.apps
@@ -247,7 +289,7 @@ class QusecEntity(Entity):
         # (b) A pickup locates its key: where the requester's newest live
         # session ends, else at the pair's first KMS. It opens nothing.
         pickup = msg.kind == "get_key_with_id"
-        session = self._find_reusable_session(msg.app_src, msg.app_dst) if pickup else None
+        session = self._find_reusable_session(msg.app_src, msg.app_dst, now) if pickup else None
         if session is not None:
             session.status = SESSION_COMPLETED
             self._respond(reply_to, msg, session.kms_path[-1])
@@ -279,30 +321,40 @@ class QusecEntity(Entity):
         lowest-weight shared link (ties by link id). Else (c) the KMSs of the
         shortest relay path; raises NoPathError when there is none. Computed
         once per ordered node pair: weights and links never change during a
-        run. A NoPathError is not remembered."""
+        run. A NoPathError is not remembered. A relay path is the hops of
+        src_node's path tree, each contributing the KMS it leaves from and
+        the KMS it arrives at."""
         path = self._paths.get((src_node, dst_node))
         if path is not None:
             return path
         shared = self.topology.links_between(src_node, dst_node)
         if shared:
             link = min(shared, key=lambda l: (self._weights[l.id], l.id))
-            route = (src_node, dst_node), (link.id,)
+            path = (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
         else:
+            graph = self._graph
+            if graph is None:
+                graph = self._graph = RankGraph(self.topology, self._weights)
+            src, dst = graph.rank.get(src_node), graph.rank.get(dst_node)
+            if src is None or dst is None:
+                raise NoPathError(f"unknown node in pair ({src_node!r}, {dst_node!r})")
             tree = self._trees.get(src_node)
             if tree is None:
-                tree = self._trees[src_node] = path_tree(self.topology, src_node, self._weights)
-            route = tree_path(tree, dst_node)
-        path = self._paths[src_node, dst_node] = tuple(expand_to_kms(*route))
+                tree = self._trees[src_node] = path_tree(graph, src)
+            path = tuple(kms for hop in tree_path(tree, dst) for kms in hop[3:])
+        self._paths[src_node, dst_node] = path
         return path
 
     # ── state dump ──
 
     def dump_state(self) -> dict:
+        """Session statuses as of the clock now, the end of the run."""
+        now = self.services.now_ms
         return {
             "weight_policy": self.topology.weight_policy,
             "session_lifetime_ms": self.topology.config.session_lifetime_ms,
             "discovery_count": self.discovery_count,
             "install_count": self.install_count,
-            "sessions": [s.to_dict(self._expired(s)) for s in self.sessions],
+            "sessions": [s.to_dict(self._expired(s, now)) for s in self.sessions],
             "errors": list(self.errors),
         }

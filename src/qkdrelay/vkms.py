@@ -91,24 +91,27 @@ class VkmsEntity(Entity):
     # ── dispatch ──
 
     def on_message(self, env: Envelope) -> None:
+        """Hand msg and its sender to the handler of msg's type (_HANDLERS)."""
         msg = env.msg
-        if isinstance(msg, (GetKey, GetKeyWithId)):
-            self._handle_app_request(msg, env.sender)
-        elif isinstance(msg, (KmsDiscoveryResponse, KeyDelivery)):
-            pending = self.awaiting.get(msg.id_request)
-            if pending is None:
-                log.warning("%s dropping orphan %s for %s",
-                            self.entity_id, message_type(msg), msg.id_request)
-            elif isinstance(msg, KeyDelivery):
-                # Downstream status passes through unchanged.
-                self._end(pending, msg)
-            elif msg.id_kms is None:
-                self._end(pending, _failure(pending.request, STATUS_UNKNOWN_APP))
-            else:
-                self._cache_insert(pending.request, msg.id_kms)
-                self.send(msg.id_kms, pending.request)
-        else:
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
             log.warning("%s ignoring %s", self.entity_id, message_type(msg))
+        else:
+            handler(self, msg, env.sender)
+
+    def _handle_reply(self, msg: KmsDiscoveryResponse | KeyDelivery, sender: str) -> None:
+        pending = self.awaiting.get(msg.id_request)
+        if pending is None:
+            log.warning("%s dropping orphan %s for %s",
+                        self.entity_id, message_type(msg), msg.id_request)
+        elif type(msg) is KeyDelivery:
+            # Downstream status passes through unchanged.
+            self._end(pending, msg)
+        elif msg.id_kms is None:
+            self._end(pending, _failure(pending.request, STATUS_UNKNOWN_APP))
+        else:
+            self._cache_insert(pending.request, msg.id_kms)
+            self.send(msg.id_kms, pending.request)
 
     def _handle_app_request(self, msg: GetKey | GetKeyWithId, app_id: str) -> None:
         if self.topology.apps.get(msg.app_src) != self.node_id:
@@ -137,3 +140,13 @@ class VkmsEntity(Entity):
     def _on_timeout(self, id_request: str) -> None:
         pending = self.awaiting[id_request]
         self._end(pending, _failure(pending.request, STATUS_TIMEOUT))
+
+
+# Message type -> the VkmsEntity method that handles it, called with the
+# message and its sender.
+_HANDLERS = {
+    GetKey: VkmsEntity._handle_app_request,
+    GetKeyWithId: VkmsEntity._handle_app_request,
+    KmsDiscoveryResponse: VkmsEntity._handle_reply,
+    KeyDelivery: VkmsEntity._handle_reply,
+}

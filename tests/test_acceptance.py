@@ -22,9 +22,9 @@ from qkdrelay.protocol import (
     message_type,
     otp_xor,
 )
-from qkdrelay.qusec import QUSEC_ID, expand_to_kms, shortest_path
+from qkdrelay.qusec import QUSEC_ID, shortest_path
 from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
-from test_qusec import all_simple_paths, path_cost, random_topology
+from test_qusec import all_simple_paths, expand_to_kms, path_cost, random_topology
 
 GET_KEY_EVENT = {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}
 

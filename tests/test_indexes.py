@@ -263,8 +263,9 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
 
     find_session = QusecEntity._find_reusable_session
 
-    def checked_session(self, app_src, app_dst):
-        got = find_session(self, app_src, app_dst)
+    def checked_session(self, app_src, app_dst, now_ms):
+        assert now_ms == self.services.now_ms
+        got = find_session(self, app_src, app_dst, now_ms)
         lifetime = self.topology.config.session_lifetime_ms
         want = None
         for session in reversed(self.sessions):
@@ -309,11 +310,11 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
 
 
 def test_session_expiry_matches_full_scan(monkeypatch):
-    # After every discovery, and in the final report, a session reads as
-    # expired exactly when the clock at the last discovery is more than the
-    # lifetime past its creation. A stored status is never "expired".
+    # A session reads as expired exactly when the clock is more than the
+    # lifetime past its creation: the clock at the discovery just handled,
+    # and in the final report the clock at the end of the run. A stored
+    # status is never "expired".
     seen = {"checks": 0, "expired": 0, "live": 0}
-    last_discovery = {}
     handle_discovery = QusecEntity._handle_discovery
 
     def scan(qusec, now_ms):
@@ -325,7 +326,7 @@ def test_session_expiry_matches_full_scan(monkeypatch):
 
     def checked_discovery(self, msg, reply_to):
         handle_discovery(self, msg, reply_to)
-        last_discovery[self] = now_ms = self.services.now_ms
+        now_ms = self.services.now_ms
         assert {s.status for s in self.sessions} <= {SESSION_INSTALLED, SESSION_COMPLETED}
         got = [s["status"] for s in self.dump_state()["sessions"]]
         assert got == scan(self, now_ms)
@@ -341,7 +342,7 @@ def test_session_expiry_matches_full_scan(monkeypatch):
         assert result.report["quiescent"]
         qusec = result.sim.qusec
         reported = [s["status"] for s in result.report["controller"]["sessions"]]
-        assert reported == scan(qusec, last_discovery[qusec])
+        assert reported == scan(qusec, result.report["sim_time_ms"])
     assert seen["checks"] > 0
     assert seen["expired"] > 0
     assert seen["live"] > 0

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -449,6 +450,90 @@ def test_message_type_tags():
         "relay_process_response",
         "key_delivery",
     }
+
+
+# ── message contract ──
+
+
+def plain_dataclass(cls):
+    """A frozen dataclass with cls's name and fields, built the standard way:
+    the behaviour every message type must keep."""
+    specs = [
+        (f.name, f.type, dataclasses.field(default_factory=f.default_factory))
+        if f.default_factory is not dataclasses.MISSING
+        else (f.name, f.type)
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+def sample_values(cls, tag: str = "v") -> dict:
+    """A valid value for every field of cls without a default; each tag
+    gives every field another value."""
+    kind, status = {"v": ("get_key", "ok"), "w": ("get_key_with_id", "failed_no_key")}[tag]
+    fixed = {"kind": kind, "status": status, "ack_status": status}
+    return {
+        f.name: f"{f.name}-{tag}".encode() if f.name in protocol.OCTET_FIELDS
+        else fixed.get(f.name, f"{f.name}-{tag}")
+        for f in dataclasses.fields(cls)
+        if f.name != "ext"
+    }
+
+
+@pytest.mark.parametrize("tag", sorted(MESSAGE_TYPES))
+def test_message_contract(tag):
+    cls = MESSAGE_TYPES[tag]
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = sample_values(cls)
+    msg = cls(**values)
+    plain = plain_dataclass(cls)(**values)
+    assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    assert cls(*values.values()) == msg
+
+    # repr, == and hash are the plain dataclass's; a dict ext is unhashable.
+    assert repr(msg) == repr(plain)
+    assert msg == cls(**values) and not msg != cls(**values)
+    assert msg != plain and msg != tuple(values.values())
+    if "ext" in names:
+        with pytest.raises(TypeError):
+            hash(msg)
+    else:
+        assert hash(msg) == hash(plain) == hash(tuple(values.values()))
+
+    # No assignment or deletion gets through, field or not.
+    for name in names + ["not_a_field"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(msg, name)
+    assert msg == cls(**values)
+
+    # replace builds a new message and leaves the old one as it was.
+    for name in values:
+        other = sample_values(cls, "w")[name]
+        changed = dataclasses.replace(msg, **{name: other})
+        assert getattr(changed, name) == other
+        assert changed != msg and msg == cls(**values)
+        assert [getattr(changed, n) for n in names if n != name] == [
+            getattr(msg, n) for n in names if n != name
+        ]
+
+    # A message left without ext gets a fresh one; a given ext is kept.
+    if "ext" in names:
+        assert msg.ext == {} and msg.ext is not cls(**values).ext
+        ext = {"a": "1"}
+        assert cls(**values, ext=ext).ext is ext
+
+    # Argument errors are the dataclass __init__'s.
+    first = names[0]
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{first}'"):
+        cls(**{k: v for k, v in values.items() if k != first})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**values, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values.values(), *(["extra"] * (len(names) - len(values) + 1)))
+
+    assert weakref.ref(msg)() is msg
 
 
 # ── transport ──

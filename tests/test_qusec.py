@@ -19,8 +19,8 @@ from qkdrelay.qusec import (
     SESSION_INSTALLED,
     NoPathError,
     QusecEntity,
+    RankGraph,
     SameNodeError,
-    expand_to_kms,
     link_weight,
     link_weights,
     path_tree,
@@ -28,6 +28,16 @@ from qkdrelay.qusec import (
     tree_path,
 )
 from qkdrelay.topology import WEIGHT_POLICIES, Topology, render_kms_id, topology_from_dict
+
+
+def expand_to_kms(node_path, link_path):
+    """KMS-granularity expansion: each traversed link (u, v) contributes
+    KMS_u(link) then KMS_v(link)."""
+    out = []
+    for i, link_id in enumerate(link_path):
+        out.append(render_kms_id(node_path[i], link_id))
+        out.append(render_kms_id(node_path[i + 1], link_id))
+    return out
 
 
 def compute_relay_path(topology, src_node, dst_node, policy):
@@ -128,34 +138,62 @@ def with_parallel_links(raw: dict, rng: random.Random, equal: bool) -> dict:
     return {**raw, "links": raw["links"] + extra}
 
 
+def with_vanishing_weights(raw: dict, rng: random.Random) -> dict:
+    """Copy of raw in which about a third of the links get key_rate 1e308.
+    Under inverse_key_rate their weight, 1e-308, vanishes when added to any
+    ordinary cost, so a path through one settles at its predecessor's cost
+    and only the node-sequence tie-break tells the two apart."""
+    links = [
+        {**link, "key_rate": 1e308} if rng.random() < 0.35 else link for link in raw["links"]
+    ]
+    return {**raw, "links": links}
+
+
 def oracle_topologies():
     rng = random.Random(2025)
     for trial in range(240):
         raw = random_topology(rng)
         if trial % 3:
             raw = with_parallel_links(raw, rng, equal=trial % 3 == 1)
+        if trial % 4 == 3:
+            raw = with_vanishing_weights(raw, rng)
         yield topology_from_dict(raw)
-    yield topology_from_dict(grid_dict(6, initial_pool=0, session_lifetime_ms=None))
+    grid = grid_dict(6, initial_pool=0, session_lifetime_ms=None)
+    yield topology_from_dict(grid)
+    yield topology_from_dict(with_vanishing_weights(grid, rng))
 
 
 def test_path_tree_matches_reference_dijkstra_for_every_pair():
-    triples = 0
+    triples = vanishing = 0
     for topo in oracle_topologies():
         node_ids = sorted(topo.nodes)
         for policy in WEIGHT_POLICIES:
-            weights = link_weights(topo, policy)
+            graph = RankGraph(topo, link_weights(topo, policy))
+            assert graph.nodes == node_ids
+            assert graph.links == sorted(topo.links)
             for src in node_ids:
-                tree = path_tree(topo, src, weights)
-                assert set(tree) == set(topo.nodes)
-                assert tree[src] is None
+                root = graph.rank[src]
+                tree = path_tree(graph, root)
+                parent, via = tree
+                assert min(parent) >= 0  # the graph is connected
+                assert parent[root] == root and via[root] is None
                 for dst in node_ids:
                     if dst == src:
                         continue
                     expected = reference_shortest_path(topo, src, dst, policy)
-                    assert tree_path(tree, dst) == expected[1:]
+                    hops = tree_path(tree, graph.rank[dst])
+                    nodes = (src, *(graph.nodes[hop[0]] for hop in hops))
+                    links = tuple(graph.links[hop[1]] for hop in hops)
+                    assert (nodes, links) == expected[1:]
+                    assert [kms for hop in hops for kms in hop[3:]] == expand_to_kms(nodes, links)
                     assert shortest_path(topo, src, dst, policy) == expected
                     triples += 1
+                    if policy == "inverse_key_rate" and any(
+                        topo.links[link].key_rate == 1e308 for link in links[1:]
+                    ):
+                        vanishing += 1
     assert triples > 10000
+    assert vanishing > 1500
 
 
 def test_controller_keeps_one_tree_per_source_node():
@@ -170,9 +208,10 @@ def test_controller_keeps_one_tree_per_source_node():
     )
     qusec = result.sim.qusec
     assert sorted(qusec._trees) == ["N1", "N6"]
-    weights = link_weights(topo, topo.weight_policy)
+    graph = RankGraph(topo, link_weights(topo, topo.weight_policy))
+    assert qusec._graph.hops == graph.hops
     for node, tree in qusec._trees.items():
-        assert tree == path_tree(topo, node, weights)
+        assert tree == path_tree(graph, graph.rank[node])
     for session, (src, dst) in zip(qusec.sessions, pairs):
         src_node, dst_node = topo.apps[src], topo.apps[dst]
         assert list(session.kms_path) == compute_relay_path(
@@ -182,14 +221,15 @@ def test_controller_keeps_one_tree_per_source_node():
 
 def fresh_kms_path(topology, src_node, dst_node):
     """The controller's path rule computed from scratch: the lowest-weight
-    link joining the two nodes (ties by link id), else the KMSs of a fresh
-    shortest-path search."""
+    link joining the two nodes (ties by link id), else the KMSs of the
+    early-exit reference search, which shares no code with path_tree."""
     policy = topology.weight_policy
     shared = [l for l in topology.links.values() if {l.a, l.b} == {src_node, dst_node}]
     if shared:
         link = min(shared, key=lambda l: (link_weight(l, policy), l.id))
         return (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
-    return tuple(compute_relay_path(topology, src_node, dst_node, policy))
+    _, nodes, links = reference_shortest_path(topology, src_node, dst_node, policy)
+    return tuple(expand_to_kms(nodes, links))
 
 
 def memo_topologies():
@@ -205,6 +245,7 @@ def memo_topologies():
 
 def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
     calls = {"links_between": 0, "path_tree": 0}
+    searched = set()
 
     def spy(name, fn):
         def counted(*args):
@@ -213,8 +254,15 @@ def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
 
         return counted
 
+    def search_once(graph, src):
+        # One search per source node, over the controller's one rank graph.
+        assert graph is controller._graph
+        assert src not in searched
+        searched.add(src)
+        return path_tree(graph, src)
+
     monkeypatch.setattr(Topology, "links_between", spy("links_between", Topology.links_between))
-    monkeypatch.setattr(qusec, "path_tree", spy("path_tree", qusec.path_tree))
+    monkeypatch.setattr(qusec, "path_tree", spy("path_tree", search_once))
     pairs_seen = 0
     for base in memo_topologies():
         for policy in WEIGHT_POLICIES:
@@ -223,6 +271,7 @@ def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
             expected = {(src, dst): fresh_kms_path(topo, src, dst) for src, dst in pairs}
             controller = QusecEntity(topo, seed=1)
             calls.update(links_between=0, path_tree=0)
+            searched.clear()
             for src, dst in pairs:
                 assert controller._kms_path(src, dst) == expected[src, dst]
             assert calls["links_between"] == len(pairs)
@@ -544,6 +593,25 @@ def test_pickup_after_expiry_installs_nothing():
     assert [r["status"] for r in result.report["requests"]] == ["ok", "ok"]
     first, second = result.report["requests"]
     assert first["key_id"] == second["key_id"]
+
+
+def test_report_reads_session_lifetimes_at_the_end_of_the_run():
+    # No discovery follows the get_key, so only the clock at the end of the
+    # run can show that its session has expired.
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4"})
+    events = [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}]
+    for end_ms, status in ((100, SESSION_INSTALLED), (2000, SESSION_EXPIRED)):
+        result = run_events(
+            topo,
+            events + [{"at": end_ms, "event": "advance_clock"}],
+            seed=3,
+            session_lifetime_ms=100,
+        )
+        assert result.report["sim_time_ms"] == end_ms
+        assert result.sim.qusec.discovery_count == 1
+        (session,) = result.report["controller"]["sessions"]
+        assert session["status"] == status
+        assert result.sim.qusec.sessions[0].status == SESSION_INSTALLED
 
 
 @pytest.mark.parametrize(

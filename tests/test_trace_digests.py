@@ -826,7 +826,7 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "04e7442f9802a984c3c4b5d9bc48427cd44e9d07201c61b6aebfc2d05464da89"
+CORPUS_DIGEST = "5f5c64dc9b9a6bbef0cd6ec88323255eddf075fc1cbe3d4be939613870b87633"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250
