@@ -27,6 +27,7 @@ from .kms import KmsEntity
 from .linksim import LinkSimulator
 from .protocol import (
     CHANNEL_INTRA,
+    LINE_ENCODERS,
     MESSAGE_TYPES,
     OCTET_TYPES,
     PLAINTEXT_OCTET_FIELDS,
@@ -43,7 +44,6 @@ from .protocol import (
     KeyRelay,
     Transport,
     decode,
-    encode_str,
     message_to_body,  # noqa: F401  unused here; a lookup point the benchmark's tracer patches
     message_type,
     octet_fields,
@@ -305,7 +305,10 @@ class SimKernel:
     handlers send while it runs is delivered in the same pass. For each
     record it appends the line to ``trace_lines`` (record i is line i),
     bumps its message class in ``type_counts`` and hands it to
-    ``checker``, whose violation lists are the run's audits.
+    ``checker``, whose violation lists are the run's audits. The line is
+    the message type's encoder from ``LINE_ENCODERS`` applied to the
+    message, its seq and the frame the transport rendered for the record's
+    (sender, receiver) pair when that pair first sent.
     """
 
     def __init__(self, transport: Transport, checker: RecordChecker):
@@ -337,6 +340,8 @@ class SimKernel:
         queue = self.transport.queue
         popleft = queue.popleft
         entities = self.transport.entities
+        pairs = self.transport.pairs
+        encoders = LINE_ENCODERS
         lines = self.trace_lines
         counts = self.type_counts
         check = self.checker.check
@@ -345,11 +350,13 @@ class SimKernel:
             i = len(lines)
             if i >= _MESSAGE_BUDGET:
                 raise RuntimeError("message budget exhausted; dispatch loop suspected")
-            lines.append(encode_str(env))
-            cls = type(env.msg)
+            seq, sender, receiver, _, msg = env
+            cls = type(msg)
+            _, head, tail = pairs[sender, receiver]
+            lines.append(encoders[cls](msg, head, seq, tail))
             counts[cls] = counts.get(cls, 0) + 1
             check(i, env)
-            entities[env.receiver].on_message(env)
+            entities[receiver].on_message(env)
 
     def run_to_quiescence(
         self, events: Sequence[ScenarioEvent] = (), execute=None

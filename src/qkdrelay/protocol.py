@@ -5,28 +5,34 @@ and unknown message types. Octet-valued fields travel as lowercase hex.
 
 A trace line is canonical JSON: sorted keys, compact separators, ASCII
 only. Each message type has one line encoder, compiled once at import from
-a per-type field plan (``dataclasses.fields``) into straight-line code, as
-``dataclasses`` and ``namedtuple`` build their methods. It unpacks the
-envelope, reads each body field by attribute and renders it inline into a
-``%`` template in which the envelope keys and the type's body keys, each in
-sorted order, and its type tag are fixed text. Per field: the JSON string
-escaper that ``ensure_ascii`` uses, ``null`` for an absent hop or KMS id,
-hex between fixed quotes for octets, the canonical encoder for ``ext`` (an
-empty one is the literal ``{}``), and an integer ``seq``. Fixing the key
-order at import is sound because a dataclass's field set is fixed when its
-class is created, the message classes are frozen, and so every record of a
-type has the same keys: sorting them per record would give the same order
-each time.
+a per-type field plan (``dataclasses.fields``) into one f-string, as
+``dataclasses`` and ``namedtuple`` build their methods. Its fixed text is
+the type's body keys in sorted order and its type tag; each body field is
+read by attribute and rendered in its own replacement field: the JSON
+string escaper that ``ensure_ascii`` uses, ``null`` for an absent hop or
+KMS id, hex between fixed quotes for octets, and the canonical encoder for
+``ext`` (the shared empty one is the literal ``{}``). The envelope keys sort
+around ``seq``, so the rest of the envelope is a frame of two strings,
+``"channel":…,"from":…,"seq":`` before the integer ``seq`` and
+``,"to":…,"type":`` after it (``frame``). The frame depends only on the
+(sender, receiver) pair, so the transport renders it once per pair and
+the delivering pump passes it in; ``encode_str`` renders it per call.
+Fixing the key order at import is sound because a dataclass's field set is
+fixed when its class is created, the message classes are frozen, and so
+every record of a type has the same keys: sorting them per record would
+give the same order each time.
 
 Messages are frozen, slotted dataclasses, and the envelope around each one
-is an immutable named tuple, so no record can be rewritten once sent. Each
-message type's ``__init__`` is compiled at import like its line encoder: it
-stores each argument straight into its slot, where the dataclass one goes
-through ``object.__setattr__`` once per field. The transport keeps global
-FIFO order (which implies per-channel FIFO), assigns per-sender sequence
-numbers and computes each (sender, receiver) pair's channel once. It keeps
-no log of what it delivers: the caller that pops an envelope encodes it
-into the conformance trace (see harness.SimKernel).
+is an immutable named tuple, so no record can be rewritten once sent. A
+message's ``ext`` is frozen too (``freeze``), so every message type is
+hashable. Each message type's ``__init__`` is compiled at import like its
+line encoder: it stores each argument straight into its slot, where the
+dataclass one goes through ``object.__setattr__`` once per field. The
+transport keeps global FIFO order (which implies per-channel FIFO),
+assigns per-sender sequence numbers and computes each (sender, receiver)
+pair's channel and frame once. It keeps no log of what it delivers: the
+caller that pops an envelope encodes it into the conformance trace (see
+harness.SimKernel).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -93,6 +99,67 @@ def otp_xor(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise LengthMismatchError(f"operand lengths differ: {len(a)} != {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+# ── frozen JSON values ──
+
+
+def _immutable(self, *args, **kwargs):
+    raise TypeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenDict(dict):
+    """A read-only, hashable dict, built by freeze(). As a dict subclass it
+    compares equal to the dict it was built from, and canonical_json
+    encodes it exactly as that dict."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
+class FrozenList(list):
+    """A read-only, hashable list, built by freeze(); equal to the list it
+    was built from and encoded as it."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _immutable
+    append = clear = extend = insert = pop = remove = reverse = sort = _immutable
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return FrozenList, (list(self),)
+
+
+EMPTY_EXT = FrozenDict()
+
+
+def freeze(value):
+    """value with every dict and list in it, at any depth, made a FrozenDict
+    or FrozenList; an empty dict becomes the one shared EMPTY_EXT. A value
+    that is already frozen is returned as it is."""
+    cls = type(value)
+    if cls is FrozenDict or cls is FrozenList:
+        return value
+    if isinstance(value, dict):
+        return FrozenDict({k: freeze(v) for k, v in value.items()}) if value else EMPTY_EXT
+    if isinstance(value, list):
+        return FrozenList([freeze(v) for v in value])
+    return value
+
+
+def _empty_ext() -> FrozenDict:
+    """The ext of a message built without one. A factory, not a default,
+    because dataclasses before Python 3.11 refuse any dict as a default."""
+    return EMPTY_EXT
 
 
 # ── message set ──
@@ -172,7 +239,7 @@ class ExtKeyRequest(_Message):
     app_src: str
     app_dst: str
     id_association: str
-    ext: dict = field(default_factory=dict)
+    ext: FrozenDict = field(default_factory=_empty_ext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +264,7 @@ class AckRequest(_Message):
     ack_status: str
     app_src: str
     app_dst: str
-    ext: dict = field(default_factory=dict)
+    ext: FrozenDict = field(default_factory=_empty_ext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,10 +313,6 @@ MESSAGE_TYPES: dict[str, type] = {
 
 TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
 
-# The default of a parameter whose field has a default factory: a call that
-# leaves it out gets a fresh value from the factory.
-_OMITTED = object()
-
 
 def _constructor(cls: type):
     """__init__ for one message type, compiled from its fields into
@@ -258,22 +321,19 @@ def _constructor(cls: type):
     stores each argument straight into its slot through the slot's
     descriptor, which the frozen __setattr__ does not guard. It takes the
     same arguments and raises the same argument errors as the dataclass
-    __init__. A message field either has no default or has a default
-    factory, which gives each message that leaves the field out a fresh
-    value."""
-    namespace = {"_OMITTED": _OMITTED}
+    __init__. ext is the one field with a default, the shared EMPTY_EXT,
+    and is stored frozen."""
+    namespace = {"EMPTY_EXT": EMPTY_EXT, "freeze": freeze}
     params, body = [], []
     for f in fields(cls):
         name = f.name
         namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        value = name
-        if f.default_factory is not MISSING:
-            namespace[f"_factory_{name}"] = f.default_factory
-            params.append(f"{name}=_OMITTED")
-            value = f"_factory_{name}() if {name} is _OMITTED else {name}"
+        if name == "ext":
+            params.append("ext=EMPTY_EXT")
+            body.append("    _set_ext(self, freeze(ext))\n")
         else:
             params.append(name)
-        body.append(f"    _set_{name}(self, {value})\n")
+            body.append(f"    _set_{name}(self, {name})\n")
     exec(f"def __init__(self, {', '.join(params)}):\n" + "".join(body), namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -423,52 +483,67 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _field_source(name: str, is_octet: bool) -> str:
-    """Source of the expression that renders msg.<name> as JSON text; octet
-    fields are quoted by their template."""
+    """The f-string replacement field that renders msg.<name> as JSON text,
+    with the fixed quotes around an octet field's hex."""
     value = f"msg.{name}"
     if is_octet:
-        return f"{value}.hex()"
+        return '"{' + value + '.hex()}"'
     if name in _NONEABLE_FIELDS:
-        return f'"null" if {value} is None else _quote({value})'
+        return '{"null" if ' + value + " is None else _quote(" + value + ")}"
     if name == "ext":
-        # An empty dict is the only ext anything sends; canonical_json({}) is "{}".
-        return f'"{{}}" if type({value}) is dict and not {value} else canonical_json({value})'
-    return f"_quote({value})"
+        # A message built without ext, or with an empty dict, holds the shared
+        # EMPTY_EXT, and that is the only ext anything sends.
+        return '{"{}" if ' + value + " is EMPTY_EXT else canonical_json(" + value + ")}"
+    return "{_quote(" + value + ")}"
+
+
+def _literal(text: str) -> str:
+    """text as fixed f-string text in the compiled encoders."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
 def _line_encoder(cls: type):
-    """encode_str for one message type, compiled from straight-line source:
-    a % template whose fixed text is the sorted envelope keys, the type's
-    sorted body keys and its type tag, filled by one expression per field."""
-    plan = sorted(_FIELD_PLANS[cls])
+    """The line encoder of one message type, encode(msg, head, seq, tail),
+    compiled into one f-string: its fixed text is the type's sorted body
+    keys and its type tag, and the envelope frame (see frame) is passed in
+    around seq, which is rendered as %d renders it. The f-string is quoted
+    with ' and holds no backslash, because before Python 3.12 neither may
+    appear in its replacement fields; body keys and tags are identifiers."""
     body = ",".join(
-        _quote(name) + (':"%s"' if is_octet else ":%s") for name, is_octet in plan
+        _literal(_quote(name) + ":") + _field_source(name, is_octet)
+        for name, is_octet in sorted(_FIELD_PLANS[cls])
     )
-    template = (
-        '{"body":{' + body + '},"channel":%s,"from":%s,"seq":%d,"to":%s,"type":'
-        + _quote(TYPE_TAGS[cls]) + "}"
+    tag = TYPE_TAGS[cls]
+    name = f"encode_{tag}"
+    text = (
+        _literal('{"body":{') + body + _literal("},") + "{head}{seq:d}{tail}"
+        + _literal(_quote(tag) + "}")
     )
-    name = f"encode_{TYPE_TAGS[cls]}"
-    values = "".join(f"        {_field_source(f, is_octet)},\n" for f, is_octet in plan)
-    source = (
-        f"def {name}(env):\n"
-        "    seq, sender, receiver, channel, msg = env\n"
-        "    return template % (\n"
-        f"{values}"
-        "        _quote(channel), _quote(sender), seq, _quote(receiver),\n"
-        "    )\n"
-    )
-    namespace = {"template": template, "_quote": _quote, "canonical_json": canonical_json}
+    source = f"def {name}(msg, head, seq, tail):\n    return f'{text}'\n"
+    namespace = {"_quote": _quote, "canonical_json": canonical_json, "EMPTY_EXT": EMPTY_EXT}
     exec(source, namespace)
     return namespace[name]
 
 
-_LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
+# The compiled line encoder of each message type. The kernel's pump looks
+# the table up under this name, as encode_str does.
+LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
+
+
+def frame(channel: str, sender: str, receiver: str) -> tuple[str, str]:
+    """The envelope's text around seq in a trace line: (head, tail), head
+    being "channel":…,"from":…,"seq": and tail ,"to":…,"type":."""
+    return (
+        f'"channel":{_quote(channel)},"from":{_quote(sender)},"seq":',
+        f',"to":{_quote(receiver)},"type":',
+    )
 
 
 def encode_str(env: Envelope) -> str:
     """Canonical JSON text: sorted keys, compact separators, lowercase hex."""
-    return _LINE_ENCODERS[type(env.msg)](env)
+    seq, sender, receiver, channel, msg = env
+    head, tail = frame(channel, sender, receiver)
+    return LINE_ENCODERS[type(msg)](msg, head, seq, tail)
 
 
 def decode(data: bytes | str) -> Envelope:
@@ -557,12 +632,13 @@ class Transport:
     only as long as its receiver and the caller that traces it hold it.
     Per-sender seq numbers are assigned here, and armed fault rules are
     applied at send time; a rule that fires is removed, as it can never
-    match again. A pair's channel is kept in a (sender id, receiver id)
-    map, filled only after both ids resolve to registered entities, so an
-    unknown id raises on every send. `dropped` and `corrupted` keep the
-    envelopes a fault actually changed; a corrupt rule that fires on a
-    message with no non-empty octet field leaves it as it was and is not
-    kept.
+    match again. ``pairs`` maps each (sender id, receiver id) pair that has
+    sent to its channel and its trace-line frame (see frame), computed
+    once, when the pair first sends, and only after both ids resolve to
+    registered entities, so an unknown id raises on every send. `dropped`
+    and `corrupted` keep the envelopes a fault actually changed; a corrupt
+    rule that fires on a message with no non-empty octet field leaves it as
+    it was and is not kept.
     """
 
     def __init__(self):
@@ -572,7 +648,7 @@ class Transport:
         self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
         self._seq: dict[str, int] = {}
-        self._channels: dict[tuple[str, str], str] = {}
+        self.pairs: dict[tuple[str, str], tuple[str, str, str]] = {}
 
     def register(self, entity: Entity) -> None:
         if entity.entity_id in self.entities:
@@ -582,26 +658,30 @@ class Transport:
     def add_fault(self, rule: FaultRule) -> None:
         self.faults.append(rule)
 
-    def _channel(self, sender_id: str, receiver_id: str) -> str:
-        """channel_for the pair; remembered only once both entities exist."""
+    def _pair(self, sender_id: str, receiver_id: str) -> tuple[str, str, str]:
+        """The pair's channel_for and frame; remembered only once both
+        entities exist."""
         sender = self.entities.get(sender_id)
         receiver = self.entities.get(receiver_id)
         if sender is None:
             raise UnknownEntityError(f"unknown sender {sender_id!r}")
         if receiver is None:
             raise UnknownEntityError(f"unknown receiver {receiver_id!r}")
-        channel = self._channels[sender_id, receiver_id] = channel_for(sender, receiver)
-        return channel
+        channel = channel_for(sender, receiver)
+        pair = self.pairs[sender_id, receiver_id] = (
+            channel, *frame(channel, sender_id, receiver_id)
+        )
+        return pair
 
     def send(self, sender_id: str, receiver_id: str, msg: Message) -> None:
-        channel = self._channels.get((sender_id, receiver_id))
-        if channel is None:
-            channel = self._channel(sender_id, receiver_id)
+        pair = self.pairs.get((sender_id, receiver_id))
+        if pair is None:
+            pair = self._pair(sender_id, receiver_id)
         seq = self._seq.get(sender_id, 0) + 1
         self._seq[sender_id] = seq
         # tuple.__new__ builds the named tuple without its Python-level
         # __new__, which would only forward the five fields.
-        env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, channel, msg))
+        env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, pair[0], msg))
         if self.faults:
             for i, rule in enumerate(self.faults):
                 if rule.matches(msg):

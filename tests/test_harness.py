@@ -21,7 +21,7 @@ from conftest import (
     run_events,
     write_json,
 )
-from qkdrelay import data_path, harness, kms, linksim, load_scenario, protocol, run, trace, vkms
+from qkdrelay import data_path, harness, kms, linksim, load_scenario, protocol, run, vkms
 from qkdrelay.harness import (
     ConfigError,
     Scenario,
@@ -646,11 +646,14 @@ def test_packaged_linear32_scenario():
 
 def test_each_record_is_encoded_once(monkeypatch):
     encoded = []
-    to_line = protocol.encode_str
 
-    def counted_encode(env):
-        encoded.append(env)
-        return to_line(env)
+    def counted(encoder):
+        def counted_encoder(msg, head, seq, tail):
+            line = encoder(msg, head, seq, tail)
+            encoded.append((msg, seq, line))
+            return line
+
+        return counted_encoder
 
     bodies = []
     to_body = protocol.message_to_body
@@ -659,9 +662,11 @@ def test_each_record_is_encoded_once(monkeypatch):
         bodies.append(msg)
         return to_body(msg)
 
-    # Where delivery looks the encoder up, and where records_to_lines does.
-    monkeypatch.setattr(harness, "encode_str", counted_encode)
-    monkeypatch.setattr(trace, "encode_str", counted_encode)
+    table = {cls: counted(encoder) for cls, encoder in protocol.LINE_ENCODERS.items()}
+    # Where delivery looks the encoder table up, and where encode_str (so
+    # records_to_lines) does.
+    monkeypatch.setattr(harness, "LINE_ENCODERS", table)
+    monkeypatch.setattr(protocol, "LINE_ENCODERS", table)
     # Both places a caller may look message_to_body up, as the benchmark patches them.
     monkeypatch.setattr(protocol, "message_to_body", counted_body)
     monkeypatch.setattr(harness, "message_to_body", counted_body)
@@ -670,8 +675,11 @@ def test_each_record_is_encoded_once(monkeypatch):
     result = run(topology, scenario, seed=7)
     assert result.exit_code == 0
     assert result.diff is not None and result.diff.is_empty
-    assert len(encoded) == len(result.trace_lines)
-    assert list(result.records) == encoded
+    assert len(encoded) == len(result.trace_lines) == 22
+    assert [line for _, _, line in encoded] == result.trace_lines
+    assert [(env.msg, env.seq) for env in result.records] == [
+        (msg, seq) for msg, seq, _ in encoded
+    ]
     assert bodies == []
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 import weakref
 
@@ -490,15 +492,11 @@ def test_message_contract(tag):
     assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
     assert cls(*values.values()) == msg
 
-    # repr, == and hash are the plain dataclass's; a dict ext is unhashable.
+    # repr, == and hash are the plain dataclass's, on every type.
     assert repr(msg) == repr(plain)
     assert msg == cls(**values) and not msg != cls(**values)
     assert msg != plain and msg != tuple(values.values())
-    if "ext" in names:
-        with pytest.raises(TypeError):
-            hash(msg)
-    else:
-        assert hash(msg) == hash(plain) == hash(tuple(values.values()))
+    assert hash(msg) == hash(plain) == hash(tuple(getattr(msg, n) for n in names))
 
     # No assignment or deletion gets through, field or not.
     for name in names + ["not_a_field"]:
@@ -518,11 +516,31 @@ def test_message_contract(tag):
             getattr(msg, n) for n in names if n != name
         ]
 
-    # A message left without ext gets a fresh one; a given ext is kept.
+    # A message left without ext shares the one empty ext. A given ext is
+    # frozen all the way down into a mapping equal to it, which hashes,
+    # encodes to the same bytes and refuses every change.
     if "ext" in names:
-        assert msg.ext == {} and msg.ext is not cls(**values).ext
-        ext = {"a": "1"}
-        assert cls(**values, ext=ext).ext is ext
+        assert msg.ext == {} and msg.ext is protocol.EMPTY_EXT is cls(**values).ext
+        assert cls(**values, ext={}).ext is protocol.EMPTY_EXT
+        ext = {"b": [1, {"c": None}], "a": "1"}
+        frozen = cls(**values, ext=ext).ext
+        assert frozen == ext and frozen is not ext
+        assert ext == {"b": [1, {"c": None}], "a": "1"}  # the given dict is left as it was
+        assert protocol.canonical_json(frozen) == protocol.canonical_json(ext)
+        assert cls(**values, ext=frozen).ext is frozen
+        assert hash(cls(**values, ext=ext)) == hash(cls(**values, ext=frozen))
+        for change in (
+            lambda: frozen.__setitem__("a", "2"),
+            lambda: frozen.update(a="2"),
+            lambda: frozen.pop("a"),
+            lambda: frozen["b"].append(2),
+            lambda: frozen["b"].__setitem__(0, 2),
+            lambda: frozen["b"][1].__setitem__("c", 2),
+        ):
+            with pytest.raises(TypeError, match="immutable"):
+                change()
+        assert frozen == ext
+        assert copy.deepcopy(frozen) == ext and pickle.loads(pickle.dumps(frozen)) == ext
 
     # Argument errors are the dataclass __init__'s.
     first = names[0]
@@ -584,6 +602,42 @@ def test_kernel_traces_in_delivered_order():
     envs = transport.entities["vKMS_1"].seen + transport.entities["KMS_3b"].seen
     assert [e.seq for e in envs] == [1, 2, 1]
     assert [decode(line) for line in kernel.trace_lines] == envs  # delivered order is the trace
+
+
+def test_kernel_traces_hard_ids_as_the_reference_codec_does():
+    """Node, link and app ids that need escaping reach every envelope name
+    and body field, so each pair's frame, rendered once by the transport,
+    is checked against the reference codec and encode_str line by line."""
+    nodes = ['N"1', "N\\2", "Né3", "N\x7f4"]
+    link_ends = [(0, 1), (0, 2), (1, 2), (2, 3)]
+    raw = {
+        "nodes": [{"id": node} for node in nodes],
+        "links": [
+            {"id": link_id, "a": nodes[a], "b": nodes[b], "key_rate": 10.0,
+             "distance_km": 5.0, "initial_pool": 8}
+            for link_id, (a, b) in zip(['a"', "b\\", "cé", "d\x7f"], link_ends)
+        ],
+        "apps": [{"id": 'A"pp', "node": nodes[0]}, {"id": "Bñ", "node": nodes[3]}],
+        "weight_policy": "hop_count",
+    }
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": 'A"pp', "app_dst": "Bñ"},
+        {"at": 10, "event": "app_get_key_with_id", "app_src": "Bñ", "app_dst": 'A"pp',
+         "key_id_from": 'A"pp'},
+        {"at": 20, "event": "app_get_key", "app_src": "Bñ", "app_dst": 'A"pp'},
+    ]
+    result = run_events(topology_from_dict(raw), events, seed=3)
+    assert result.exit_code == 0
+    assert [r["status"] for r in result.report["requests"]] == ["ok"] * 3
+    names = {name for env in result.records for name in (env.sender, env.receiver)}
+    for hard in ('"', "\\", "é", "\x7f", "ñ"):
+        assert any(hard in name for name in names)
+    assert {"relay_path_install", "ext_key_request", "key_relay", "ack_request"} <= {
+        message_type(env.msg) for env in result.records
+    }
+    for line in result.trace_lines:
+        env = decode(line)
+        assert line == reference_encode(env).decode() == protocol.encode_str(env)
 
 
 def test_channel_derivation():
