@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 
-from .topology import Topology, render_kms_id
+from .topology import Topology
 
 
 def derive_key_id(seed: int, link_id: str, index: int) -> str:
@@ -160,10 +160,14 @@ class LinkSimulator:
         # derived key id -> its link's table, across all links (audit lookups).
         self._table_of: dict[str, KeyTable] = {}
         key_size = topology.config.key_size_bytes
+        kms_ids = topology.kms_ids
         for link in topology.links.values():
             table = KeyTable(seed, link.id, key_size, self._table_of)
             self.tables[link.id] = table
-            pools = tuple(KeyPool(render_kms_id(end, link.id), table) for end in link.endpoints())
+            pools = (
+                KeyPool(kms_ids[link.a, link.id], table),
+                KeyPool(kms_ids[link.b, link.id], table),
+            )
             self._link_pools[link.id] = pools
             for pool in pools:
                 self.pools[pool.owner_kms] = pool

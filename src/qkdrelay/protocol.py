@@ -473,13 +473,38 @@ def envelope_from_obj(obj: dict) -> Envelope:
     )
 
 
-# One encoder for every canonical form. json.dumps with non-default options
-# builds a new encoder per call, which costs about as much as a small record.
-# ensure_ascii stays on, so every canonical line is ASCII.
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
 # The string escaper canonical_json applies to every str (ensure_ascii=True).
 _quote = json.encoder.encode_basestring_ascii
+
+
+def _canonical_encoder():
+    """canonical_json: JSON text with sorted keys, compact separators and
+    ensure_ascii, so every canonical line is ASCII.
+
+    JSONEncoder.encode builds a new C encoder per call, which costs about
+    as much as encoding a small record, so the C encoder is built once,
+    with the arguments JSONEncoder.iterencode gives it, bar the memo of
+    open containers: one shared between calls would keep the entries of a
+    call that raised. What canonical_json encodes, parsed JSON or a frozen
+    ext, holds no cycle for that memo to catch.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    iterencode = make(
+        None, encoder.default, _quote, None,
+        encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+
+    def canonical_json(obj) -> str:
+        return "".join(iterencode(obj, 0))
+
+    return canonical_json
+
+
+canonical_json = _canonical_encoder()
 
 
 def _field_source(name: str, is_octet: bool) -> str:
@@ -530,13 +555,18 @@ def _line_encoder(cls: type):
 LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
 
 
+def _frame(channel: str, sender: str, receiver: str) -> tuple[str, str]:
+    """frame, from the channel and ids already quoted as JSON strings."""
+    return (
+        f'"channel":{channel},"from":{sender},"seq":',
+        f',"to":{receiver},"type":',
+    )
+
+
 def frame(channel: str, sender: str, receiver: str) -> tuple[str, str]:
     """The envelope's text around seq in a trace line: (head, tail), head
     being "channel":…,"from":…,"seq": and tail ,"to":…,"type":."""
-    return (
-        f'"channel":{_quote(channel)},"from":{_quote(sender)},"seq":',
-        f',"to":{_quote(receiver)},"type":',
-    )
+    return _frame(_quote(channel), _quote(sender), _quote(receiver))
 
 
 def encode_str(env: Envelope) -> str:
@@ -613,6 +643,9 @@ class Entity:
         raise NotImplementedError
 
 
+_QUOTED_CHANNELS = {c: _quote(c) for c in (CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL)}
+
+
 def channel_for(sender: Entity, receiver: Entity) -> str:
     """control when either end is outside every node (the controller),
     intra_node when both ends share a node, else inter_node."""
@@ -635,7 +668,9 @@ class Transport:
     match again. ``pairs`` maps each (sender id, receiver id) pair that has
     sent to its channel and its trace-line frame (see frame), computed
     once, when the pair first sends, and only after both ids resolve to
-    registered entities, so an unknown id raises on every send. `dropped`
+    registered entities, so an unknown id raises on every send. The frame
+    is assembled from ``quoted``, each entity id quoted as a JSON string
+    once, when the entity registers. `dropped`
     and `corrupted` keep the envelopes a fault actually changed; a corrupt
     rule that fires on a message with no non-empty octet field leaves it as
     it was and is not kept.
@@ -649,11 +684,14 @@ class Transport:
         self.faults: list[FaultRule] = []
         self._seq: dict[str, int] = {}
         self.pairs: dict[tuple[str, str], tuple[str, str, str]] = {}
+        self.quoted: dict[str, str] = {}
 
     def register(self, entity: Entity) -> None:
-        if entity.entity_id in self.entities:
-            raise UnknownEntityError(f"entity {entity.entity_id!r} already registered")
-        self.entities[entity.entity_id] = entity
+        entity_id = entity.entity_id
+        if entity_id in self.entities:
+            raise UnknownEntityError(f"entity {entity_id!r} already registered")
+        self.entities[entity_id] = entity
+        self.quoted[entity_id] = _quote(entity_id)
 
     def add_fault(self, rule: FaultRule) -> None:
         self.faults.append(rule)
@@ -668,9 +706,9 @@ class Transport:
         if receiver is None:
             raise UnknownEntityError(f"unknown receiver {receiver_id!r}")
         channel = channel_for(sender, receiver)
-        pair = self.pairs[sender_id, receiver_id] = (
-            channel, *frame(channel, sender_id, receiver_id)
-        )
+        quoted = self.quoted
+        head, tail = _frame(_QUOTED_CHANNELS[channel], quoted[sender_id], quoted[receiver_id])
+        pair = self.pairs[sender_id, receiver_id] = (channel, head, tail)
         return pair
 
     def send(self, sender_id: str, receiver_id: str, msg: Message) -> None:

@@ -32,11 +32,9 @@ from .protocol import (
     KmsDiscoveryResponse,
     RelayPathInstall,
 )
-from .topology import Link, Topology, render_kms_id
+from .topology import QUSEC_ID, Link, Topology
 
 log = logging.getLogger(__name__)
-
-QUSEC_ID = "QuSeC"
 
 SESSION_INSTALLED = "installed"
 SESSION_COMPLETED = "completed"
@@ -89,7 +87,7 @@ class RankGraph:
         self.links = sorted(topology.links)
         self.rank = {node: i for i, node in enumerate(self.nodes)}
         link_rank = {link_id: i for i, link_id in enumerate(self.links)}
-        kms = {seat: name for name, seat in topology.kms_names.items()}
+        kms = topology.kms_ids
         self.hops: list[list[Hop]] = [
             [
                 (
@@ -330,7 +328,8 @@ class QusecEntity(Entity):
         shared = self.topology.links_between(src_node, dst_node)
         if shared:
             link = min(shared, key=lambda l: (self._weights[l.id], l.id))
-            path = (render_kms_id(src_node, link.id), render_kms_id(dst_node, link.id))
+            kms = self.topology.kms_ids
+            path = (kms[src_node, link.id], kms[dst_node, link.id])
         else:
             graph = self._graph
             if graph is None:

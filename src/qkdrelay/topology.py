@@ -6,8 +6,10 @@ Roles are never configured; they are derived from link incidence
 and ``Topology.nodes`` maps each node id to its role.
 
 Because nothing changes after load, the loader builds the lookup indexes
-once, while it validates: an adjacency map behind every graph helper and a
-rendered-name map, one entry per KMS seat, behind ``kms_node``.
+once, while it validates: an adjacency map behind every graph helper, and
+the id of every entity the topology implies, each rendered once. The KMS of
+each (node, link) seat and the vKMS of each node are named here and nowhere
+else; the simulator reads their ids from ``kms_ids`` and ``vkms_ids``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ WEIGHT_POLICIES = ("hop_count", "inverse_key_rate", "distance")
 
 ROLE_SIMPLE = "simple"
 ROLE_TRUSTED_RELAY = "trusted_relay"
+
+# The controller's entity id. It shares the transport's id space with every
+# KMS, vKMS and app, so the loader keeps apps from taking it.
+QUSEC_ID = "QuSeC"
 
 # Node ids shaped like N7 render as their bare index in KMS/vKMS names,
 # giving the conventional KMS_3d / vKMS_3 style labels.
@@ -101,12 +107,13 @@ def _build_adjacency(
 class Topology:
     """Immutable network description plus the app registry.
 
-    ``nodes`` maps each node id to its derived role. ``adjacency`` (node ->
-    (neighbor, link) pairs in link file order) and ``kms_names`` (rendered
-    KMS name -> (node, link), one entry per KMS seat, read through
-    ``kms_node``) are indexes that ``topology_from_dict`` derives from the
-    node ids and ``links``. Nothing changes after load, so they never go
-    stale.
+    ``nodes`` maps each node id to its derived role. ``topology_from_dict``
+    derives four indexes from the node ids and ``links``: ``adjacency``
+    (node -> (neighbor, link) pairs in link file order), ``kms_ids`` ((node,
+    link) seat -> its KMS's entity id), ``kms_names`` (the reverse, read
+    through ``kms_node``) and ``vkms_ids`` (node -> its vKMS's entity id).
+    Every entity id, apps and the controller included, names one entity.
+    Nothing changes after load, so the indexes never go stale.
     """
 
     nodes: dict[str, str]
@@ -117,9 +124,13 @@ class Topology:
     adjacency: dict[str, list[tuple[str, Link]]] = field(
         kw_only=True, repr=False, compare=False
     )
+    kms_ids: dict[tuple[str, str], str] = field(
+        kw_only=True, repr=False, compare=False
+    )
     kms_names: dict[str, tuple[str, str]] = field(
         kw_only=True, repr=False, compare=False
     )
+    vkms_ids: dict[str, str] = field(kw_only=True, repr=False, compare=False)
 
     # ── graph helpers ──
 
@@ -144,9 +155,14 @@ class Topology:
 
 # ── file schema ──
 
-_LINK_KEYS = {"id", "a", "b", "key_rate", "distance_km", "initial_pool"}
+_TOPOLOGY_KEYS = frozenset({"nodes", "links", "apps", "weight_policy", "config"})
+_TOPOLOGY_REQUIRED = _TOPOLOGY_KEYS - {"config"}
+_NODE_KEYS = frozenset({"id"})
+_LINK_KEYS = frozenset({"id", "a", "b", "key_rate", "distance_km", "initial_pool"})
+_APP_KEYS = frozenset({"id", "node"})
 # SimConfig's fields in declaration order, which is the order they serialize in.
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig))
+_CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -178,7 +194,12 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _check_keys(
+    obj: dict, allowed: frozenset[str], required: frozenset[str], where: str
+) -> None:
+    # The common case, no key unknown and none missing, builds no set.
+    if isinstance(obj, dict) and required <= obj.keys() <= allowed:
+        return
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     unknown = set(obj) - allowed
@@ -190,7 +211,7 @@ def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) ->
 
 
 def _config_from_dict(obj: dict) -> SimConfig:
-    _check_keys(obj, set(_CONFIG_FIELDS), set(), "config")
+    _check_keys(obj, _CONFIG_KEYS, frozenset(), "config")
     kwargs = {}
     for key in ("key_size_bytes", "request_timeout_ms", "cache_ttl_ms"):
         if key in obj:
@@ -211,12 +232,7 @@ def _config_from_dict(obj: dict) -> SimConfig:
 
 
 def topology_from_dict(raw: dict) -> Topology:
-    _check_keys(
-        raw,
-        {"nodes", "links", "apps", "weight_policy", "config"},
-        {"nodes", "links", "apps", "weight_policy"},
-        "topology",
-    )
+    _check_keys(raw, _TOPOLOGY_KEYS, _TOPOLOGY_REQUIRED, "topology")
     for key in ("nodes", "links", "apps"):
         if not isinstance(raw[key], list):
             raise ParseError(f"topology: {key!r} must be an array")
@@ -230,7 +246,7 @@ def topology_from_dict(raw: dict) -> Topology:
 
     nodes: dict[str, dict] = {}
     for entry in raw["nodes"]:
-        _check_keys(entry, {"id"}, {"id"}, "node")
+        _check_keys(entry, _NODE_KEYS, _NODE_KEYS, "node")
         node_id = _require_str(entry, "id", "node")
         if node_id in nodes:
             violations.append(f"duplicate node id {node_id!r}")
@@ -240,12 +256,12 @@ def topology_from_dict(raw: dict) -> Topology:
     for entry in raw["links"]:
         _check_keys(entry, _LINK_KEYS, _LINK_KEYS, "link")
         link = Link(
-            id=_require_str(entry, "id", "link"),
-            a=_require_str(entry, "a", "link"),
-            b=_require_str(entry, "b", "link"),
-            key_rate=_require_number(entry, "key_rate", "link"),
-            distance_km=_require_number(entry, "distance_km", "link"),
-            initial_pool=_require_int(entry, "initial_pool", "link"),
+            _require_str(entry, "id", "link"),
+            _require_str(entry, "a", "link"),
+            _require_str(entry, "b", "link"),
+            _require_number(entry, "key_rate", "link"),
+            _require_number(entry, "distance_km", "link"),
+            _require_int(entry, "initial_pool", "link"),
         )
         if link.id in links:
             violations.append(f"duplicate link id {link.id!r}")
@@ -264,7 +280,7 @@ def topology_from_dict(raw: dict) -> Topology:
 
     apps: dict[str, str] = {}
     for entry in raw["apps"]:
-        _check_keys(entry, {"id", "node"}, {"id", "node"}, "app")
+        _check_keys(entry, _APP_KEYS, _APP_KEYS, "app")
         app_id = _require_str(entry, "id", "app")
         node_ref = _require_str(entry, "node", "app")
         if app_id in apps:
@@ -287,30 +303,40 @@ def topology_from_dict(raw: dict) -> Topology:
 
     # Connectivity over the undirected node/link graph.
     if nodes:
-        seen = set()
         stack = [next(iter(nodes))]
+        seen = set(stack)
         while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(n for n, _ in adjacency[cur])
-        if seen != set(nodes):
+            for neighbor, _ in adjacency[stack.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        if seen != nodes.keys():
             unreachable = sorted(set(nodes) - seen)
             violations.append(f"graph is disconnected (unreachable: {unreachable})")
 
-    # Rendered KMS names must be unique and unambiguous, or every later
-    # trace and rule install would be misaddressed.
+    # Every entity id is rendered here, once: the KMS of each (node, link)
+    # seat and the vKMS of each node. They share the transport's id space
+    # with the apps and the controller, and each id must name one entity, or
+    # every later trace and rule install would be misaddressed.
+    kms_ids: dict[tuple[str, str], str] = {}
     kms_names: dict[str, tuple[str, str]] = {}
     for link in links.values():
         for end in link.endpoints():
             if end not in nodes:
                 continue
-            name = render_kms_id(end, link.id)
-            prior = kms_names.get(name)
-            if prior is not None and prior != (end, link.id):
+            seat = (end, link.id)
+            name = kms_ids[seat] = render_kms_id(end, link.id)
+            if kms_names.setdefault(name, seat) != seat:
                 violations.append(f"ambiguous KMS name {name!r}")
-            kms_names[name] = (end, link.id)
+    vkms_ids: dict[str, str] = {}
+    vkms_nodes: dict[str, str] = {}
+    for node_id in nodes:
+        name = vkms_ids[node_id] = vkms_name(node_id)
+        if vkms_nodes.setdefault(name, node_id) != node_id:
+            violations.append(f"ambiguous vKMS name {name!r}")
+    for app_id in apps:
+        if app_id == QUSEC_ID or app_id in kms_names or app_id in vkms_nodes:
+            violations.append(f"app id {app_id!r} is another entity's id")
 
     if violations:
         raise ValidationError(violations)
@@ -322,7 +348,9 @@ def topology_from_dict(raw: dict) -> Topology:
         weight_policy=policy,
         config=config,
         adjacency=adjacency,
+        kms_ids=kms_ids,
         kms_names=kms_names,
+        vkms_ids=vkms_ids,
     )
 
 

@@ -14,8 +14,29 @@ from dataclasses import dataclass
 
 from .protocol import OCTET_FIELDS, Envelope, canonical_json, encode_str
 
-_KEY_ID_FIELDS = ("key_id", "id_relay_key", "id_key_encryption")
-_ASSOC_FIELDS = ("id_association",)
+# Each renamed body field with its token prefix, in the order a record's
+# fields draw tokens: key ids, then association ids, then octet payloads.
+_RENAMED_FIELDS = (
+    *((name, "K") for name in ("key_id", "id_relay_key", "id_key_encryption")),
+    ("id_association", "A"),
+    *((name, "M") for name in OCTET_FIELDS),
+)
+
+# The scanner that json.loads ends in, called directly to skip the checks
+# around it. A line it reads to its end holds exactly the value json.loads
+# would return, and a value it cannot read raises the error json.loads
+# would. Any other line (whitespace around the value, a BOM, extra data, no
+# value at the start, not a str) goes to json.loads, which reads it or
+# raises.
+_scan = json.JSONDecoder().scan_once
+
+
+def _parse(line: str):
+    try:
+        obj, end = _scan(line, 0)
+    except (StopIteration, TypeError):
+        return json.loads(line)
+    return obj if end == len(line) else json.loads(line)
 
 
 class TraceParseError(Exception):
@@ -44,45 +65,32 @@ class TraceDiff:
         return "\n".join(lines)
 
 
-class _Renamer:
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self.names: dict[str, str] = {}
-
-    def __call__(self, value: str) -> str:
-        if value not in self.names:
-            self.names[value] = f"{self.prefix}{len(self.names) + 1}"
-        return self.names[value]
-
-
 def canonicalize_lines(lines: list[str]) -> list[str]:
     """Canonical form of a JSON-lines trace (one envelope per line)."""
-    keys = _Renamer("K")
-    assocs = _Renamer("A")
-    materials = _Renamer("M")
+    # prefix -> (value -> its token), one renaming per prefix.
+    names: dict[str, dict] = {prefix: {} for _, prefix in _RENAMED_FIELDS}
+    renamed = [(name, names[prefix], prefix) for name, prefix in _RENAMED_FIELDS]
     sent_by: dict[str, int] = {}
     out = []
     for i, line in enumerate(lines):
         try:
-            obj = json.loads(line)
+            obj = _parse(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"record {i}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("body"), dict):
             raise TraceParseError(f"record {i}: not an envelope object")
-        body = dict(obj["body"])
-        for name in _KEY_ID_FIELDS:
-            if name in body and body[name]:
-                body[name] = keys(body[name])
-        for name in _ASSOC_FIELDS:
-            if name in body and body[name]:
-                body[name] = assocs(body[name])
-        for name in OCTET_FIELDS:
-            if name in body and body[name]:
-                body[name] = materials(body[name])
-        obj["body"] = body
+        # obj is this call's own parse, so its body is renamed in place.
+        body = obj["body"]
+        for name, tokens, prefix in renamed:
+            value = body.get(name)
+            if value:
+                token = tokens.get(value)
+                if token is None:
+                    token = tokens[value] = f"{prefix}{len(tokens) + 1}"
+                body[name] = token
         sender = obj.get("from", "")
-        sent_by[sender] = sent_by.get(sender, 0) + 1
-        obj["seq"] = sent_by[sender]
+        seq = sent_by[sender] = sent_by.get(sender, 0) + 1
+        obj["seq"] = seq
         out.append(canonical_json(obj))
     return out
 

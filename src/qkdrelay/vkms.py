@@ -28,7 +28,7 @@ from .protocol import (
     message_type,
 )
 from .qusec import QUSEC_ID
-from .topology import Topology, vkms_name
+from .topology import Topology
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class VkmsEntity(Entity):
     """Serial actor fronting one node's KMS seats."""
 
     def __init__(self, node_id: str, topology: Topology):
-        super().__init__(vkms_name(node_id), node_id=node_id)
+        super().__init__(topology.vkms_ids[node_id], node_id=node_id)
         self.topology = topology
         self.cache_ttl_ms = topology.config.cache_ttl_ms
         self.timeout_ms = topology.config.request_timeout_ms

@@ -12,6 +12,7 @@ import pytest
 
 from qkdrelay.harness import (
     AppRequest,
+    RunResult,
     Scenario,
     ScenarioEvent,
     Simulation,
@@ -47,6 +48,37 @@ def mesh4_dict(apps: dict[str, str] | None = None, **overrides) -> dict:
 
 def mesh4(apps: dict[str, str] | None = None, **overrides) -> Topology:
     return topology_from_dict(mesh4_dict(apps, **overrides))
+
+
+def _clash(nodes: list[str], links: list[tuple[str, str, str]], apps: dict[str, str]) -> dict:
+    return {
+        "nodes": [{"id": n} for n in nodes],
+        "links": [
+            {"id": l, "a": a, "b": b, "key_rate": 1.0, "distance_km": 1.0, "initial_pool": 2}
+            for l, a, b in links
+        ],
+        "apps": [{"id": a, "node": n} for a, n in apps.items()],
+        "weight_policy": "hop_count",
+    }
+
+
+# Topologies in which two entities would share one id, each with the
+# violations the loader reports. Nodes N3 and 3 both have the vKMS vKMS_3;
+# an app may not take the controller's id or a vKMS's or KMS's.
+ENTITY_ID_CLASHES = {
+    "two_nodes_one_vkms": (
+        _clash(["N1", "N3", "3"], [("a", "N1", "N3"), ("b", "N1", "3")], {}),
+        ["ambiguous vKMS name 'vKMS_3'"],
+    ),
+    "apps_named_qusec_and_vkms": (
+        _clash(["N1", "N2"], [("a", "N1", "N2")], {"QuSeC": "N1", "vKMS_2": "N2"}),
+        ["app id 'QuSeC' is another entity's id", "app id 'vKMS_2' is another entity's id"],
+    ),
+    "app_named_kms": (
+        _clash(["N1", "N2"], [("a", "N1", "N2")], {"KMS_1a": "N2"}),
+        ["app id 'KMS_1a' is another entity's id"],
+    ),
+}
 
 
 def chain_dict(n_links: int, initial_pool: int = 4, **overrides) -> dict:
@@ -254,6 +286,19 @@ def run_events(
         )
     scenario = scenario_from_dict({"name": "inline", "events": events, "expect": {}})
     return run(topology, scenario, seed=seed)
+
+
+def faulted_grid_run() -> RunResult:
+    """A 5x5 grid run with three corruptions and one drop."""
+    raw = grid_dict(5, initial_pool=16, session_lifetime_ms=60)
+    faults = [
+        {"at": 0, "event": "corrupt_message", "n": 3, "of_type": "key_relay"},
+        {"at": 0, "event": "corrupt_message", "n": 5, "of_type": "ext_key_request"},
+        {"at": 0, "event": "corrupt_message", "n": 7, "of_type": "key_delivery"},
+        {"at": 0, "event": "drop_message", "n": 4, "of_type": "key_relay_response"},
+    ]
+    events = faults + grid_events(raw, random.Random(8), pairs=30)
+    return run_events(topology_from_dict(raw), events, seed=2)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from conftest import chain_dict, mesh4_dict, write_json
+from conftest import ENTITY_ID_CLASHES, chain_dict, mesh4_dict, write_json
 from qkdrelay import data_path
 from qkdrelay.cli import main
 from qkdrelay.harness import load_scenario, load_topology_file, run
@@ -252,6 +252,17 @@ def test_validate_lists_all_violations(tmp_path, capsys):
     assert main(["validate", "--topology", topo]) == 2
     err = capsys.readouterr().err
     assert err.count("invalid:") == 2
+
+
+@pytest.mark.parametrize("name", sorted(ENTITY_ID_CLASHES))
+def test_shared_entity_ids_exit_two(name, tmp_path, capsys):
+    raw, violations = ENTITY_ID_CLASHES[name]
+    topo = write_json(tmp_path / "t.json", raw)
+    scenario = write_json(tmp_path / "s.json", {"events": []})
+    assert main(["validate", "--topology", topo]) == 2
+    assert capsys.readouterr().err == "".join(f"invalid: {v}\n" for v in violations)
+    assert main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: invalid topology: {'; '.join(violations)}\n"
 
 
 def test_validate_bad_json_exits_two(tmp_path, capsys):

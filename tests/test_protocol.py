@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encode, grid_dict, grid_events, run_events
+from conftest import encode, faulted_grid_run, run_events
 from qkdrelay import protocol
 from qkdrelay.protocol import (
     CHANNEL_CONTROL,
@@ -254,19 +254,6 @@ def test_encode_matches_reference_codec_on_hard_strings(tag, text):
     for env in envs:
         assert encode(env) == reference_encode(env)
     assert records_to_lines(envs) == [reference_encode(env).decode() for env in envs]
-
-
-def faulted_grid_run():
-    """A 5x5 grid run with three corruptions and one drop."""
-    raw = grid_dict(5, initial_pool=16, session_lifetime_ms=60)
-    faults = [
-        {"at": 0, "event": "corrupt_message", "n": 3, "of_type": "key_relay"},
-        {"at": 0, "event": "corrupt_message", "n": 5, "of_type": "ext_key_request"},
-        {"at": 0, "event": "corrupt_message", "n": 7, "of_type": "key_delivery"},
-        {"at": 0, "event": "drop_message", "n": 4, "of_type": "key_relay_response"},
-    ]
-    events = faults + grid_events(raw, random.Random(8), pairs=30)
-    return run_events(topology_from_dict(raw), events, seed=2)
 
 
 def test_records_to_lines_matches_reference_codec_on_a_faulted_grid():
@@ -604,10 +591,9 @@ def test_kernel_traces_in_delivered_order():
     assert [decode(line) for line in kernel.trace_lines] == envs  # delivered order is the trace
 
 
-def test_kernel_traces_hard_ids_as_the_reference_codec_does():
-    """Node, link and app ids that need escaping reach every envelope name
-    and body field, so each pair's frame, rendered once by the transport,
-    is checked against the reference codec and encode_str line by line."""
+def hard_ids_run():
+    """A relay, a pickup and a reverse request on a mesh whose node, link
+    and app ids all need escaping."""
     nodes = ['N"1', "N\\2", "Né3", "N\x7f4"]
     link_ends = [(0, 1), (0, 2), (1, 2), (2, 3)]
     raw = {
@@ -626,7 +612,14 @@ def test_kernel_traces_hard_ids_as_the_reference_codec_does():
          "key_id_from": 'A"pp'},
         {"at": 20, "event": "app_get_key", "app_src": "Bñ", "app_dst": 'A"pp'},
     ]
-    result = run_events(topology_from_dict(raw), events, seed=3)
+    return run_events(topology_from_dict(raw), events, seed=3)
+
+
+def test_kernel_traces_hard_ids_as_the_reference_codec_does():
+    """Node, link and app ids that need escaping reach every envelope name
+    and body field, so each pair's frame, rendered once by the transport,
+    is checked against the reference codec and encode_str line by line."""
+    result = hard_ids_run()
     assert result.exit_code == 0
     assert [r["status"] for r in result.report["requests"]] == ["ok"] * 3
     names = {name for env in result.records for name in (env.sender, env.receiver)}
@@ -696,6 +689,17 @@ def test_every_record_channel_matches_channel_for_on_a_faulted_grid():
         assert env.channel == channel_for(entities[env.sender], entities[env.receiver])
     channels = {env.channel for env in result.records}
     assert channels == {CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL}
+
+
+def test_pair_frames_on_faulted_and_hard_ids_runs():
+    """Each pair's entry, assembled from ids quoted when their entities
+    registered, is the pair's channel and its frame rendered from the ids."""
+    for result in (faulted_grid_run(), hard_ids_run()):
+        transport = result.sim.transport
+        assert len(transport.pairs) > 10
+        for (sender, receiver), pair in transport.pairs.items():
+            channel = channel_for(transport.entities[sender], transport.entities[receiver])
+            assert pair == (channel, *protocol.frame(channel, sender, receiver))
 
 
 def test_envelope_is_immutable():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdrelay
-from conftest import incident_links, mesh4, mesh4_dict
+from conftest import ENTITY_ID_CLASHES, incident_links, mesh4, mesh4_dict
 from qkdrelay.topology import (
     ROLE_SIMPLE,
     ROLE_TRUSTED_RELAY,
@@ -289,6 +289,23 @@ def test_ambiguous_kms_names_rejected():
     }
     with pytest.raises(ValidationError, match="ambiguous"):
         topology_from_dict(raw)
+
+
+def test_entity_ids_are_named_once():
+    topo = mesh4()
+    for link in topo.links.values():
+        for end in link.endpoints():
+            assert topo.kms_ids[end, link.id] == render_kms_id(end, link.id)
+    assert topo.kms_names == {name: seat for seat, name in topo.kms_ids.items()}
+    assert topo.vkms_ids == {node_id: vkms_name(node_id) for node_id in topo.nodes}
+
+
+@pytest.mark.parametrize("name", sorted(ENTITY_ID_CLASHES))
+def test_shared_entity_ids_rejected(name):
+    raw, violations = ENTITY_ID_CLASHES[name]
+    with pytest.raises(ValidationError) as exc:
+        topology_from_dict(raw)
+    assert exc.value.violations == violations
 
 
 # ── role derivation over random connected graphs ──

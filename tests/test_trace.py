@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
 
-from conftest import mesh4, pair_scenario, parse_trace_line
+from conftest import faulted_grid_run, mesh4, pair_scenario, parse_trace_line
+from qkdrelay import data_path
 from qkdrelay.harness import run
 from qkdrelay.topology import topology_from_dict
 from qkdrelay.trace import (
+    TraceDiff,
     TraceParseError,
     canonicalize_lines,
     compare_lines,
+    read_trace_lines,
     trace_compare,
 )
 
@@ -139,3 +143,99 @@ def test_trace_lines_decode_back_to_envelopes():
     assert envs[0].sender == "APP_A"
     with pytest.raises(TraceParseError):
         parse_trace_line('{"seq": "x"}')
+
+
+# ── the canonical form against its definition ──
+
+# Renamed body fields and their token prefixes, in the order each record's
+# fields draw tokens.
+REFERENCE_RENAMES = (
+    [(name, "K") for name in ("key_id", "id_relay_key", "id_key_encryption")]
+    + [("id_association", "A")]
+    + [(name, "M") for name in ("material", "value_relay_key", "encrypted_relay_key")]
+)
+
+
+def reference_canonicalize(lines: list[str]) -> list[str]:
+    """The canonical form by its definition: json.loads each line, give each
+    renamed field's value its first-occurrence token, renumber seq per
+    sender, and json.dumps with sorted keys and compact separators."""
+    tokens: dict[str, dict] = {"K": {}, "A": {}, "M": {}}
+    sent: dict[str, int] = {}
+    out = []
+    for line in lines:
+        obj = json.loads(line)
+        body = obj["body"]
+        for name, prefix in REFERENCE_RENAMES:
+            value = body.get(name)
+            if value:
+                seen = tokens[prefix]
+                if value not in seen:
+                    seen[value] = f"{prefix}{len(seen) + 1}"
+                body[name] = seen[value]
+        sender = obj.get("from", "")
+        sent[sender] = sent.get(sender, 0) + 1
+        obj["seq"] = sent[sender]
+        out.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    return out
+
+
+def reference_compare(expected: list[str], actual: list[str]) -> TraceDiff:
+    exp, act = reference_canonicalize(expected), reference_canonicalize(actual)
+    for i in range(max(len(exp), len(act))):
+        e = exp[i] if i < len(exp) else None
+        a = act[i] if i < len(act) else None
+        if e != a:
+            return TraceDiff(index=i, expected=e, actual=a)
+    return TraceDiff()
+
+
+def hand_edited(lines: list[str]) -> list[str]:
+    """lines as a hand-edited golden might hold them: spaces after
+    separators, keys in reverse order, a sender id with é written raw on
+    even lines and as \\u00e9 on odd ones, and on a few records a nested
+    non-empty ext and true, 1.0 and null values."""
+    out = []
+    for i, line in enumerate(lines):
+        obj = json.loads(line)
+        obj["from"] += "é"
+        body = obj["body"]
+        if i % 5 == 0:
+            body["ext"] = {"z": [1.0, True, None, {"é": "é"}], "a": {"b": 1, "a": -0.5}}
+        if i % 7 == 3:
+            body.update(flag=True, ratio=1.0, none=None)
+        obj["body"] = dict(reversed(body.items()))
+        obj = dict(reversed(obj.items()))
+        out.append(json.dumps(obj, separators=(", ", ": "), ensure_ascii=i % 2 == 1))
+    return out
+
+
+def test_canonical_form_and_diff_match_the_reference():
+    goldens = [
+        read_trace_lines(data_path("goldens", name))
+        for name in ("direct.trace.jsonl", "relay1hop.trace.jsonl")
+    ]
+    edited = [hand_edited(lines) for lines in goldens]
+    assert "\\u00e9" in edited[0][1] and "é" in edited[0][0]
+    # One record whose seven renamed fields are all new, in reverse order.
+    fields = [name for name, _ in REFERENCE_RENAMES]
+    fresh = [json.dumps({"body": {name: f"v{i}" for i, name in reversed(list(enumerate(fields)))}})]
+    traces = [*goldens, faulted_grid_run().trace_lines, *edited, fresh]
+    for lines in traces:
+        assert canonicalize_lines(lines) == reference_canonicalize(lines)
+    for expected, actual in itertools.product(traces, repeat=2):
+        assert compare_lines(expected, actual) == reference_compare(expected, actual)
+    assert compare_lines(goldens[1], edited[1]).index == 0
+    padded = [f" {line}\t" for line in goldens[1]]
+    assert canonicalize_lines(padded) == reference_canonicalize(padded)
+
+
+@pytest.mark.parametrize(
+    "line", ["not json", '{"body":{}} x', "\ufeff{}", '{"body":{"a":"\\x"}}', "{"]
+)
+def test_unreadable_line_reports_the_json_loads_error(line):
+    with pytest.raises(json.JSONDecodeError) as loads_error:
+        json.loads(line)
+    with pytest.raises(TraceParseError) as exc:
+        canonicalize_lines(['{"body":{}}', line])
+    assert str(exc.value) == f"record 1: invalid JSON: {loads_error.value}"
