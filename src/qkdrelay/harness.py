@@ -31,6 +31,7 @@ from .protocol import (
     MESSAGE_TYPES,
     OCTET_TYPES,
     PLAINTEXT_OCTET_FIELDS,
+    QUOTED_CHANNELS,
     STATUS_OK,
     STATUSES,
     TYPE_TAGS,
@@ -307,8 +308,9 @@ class SimKernel:
     bumps its message class in ``type_counts`` and hands it to
     ``checker``, whose violation lists are the run's audits. The line is
     the message type's encoder from ``LINE_ENCODERS`` applied to the
-    message, its seq and the frame the transport rendered for the record's
-    (sender, receiver) pair when that pair first sent.
+    message, the record's channel and its sender and receiver ids, each
+    quoted as a JSON string once (the channels at import, the ids when
+    their entities registered), and its seq.
     """
 
     def __init__(self, transport: Transport, checker: RecordChecker):
@@ -340,7 +342,8 @@ class SimKernel:
         queue = self.transport.queue
         popleft = queue.popleft
         entities = self.transport.entities
-        pairs = self.transport.pairs
+        quoted = self.transport.quoted
+        channels = QUOTED_CHANNELS
         encoders = LINE_ENCODERS
         lines = self.trace_lines
         counts = self.type_counts
@@ -350,10 +353,11 @@ class SimKernel:
             i = len(lines)
             if i >= _MESSAGE_BUDGET:
                 raise RuntimeError("message budget exhausted; dispatch loop suspected")
-            seq, sender, receiver, _, msg = env
+            seq, sender, receiver, channel, msg = env
             cls = type(msg)
-            _, head, tail = pairs[sender, receiver]
-            lines.append(encoders[cls](msg, head, seq, tail))
+            lines.append(
+                encoders[cls](msg, channels[channel], quoted[sender], quoted[receiver], seq)
+            )
             counts[cls] = counts.get(cls, 0) + 1
             check(i, env)
             entities[receiver].on_message(env)

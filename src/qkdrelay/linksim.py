@@ -7,9 +7,11 @@ in the same order. Key ids and material are hash-derived from (seed, link
 id, index), which keeps generation deterministic under any interleaving of
 generate/tick calls. Generating a key only raises the link's count: its id
 is derived when first needed, always as a prefix in index order, so a run
-hashes only the ids it reserves or looks up. Material is derived each time
-it is read and never stored. Nothing in this module ever puts key material
-on the simulated transport.
+hashes only the ids it reserves or looks up. A key's material is derived
+once, when the first endpoint consumes the key, and held in the link's
+table until the other endpoint consumes it too; a read of a key no
+endpoint holds it for derives it again without holding it. Nothing in this
+module ever puts key material on the simulated transport.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ def derive_key_id(seed: int, link_id: str, index: int) -> str:
     return hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
 
 
+def derive_material(seed: int, link_id: str, index: int, size: int) -> bytes:
+    """Deterministic material, size bytes, of the index-th key of a link."""
+    return hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(size)
+
+
 class KeyTable:
     """One link's keys, shared by both endpoint pools.
 
@@ -32,6 +39,12 @@ class KeyTable:
     ``_ids`` holds the first len(_ids) of them and ``_index`` maps each back
     to its index. Every derived id is also entered in ``owners``, the
     simulator's id -> table map across all links.
+
+    ``held`` maps each key that exactly one endpoint pool has consumed to
+    its material: the first endpoint's consumption derives it and holds it,
+    and the other's pops it. A key no pool has consumed, or both have, is
+    not held, so a run in which every consumed key reached both ends holds
+    nothing at its end.
     """
 
     def __init__(self, seed: int, link_id: str, key_size: int, owners: dict[str, KeyTable]):
@@ -42,6 +55,7 @@ class KeyTable:
         self._ids: list[str] = []
         self._index: dict[str, int] = {}
         self._owners = owners
+        self.held: dict[str, bytes] = {}
 
     def id_at(self, index: int) -> str:
         """Id of the index-th generated key, deriving every id before it
@@ -71,14 +85,35 @@ class KeyTable:
             self.derive_all()
         return self._index.get(key_id)
 
-    def material(self, key_id: str) -> bytes:
-        """Deterministic material of a key of this link, derived anew on each
-        call; KeyError if the link never generated key_id."""
+    def _derive(self, key_id: str) -> bytes | None:
+        """Material of key_id hashed afresh; None if the link never
+        generated key_id."""
         index = self.index_of(key_id)
         if index is None:
-            raise KeyError(key_id)
-        text = f"{self.seed}|{self.link_id}|{index}|key"
-        return hashlib.shake_256(text.encode()).digest(self.key_size)
+            return None
+        return derive_material(self.seed, self.link_id, index, self.key_size)
+
+    def material(self, key_id: str) -> bytes:
+        """Material of a key of this link: the held one, else derived and not
+        held; KeyError if the link never generated key_id."""
+        material = self.held.get(key_id)
+        if material is None:
+            material = self._derive(key_id)
+            if material is None:
+                raise KeyError(key_id)
+        return material
+
+    def consume(self, key_id: str) -> bytes | None:
+        """Material of key_id as one endpoint pool consumes it, which each
+        pool does at most once: popped if the other endpoint holds it, else
+        derived and held for the other. None if the link never generated
+        key_id."""
+        material = self.held.pop(key_id, None)
+        if material is None:
+            material = self._derive(key_id)
+            if material is not None:
+                self.held[key_id] = material
+        return material
 
 
 class KeyPool:
@@ -124,15 +159,21 @@ class KeyPool:
     def take(self, key_id: str) -> bytes | None:
         """Consume key_id if this pool holds it available; its material,
         else None."""
-        held = key_id in self.reserved or key_id in self.consumed
-        if held or self.table.index_of(key_id) is None:
+        if key_id in self.reserved or key_id in self.consumed:
             return None
-        return self.consume(key_id)
+        material = self.table.consume(key_id)
+        if material is not None:
+            self.consumed.add(key_id)
+        return material
 
     def consume(self, key_id: str) -> bytes:
-        material = self.table.material(key_id)
+        """Consume key_id, reserved or available; its material. KeyError if
+        the link never generated it."""
         if key_id in self.consumed:
             raise RuntimeError(f"key {key_id} consumed twice on link {self.table.link_id}")
+        material = self.table.consume(key_id)
+        if material is None:
+            raise KeyError(key_id)
         self.reserved.discard(key_id)
         self.consumed.add(key_id)
         return material
@@ -197,8 +238,9 @@ class LinkSimulator:
     # ── audit helpers for tests and trace checks ──
 
     def find_material(self, key_id: str) -> bytes | None:
-        """Material of key_id on whichever link generated it, else None. A
-        miss first derives the rest of every link's generated ids."""
+        """Material of key_id on whichever link generated it, held or derived
+        (see KeyTable.material), else None. An unknown id first derives the
+        rest of every link's generated ids."""
         table = self._table_of.get(key_id)
         if table is None:
             for each in self.tables.values():

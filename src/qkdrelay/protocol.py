@@ -7,20 +7,18 @@ A trace line is canonical JSON: sorted keys, compact separators, ASCII
 only. Each message type has one line encoder, compiled once at import from
 a per-type field plan (``dataclasses.fields``) into one f-string, as
 ``dataclasses`` and ``namedtuple`` build their methods. Its fixed text is
-the type's body keys in sorted order and its type tag; each body field is
-read by attribute and rendered in its own replacement field: the JSON
-string escaper that ``ensure_ascii`` uses, ``null`` for an absent hop or
-KMS id, hex between fixed quotes for octets, and the canonical encoder for
-``ext`` (the shared empty one is the literal ``{}``). The envelope keys sort
-around ``seq``, so the rest of the envelope is a frame of two strings,
-``"channel":…,"from":…,"seq":`` before the integer ``seq`` and
-``,"to":…,"type":`` after it (``frame``). The frame depends only on the
-(sender, receiver) pair, so the transport renders it once per pair and
-the delivering pump passes it in; ``encode_str`` renders it per call.
-Fixing the key order at import is sound because a dataclass's field set is
-fixed when its class is created, the message classes are frozen, and so
-every record of a type has the same keys: sorting them per record would
-give the same order each time.
+the type's body keys in sorted order, the envelope keys and its type tag;
+each body field is read by attribute and rendered in its own replacement
+field: the JSON string escaper that ``ensure_ascii`` uses, ``null`` for an
+absent hop or KMS id, hex between fixed quotes for octets, and the
+canonical encoder for ``ext`` (the shared empty one is the literal ``{}``).
+The envelope's channel, sender and receiver are passed in already quoted as
+JSON strings, and ``seq`` as the integer it is. The transport quotes each
+entity id once, when the entity registers, and the delivering pump passes
+those in; ``encode_str`` quotes them per call. Fixing the key order at
+import is sound because a dataclass's field set is fixed when its class is
+created, the message classes are frozen, and so every record of a type has
+the same keys: sorting them per record would give the same order each time.
 
 Messages are frozen, slotted dataclasses, and the envelope around each one
 is an immutable named tuple, so no record can be rewritten once sent. A
@@ -29,10 +27,10 @@ hashable. Each message type's ``__init__`` is compiled at import like its
 line encoder: it stores each argument straight into its slot, where the
 dataclass one goes through ``object.__setattr__`` once per field. The
 transport keeps global FIFO order (which implies per-channel FIFO),
-assigns per-sender sequence numbers and computes each (sender, receiver)
-pair's channel and frame once. It keeps no log of what it delivers: the
-caller that pops an envelope encodes it into the conformance trace (see
-harness.SimKernel).
+assigns per-sender sequence numbers and reads each send's channel off its
+two entities' nodes, so it keeps no per-pair state. It keeps no log of
+what it delivers: the caller that pops an envelope encodes it into the
+conformance trace (see harness.SimKernel).
 """
 
 from __future__ import annotations
@@ -528,12 +526,15 @@ def _literal(text: str) -> str:
 
 
 def _line_encoder(cls: type):
-    """The line encoder of one message type, encode(msg, head, seq, tail),
-    compiled into one f-string: its fixed text is the type's sorted body
-    keys and its type tag, and the envelope frame (see frame) is passed in
-    around seq, which is rendered as %d renders it. The f-string is quoted
-    with ' and holds no backslash, because before Python 3.12 neither may
-    appear in its replacement fields; body keys and tags are identifiers."""
+    """The line encoder of one message type,
+    encode(msg, channel, sender, receiver, seq), compiled into one f-string:
+    its fixed text is the type's sorted body keys, the envelope keys and the
+    type tag. channel, sender and receiver come quoted as JSON strings, and
+    seq, always an exact int (the transport's counter, or a decoded seq,
+    which the codec requires to be a non-bool int), is rendered by str. The
+    f-string is quoted with ' and holds no backslash, because before Python
+    3.12 neither may appear in its replacement fields; body keys and tags
+    are identifiers."""
     body = ",".join(
         _literal(_quote(name) + ":") + _field_source(name, is_octet)
         for name, is_octet in sorted(_FIELD_PLANS[cls])
@@ -541,10 +542,11 @@ def _line_encoder(cls: type):
     tag = TYPE_TAGS[cls]
     name = f"encode_{tag}"
     text = (
-        _literal('{"body":{') + body + _literal("},") + "{head}{seq:d}{tail}"
-        + _literal(_quote(tag) + "}")
+        _literal('{"body":{') + body + _literal('},"channel":') + "{channel}"
+        + _literal(',"from":') + "{sender}" + _literal(',"seq":') + "{seq}"
+        + _literal(',"to":') + "{receiver}" + _literal(',"type":' + _quote(tag) + "}")
     )
-    source = f"def {name}(msg, head, seq, tail):\n    return f'{text}'\n"
+    source = f"def {name}(msg, channel, sender, receiver, seq):\n    return f'{text}'\n"
     namespace = {"_quote": _quote, "canonical_json": canonical_json, "EMPTY_EXT": EMPTY_EXT}
     exec(source, namespace)
     return namespace[name]
@@ -555,25 +557,10 @@ def _line_encoder(cls: type):
 LINE_ENCODERS = {cls: _line_encoder(cls) for cls in MESSAGE_TYPES.values()}
 
 
-def _frame(channel: str, sender: str, receiver: str) -> tuple[str, str]:
-    """frame, from the channel and ids already quoted as JSON strings."""
-    return (
-        f'"channel":{channel},"from":{sender},"seq":',
-        f',"to":{receiver},"type":',
-    )
-
-
-def frame(channel: str, sender: str, receiver: str) -> tuple[str, str]:
-    """The envelope's text around seq in a trace line: (head, tail), head
-    being "channel":…,"from":…,"seq": and tail ,"to":…,"type":."""
-    return _frame(_quote(channel), _quote(sender), _quote(receiver))
-
-
 def encode_str(env: Envelope) -> str:
     """Canonical JSON text: sorted keys, compact separators, lowercase hex."""
     seq, sender, receiver, channel, msg = env
-    head, tail = frame(channel, sender, receiver)
-    return LINE_ENCODERS[type(msg)](msg, head, seq, tail)
+    return LINE_ENCODERS[type(msg)](msg, _quote(channel), _quote(sender), _quote(receiver), seq)
 
 
 def decode(data: bytes | str) -> Envelope:
@@ -643,7 +630,8 @@ class Entity:
         raise NotImplementedError
 
 
-_QUOTED_CHANNELS = {c: _quote(c) for c in (CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL)}
+# Each channel name quoted as a JSON string, as a trace line renders it.
+QUOTED_CHANNELS = {c: _quote(c) for c in (CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL)}
 
 
 def channel_for(sender: Entity, receiver: Entity) -> str:
@@ -665,15 +653,13 @@ class Transport:
     only as long as its receiver and the caller that traces it hold it.
     Per-sender seq numbers are assigned here, and armed fault rules are
     applied at send time; a rule that fires is removed, as it can never
-    match again. ``pairs`` maps each (sender id, receiver id) pair that has
-    sent to its channel and its trace-line frame (see frame), computed
-    once, when the pair first sends, and only after both ids resolve to
-    registered entities, so an unknown id raises on every send. The frame
-    is assembled from ``quoted``, each entity id quoted as a JSON string
-    once, when the entity registers. `dropped`
-    and `corrupted` keep the envelopes a fault actually changed; a corrupt
-    rule that fires on a message with no non-empty octet field leaves it as
-    it was and is not kept.
+    match again. Each send reads its channel off the two entities' nodes,
+    as channel_for does, so an unknown id raises on every send and no
+    per-pair state is kept. ``quoted`` holds each entity id quoted as a
+    JSON string, once, when the entity registers; the kernel's pump renders
+    trace lines from it. `dropped` and `corrupted` keep the envelopes a
+    fault actually changed; a corrupt rule that fires on a message with no
+    non-empty octet field leaves it as it was and is not kept.
     """
 
     def __init__(self):
@@ -683,7 +669,6 @@ class Transport:
         self.corrupted: list[Envelope] = []
         self.faults: list[FaultRule] = []
         self._seq: dict[str, int] = {}
-        self.pairs: dict[tuple[str, str], tuple[str, str, str]] = {}
         self.quoted: dict[str, str] = {}
 
     def register(self, entity: Entity) -> None:
@@ -696,30 +681,28 @@ class Transport:
     def add_fault(self, rule: FaultRule) -> None:
         self.faults.append(rule)
 
-    def _pair(self, sender_id: str, receiver_id: str) -> tuple[str, str, str]:
-        """The pair's channel_for and frame; remembered only once both
-        entities exist."""
-        sender = self.entities.get(sender_id)
-        receiver = self.entities.get(receiver_id)
-        if sender is None:
-            raise UnknownEntityError(f"unknown sender {sender_id!r}")
-        if receiver is None:
-            raise UnknownEntityError(f"unknown receiver {receiver_id!r}")
-        channel = channel_for(sender, receiver)
-        quoted = self.quoted
-        head, tail = _frame(_QUOTED_CHANNELS[channel], quoted[sender_id], quoted[receiver_id])
-        pair = self.pairs[sender_id, receiver_id] = (channel, head, tail)
-        return pair
-
     def send(self, sender_id: str, receiver_id: str, msg: Message) -> None:
-        pair = self.pairs.get((sender_id, receiver_id))
-        if pair is None:
-            pair = self._pair(sender_id, receiver_id)
+        entities = self.entities
+        try:
+            sender_node = entities[sender_id].node_id
+        except KeyError:
+            raise UnknownEntityError(f"unknown sender {sender_id!r}") from None
+        try:
+            receiver_node = entities[receiver_id].node_id
+        except KeyError:
+            raise UnknownEntityError(f"unknown receiver {receiver_id!r}") from None
+        # channel_for's rule, inline: calling it would cost a call per send.
+        if sender_node is None or receiver_node is None:
+            channel = CHANNEL_CONTROL
+        elif sender_node == receiver_node:
+            channel = CHANNEL_INTRA
+        else:
+            channel = CHANNEL_INTER
         seq = self._seq.get(sender_id, 0) + 1
         self._seq[sender_id] = seq
         # tuple.__new__ builds the named tuple without its Python-level
         # __new__, which would only forward the five fields.
-        env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, pair[0], msg))
+        env = tuple.__new__(Envelope, (seq, sender_id, receiver_id, channel, msg))
         if self.faults:
             for i, rule in enumerate(self.faults):
                 if rule.matches(msg):

@@ -19,7 +19,7 @@ from qkdrelay.harness import (
     run,
     scenario_from_dict,
 )
-from qkdrelay.linksim import KeyTable
+from qkdrelay.linksim import KeyTable, LinkSimulator
 from qkdrelay.protocol import CodecError, Envelope, decode, encode_str
 from qkdrelay.topology import Link, Topology, topology_from_dict
 from qkdrelay.trace import TraceParseError
@@ -269,6 +269,14 @@ def delivered(sim: Simulation) -> list[Envelope]:
     return [decode(line) for line in sim.kernel.trace_lines]
 
 
+def assert_held_one_sided(linksim: LinkSimulator) -> None:
+    """Each link's table holds the material of exactly the keys that one of
+    its endpoint pools has consumed and the other has not."""
+    for link_id, table in linksim.tables.items():
+        a, b = linksim.link_pools(link_id)
+        assert set(table.held) == a.consumed ^ b.consumed, link_id
+
+
 def run_events(
     topology: Topology,
     events: list[dict],
@@ -285,7 +293,9 @@ def run_events(
             topology, config=dataclasses.replace(topology.config, **config)
         )
     scenario = scenario_from_dict({"name": "inline", "events": events, "expect": {}})
-    return run(topology, scenario, seed=seed)
+    result = run(topology, scenario, seed=seed)
+    assert_held_one_sided(result.sim.linksim)
+    return result
 
 
 def faulted_grid_run() -> RunResult:

@@ -648,8 +648,8 @@ def test_each_record_is_encoded_once(monkeypatch):
     encoded = []
 
     def counted(encoder):
-        def counted_encoder(msg, head, seq, tail):
-            line = encoder(msg, head, seq, tail)
+        def counted_encoder(msg, channel, sender, receiver, seq):
+            line = encoder(msg, channel, sender, receiver, seq)
             encoded.append((msg, seq, line))
             return line
 

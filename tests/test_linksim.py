@@ -3,15 +3,28 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import key_ids, mesh4, mesh4_dict
-from qkdrelay import linksim
-from qkdrelay.harness import Simulation
-from qkdrelay.linksim import LinkSimulator, derive_key_id
+from conftest import (
+    assert_held_one_sided,
+    faulted_grid_run,
+    grid_dict,
+    grid_events,
+    key_ids,
+    mesh4,
+    mesh4_dict,
+    random_topology,
+    run_events,
+)
+from qkdrelay import data_path, linksim, load_scenario, run
+from qkdrelay.harness import Simulation, load_topology_file
+from qkdrelay.linksim import KeyPool, LinkSimulator, derive_key_id
+from qkdrelay.protocol import STATUS_OK
 from qkdrelay.topology import topology_from_dict
 
 
@@ -368,3 +381,186 @@ def test_simulation_set_up_derives_no_id(monkeypatch):
     for pool in pools:
         assert pool.counts() == {"available": 10**9, "reserved": 0, "consumed": 0}
     assert sim.linksim.pool_report()["d"]["generated"] == 10**9
+
+
+# ── material derived once per key, held between its two consumptions ──
+
+
+def packaged_run(topology: str, scenario: str, seed: int):
+    return run(
+        load_topology_file(data_path("topologies", topology)),
+        load_scenario(data_path("scenarios", scenario)),
+        seed=seed,
+    )
+
+
+PACKAGED = (
+    ("chain32.json", "linear32.json", 31),
+    ("mesh4_relay.json", "relay1hop.json", 2),
+    ("mesh4_direct.json", "direct.json", 1),
+)
+
+
+@pytest.fixture
+def derivations(monkeypatch) -> Counter:
+    """Every derivation of key material, counted per (seed, link, index)."""
+    counted: Counter = Counter()
+    derive = linksim.derive_material
+
+    def spy(seed, link_id, index, size):
+        counted[seed, link_id, index] += 1
+        return derive(seed, link_id, index, size)
+
+    monkeypatch.setattr(linksim, "derive_material", spy)
+    return counted
+
+
+def consumed_keys(sim: LinkSimulator) -> set[tuple[str, int]]:
+    """(link, index) of every key some endpoint pool consumed."""
+    return {
+        (link_id, table.index_of(key_id))
+        for link_id, table in sim.tables.items()
+        for pool in sim.link_pools(link_id)
+        for key_id in pool.consumed
+    }
+
+
+@pytest.mark.parametrize("topology,scenario,keys", PACKAGED)
+def test_each_packaged_key_is_derived_once(derivations, topology, scenario, keys):
+    result = packaged_run(topology, scenario, seed=5)
+    assert result.exit_code == 0
+    assert sum(derivations.values()) == len(derivations) == keys
+    assert {(link, index) for _, link, index in derivations} == consumed_keys(result.sim.linksim)
+
+
+def test_each_key_of_a_faulted_grid_run_is_derived_once(derivations):
+    result = faulted_grid_run()
+    assert result.sim.transport.dropped and result.sim.transport.corrupted
+    assert set(derivations.values()) == {1}
+    assert {(link, index) for _, link, index in derivations} == consumed_keys(result.sim.linksim)
+
+
+def test_clean_runs_end_with_nothing_held():
+    results = [packaged_run(topology, scenario, seed=5) for topology, scenario, _ in PACKAGED]
+    raw = grid_dict(5, initial_pool=16, session_lifetime_ms=None)
+    results.append(run_events(topology_from_dict(raw), grid_events(raw, random.Random(4), 30)))
+    for result in results:
+        assert result.exit_code == 0
+        assert all(r.status == STATUS_OK for r in result.sim.requests)
+        linksim_ = result.sim.linksim
+        assert_held_one_sided(linksim_)
+        assert {link_id: t.held for link_id, t in linksim_.tables.items() if t.held} == {}
+
+
+def test_a_lost_key_relay_leaves_its_k2_held_at_the_sending_end():
+    # A's relay runs KMS_1b -> KMS_3b, then KMS_3d -> KMS_4d. Its one
+    # KeyRelay is dropped: K1 (link b) is consumed at both ends once the
+    # initiator times out, but K2, link d's first key, only at KMS_3d.
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N4"}),
+        [
+            {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        ],
+        seed=3,
+    )
+    (request,) = result.sim.requests
+    assert request.status != STATUS_OK
+    sim = result.sim.linksim
+    k2 = derive_key_id(3, "d", 0)
+    assert {link_id: set(t.held) for link_id, t in sim.tables.items() if t.held} == {"d": {k2}}
+    assert sim.tables["d"].held[k2] == eager_material(3, "d", 0)
+    near, far = sim.link_pools("d")
+    assert (near.owner_kms, far.owner_kms) == ("KMS_3d", "KMS_4d")
+    assert k2 in near.consumed and k2 not in far.consumed
+
+
+_FAULT_TYPES = (
+    None, "relay_process_request", "ext_key_request", "key_relay",
+    "key_relay_response", "ack_request", "key_delivery", "relay_path_install",
+)
+
+
+def fresh_material(sim: LinkSimulator, key_id: str, link_ids) -> bytes | None:
+    """key_id's material hashed afresh from (seed, link, index), found by
+    hashing every generated id of each of link_ids; None if none has it."""
+    for link_id in link_ids:
+        table = sim.tables[link_id]
+        for index in range(table.generated):
+            stem = f"{table.seed}|{link_id}|{index}"
+            if hashlib.shake_256(f"{stem}|id".encode()).hexdigest(16) == key_id:
+                return hashlib.shake_256(f"{stem}|key".encode()).digest(table.key_size)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.booleans(), st.integers(1, 3), st.sampled_from(_FAULT_TYPES)),
+        min_size=1, max_size=4,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 9)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_every_material_read_is_the_fresh_derivation(topology_seed, faults, requests):
+    """Over random topologies, faults and requests, every material a pool
+    hands out and every material the audit's find_material reads is the
+    key's material hashed afresh from (seed, link, index)."""
+    rng = random.Random(topology_seed)
+    raw = random_topology(rng)
+    nodes = [node["id"] for node in raw["nodes"]]
+    raw["apps"] = [{"id": f"APP_{node}", "node": node} for node in nodes]
+    for link in raw["links"]:
+        link["initial_pool"] = rng.randint(1, 6)
+    seed = rng.randint(0, 99)
+    events = [
+        {"at": 0, "event": "drop_message" if drop else "corrupt_message", "n": n}
+        | ({} if of_type is None else {"of_type": of_type})
+        for drop, n, of_type in faults
+    ]
+    links = sorted(link["id"] for link in raw["links"])
+    for i, (src, dst, index) in enumerate(requests):
+        src, dst = nodes[src % len(nodes)], nodes[dst % len(nodes)]
+        if src == dst:
+            continue
+        at = 2000 * i
+        events.append({"at": at, "event": "app_get_key", "app_src": f"APP_{src}",
+                       "app_dst": f"APP_{dst}"})
+        # A pickup by id of some link's index-th key: taken where it is
+        # that KMS's own available key, refused otherwise.
+        key_id = derive_key_id(seed, links[index % len(links)], index % 5)
+        events.append({"at": at + 10, "event": "app_get_key_with_id", "app_src": f"APP_{dst}",
+                       "app_dst": f"APP_{src}", "key_id": key_id})
+        events.append({"at": at + 20, "event": "tick_links", "dt_ms": 300})
+
+    reads = []
+    consume, take, find = KeyPool.consume, KeyPool.take, LinkSimulator.find_material
+
+    def consumed(pool, key_id):
+        material = consume(pool, key_id)
+        reads.append((pool.table.link_id, key_id, material))
+        return material
+
+    def taken(pool, key_id):
+        material = take(pool, key_id)
+        if material is not None:
+            reads.append((pool.table.link_id, key_id, material))
+        return material
+
+    def found(sim, key_id):
+        material = find(sim, key_id)
+        reads.append((None, key_id, material))
+        return material
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KeyPool, "consume", consumed)
+        patch.setattr(KeyPool, "take", taken)
+        patch.setattr(LinkSimulator, "find_material", found)
+        result = run_events(topology_from_dict(raw), events, seed=seed)
+    sim = result.sim.linksim
+    for link_id, key_id, material in reads:
+        want = fresh_material(sim, key_id, links if link_id is None else [link_id])
+        assert material == want, (link_id, key_id)

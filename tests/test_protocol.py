@@ -617,8 +617,9 @@ def hard_ids_run():
 
 def test_kernel_traces_hard_ids_as_the_reference_codec_does():
     """Node, link and app ids that need escaping reach every envelope name
-    and body field, so each pair's frame, rendered once by the transport,
-    is checked against the reference codec and encode_str line by line."""
+    and body field, so each id, quoted once by the transport when its
+    entity registered, is checked against the reference codec and
+    encode_str line by line."""
     result = hard_ids_run()
     assert result.exit_code == 0
     assert [r["status"] for r in result.report["requests"]] == ["ok"] * 3
@@ -691,15 +692,30 @@ def test_every_record_channel_matches_channel_for_on_a_faulted_grid():
     assert channels == {CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL}
 
 
-def test_pair_frames_on_faulted_and_hard_ids_runs():
-    """Each pair's entry, assembled from ids quoted when their entities
-    registered, is the pair's channel and its frame rendered from the ids."""
-    for result in (faulted_grid_run(), hard_ids_run()):
+def test_lines_from_quoted_ids_on_faulted_and_hard_ids_runs(monkeypatch):
+    """Each line is rendered from the ids the transport quoted when their
+    entities registered: every delivered record's line, on a faulted grid
+    run and on a run with ids that need escaping, is the reference codec's
+    encoding of that record, and each record's channel is channel_for of
+    its two entities."""
+    delivered = []
+    check = RecordChecker.check
+
+    def watched_check(self, i, env):
+        delivered.append(env)
+        check(self, i, env)
+
+    monkeypatch.setattr(RecordChecker, "check", watched_check)
+    for run_it in (faulted_grid_run, hard_ids_run):
+        delivered.clear()
+        result = run_it()
         transport = result.sim.transport
-        assert len(transport.pairs) > 10
-        for (sender, receiver), pair in transport.pairs.items():
-            channel = channel_for(transport.entities[sender], transport.entities[receiver])
-            assert pair == (channel, *protocol.frame(channel, sender, receiver))
+        entities = transport.entities
+        assert transport.quoted == {entity_id: json.dumps(entity_id) for entity_id in entities}
+        assert len(delivered) == len(result.trace_lines) > 10
+        for env, line in zip(delivered, result.trace_lines):
+            assert line == reference_encode(env).decode()
+            assert env.channel == channel_for(entities[env.sender], entities[env.receiver])
 
 
 def test_envelope_is_immutable():
