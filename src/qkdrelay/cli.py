@@ -1,6 +1,7 @@
 """Command-line entry points: run a scenario, validate a topology, or diff
 two trace files. Exit codes: 0 success, 1 expectation/diff failure,
-2 configuration error (bad files, bad flags, schema violations).
+2 configuration error (bad files, bad flags, schema violations) or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -87,12 +88,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     payload = json.dumps(result.report, indent=2, sort_keys=True)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in result.trace_lines)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+    for flag, path, lines in (
+        ("--trace-out", args.trace_out, result.trace_lines),
+        ("--report-out", args.report_out, [payload]),
+    ):
+        if not path:
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in lines)
+        except OSError as exc:
+            print(f"error: cannot write {flag} file: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     if not args.quiet:
         print(payload)
     if result.exit_code != 0 and result.diff is not None and not result.diff.is_empty:

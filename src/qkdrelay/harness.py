@@ -510,7 +510,7 @@ class RecordChecker:
     is one method that appends to its own list in ``violations``. ``check``
     applies all four: fifo to every record, the octet audits only to
     protocol.OCTET_TYPES, the only classes they can flag. ``linksim`` is
-    read by otp_wire alone."""
+    read by otp_wire alone; fifo keeps one int per sender, its highest seq."""
 
     def __init__(self, linksim: LinkSimulator | None = None):
         self.linksim = linksim
@@ -520,7 +520,7 @@ class RecordChecker:
             "otp_wire": [],
             "fifo": [],
         }
-        self._last_seq: dict[tuple[str, str], int] = {}
+        self._last_seq: dict[str, int] = {}
 
     def check(self, i: int, env: Envelope) -> None:
         self.fifo(i, env)
@@ -570,12 +570,12 @@ class RecordChecker:
             found.append(f"record {i}: payload equals K1 with non-zero K2")
 
     def fifo(self, i: int, env: Envelope) -> None:
-        """Per ordered (sender, receiver) pair, seq numbers strictly increase."""
-        pair = (env.sender, env.receiver)
-        last = self._last_seq.get(pair)
-        if last is not None and env.seq <= last:
-            self.violations["fifo"].append(f"record {i}: seq {env.seq} after {last} on {pair}")
-        self._last_seq[pair] = env.seq
+        """Each sender's seq exceeds every seq it sent before, as the transport numbers."""
+        last = self._last_seq.get(env.sender)
+        if last is None or env.seq > last:
+            self._last_seq[env.sender] = env.seq
+        else:
+            self.violations["fifo"].append(f"record {i}: seq {env.seq} after {last} from {env.sender!r}")
 
 
 def _audit(name: str, records: Sequence[Envelope], linksim: LinkSimulator | None = None) -> list[str]:

@@ -7,6 +7,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_dict, grid_events, mesh4, run_events
 from qkdrelay import data_path
@@ -161,20 +163,61 @@ def test_otp_wire_flags_plaintext_k1_and_unknown_ids():
 # ── fifo ──
 
 
-def test_fifo_flags_repeated_seq_on_one_pair():
+def test_fifo_flags_seq_that_does_not_rise_per_sender():
     msg = GetKey("APP_A", "APP_B", "R1")
     records = [
         env(msg, "APP_A", "vKMS_1", seq=1),
-        env(msg, "APP_A", "vKMS_2", seq=1),  # same seq, other pair: fine
+        env(msg, "APP_A", "vKMS_2", seq=1),  # same seq, other receiver: flagged
         env(msg, "APP_A", "vKMS_1", seq=2),
         env(msg, "APP_A", "vKMS_1", seq=2),
         env(msg, "APP_A", "vKMS_1", seq=1),
+        env(msg, "APP_B", "vKMS_1", seq=0),  # a sender's first record: fine
+        env(msg, "X", "Y", seq=2),
+        env(msg, "X", "Z", seq=1),  # goes back across two receivers
     ]
-    pair = ("APP_A", "vKMS_1")
     assert audit_fifo(records) == [
-        f"record 3: seq 2 after 2 on {pair}",
-        f"record 4: seq 1 after 2 on {pair}",
+        "record 1: seq 1 after 1 from 'APP_A'",
+        "record 3: seq 2 after 2 from 'APP_A'",
+        "record 4: seq 1 after 2 from 'APP_A'",
+        "record 7: seq 1 after 2 from 'X'",
     ]
+    # The per-pair rule misses records 1 and 7.
+    assert pair_fifo(records) == [3, 4]
+
+
+def pair_fifo(records: list[Envelope]) -> list[int]:
+    """The indices the old rule flags: per ordered (sender, receiver) pair,
+    seq numbers strictly increase."""
+    last: dict[tuple[str, str], int] = {}
+    flagged = []
+    for i, record in enumerate(records):
+        pair = (record.sender, record.receiver)
+        if pair in last and record.seq <= last[pair]:
+            flagged.append(i)
+        last[pair] = record.seq
+    return flagged
+
+
+def flagged_indices(violations: list[str]) -> list[int]:
+    return [int(v.split(":")[0].removeprefix("record ")) for v in violations]
+
+
+IDS = st.sampled_from(["APP_A", "vKMS_1", "KMS_1a", "KMS_2a"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(IDS, IDS, st.integers(0, 6)), max_size=30))
+def test_fifo_flags_every_record_the_per_pair_rule_flags(forged):
+    msg = GetKey("APP_A", "APP_B", "R1")
+    records = [env(msg, sender, receiver, seq=seq) for sender, receiver, seq in forged]
+    assert set(pair_fifo(records)) <= set(flagged_indices(audit_fifo(records)))
+
+
+def test_fifo_rules_find_nothing_on_real_runs():
+    for result in oracle_runs():
+        records = [decode(line) for line in result.trace_lines]
+        assert audit_fifo(records) == []
+        assert pair_fifo(records) == []
 
 
 # ── oracle: the body-based scans the two octet audits replaced ──

@@ -147,6 +147,25 @@ def test_run_config_error_found_before_simulating(relay_files, tmp_path, capsys,
     assert not trace.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, target",
+    [
+        ("--trace-out", lambda tmp: tmp / "no-such-dir" / "trace.jsonl"),
+        ("--report-out", lambda tmp: tmp),  # a directory
+    ],
+)
+def test_run_unwritable_output_exits_two(relay_files, tmp_path, capsys, flag, target):
+    """An output file that cannot be written is a configuration error, not an
+    expectation failure: exit 2 with one error line and no traceback."""
+    topo, scenario = relay_files
+    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "5",
+                 flag, str(target(tmp_path)), "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {flag} file: ")
+    assert err.count("\n") == 1
+
+
 def test_run_missing_files_exit_two(relay_files, tmp_path, capsys):
     topo, scenario = relay_files
     assert main(["run", "--topology", str(tmp_path / "no.json"),
