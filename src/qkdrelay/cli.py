@@ -7,12 +7,10 @@ output file that cannot be written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
 from .harness import ConfigError, load_scenario, load_topology_file, run
-from .topology import WEIGHT_POLICIES
 from .trace import TraceParseError, trace_compare
 
 EXIT_OK = 0
@@ -33,19 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--seed", required=True, type=int, help="run seed (u64)")
     p_run.add_argument("--trace-out", default=None, help="write JSON-lines trace here")
-    p_run.add_argument(
-        "--weight-policy",
-        choices=list(WEIGHT_POLICIES),
-        default=None,
-        help="override the topology's path weight policy for this run",
-    )
-    p_run.add_argument(
-        "--cache-ttl",
-        type=int,
-        default=None,
-        metavar="MS",
-        help="override discovery cache TTL in ms (0 disables caching)",
-    )
     p_run.add_argument(
         "--report-out", default=None, help="also write the JSON report to a file"
     )
@@ -71,16 +56,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed < 0 or args.seed >= 2**64:
         print("error: --seed must fit in u64", file=sys.stderr)
         return EXIT_CONFIG
-    if args.cache_ttl is not None and args.cache_ttl < 0:
-        print("error: --cache-ttl must be >= 0", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         topology = load_topology_file(args.topology)
-        if args.weight_policy is not None:
-            topology = dataclasses.replace(topology, weight_policy=args.weight_policy)
-        if args.cache_ttl is not None:
-            config = dataclasses.replace(topology.config, cache_ttl_ms=args.cache_ttl)
-            topology = dataclasses.replace(topology, config=config)
         scenario = load_scenario(args.scenario)
         result = run(topology, scenario, seed=args.seed)
     except ConfigError as exc:

@@ -5,7 +5,9 @@ end-to-end key K1 on the first link, then at each hop encrypt it with a
 fresh key from the next link (K3 = K1 xor K2), hand it across, and propagate
 completion statuses backward. A KMS only ever touches its own pool; the
 end-to-end key enters a node in plaintext only on the intra-node channel,
-inside the physically-secure trusted relay.
+inside the physically-secure trusted relay. Where the chain ends, K1 waits
+in the KMS's delivered store for the target's pickup, and lapses with its
+session: ``session_lifetime_ms`` after it was stored (``SimConfig.lapsed``).
 
 Each request owes its sender exactly one reply, and that reply is a function
 of the request (``_reply``): Relay Process Request is answered by Relay
@@ -108,8 +110,8 @@ class KmsEntity(Entity):
         super().__init__(kms_id, node_id=node_id)
         self.peer_kms_id = peer_kms_id
         self.pool = pool
+        self.config = config
         self.timeout_ms = config.request_timeout_ms
-        self.delivered_ttl_ms = config.delivered_key_ttl_ms
         # A rule is the install message itself: this KMS's role in one
         # association. prev_hop none means this KMS initiates it; next_hop
         # none means it terminates it. A next_hop that is not the
@@ -183,17 +185,12 @@ class KmsEntity(Entity):
             # Direct case: the id names a key in this KMS's own pool.
             material = self.pool.take(msg.key_id)
             status = STATUS_NO_KEY if material is None else STATUS_OK
-        elif self._store_entry_expired(entry):
+        elif self.config.lapsed(entry.stored_ms, self.services.now_ms):
             # State existed but lapsed with the session.
             material, status = None, STATUS_NO_RULE
         else:
             material, status = entry.material, STATUS_OK
         self._deliver(requester, msg, msg.key_id, material or b"", status)
-
-    def _store_entry_expired(self, entry: DeliveredKey) -> bool:
-        if self.delivered_ttl_ms is None:
-            return False
-        return self.services.now_ms - entry.stored_ms > self.delivered_ttl_ms
 
     # ── relay chain, forward direction ──
 

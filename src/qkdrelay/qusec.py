@@ -3,7 +3,8 @@
 A get_key's discovery establishes a path: an association, a session and, on
 a relay path, a rule on every KMS. A get_key_with_id's discovery only locates
 its key and opens nothing. Session lifetimes are checked when a session is
-read, against the clock at that moment.
+read, against the clock at that moment, by ``SimConfig.lapsed``: the rule by
+which a relayed key waiting in a KMS's delivered store lapses too.
 
 Relay paths come from one Dijkstra per source node (``path_tree``), run on
 the first relay search from that node over a ``RankGraph``: nodes and links
@@ -238,8 +239,7 @@ class QusecEntity(Entity):
 
     def _expired(self, session: SessionState, now_ms: int) -> bool:
         """Whether session's lifetime has run out by the clock now_ms."""
-        lifetime = self.topology.config.session_lifetime_ms
-        return lifetime is not None and now_ms - session.created_ms > lifetime
+        return self.topology.config.lapsed(session.created_ms, now_ms)
 
     def _find_reusable_session(
         self, app_src: str, app_dst: str, now_ms: int

@@ -52,13 +52,30 @@ class ValidationError(TopologyError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Optional per-topology simulation parameters (the `config` object)."""
+    """Optional per-topology simulation parameters (the `config` object).
+    Their ranges are checked here, however the config is built: by the
+    loader, in Python, or with dataclasses.replace."""
 
     key_size_bytes: int = 32
     request_timeout_ms: int = 1000
     session_lifetime_ms: int | None = None
-    delivered_key_ttl_ms: int | None = None
     cache_ttl_ms: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("key_size_bytes", "request_timeout_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name!r} must be positive")
+        for name in ("cache_ttl_ms", "session_lifetime_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name!r} must be >= 0")
+
+    def lapsed(self, since_ms: int, now_ms: int) -> bool:
+        """Whether state made at since_ms has outlived the session lifetime
+        by the clock now_ms. The one lapse rule: a session and a relayed key
+        waiting for pickup both lapse by it."""
+        lifetime = self.session_lifetime_ms
+        return lifetime is not None and now_ms - since_ms > lifetime
 
 
 @dataclass(frozen=True)
@@ -216,19 +233,12 @@ def _config_from_dict(obj: dict) -> SimConfig:
     for key in ("key_size_bytes", "request_timeout_ms", "cache_ttl_ms"):
         if key in obj:
             kwargs[key] = _require_int(obj, key, "config")
-    for key in ("session_lifetime_ms", "delivered_key_ttl_ms"):
-        if key in obj and obj[key] is not None:
-            kwargs[key] = _require_int(obj, key, "config")
-    cfg = SimConfig(**kwargs)
-    if cfg.key_size_bytes <= 0:
-        raise ParseError("config: 'key_size_bytes' must be positive")
-    if cfg.request_timeout_ms <= 0:
-        raise ParseError("config: 'request_timeout_ms' must be positive")
-    for key in ("cache_ttl_ms", "session_lifetime_ms", "delivered_key_ttl_ms"):
-        value = getattr(cfg, key)
-        if value is not None and value < 0:
-            raise ParseError(f"config: {key!r} must be >= 0")
-    return cfg
+    if obj.get("session_lifetime_ms") is not None:
+        kwargs["session_lifetime_ms"] = _require_int(obj, "session_lifetime_ms", "config")
+    try:
+        return SimConfig(**kwargs)
+    except ValueError as exc:
+        raise ParseError(f"config: {exc}") from None
 
 
 def topology_from_dict(raw: dict) -> Topology:

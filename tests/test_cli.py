@@ -111,12 +111,38 @@ def test_run_rejects_out_of_range_seed(relay_files, seed, capsys):
     assert "u64" in capsys.readouterr().err
 
 
-def test_run_rejects_negative_cache_ttl(relay_files, capsys):
-    topo, scenario = relay_files
-    code = main(["run", "--topology", topo, "--scenario", scenario,
-                 "--seed", "1", "--cache-ttl", "-5"])
+def test_run_rejects_negative_cache_ttl(relay_files, tmp_path, capsys):
+    _, scenario = relay_files
+    topo = write_json(tmp_path / "ttl.json", mesh4_dict(config={"cache_ttl_ms": -5}))
+    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1"])
     assert code == 2
-    assert "cache-ttl" in capsys.readouterr().err
+    assert "config: 'cache_ttl_ms' must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--weight-policy", "distance"], ["--cache-ttl", "60000"]]
+)
+def test_run_has_no_setting_flags(relay_files, flag, capsys):
+    """Every setting comes from the topology file; run takes no override."""
+    topo, scenario = relay_files
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_removed_delivered_key_ttl_is_an_unknown_key(relay_files, tmp_path, capsys):
+    """The delivered store lapses with the session; its old setting is
+    rejected like any unknown key."""
+    _, scenario = relay_files
+    topo = write_json(
+        tmp_path / "ttl.json", mesh4_dict(config={"delivered_key_ttl_ms": 500})
+    )
+    message = "config: unknown key 'delivered_key_ttl_ms'"
+    assert main(["validate", "--topology", topo]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_expectation_on_unknown_link_exits_two(relay_files, tmp_path, capsys):
@@ -175,7 +201,7 @@ def test_run_missing_files_exit_two(relay_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_weight_policy_override_changes_path(tmp_path, capsys):
+def test_run_weight_policy_changes_path(tmp_path, capsys):
     # Two relay routes: 2 hops of 5 km each vs 3 hops of 1 km each.
     raw = chain_dict(2)
     raw["nodes"] += [{"id": "NX"}, {"id": "NY"}]
@@ -184,56 +210,39 @@ def test_run_weight_policy_override_changes_path(tmp_path, capsys):
         {"id": "x2", "a": "NX", "b": "NY", "key_rate": 10.0, "distance_km": 1.0, "initial_pool": 4},
         {"id": "x3", "a": "NY", "b": "N3", "key_rate": 10.0, "distance_km": 1.0, "initial_pool": 4},
     ]
-    topo = write_json(tmp_path / "topo.json", raw)
     scenario = write_json(
         tmp_path / "s.json",
         {"events": [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}]},
     )
 
-    def counts(policy_args):
-        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "3", *policy_args])
+    def counts(policy):
+        topo = write_json(tmp_path / f"{policy}.json", {**raw, "weight_policy": policy})
+        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "3"])
         assert code == 0
         return json.loads(capsys.readouterr().out)["message_counts"]
 
-    assert counts([])["relay_path_install"] == 4  # hop_count: 2-hop chain
-    assert counts(["--weight-policy", "distance"])["relay_path_install"] == 6
-
-
-def test_run_cache_ttl_flag_reduces_discoveries(relay_files, capsys):
-    topo, _ = relay_files
-    events = [
-        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-        {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-    ]
-    scenario = write_json(
-        pathlib.Path(topo).parent / "twice.json", {"events": events}
-    )
-    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "2",
-                 "--cache-ttl", "60000"])
-    assert code == 0
-    counts = json.loads(capsys.readouterr().out)["message_counts"]
-    assert counts["kms_discovery_request"] == 1
+    assert counts("hop_count")["relay_path_install"] == 4  # 2-hop chain
+    assert counts("distance")["relay_path_install"] == 6  # 3-hop detour
 
 
 def test_run_topology_cache_ttl_reduces_discoveries(tmp_path, capsys):
-    topo = write_json(
-        tmp_path / "topo.json",
-        mesh4_dict({"APP_A": "N1", "APP_B": "N4"}, config={"cache_ttl_ms": 60000}),
-    )
     events = [
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ]
     scenario = write_json(tmp_path / "twice.json", {"events": events})
 
-    def discoveries(extra_args):
-        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "2",
-                     *extra_args])
+    def discoveries(cache_ttl_ms):
+        topo = write_json(
+            tmp_path / f"topo{cache_ttl_ms}.json",
+            mesh4_dict({"APP_A": "N1", "APP_B": "N4"}, config={"cache_ttl_ms": cache_ttl_ms}),
+        )
+        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "2"])
         assert code == 0
         return json.loads(capsys.readouterr().out)["message_counts"]["kms_discovery_request"]
 
-    assert discoveries([]) == 1
-    assert discoveries(["--cache-ttl", "0"]) == 2  # the flag overrides the file
+    assert discoveries(60000) == 1
+    assert discoveries(0) == 2
 
 
 def test_validate_reports_derived_kms_layout(tmp_path, capsys):

@@ -477,6 +477,30 @@ def test_a_fault_without_of_type_counts_every_message(mesh4_relay_topology):
     assert result.trace_lines[:2] == clean.trace_lines[:2]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="Transport.send stops calling matches on later rules once one rule "
+    "fires, so an armed rule does not count a send another rule fired on",
+)
+def test_every_armed_fault_counts_every_send():
+    # Both rules count send 1, A's get_key: the corrupt rule fires on it and
+    # changes nothing (get_key has no octet field), and the drop rule drops
+    # it. Today the drop rule never sees send 1 and drops send 2, vKMS_1's
+    # kms_discovery_request to QuSeC.
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N4"}),
+        [
+            {"at": 0, "event": "corrupt_message", "n": 1},
+            {"at": 0, "event": "drop_message", "n": 1},
+            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        ],
+        seed=3,
+    )
+    (dropped,) = result.sim.transport.dropped
+    assert protocol.message_type(dropped.msg) == "get_key"
+    assert result.sim.transport.corrupted == []
+
+
 def test_corrupted_key_relay_breaks_e2e_equality(mesh4_relay_topology):
     result = run_events(
         mesh4_relay_topology,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
 from qkdrelay.harness import ScenarioEvent, Simulation
-from qkdrelay.topology import topology_from_dict
+from qkdrelay.topology import SimConfig, topology_from_dict
 from qkdrelay.protocol import (
     STATUS_DECRYPT,
     STATUS_NO_KEY,
@@ -356,38 +358,51 @@ def test_rule_matching_respects_direction(mesh4_relay_topology):
     assert kms._rule_for_pair("APP_B", "APP_A", None) is None
 
 
-def test_delivered_store_ttl_expiry():
-    topo = mesh4(
-        {"APP_A": "N1", "APP_B": "N4"},
-        config={"delivered_key_ttl_ms": 500, "session_lifetime_ms": 10_000},
-    )
+def _pickup_at(at_ms: int):
+    """A relayed key stored at KMS_4d under a 500 ms session lifetime, and
+    its target's pickup at at_ms."""
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4"}, config={"session_lifetime_ms": 500})
     result = run_events(
         topo,
         [
             {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-            {"at": 600, "event": "app_get_key_with_id", "app_src": "APP_B",
+            {"at": at_ms, "event": "app_get_key_with_id", "app_src": "APP_B",
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
+    (entry,) = result.sim.kms["KMS_4d"].delivered.values()
     (pickup,) = resolved(result.sim, "APP_B")
+    return entry, pickup
+
+
+def test_delivered_store_ttl_expiry():
+    # The key lapses with its session: session_lifetime_ms after it was stored.
+    entry, pickup = _pickup_at(600)
+    assert 600 - entry.stored_ms > 500
     assert pickup.status == STATUS_NO_RULE  # state existed but lapsed
 
 
 def test_delivered_store_within_ttl():
-    topo = mesh4(
-        {"APP_A": "N1", "APP_B": "N4"},
-        config={"delivered_key_ttl_ms": 500, "session_lifetime_ms": 10_000},
-    )
-    result = run_events(
-        topo,
-        [
-            {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-            {"at": 400, "event": "app_get_key_with_id", "app_src": "APP_B",
-             "app_dst": "APP_A", "key_id_from": "APP_A"},
-        ],
-    )
-    (pickup,) = resolved(result.sim, "APP_B")
+    entry, pickup = _pickup_at(400)
     assert pickup.status == STATUS_OK
+    assert pickup.material == entry.material
+
+
+def test_session_and_delivered_store_share_one_lapse_rule(monkeypatch):
+    """QuSeC's sessions and the KMS's delivered store both ask SimConfig."""
+    calls = []
+    lapsed = SimConfig.lapsed
+
+    def spy(config, since_ms, now_ms):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return lapsed(config, since_ms, now_ms)
+
+    monkeypatch.setattr(SimConfig, "lapsed", spy)
+    _, pickup = _pickup_at(400)
+    assert pickup.status == STATUS_OK
+    # The pickup's discovery reads the session, KMS_4d reads its entry, and
+    # the report reads the session again at the end of the run.
+    assert calls == ["_expired", "_handle_get_key_with_id", "_expired"]
 
 
 def test_initiator_state_after_a_relay(mesh4_relay_topology):

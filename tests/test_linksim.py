@@ -344,6 +344,18 @@ def test_id_at_reads_only_generated_keys():
     assert sim.find_material(derive_key_id(1, "d", 2)) is None
 
 
+def test_consume_of_an_id_the_link_never_generated_raises():
+    sim = LinkSimulator(mesh4(), seed=1)
+    sim.generate_keys("c", 3)
+    sim.generate_keys("d", 3)
+    pool, _ = sim.link_pools("d")
+    for key_id in (derive_key_id(1, "c", 0), derive_key_id(1, "d", 3), "no-such-key"):
+        with pytest.raises(KeyError, match=key_id):
+            pool.consume(key_id)
+    assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
+    assert sim.tables["d"].held == {}
+
+
 def test_take_of_another_links_id_is_refused():
     sim = LinkSimulator(mesh4(), seed=1)
     sim.generate_keys("c", 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -140,6 +141,12 @@ def test_schema_strictness(mutate):
         (lambda r: r.update(apps=None), "topology: 'apps' must be an array"),
         (lambda r: r.update(weight_policy=["hop_count"]),
          "topology: 'weight_policy' must be a string"),
+        (lambda r: r.update(config={"cache_ttl_ms": -1}),
+         "config: 'cache_ttl_ms' must be >= 0"),
+        (lambda r: r.update(config={"session_lifetime_ms": -1}),
+         "config: 'session_lifetime_ms' must be >= 0"),
+        (lambda r: r.update(config={"delivered_key_ttl_ms": 500}),
+         "config: unknown key 'delivered_key_ttl_ms'"),
     ],
 )
 def test_schema_rejection_messages(mutate, message):
@@ -222,7 +229,7 @@ from qkdrelay.topology import SimConfig, load_topology, serialize_topology
 with open(data_path("topologies", "mesh4_relay.json"), encoding="utf-8") as fh:
     topo = load_topology(fh.read())
 config = SimConfig(key_size_bytes=16, request_timeout_ms=500, session_lifetime_ms=9000,
-                   delivered_key_ttl_ms=4000, cache_ttl_ms=250)
+                   cache_ttl_ms=250)
 print(serialize_topology(dataclasses.replace(topo, config=config)), end="")
 """
 
@@ -244,7 +251,6 @@ def test_serialize_is_independent_of_string_hashing():
         "key_size_bytes",
         "request_timeout_ms",
         "session_lifetime_ms",
-        "delivered_key_ttl_ms",
         "cache_ttl_ms",
     ]
 
@@ -356,5 +362,30 @@ def test_sim_config_defaults():
     assert cfg.key_size_bytes == 32
     assert cfg.request_timeout_ms == 1000
     assert cfg.session_lifetime_ms is None
-    assert cfg.delivered_key_ttl_ms is None
     assert cfg.cache_ttl_ms == 0
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "key_size_bytes", "request_timeout_ms", "session_lifetime_ms", "cache_ttl_ms",
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SimConfig(key_size_bytes=0), "'key_size_bytes' must be positive"),
+        (lambda: dataclasses.replace(SimConfig(), request_timeout_ms=0),
+         "'request_timeout_ms' must be positive"),
+        (lambda: SimConfig(cache_ttl_ms=-1), "'cache_ttl_ms' must be >= 0"),
+        (lambda: SimConfig(session_lifetime_ms=-1), "'session_lifetime_ms' must be >= 0"),
+    ],
+)
+def test_sim_config_checks_ranges_however_built(build, message):
+    """A config built in Python is checked as the loader's is."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_sim_config_lapse_rule():
+    assert not SimConfig().lapsed(0, 10**9)  # no lifetime: nothing lapses
+    config = SimConfig(session_lifetime_ms=100)
+    assert not config.lapsed(50, 150)
+    assert config.lapsed(50, 151)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import logging
 from functools import partial
 
+import pytest
+
 from conftest import mesh4, resolved, run_events
 from qkdrelay.harness import SimKernel, Simulation, scenario_from_dict
 from qkdrelay.protocol import (
@@ -14,6 +16,7 @@ from qkdrelay.protocol import (
     KeyDelivery,
     message_type,
 )
+from qkdrelay.qusec import QusecEntity
 from qkdrelay.vkms import VkmsEntity
 
 
@@ -94,6 +97,22 @@ def test_cache_ttl_override_at_run_level():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})  # file says no caching
     result = run_events(topo, two_direct_requests(), cache_ttl_ms=60_000)
     assert count_type(result.records, "kms_discovery_request") == 1
+
+
+def test_cache_refuses_a_kms_on_another_node(monkeypatch):
+    """A discovery answer for a local requester names a local KMS; the vKMS
+    refuses to cache any other."""
+    real = QusecEntity._kms_path
+    # The controller answers with the far end of the path.
+    monkeypatch.setattr(
+        QusecEntity, "_kms_path", lambda self, src, dst: real(self, src, dst)[::-1]
+    )
+    topo = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
+    sim = Simulation(topo, seed=1)
+    scenario = scenario_from_dict({"name": "far", "events": two_direct_requests()[:1]})
+    with pytest.raises(AssertionError, match="^vKMS_3: refusing to cache non-local KMS KMS_4d$"):
+        sim.run_events(scenario.events)
+    assert sim.vkms["N3"].cache == {}
 
 
 def test_delivery_passes_through_unchanged():
