@@ -11,13 +11,7 @@ from importlib import resources
 from .harness import ConfigError, RunResult, Simulation, load_scenario, run
 from .protocol import STATUSES, Envelope, otp_xor
 from .qusec import shortest_path
-from .topology import (
-    SimConfig,
-    Topology,
-    TopologyError,
-    load_topology,
-    serialize_topology,
-)
+from .topology import SimConfig, Topology, TopologyError, load_topology
 from .trace import TraceDiff, trace_compare
 
 __version__ = "0.1.0"
@@ -38,7 +32,6 @@ __all__ = [
     "load_topology",
     "otp_xor",
     "run",
-    "serialize_topology",
     "shortest_path",
     "trace_compare",
 ]

@@ -59,6 +59,7 @@ from .topology import (
 )
 from .trace import (
     TraceDiff,
+    TraceParseError,
     compare_lines,
     read_trace_lines,
     records_to_lines,  # noqa: F401  unused here; a lookup point the benchmark's tracer patches
@@ -229,7 +230,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a value nested deeper than the parser can go.
         raise ConfigError(f"scenario is not valid JSON: {exc}") from None
     return scenario_from_dict(
         raw,
@@ -348,10 +350,13 @@ class SimKernel:
         lines = self.trace_lines
         counts = self.type_counts
         check = self.checker.check
+        # The budget bounds one drain, not the run: a dispatch loop is a
+        # drain that never ends, while a long clean run has many short ones.
+        limit = len(lines) + _MESSAGE_BUDGET
         while queue:
             env = popleft()
             i = len(lines)
-            if i >= _MESSAGE_BUDGET:
+            if i >= limit:
                 raise RuntimeError("message budget exhausted; dispatch loop suspected")
             seq, sender, receiver, channel, msg = env
             cls = type(msg)
@@ -693,7 +698,10 @@ def _check_expectations(
         add("message_counts", ok, "" if ok else f"expected {wanted}, got {got}")
 
     if golden is not None:
-        diff = compare_lines(golden, trace_lines)
+        try:
+            diff = compare_lines(golden, trace_lines)
+        except TraceParseError as exc:  # the run's own lines always parse
+            raise ConfigError(f"golden trace: {exc}") from None
         add("golden_trace", diff.is_empty, "" if diff.is_empty else diff.describe())
 
     return checks, diff
@@ -738,7 +746,8 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     """Run scenario on a fresh Simulation. Every setting comes from topology:
     its weight_policy and its config. Configuration errors are raised before
     anything is simulated, except a key_id_from whose app has no delivered
-    key yet, which only the run can tell."""
+    key yet, which only the run can tell, and a golden trace that does not
+    parse, which its diff finds after the run."""
     check_scenario(topology, scenario)
     golden = None
     if "trace" in scenario.expect:

@@ -10,8 +10,9 @@ a per-type field plan (``dataclasses.fields``) into one f-string, as
 the type's body keys in sorted order, the envelope keys and its type tag;
 each body field is read by attribute and rendered in its own replacement
 field: the JSON string escaper that ``ensure_ascii`` uses, ``null`` for an
-absent hop or KMS id, hex between fixed quotes for octets, and the
-canonical encoder for ``ext`` (the shared empty one is the literal ``{}``).
+absent hop or KMS id, and hex between fixed quotes for octets. The ``ext``
+body key of the types in ``EXT_TYPES`` is fixed text, ``"ext":{}``, in its
+sorted place.
 The envelope's channel, sender and receiver are passed in already quoted as
 JSON strings, and ``seq`` as the integer it is. The transport quotes each
 entity id once, when the entity registers, and the delivering pump passes
@@ -21,10 +22,9 @@ created, the message classes are frozen, and so every record of a type has
 the same keys: sorting them per record would give the same order each time.
 
 Messages are frozen, slotted dataclasses, and the envelope around each one
-is an immutable named tuple, so no record can be rewritten once sent. A
-message's ``ext`` is frozen too (``freeze``), so every message type is
-hashable. Each message type's ``__init__`` is compiled at import like its
-line encoder: it stores each argument straight into its slot, where the
+is an immutable named tuple, so no record can be rewritten once sent.
+Each message type's ``__init__`` is compiled at import like its line
+encoder: it stores each argument straight into its slot, where the
 dataclass one goes through ``object.__setattr__`` once per field. The
 transport keeps global FIFO order (which implies per-channel FIFO),
 assigns per-sender sequence numbers and reads each send's channel off its
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -97,67 +97,6 @@ def otp_xor(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise LengthMismatchError(f"operand lengths differ: {len(a)} != {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
-# ── frozen JSON values ──
-
-
-def _immutable(self, *args, **kwargs):
-    raise TypeError(f"{type(self).__name__} is immutable")
-
-
-class FrozenDict(dict):
-    """A read-only, hashable dict, built by freeze(). As a dict subclass it
-    compares equal to the dict it was built from, and canonical_json
-    encodes it exactly as that dict."""
-
-    __slots__ = ()
-    __setitem__ = __delitem__ = __ior__ = _immutable
-    clear = pop = popitem = setdefault = update = _immutable
-
-    def __hash__(self):
-        return hash(frozenset(self.items()))
-
-    def __reduce__(self):
-        return FrozenDict, (dict(self),)
-
-
-class FrozenList(list):
-    """A read-only, hashable list, built by freeze(); equal to the list it
-    was built from and encoded as it."""
-
-    __slots__ = ()
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _immutable
-    append = clear = extend = insert = pop = remove = reverse = sort = _immutable
-
-    def __hash__(self):
-        return hash(tuple(self))
-
-    def __reduce__(self):
-        return FrozenList, (list(self),)
-
-
-EMPTY_EXT = FrozenDict()
-
-
-def freeze(value):
-    """value with every dict and list in it, at any depth, made a FrozenDict
-    or FrozenList; an empty dict becomes the one shared EMPTY_EXT. A value
-    that is already frozen is returned as it is."""
-    cls = type(value)
-    if cls is FrozenDict or cls is FrozenList:
-        return value
-    if isinstance(value, dict):
-        return FrozenDict({k: freeze(v) for k, v in value.items()}) if value else EMPTY_EXT
-    if isinstance(value, list):
-        return FrozenList([freeze(v) for v in value])
-    return value
-
-
-def _empty_ext() -> FrozenDict:
-    """The ext of a message built without one. A factory, not a default,
-    because dataclasses before Python 3.11 refuse any dict as a default."""
-    return EMPTY_EXT
 
 
 # ── message set ──
@@ -237,7 +176,6 @@ class ExtKeyRequest(_Message):
     app_src: str
     app_dst: str
     id_association: str
-    ext: FrozenDict = field(default_factory=_empty_ext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +200,6 @@ class AckRequest(_Message):
     ack_status: str
     app_src: str
     app_dst: str
-    ext: FrozenDict = field(default_factory=_empty_ext)
 
 
 @dataclass(frozen=True, slots=True)
@@ -311,6 +248,12 @@ MESSAGE_TYPES: dict[str, type] = {
 
 TYPE_TAGS = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
 
+# The types whose body carries "ext", the extension object of the ETSI GS
+# QKD 014 message each follows. No entity sets it, so it is no field: its
+# value is always {}. The line encoders write it as fixed text,
+# message_to_body adds it, and the decoder requires it and accepts only {}.
+EXT_TYPES = frozenset({ExtKeyRequest, AckRequest})
+
 
 def _constructor(cls: type):
     """__init__ for one message type, compiled from its fields into
@@ -319,20 +262,11 @@ def _constructor(cls: type):
     stores each argument straight into its slot through the slot's
     descriptor, which the frozen __setattr__ does not guard. It takes the
     same arguments and raises the same argument errors as the dataclass
-    __init__. ext is the one field with a default, the shared EMPTY_EXT,
-    and is stored frozen."""
-    namespace = {"EMPTY_EXT": EMPTY_EXT, "freeze": freeze}
-    params, body = [], []
-    for f in fields(cls):
-        name = f.name
-        namespace[f"_set_{name}"] = getattr(cls, name).__set__
-        if name == "ext":
-            params.append("ext=EMPTY_EXT")
-            body.append("    _set_ext(self, freeze(ext))\n")
-        else:
-            params.append(name)
-            body.append(f"    _set_{name}(self, {name})\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "".join(body), namespace)
+    __init__."""
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n" + body, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     return init
@@ -397,6 +331,8 @@ def message_to_body(msg: Message) -> dict:
     for name, is_octet in _FIELD_PLANS[type(msg)]:
         value = getattr(msg, name)
         body[name] = value.hex() if is_octet else value
+    if type(msg) in EXT_TYPES:
+        body["ext"] = {}
     return body
 
 
@@ -407,6 +343,12 @@ def message_from_body(type_tag: str, body: dict) -> Message:
     if not isinstance(body, dict):
         raise CodecError("body must be an object")
     declared = {f.name for f in fields(cls)}
+    if cls in EXT_TYPES:
+        if "ext" not in body:
+            raise CodecError(f"{type_tag}: missing field 'ext'")
+        if body["ext"] != {}:
+            raise CodecError(f"{type_tag}: field 'ext' must be an object with no members")
+        declared.add("ext")
     for key in body:
         if key not in declared:
             raise CodecError(f"{type_tag}: unknown field {key!r}")
@@ -427,9 +369,6 @@ def message_from_body(type_tag: str, body: dict) -> Message:
         elif f.name in _STATUS_FIELDS:
             if value not in STATUSES:
                 raise CodecError(f"{type_tag}: bad status {value!r}")
-        elif f.name == "ext":
-            if not isinstance(value, dict):
-                raise CodecError(f"{type_tag}: field 'ext' must be an object")
         elif f.name == "kind":
             if value not in REQUEST_KINDS:
                 raise CodecError(f"{type_tag}: bad kind {value!r}")
@@ -471,38 +410,8 @@ def envelope_from_obj(obj: dict) -> Envelope:
     )
 
 
-# The string escaper canonical_json applies to every str (ensure_ascii=True).
+# The JSON string escaper of json.dumps with ensure_ascii.
 _quote = json.encoder.encode_basestring_ascii
-
-
-def _canonical_encoder():
-    """canonical_json: JSON text with sorted keys, compact separators and
-    ensure_ascii, so every canonical line is ASCII.
-
-    JSONEncoder.encode builds a new C encoder per call, which costs about
-    as much as encoding a small record, so the C encoder is built once,
-    with the arguments JSONEncoder.iterencode gives it, bar the memo of
-    open containers: one shared between calls would keep the entries of a
-    call that raised. What canonical_json encodes, parsed JSON or a frozen
-    ext, holds no cycle for that memo to catch.
-    """
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    make = json.encoder.c_make_encoder
-    if make is None:
-        return encoder.encode
-    iterencode = make(
-        None, encoder.default, _quote, None,
-        encoder.key_separator, encoder.item_separator,
-        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
-    )
-
-    def canonical_json(obj) -> str:
-        return "".join(iterencode(obj, 0))
-
-    return canonical_json
-
-
-canonical_json = _canonical_encoder()
 
 
 def _field_source(name: str, is_octet: bool) -> str:
@@ -513,10 +422,6 @@ def _field_source(name: str, is_octet: bool) -> str:
         return '"{' + value + '.hex()}"'
     if name in _NONEABLE_FIELDS:
         return '{"null" if ' + value + " is None else _quote(" + value + ")}"
-    if name == "ext":
-        # A message built without ext, or with an empty dict, holds the shared
-        # EMPTY_EXT, and that is the only ext anything sends.
-        return '{"{}" if ' + value + " is EMPTY_EXT else canonical_json(" + value + ")}"
     return "{_quote(" + value + ")}"
 
 
@@ -528,17 +433,20 @@ def _literal(text: str) -> str:
 def _line_encoder(cls: type):
     """The line encoder of one message type,
     encode(msg, channel, sender, receiver, seq), compiled into one f-string:
-    its fixed text is the type's sorted body keys, the envelope keys and the
-    type tag. channel, sender and receiver come quoted as JSON strings, and
-    seq, always an exact int (the transport's counter, or a decoded seq,
-    which the codec requires to be a non-bool int), is rendered by str. The
-    f-string is quoted with ' and holds no backslash, because before Python
-    3.12 neither may appear in its replacement fields; body keys and tags
-    are identifiers."""
-    body = ",".join(
-        _literal(_quote(name) + ":") + _field_source(name, is_octet)
-        for name, is_octet in sorted(_FIELD_PLANS[cls])
-    )
+    its fixed text is the type's sorted body keys ("ext":{} among them on
+    the EXT_TYPES), the envelope keys and the type tag. channel, sender and
+    receiver come quoted as JSON strings, and seq, always an exact int (the
+    transport's counter, or a decoded seq, which the codec requires to be a
+    non-bool int), is rendered by str. The f-string is quoted with ' and
+    holds no backslash, because before Python 3.12 neither may appear in its
+    replacement fields; body keys and tags are identifiers."""
+    parts = {
+        name: _literal(_quote(name) + ":") + _field_source(name, is_octet)
+        for name, is_octet in _FIELD_PLANS[cls]
+    }
+    if cls in EXT_TYPES:
+        parts["ext"] = _literal('"ext":{}')
+    body = ",".join(parts[name] for name in sorted(parts))
     tag = TYPE_TAGS[cls]
     name = f"encode_{tag}"
     text = (
@@ -547,7 +455,7 @@ def _line_encoder(cls: type):
         + _literal(',"to":') + "{receiver}" + _literal(',"type":' + _quote(tag) + "}")
     )
     source = f"def {name}(msg, channel, sender, receiver, seq):\n    return f'{text}'\n"
-    namespace = {"_quote": _quote, "canonical_json": canonical_json, "EMPTY_EXT": EMPTY_EXT}
+    namespace = {"_quote": _quote}
     exec(source, namespace)
     return namespace[name]
 

@@ -177,9 +177,7 @@ _TOPOLOGY_REQUIRED = _TOPOLOGY_KEYS - {"config"}
 _NODE_KEYS = frozenset({"id"})
 _LINK_KEYS = frozenset({"id", "a", "b", "key_rate", "distance_km", "initial_pool"})
 _APP_KEYS = frozenset({"id", "node"})
-# SimConfig's fields in declaration order, which is the order they serialize in.
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig))
-_CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(SimConfig))
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -367,40 +365,9 @@ def topology_from_dict(raw: dict) -> Topology:
 def load_topology(config_text: str) -> Topology:
     try:
         raw = json.loads(config_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: a value nested deeper than the parser can go.
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("topology: top level must be an object")
     return topology_from_dict(raw)
-
-
-def topology_to_dict(topology: Topology) -> dict:
-    raw: dict = {
-        "nodes": [{"id": n} for n in topology.nodes],
-        "links": [
-            {
-                "id": l.id,
-                "a": l.a,
-                "b": l.b,
-                "key_rate": l.key_rate,
-                "distance_km": l.distance_km,
-                "initial_pool": l.initial_pool,
-            }
-            for l in topology.links.values()
-        ],
-        "apps": [{"id": a, "node": n} for a, n in topology.apps.items()],
-        "weight_policy": topology.weight_policy,
-    }
-    if topology.config != SimConfig():
-        cfg = SimConfig()
-        out = {}
-        for name in _CONFIG_FIELDS:
-            value = getattr(topology.config, name)
-            if value != getattr(cfg, name):
-                out[name] = value
-        raw["config"] = out
-    return raw
-
-
-def serialize_topology(topology: Topology) -> str:
-    return json.dumps(topology_to_dict(topology), indent=2, sort_keys=False) + "\n"

@@ -12,7 +12,38 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .protocol import OCTET_FIELDS, Envelope, canonical_json, encode_str
+from .protocol import OCTET_FIELDS, Envelope, encode_str
+
+
+def _canonical_encoder():
+    """canonical_json: JSON text with sorted keys, compact separators and
+    ensure_ascii, so every canonical line is ASCII.
+
+    JSONEncoder.encode builds a new C encoder per call, which costs about
+    as much as encoding a small record, so the C encoder is built once,
+    with the arguments JSONEncoder.iterencode gives it, bar the memo of
+    open containers: one shared between calls would keep the entries of a
+    call that raised. What canonical_json encodes is parsed JSON, which
+    holds no cycle for that memo to catch.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return encoder.encode
+    iterencode = make(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator,
+        encoder.sort_keys, encoder.skipkeys, encoder.allow_nan,
+    )
+
+    def canonical_json(obj) -> str:
+        return "".join(iterencode(obj, 0))
+
+    return canonical_json
+
+
+canonical_json = _canonical_encoder()
+
 
 # Each renamed body field with its token prefix, in the order a record's
 # fields draw tokens: key ids, then association ids, then octet payloads.
@@ -75,7 +106,8 @@ def canonicalize_lines(lines: list[str]) -> list[str]:
     for i, line in enumerate(lines):
         try:
             obj = _parse(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: a value nested deeper than the parser can go.
             raise TraceParseError(f"record {i}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("body"), dict):
             raise TraceParseError(f"record {i}: not an envelope object")

@@ -439,6 +439,57 @@ def test_diff_non_utf8_trace_exits_two(non_utf8, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# ── files that cannot be parsed: a configuration error, exit 2 ──
+
+
+@pytest.fixture
+def too_deep(tmp_path):
+    """A JSON array nested deeper than the parser can go."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("validate", "error: invalid topology: invalid JSON: "),
+        ("run", "error: scenario is not valid JSON: "),
+        ("diff", "error: record 0: invalid JSON: "),
+    ],
+    ids=["validate", "run", "diff"],
+)
+def test_too_deeply_nested_input_exits_two(relay_files, too_deep, capsys, command, error):
+    topo, _ = relay_files
+    argv = {
+        "validate": ["validate", "--topology", too_deep],
+        "run": ["run", "--topology", topo, "--scenario", too_deep, "--seed", "1"],
+        "diff": ["diff", too_deep, too_deep],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("not json\n", "record 0: invalid JSON: "),
+        ("[" * 100_000 + "\n", "record 0: invalid JSON: "),
+        ("[]\n", "record 0: not an envelope object"),
+    ],
+    ids=["not_json", "too_deep", "not_an_envelope"],
+)
+def test_run_unparseable_golden_exits_two(relay_files, tmp_path, capsys, text, error):
+    topo, scenario = relay_files
+    raw = json.loads(pathlib.Path(scenario).read_text())
+    (tmp_path / "golden.jsonl").write_text(text)
+    bad = write_json(tmp_path / "s.json", {**raw, "expect": {"trace": "golden.jsonl"}})
+    assert main(["run", "--topology", topo, "--scenario", bad, "--seed", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: golden trace: {error}") and err.count("\n") == 1
+
+
 def test_packaged_golden_survives_cli_diff(tmp_path, capsys):
     # A run at an arbitrary seed must canonically match the shipped golden.
     trace = tmp_path / "t.jsonl"

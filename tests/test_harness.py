@@ -21,6 +21,7 @@ from conftest import (
     run_events,
     write_json,
 )
+import qkdrelay
 from qkdrelay import data_path, harness, kms, linksim, load_scenario, protocol, run, vkms
 from qkdrelay.harness import (
     ConfigError,
@@ -33,6 +34,11 @@ from qkdrelay.harness import (
 from qkdrelay.linksim import derive_key_id
 from qkdrelay.protocol import STATUS_NO_KEY, STATUS_OK, STATUS_TIMEOUT
 from qkdrelay.topology import topology_from_dict
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in qkdrelay.__all__ if not hasattr(qkdrelay, name)] == []
+
 
 # ── scenario schema ──
 
@@ -259,6 +265,19 @@ def test_message_budget_counts_trace_lines(mesh4_relay_topology, monkeypatch):
     with pytest.raises(RuntimeError, match="message budget exhausted"):
         sim.kernel.run_to_quiescence()
     assert len(sim.kernel.trace_lines) == 5
+
+
+def test_message_budget_bounds_one_drain_not_the_run(mesh4_relay_topology, monkeypatch):
+    """Four relayed requests, each delivered in one drain of 16 records:
+    a budget of 16 lets all 64 through."""
+    monkeypatch.setattr(harness, "_MESSAGE_BUDGET", 16)
+    events = [
+        {"at": 100 * i, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}
+        for i in range(4)
+    ]
+    result = run_events(mesh4_relay_topology, events)
+    assert result.exit_code == 0
+    assert len(result.trace_lines) == 64
 
 
 # ── time, timers, faults ──

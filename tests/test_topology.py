@@ -1,19 +1,15 @@
-"""Topology loading: schema strictness, validation, naming, round-trip."""
+"""Topology loading: schema strictness, validation, naming."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qkdrelay
 from conftest import ENTITY_ID_CLASHES, incident_links, mesh4, mesh4_dict
 from qkdrelay.topology import (
     ROLE_SIMPLE,
@@ -24,7 +20,6 @@ from qkdrelay.topology import (
     load_topology,
     node_label,
     render_kms_id,
-    serialize_topology,
     topology_from_dict,
     vkms_name,
 )
@@ -207,57 +202,12 @@ def test_load_rejects_non_finite_link_numbers(key, literal):
         load_topology(non_finite_topology_text(key, literal))
 
 
-def test_round_trip():
-    topo = mesh4()
-    assert load_topology(serialize_topology(topo)) == topo
-
-
 def test_round_trip_with_config():
     raw = mesh4_dict(config={"cache_ttl_ms": 500, "session_lifetime_ms": 9000})
     topo = topology_from_dict(raw)
     assert topo.config.cache_ttl_ms == 500
     assert topo.config.session_lifetime_ms == 9000
     assert topo.config.key_size_bytes == 32  # default untouched
-    assert load_topology(serialize_topology(topo)) == topo
-
-
-# Serializes mesh4_relay.json with every config field set to a non-default.
-_SERIALIZE_WITH_CONFIG = """
-import dataclasses
-from qkdrelay import data_path
-from qkdrelay.topology import SimConfig, load_topology, serialize_topology
-with open(data_path("topologies", "mesh4_relay.json"), encoding="utf-8") as fh:
-    topo = load_topology(fh.read())
-config = SimConfig(key_size_bytes=16, request_timeout_ms=500, session_lifetime_ms=9000,
-                   cache_ttl_ms=250)
-print(serialize_topology(dataclasses.replace(topo, config=config)), end="")
-"""
-
-
-def test_serialize_is_independent_of_string_hashing():
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(qkdrelay.__file__)))
-    texts = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-        texts.append(
-            subprocess.run(
-                [sys.executable, "-c", _SERIALIZE_WITH_CONFIG],
-                env=env, capture_output=True, text=True, check=True,
-            ).stdout
-        )
-    assert texts[0] == texts[1]
-    assert list(json.loads(texts[0])["config"]) == [
-        "key_size_bytes",
-        "request_timeout_ms",
-        "session_lifetime_ms",
-        "cache_ttl_ms",
-    ]
-
-
-def test_default_config_not_serialized():
-    text = serialize_topology(mesh4())
-    assert '"config"' not in text
 
 
 # ── naming ──
