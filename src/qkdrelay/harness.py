@@ -283,15 +283,18 @@ class AppEndpoint(Entity):
 
 
 class TimerHandle:
-    """A timer in the kernel's heap. ``callback`` is what it will run, and
-    None once it is cancelled or has fired: a spent handle holds nothing,
-    so what its callback referenced is freed by reference counting as
-    soon as the wait ends, not by the cyclic collector."""
+    """A timer armed at the kernel: ``at`` is its deadline (simulated ms)
+    and ``callback`` is what it will run, None once it is cancelled or has
+    fired. A spent handle holds nothing, so what its callback referenced is
+    freed by reference counting as soon as the wait ends, not by the
+    cyclic collector. The handle enters the kernel's heap only if it is
+    still armed when the drain that armed it ends."""
 
-    __slots__ = ("callback",)
+    __slots__ = ("callback", "at")
 
-    def __init__(self, callback):
+    def __init__(self, callback, at: int):
         self.callback = callback
+        self.at = at
 
 
 class SimKernel:
@@ -299,9 +302,18 @@ class SimKernel:
 
     The loop walks two time-ordered sources at once: the scenario's events,
     in a list sorted by ``at``, and the runtime timers, in a heap ordered by
-    (time, push order). At each step it runs the next event if its time is
+    (time, arm order). At each step it runs the next event if its time is
     not after the heap's top, else it pops the heap, so an event beats a
     timer due at the same ms. Scenario events never enter the heap.
+
+    A timer is armed into ``_armed``, the list of the current drain, and
+    enters the heap only if it is still armed when the pump runs the queue
+    dry. Message hops take no simulated time, so a wait whose reply comes
+    back in the same drain (every wait of a fault-free run) never reaches
+    the heap. The flush pushes in arm order, and no timer fires while the
+    pump drains; the loop pumps once before it first reads the heap and
+    again after every event and every timer callback, so the heap still
+    yields timers in (time, arm order).
 
     The pump is where each record is delivered, and the one place that
     reads it. It drains the transport's ``queue`` in place, so what
@@ -320,6 +332,7 @@ class SimKernel:
         self.now_ms = 0
         self._heap: list[tuple[int, int, TimerHandle]] = []
         self._tie = 0
+        self._armed: list[TimerHandle] = []
         self.send = transport.send
         self.trace_lines: list[str] = []
         self.type_counts: dict[type, int] = {}
@@ -329,14 +342,15 @@ class SimKernel:
         at_ms = self.now_ms + delay_ms
         if at_ms < self.now_ms:
             raise ConfigError(f"cannot schedule in the past ({at_ms} < {self.now_ms})")
-        handle = TimerHandle(callback)
-        self._tie += 1
-        heapq.heappush(self._heap, (at_ms, self._tie, handle))
+        handle = TimerHandle(callback, at_ms)
+        self._armed.append(handle)
         return handle
 
     def cancel_timer(self, handle) -> None:
-        """Disarm handle and drop its callback; the handle itself stays in
-        the heap until its time comes. None, or a spent handle, is a no-op."""
+        """Disarm handle and drop its callback. Cancelled in the drain that
+        armed it, the handle never enters the heap; cancelled later, it
+        stays there until its time comes. None, or a spent handle, is a
+        no-op."""
         if handle is not None:
             handle.callback = None
 
@@ -366,6 +380,15 @@ class SimKernel:
             counts[cls] = counts.get(cls, 0) + 1
             check(i, env)
             entities[receiver].on_message(env)
+        # The queue is dry: push the waits this drain left open, in arm order.
+        armed = self._armed
+        if armed:
+            heap = self._heap
+            for handle in armed:
+                if handle.callback is not None:
+                    self._tie += 1
+                    heapq.heappush(heap, (handle.at, self._tie, handle))
+            armed.clear()
 
     def run_to_quiescence(
         self, events: Sequence[ScenarioEvent] = (), execute=None
@@ -401,7 +424,8 @@ class SimKernel:
             pump()
 
     def live_timers(self) -> int:
-        return sum(1 for _, _, h in self._heap if h.callback is not None)
+        handles = self._armed + [h for _, _, h in self._heap]
+        return sum(1 for h in handles if h.callback is not None)
 
 
 # ── simulation assembly ──

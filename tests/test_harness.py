@@ -33,7 +33,7 @@ from qkdrelay.harness import (
 )
 from qkdrelay.linksim import derive_key_id
 from qkdrelay.protocol import STATUS_NO_KEY, STATUS_OK, STATUS_TIMEOUT
-from qkdrelay.topology import topology_from_dict
+from qkdrelay.topology import WEIGHT_POLICIES, topology_from_dict
 
 
 def test_every_exported_name_resolves():
@@ -372,6 +372,99 @@ def test_a_spent_timer_holds_no_callback(mesh4_relay_topology):
     assert kernel.live_timers() == 0
 
 
+@pytest.fixture
+def timer_log(monkeypatch):
+    """Record each timer the kernel arms, each push onto its heap, and, as
+    each timer fires, the id of the entity that armed it (each entity arms
+    a partial of one of its own methods)."""
+    log = {"armed": 0, "pushed": 0, "fired": []}
+    schedule_timer = harness.SimKernel.schedule_timer
+    heappush = harness.heapq.heappush
+
+    def counted_schedule(self, delay_ms, callback):
+        log["armed"] += 1
+        owner = callback.func.__self__.entity_id
+
+        def fire():
+            log["fired"].append(owner)
+            callback()
+
+        return schedule_timer(self, delay_ms, fire)
+
+    def counted_push(heap, item):
+        log["pushed"] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(harness.SimKernel, "schedule_timer", counted_schedule)
+    monkeypatch.setattr(harness.heapq, "heappush", counted_push)
+    return log
+
+
+def test_a_clean_run_pushes_no_timer_onto_the_heap(timer_log):
+    """Every wait of a fault-free run ends in the drain that armed it, so
+    its timer never enters the heap."""
+    raw = grid_dict(4, initial_pool=16, session_lifetime_ms=None)
+    result = run_events(topology_from_dict(raw), grid_events(raw, random.Random(5), pairs=20))
+    assert {r.status for r in result.sim.requests} == {STATUS_OK}
+    # Each request's vKMS arms a wait, and each relay hop one more.
+    assert timer_log["armed"] > len(result.sim.requests) > 0
+    assert timer_log["pushed"] == 0
+    assert timer_log["fired"] == []
+    assert result.sim.kernel.live_timers() == 0
+
+
+def test_waits_that_outlive_their_drain_fire_in_arm_order(timer_log):
+    # Two requests at one ms, each in its own drain, each losing its
+    # discovery reply: vKMS_2 armed first, so it times out first.
+    topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_X": "N2"})
+    lost_reply = {"at": 0, "event": "drop_message", "n": 1, "of_type": "kms_discovery_response"}
+    events = [
+        lost_reply,
+        {"at": 0, "event": "app_get_key", "app_src": "APP_X", "app_dst": "APP_B"},
+        lost_reply,
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    result = run_events(topo, events)
+    assert [r.status for r in result.sim.requests] == [STATUS_TIMEOUT, STATUS_TIMEOUT]
+    assert (timer_log["armed"], timer_log["pushed"]) == (2, 2)
+    assert timer_log["fired"] == ["vKMS_2", "vKMS_1"]
+    assert result.report["sim_time_ms"] == 1000
+
+
+def test_a_lost_key_relay_times_out_the_chain_in_arm_order(timer_log):
+    # The relay chain arms its waits in one drain, initiator first; with the
+    # KeyRelay KMS_3d -> KMS_4d lost, all four fire at the same deadline.
+    topology = load_topology_file(data_path("topologies", "mesh4_relay.json"))
+    events = [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    result = run(topology, scenario_from_dict({"events": events}), seed=5)
+    assert result.exit_code == 0
+    assert [r["status"] for r in result.report["requests"]] == [STATUS_TIMEOUT]
+    assert timer_log["fired"] == ["vKMS_1", "KMS_1b", "KMS_3b", "KMS_3d"]
+    assert timer_log["pushed"] == 4
+    assert result.report["quiescent"] and result.report["sim_time_ms"] == 1000
+
+
+def test_a_zero_delay_timer_armed_in_a_callback_fires_next(mesh4_relay_topology):
+    """A 0 ms timer armed while a timer fires runs after that callback and
+    after the timers already due at that ms, before any later deadline."""
+    kernel = Simulation(mesh4_relay_topology, seed=1).kernel
+    fired = []
+
+    def first():
+        fired.append(("first", kernel.now_ms))
+        kernel.schedule_timer(0, lambda: fired.append(("zero", kernel.now_ms)))
+
+    kernel.schedule_timer(10, first)
+    kernel.schedule_timer(10, lambda: fired.append(("same", kernel.now_ms)))
+    kernel.schedule_timer(11, lambda: fired.append(("later", kernel.now_ms)))
+    kernel.run_to_quiescence()
+    assert fired == [("first", 10), ("same", 10), ("zero", 10), ("later", 11)]
+    assert kernel.live_timers() == 0
+
+
 def test_tick_links_selected_links_only():
     topo = mesh4({"APP_A": "N1", "APP_B": "N4"})
     result = run_events(
@@ -658,6 +751,36 @@ def test_message_count_expectation(mesh4_relay_topology):
     assert run(mesh4_relay_topology, scenario, seed=1).exit_code == 0
     scenario = pair_scenario(expect={"message_counts": {"key_relay": 2}})
     assert run(mesh4_relay_topology, scenario, seed=1).exit_code == 1
+
+
+def rule_records(report: dict) -> int:
+    """The records a clean run of non-overlapping requests costs: 6 for each
+    pickup and each direct get_key, 6L+4 for a get_key relayed over L links.
+    Each get_key opens one session, so the i-th get_key owns the i-th."""
+    sessions = iter(report["controller"]["sessions"])
+    total = 0
+    for request in report["requests"]:
+        links = len(next(sessions)["kms_path"]) // 2 if request["kind"] == "get_key" else 1
+        total += 6 if links == 1 else 6 * links + 4
+    assert next(sessions, None) is None
+    return total
+
+
+@pytest.mark.parametrize("weight_policy", WEIGHT_POLICIES)
+def test_a_clean_run_costs_each_request_its_messages(weight_policy):
+    rng = random.Random(13)
+    raw = grid_dict(5, initial_pool=64, session_lifetime_ms=None)
+    # Mixed rates and lengths, so each policy picks its own paths.
+    for link in raw["links"]:
+        link["key_rate"] = rng.choice([1.0, 5.0, 10.0])
+        link["distance_km"] = rng.choice([1.0, 10.0, 40.0])
+    result = run_events(
+        topology_from_dict(raw), grid_events(raw, rng, pairs=40), weight_policy=weight_policy
+    )
+    report = result.report
+    assert {r["status"] for r in report["requests"]} == {STATUS_OK}
+    assert max(len(s["kms_path"]) for s in report["controller"]["sessions"]) > 4
+    assert len(result.trace_lines) == rule_records(report)
 
 
 # ── packaged data ──
