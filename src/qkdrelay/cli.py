@@ -99,7 +99,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 "nodes": len(topology.nodes),
                 "links": len(topology.links),
                 "apps": len(topology.apps),
-                "kms": sorted(topology.kms_names),
+                "kms": sorted(topology.kms_ids.values()),
                 "weight_policy": topology.weight_policy,
             },
             indent=2,

@@ -8,6 +8,8 @@ end-to-end key enters a node in plaintext only on the intra-node channel,
 inside the physically-secure trusted relay. Where the chain ends, K1 waits
 in the KMS's delivered store for the target's pickup, and lapses with its
 session: ``session_lifetime_ms`` after it was stored (``SimConfig.lapsed``).
+A KMS keeps one rule per app pair and previous hop, QuSeC's newest install for
+it, and refuses a relay message that names another association.
 
 Each request owes its sender exactly one reply, and that reply is a function
 of the request (``_reply``): Relay Process Request is answered by Relay
@@ -112,13 +114,11 @@ class KmsEntity(Entity):
         self.pool = pool
         self.config = config
         self.timeout_ms = config.request_timeout_ms
-        # A rule is the install message itself: this KMS's role in one
-        # association. prev_hop none means this KMS initiates it; next_hop
-        # none means it terminates it. A next_hop that is not the
-        # across-link peer is always a KMS on the same node.
-        self.rules: dict[str, RelayPathInstall] = {}
-        # (app_src, app_dst, prev_hop) -> newest matching rule.
-        self._rule_index: dict[tuple[str, str, str | None], RelayPathInstall] = {}
+        # (app_src, app_dst, prev_hop) -> the newest install for it: this
+        # KMS's role in the chains of one app pair. prev_hop none means this
+        # KMS initiates them; next_hop none means it ends them. A next_hop that
+        # is not the across-link peer is always a KMS on the same node.
+        self.rules: dict[tuple[str, str, str | None], RelayPathInstall] = {}
         self.delivered: dict[tuple[str, str, str], DeliveredKey] = {}
         self.pending: dict[str, PendingRelay] = {}
         self.orphan_count = 0
@@ -126,19 +126,9 @@ class KmsEntity(Entity):
     # ── rule installation ──
 
     def install_rule(self, msg: RelayPathInstall, sender: str | None = None) -> None:
-        """Keep msg as this KMS's rule for its association. sender is unused;
-        it is there because every handler in _HANDLERS takes one."""
-        self.rules[msg.id_association] = msg
-        self._rule_index[(msg.app_src, msg.app_dst, msg.prev_hop)] = msg
-
-    def _rule_for_pair(
-        self, app_src: str, app_dst: str, prev_hop: str | None
-    ) -> RelayPathInstall | None:
-        """Newest rule matching the ordered app pair and chain position
-        (prev_hop none selects initiator rules). Association ids are unique
-        and a path visits each KMS once, so the last rule installed for a
-        key is the newest."""
-        return self._rule_index.get((app_src, app_dst, prev_hop))
+        """Keep msg as the rule for its app pair and previous hop. sender is
+        unused; it is there because every handler in _HANDLERS takes one."""
+        self.rules[(msg.app_src, msg.app_dst, msg.prev_hop)] = msg
 
     # ── dispatch ──
 
@@ -165,7 +155,7 @@ class KmsEntity(Entity):
         if key_id is None:
             self._deliver(requester, msg, "", b"", STATUS_NO_KEY)
             return
-        if self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=None) is None:
+        if (msg.app_src, msg.app_dst, None) not in self.rules:
             self._deliver(requester, msg, key_id, self.pool.consume(key_id), STATUS_OK)
             return
         # Relay: the key is K1, kept reserved until the chain completes.
@@ -195,7 +185,7 @@ class KmsEntity(Entity):
     # ── relay chain, forward direction ──
 
     def _handle_relay_process_request(self, msg: RelayProcessRequest, peer: str) -> None:
-        rule = self._rule_for_pair(msg.app_src, msg.app_dst, prev_hop=peer)
+        rule = self.rules.get((msg.app_src, msg.app_dst, peer))
         if rule is None:
             self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
@@ -206,7 +196,9 @@ class KmsEntity(Entity):
         self._pass_on(msg, rule, k1, peer)
 
     def _handle_ext_key_request(self, msg: ExtKeyRequest, sender: str) -> None:
-        if msg.id_association not in self.rules:
+        # The sender of an Ext Key Request or a Key Relay is its rule's prev_hop.
+        rule = self.rules.get((msg.app_src, msg.app_dst, sender))
+        if rule is None or rule.id_association != msg.id_association:
             self.send(sender, _reply(msg, STATUS_NO_RULE))
             return
         k2_id = self.pool.reserve_next()
@@ -229,8 +221,8 @@ class KmsEntity(Entity):
         )
 
     def _handle_key_relay(self, msg: KeyRelay, peer: str) -> None:
-        rule = self.rules.get(msg.id_association)
-        if rule is None:
+        rule = self.rules.get((msg.app_src, msg.app_dst, peer))
+        if rule is None or rule.id_association != msg.id_association:
             self.send(peer, _reply(msg, STATUS_NO_RULE))
             return
         k2 = self.pool.take(msg.id_key_encryption)

@@ -125,10 +125,10 @@ class Topology:
     """Immutable network description plus the app registry.
 
     ``nodes`` maps each node id to its derived role. ``topology_from_dict``
-    derives four indexes from the node ids and ``links``: ``adjacency``
+    derives three indexes from the node ids and ``links``: ``adjacency``
     (node -> (neighbor, link) pairs in link file order), ``kms_ids`` ((node,
-    link) seat -> its KMS's entity id), ``kms_names`` (the reverse, read
-    through ``kms_node``) and ``vkms_ids`` (node -> its vKMS's entity id).
+    link) seat -> its KMS's entity id) and ``vkms_ids`` (node -> its vKMS's
+    entity id).
     Every entity id, apps and the controller included, names one entity.
     Nothing changes after load, so the indexes never go stale.
     """
@@ -144,9 +144,6 @@ class Topology:
     kms_ids: dict[tuple[str, str], str] = field(
         kw_only=True, repr=False, compare=False
     )
-    kms_names: dict[str, tuple[str, str]] = field(
-        kw_only=True, repr=False, compare=False
-    )
     vkms_ids: dict[str, str] = field(kw_only=True, repr=False, compare=False)
 
     # ── graph helpers ──
@@ -158,16 +155,6 @@ class Topology:
 
     def links_between(self, u: str, v: str) -> list[Link]:
         return [link for n, link in self.adjacency.get(u, ()) if n == v]
-
-    # ── naming ──
-
-    def kms_node(self, rendered: str) -> str:
-        """The node of the KMS named rendered. Load-time validation guarantees
-        at most one (node, link) pair can produce a given rendered name."""
-        try:
-            return self.kms_names[rendered][0]
-        except KeyError:
-            raise KeyError(f"no KMS named {rendered!r} in this topology") from None
 
 
 # ── file schema ──
@@ -327,23 +314,23 @@ def topology_from_dict(raw: dict) -> Topology:
     # with the apps and the controller, and each id must name one entity, or
     # every later trace and rule install would be misaddressed.
     kms_ids: dict[tuple[str, str], str] = {}
-    kms_names: dict[str, tuple[str, str]] = {}
+    seat_of_kms: dict[str, tuple[str, str]] = {}
     for link in links.values():
         for end in link.endpoints():
             if end not in nodes:
                 continue
             seat = (end, link.id)
             name = kms_ids[seat] = render_kms_id(end, link.id)
-            if kms_names.setdefault(name, seat) != seat:
+            if seat_of_kms.setdefault(name, seat) != seat:
                 violations.append(f"ambiguous KMS name {name!r}")
     vkms_ids: dict[str, str] = {}
-    vkms_nodes: dict[str, str] = {}
+    node_of_vkms: dict[str, str] = {}
     for node_id in nodes:
         name = vkms_ids[node_id] = vkms_name(node_id)
-        if vkms_nodes.setdefault(name, node_id) != node_id:
+        if node_of_vkms.setdefault(name, node_id) != node_id:
             violations.append(f"ambiguous vKMS name {name!r}")
     for app_id in apps:
-        if app_id == QUSEC_ID or app_id in kms_names or app_id in vkms_nodes:
+        if app_id == QUSEC_ID or app_id in seat_of_kms or app_id in node_of_vkms:
             violations.append(f"app id {app_id!r} is another entity's id")
 
     if violations:
@@ -357,7 +344,6 @@ def topology_from_dict(raw: dict) -> Topology:
         config=config,
         adjacency=adjacency,
         kms_ids=kms_ids,
-        kms_names=kms_names,
         vkms_ids=vkms_ids,
     )
 

@@ -58,6 +58,9 @@ class VkmsEntity(Entity):
         self.topology = topology
         self.cache_ttl_ms = topology.config.cache_ttl_ms
         self.timeout_ms = topology.config.request_timeout_ms
+        # The KMS of each of this node's links: a discovery answer names one.
+        links = topology.adjacency[node_id]
+        self.local_kms = frozenset(topology.kms_ids[node_id, link.id] for _, link in links)
         # (app_src, app_dst, kind) -> (kms_id, expires_ms)
         self.cache: dict[tuple[str, str, str], tuple[str, int]] = {}
         # id_request -> the open request it names.
@@ -82,7 +85,7 @@ class VkmsEntity(Entity):
         if self.cache_ttl_ms <= 0:
             return
         # A discovery answer for a local requester always names a local KMS.
-        if self.topology.kms_node(kms_id) != self.node_id:
+        if kms_id not in self.local_kms:
             raise AssertionError(
                 f"{self.entity_id}: refusing to cache non-local KMS {kms_id}"
             )
@@ -138,6 +141,7 @@ class VkmsEntity(Entity):
         self.send(pending.app_id, reply)
 
     def _on_timeout(self, id_request: str) -> None:
+        log.warning("%s timed out waiting on request %s", self.entity_id, id_request)
         pending = self.awaiting[id_request]
         self._end(pending, _failure(pending.request, STATUS_TIMEOUT))
 

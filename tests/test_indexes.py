@@ -20,7 +20,7 @@ from conftest import (
     random_topology,
     run_events,
 )
-from qkdrelay.kms import KmsEntity
+from qkdrelay import kms
 from qkdrelay.linksim import LinkSimulator
 from qkdrelay.qusec import (
     SESSION_COMPLETED,
@@ -28,7 +28,16 @@ from qkdrelay.qusec import (
     SESSION_INSTALLED,
     QusecEntity,
 )
+from qkdrelay.protocol import (
+    STATUS_NO_RULE,
+    ExtKeyRequest,
+    GetKey,
+    KeyRelay,
+    RelayPathInstall,
+    RelayProcessRequest,
+)
 from qkdrelay.topology import render_kms_id, topology_from_dict
+from qkdrelay.vkms import VkmsEntity
 
 # ── topology: adjacency and KMS names ──
 
@@ -63,7 +72,7 @@ def test_graph_helpers_match_link_scans():
                 ]
 
 
-def test_parse_kms_id_matches_name_scan():
+def test_vkms_local_kms_match_link_scan():
     rng = random.Random(43)
     for trial in range(60):
         raw = random_topology(rng)
@@ -71,17 +80,10 @@ def test_parse_kms_id_matches_name_scan():
             raw = with_parallel_links(raw, rng)
         topo = topology_from_dict(raw)
         seats = [(end, l.id) for l in topo.links.values() for end in l.endpoints()]
-        names = [render_kms_id(n, l) for n, l in seats] + ["KMS_99z", "KMS_", ""]
-        assert sorted(topo.kms_names) == sorted(names[: len(seats)])
-        for name in names:
-            matches = [(n, l) for n, l in seats if render_kms_id(n, l) == name]
-            if matches:
-                assert topo.kms_names[name] == matches[0]
-                assert topo.kms_node(name) == matches[0][0]
-            else:
-                assert name not in topo.kms_names
-                with pytest.raises(KeyError):
-                    topo.kms_node(name)
+        assert sorted(topo.kms_ids.values()) == sorted(render_kms_id(n, l) for n, l in seats)
+        for node_id in topo.nodes:
+            want = {render_kms_id(n, l) for n, l in seats if n == node_id}
+            assert VkmsEntity(node_id, topo).local_kms == want
 
 
 # ── linksim: shared key table, FIFO cursor and derived material ──
@@ -259,7 +261,7 @@ def test_find_material_matches_pool_scan():
 
 
 def test_session_and_rule_lookups_match_scans(monkeypatch):
-    seen = {"reused": 0, "expired_skipped": 0, "rules": 0}
+    seen = {"reused": 0, "expired_skipped": 0, "rules": 0, "refused": 0, "superseded": 0}
 
     find_session = QusecEntity._find_reusable_session
 
@@ -280,24 +282,58 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
         seen["reused"] += want is not None
         return got
 
-    rule_for_pair = KmsEntity._rule_for_pair
+    # Every install a KMS gets, logged from outside it: kms id -> (app_src,
+    # app_dst, prev_hop) -> the newest install for that key.
+    newest: dict[str, dict] = {}
+    install = kms._HANDLERS[RelayPathInstall]
 
-    def checked_rule(self, app_src, app_dst, prev_hop):
-        got = rule_for_pair(self, app_src, app_dst, prev_hop)
-        want = None
-        for rule in reversed(list(self.rules.values())):
-            if (rule.app_src, rule.app_dst, rule.prev_hop) == (app_src, app_dst, prev_hop):
-                want = rule
-                break
-        assert got is want
-        seen["rules"] += 1
-        return got
+    def logged_install(self, msg, sender):
+        newest.setdefault(self.entity_id, {})[msg.app_src, msg.app_dst, msg.prev_hop] = msg
+        install(self, msg, sender)
+
+    def checked_lookup(handler, prev_hop_is_sender):
+        def checked(self, msg, sender):
+            key = (msg.app_src, msg.app_dst, sender if prev_hop_is_sender else None)
+            want = newest.get(self.entity_id, {}).get(key)
+            assert self.rules.get(key) is want
+            seen["rules"] += 1
+            if type(msg) not in (ExtKeyRequest, KeyRelay):
+                return handler(self, msg, sender)
+            # Refused exactly when msg names another association.
+            send, sent = self.send, []
+            self.send = lambda to, reply: (sent.append(reply), send(to, reply))
+            try:
+                handler(self, msg, sender)
+            finally:
+                self.send = send
+            refused = any(
+                STATUS_NO_RULE in (getattr(m, "status", None), getattr(m, "ack_status", None))
+                for m in sent
+            )
+            assert refused == (want is None or want.id_association != msg.id_association)
+            seen["refused"] += refused
+            seen["superseded"] += refused and want is not None
+
+        return checked
 
     monkeypatch.setattr(QusecEntity, "_find_reusable_session", checked_session)
-    monkeypatch.setattr(KmsEntity, "_rule_for_pair", checked_rule)
-    for lifetime in (None, 60, 150):
+    monkeypatch.setitem(kms._HANDLERS, RelayPathInstall, logged_install)
+    for msg_type, prev_hop_is_sender in (
+        (GetKey, False), (RelayProcessRequest, True), (ExtKeyRequest, True), (KeyRelay, True),
+    ):
+        handler = checked_lookup(kms._HANDLERS[msg_type], prev_hop_is_sender)
+        monkeypatch.setitem(kms._HANDLERS, msg_type, handler)
+    # The last run loses two installs: after the first, a relay message
+    # finds no rule; after the second, it names an association its KMS
+    # never got, while the KMS still holds an older one for the pair.
+    lost_installs = [
+        {"at": 0, "event": "drop_message", "n": n, "of_type": "relay_path_install"}
+        for n in (7, 241)
+    ]
+    for lifetime, faults in ((None, []), (60, []), (150, []), (None, lost_installs)):
+        newest.clear()
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
-        events = grid_events(raw, random.Random(lifetime or 0), pairs=40)
+        events = faults + grid_events(raw, random.Random(lifetime or 0), pairs=40)
         if lifetime is not None:
             # Only a pickup looks for a session to reuse: repeat the last
             # one after its session has expired.
@@ -307,6 +343,7 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     assert seen["reused"] > 0
     assert seen["expired_skipped"] > 0
     assert seen["rules"] > 0
+    assert seen["refused"] > seen["superseded"] > 0
 
 
 def test_session_expiry_matches_full_scan(monkeypatch):

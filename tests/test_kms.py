@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import sys
 
+import pytest
+
 from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
-from qkdrelay.harness import ScenarioEvent, Simulation
+from qkdrelay import data_path
+from qkdrelay.harness import ScenarioEvent, Simulation, load_topology_file
 from qkdrelay.topology import SimConfig, topology_from_dict
 from qkdrelay.protocol import (
     STATUS_DECRYPT,
@@ -338,8 +341,7 @@ def test_rule_install_is_idempotent(mesh4_relay_topology):
     kms = sim.kms["KMS_1b"]
     kms.install_rule(install)
     kms.install_rule(install)
-    assert len(kms.rules) == 1
-    assert kms.rules["assoc1"] == install
+    assert kms.rules == {("APP_A", "APP_B", None): install}
 
 
 def test_rule_matching_respects_direction(mesh4_relay_topology):
@@ -353,9 +355,48 @@ def test_rule_matching_respects_direction(mesh4_relay_topology):
         id_association="rev", prev_hop="KMS_3b", next_hop=None,
         app_src="APP_B", app_dst="APP_A",
     ))
-    assert kms._rule_for_pair("APP_A", "APP_B", None).id_association == "fwd"
-    assert kms._rule_for_pair("APP_B", "APP_A", "KMS_3b").id_association == "rev"
-    assert kms._rule_for_pair("APP_B", "APP_A", None) is None
+    assert kms.rules["APP_A", "APP_B", None].id_association == "fwd"
+    assert kms.rules["APP_B", "APP_A", "KMS_3b"].id_association == "rev"
+    assert ("APP_B", "APP_A", None) not in kms.rules
+
+
+def sequential_pairs(n: int) -> list[dict]:
+    """n A->B get_key/pickup pairs, one after another."""
+    events = []
+    for i in range(n):
+        events.append({"at": 20 * i, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"})
+        events.append({"at": 20 * i + 10, "event": "app_get_key_with_id", "app_src": "APP_B",
+                       "app_dst": "APP_A", "key_id_from": "APP_A"})
+    return events
+
+
+@pytest.mark.parametrize("n", [5, 10])
+def test_rules_stay_one_per_app_pair_and_prev_hop(n):
+    # Every pair opens an association over KMS_1b, KMS_3b, KMS_3d, KMS_4d,
+    # and each KMS keeps only the newest install for (APP_A, APP_B, prev_hop).
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    for link in raw["links"]:
+        link["initial_pool"] = 2 * n
+    result = run_events(topology_from_dict(raw), sequential_pairs(n))
+    assert [r.status for r in result.sim.requests] == [STATUS_OK] * 2 * n
+    assert result.sim.qusec.install_count == 4 * n
+    rules = {kms_id: len(kms.rules) for kms_id, kms in result.sim.kms.items() if kms.rules}
+    assert rules == {"KMS_1b": 1, "KMS_3b": 1, "KMS_3d": 1, "KMS_4d": 1}
+
+
+def test_a_relay_under_a_superseded_association_is_refused():
+    # The 7th install, the second association's rule at KMS_3b, is lost.
+    # KMS_3b then relays request 3 under the first association's rule, but
+    # KMS_3d holds the second association's rule, so it refuses the Ext Key
+    # Request. Request 4 picks up request 1's key a second time.
+    topo = load_topology_file(data_path("topologies", "mesh4_relay.json"))
+    events = [{"at": 0, "event": "drop_message", "n": 7, "of_type": "relay_path_install"}]
+    result = run_events(topo, events + sequential_pairs(2), seed=5)
+    statuses = [r.status for r in result.sim.requests]
+    assert statuses == [STATUS_OK, STATUS_OK, STATUS_NO_RULE, STATUS_OK]
+    assert len(result.trace_lines) == 41
+    assert result.exit_code == 0
+    assert not any(result.report["audits"].values())
 
 
 def _pickup_at(at_ms: int):

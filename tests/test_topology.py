@@ -30,7 +30,7 @@ def test_mesh4_kms_ids_regenerate():
     all_kms = {render_kms_id(end, l.id) for l in topo.links.values() for end in l.endpoints()}
     assert {"KMS_1b", "KMS_3b", "KMS_3d", "KMS_4d"} <= all_kms
     assert len(all_kms) == 8  # 4 links x 2 endpoints
-    assert set(topo.kms_names) == all_kms
+    assert set(topo.kms_ids.values()) == all_kms
 
 
 def test_mesh4_roles():
@@ -221,17 +221,6 @@ def test_kms_naming_convention():
     assert node_label("core") == "core"
 
 
-def test_kms_id_parse_inverts_render():
-    topo = mesh4()
-    for link in topo.links.values():
-        for end in link.endpoints():
-            name = render_kms_id(end, link.id)
-            assert topo.kms_names[name] == (end, link.id)
-            assert topo.kms_node(name) == end
-    with pytest.raises(KeyError):
-        topo.kms_node("KMS_9z")
-
-
 def test_ambiguous_kms_names_rejected():
     # N1 + link "2x" renders like N12 + link "x": KMS_12x both ways.
     raw = {
@@ -252,7 +241,8 @@ def test_entity_ids_are_named_once():
     for link in topo.links.values():
         for end in link.endpoints():
             assert topo.kms_ids[end, link.id] == render_kms_id(end, link.id)
-    assert topo.kms_names == {name: seat for seat, name in topo.kms_ids.items()}
+    # Each KMS name belongs to one seat: the name alone identifies it.
+    assert len(set(topo.kms_ids.values())) == len(topo.kms_ids)
     assert topo.vkms_ids == {node_id: vkms_name(node_id) for node_id in topo.nodes}
 
 
@@ -304,7 +294,7 @@ def test_role_is_simple_iff_single_link(graph):
         degree = len(incident_links(topo, node_id))
         assert (role == ROLE_SIMPLE) == (degree == 1)
         assert role in (ROLE_SIMPLE, ROLE_TRUSTED_RELAY)
-        assert sum(node == node_id for node, _ in topo.kms_names.values()) == degree
+        assert sum(node == node_id for node, _ in topo.kms_ids) == degree
 
 
 def test_sim_config_defaults():

@@ -8,7 +8,8 @@ from functools import partial
 import pytest
 
 from conftest import mesh4, resolved, run_events
-from qkdrelay.harness import SimKernel, Simulation, scenario_from_dict
+from qkdrelay import data_path
+from qkdrelay.harness import SimKernel, Simulation, load_topology_file, scenario_from_dict
 from qkdrelay.protocol import (
     STATUS_OK,
     STATUS_TIMEOUT,
@@ -231,3 +232,20 @@ def test_one_vkms_timer_per_accepted_request(monkeypatch):
     assert armed == [
         ("vKMS_3", ("R1",)), ("vKMS_1", ("R2",)), ("vKMS_4", ("R3",)), ("vKMS_3", ("R5",))
     ]
+
+
+def test_timeouts_log_in_the_order_their_timers_fire(caplog):
+    # The lost Key Relay leaves four waits open, armed in chain order; all
+    # expire at 1000 ms and fire in arm order, the vKMS's first.
+    topo = load_topology_file(data_path("topologies", "mesh4_relay.json"))
+    events = [
+        {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+    ]
+    with caplog.at_level(logging.WARNING):
+        result = run_events(topo, events, seed=5)
+    (request,) = result.sim.requests
+    assert request.status == STATUS_TIMEOUT
+    timed_out = [m.split()[0] for m in caplog.messages if "timed out" in m]
+    assert timed_out == ["vKMS_1", "KMS_1b", "KMS_3b", "KMS_3d"]
+    assert "vKMS_1 timed out waiting on request R1" in caplog.messages
