@@ -221,6 +221,18 @@ def test_kms_naming_convention():
     assert node_label("core") == "core"
 
 
+def test_kms_id_parse_inverts_render():
+    # A rendered name leads back to the one seat it was rendered from.
+    topo = mesh4()
+    seat_of = {name: seat for seat, name in topo.kms_ids.items()}
+    for link in topo.links.values():
+        for end in link.endpoints():
+            name = render_kms_id(end, link.id)
+            assert seat_of[name] == (end, link.id)
+    assert len(seat_of) == len(topo.kms_ids)
+    assert "KMS_9z" not in seat_of
+
+
 def test_ambiguous_kms_names_rejected():
     # N1 + link "2x" renders like N12 + link "x": KMS_12x both ways.
     raw = {
