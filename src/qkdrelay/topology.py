@@ -59,16 +59,13 @@ class SimConfig:
     key_size_bytes: int = 32
     request_timeout_ms: int = 1000
     session_lifetime_ms: int | None = None
-    cache_ttl_ms: int = 0
 
     def __post_init__(self) -> None:
         for name in ("key_size_bytes", "request_timeout_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name!r} must be positive")
-        for name in ("cache_ttl_ms", "session_lifetime_ms"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name!r} must be >= 0")
+        if self.session_lifetime_ms is not None and self.session_lifetime_ms < 0:
+            raise ValueError("'session_lifetime_ms' must be >= 0")
 
     def lapsed(self, since_ms: int, now_ms: int) -> bool:
         """Whether state made at since_ms has outlived the session lifetime
@@ -215,7 +212,7 @@ def _check_keys(
 def _config_from_dict(obj: dict) -> SimConfig:
     _check_keys(obj, _CONFIG_KEYS, frozenset(), "config")
     kwargs = {}
-    for key in ("key_size_bytes", "request_timeout_ms", "cache_ttl_ms"):
+    for key in ("key_size_bytes", "request_timeout_ms"):
         if key in obj:
             kwargs[key] = _require_int(obj, key, "config")
     if obj.get("session_lifetime_ms") is not None:

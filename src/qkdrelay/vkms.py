@@ -1,8 +1,8 @@
 """Per-node virtual KMS: the single entity applications talk to.
 
-Resolves the serving KMS through the controller (with an optional TTL cache
-of discovery results per app pair and request kind), forwards the original
-request, and relays the KeyDelivery back; it never stores key material.
+Sends every app request to the controller for discovery, forwards it to
+the KMS the answer names, and relays the KeyDelivery back; each answer
+serves its one request, and the vKMS never stores key material.
 Every reply names its request by ``id_request``. An open request waits in
 ``awaiting`` under that id with one timer, armed at its arrival, for its
 discovery and its delivery together; a reply for a request that is not
@@ -45,53 +45,15 @@ def _failure(request: GetKey | GetKeyWithId, status: str) -> KeyDelivery:
     return KeyDelivery(key_id, b"", status, request.id_request)
 
 
-def _cache_key(request: GetKey | GetKeyWithId) -> tuple[str, str, str]:
-    # The kind keeps a pickup's terminating KMS from serving a plain get_key.
-    return (request.app_src, request.app_dst, message_type(request))
-
-
 class VkmsEntity(Entity):
     """Serial actor fronting one node's KMS seats."""
 
     def __init__(self, node_id: str, topology: Topology):
         super().__init__(topology.vkms_ids[node_id], node_id=node_id)
         self.topology = topology
-        self.cache_ttl_ms = topology.config.cache_ttl_ms
         self.timeout_ms = topology.config.request_timeout_ms
-        # The KMS of each of this node's links: a discovery answer names one.
-        links = topology.adjacency[node_id]
-        self.local_kms = frozenset(topology.kms_ids[node_id, link.id] for _, link in links)
-        # (app_src, app_dst, kind) -> (kms_id, expires_ms)
-        self.cache: dict[tuple[str, str, str], tuple[str, int]] = {}
         # id_request -> the open request it names.
         self.awaiting: dict[str, PendingApp] = {}
-
-    # ── cache ──
-
-    def _cache_lookup(self, request: GetKey | GetKeyWithId) -> str | None:
-        if self.cache_ttl_ms <= 0:
-            return None
-        key = _cache_key(request)
-        entry = self.cache.get(key)
-        if entry is None:
-            return None
-        kms_id, expires = entry
-        if self.services.now_ms >= expires:
-            del self.cache[key]
-            return None
-        return kms_id
-
-    def _cache_insert(self, request: GetKey | GetKeyWithId, kms_id: str) -> None:
-        if self.cache_ttl_ms <= 0:
-            return
-        # A discovery answer for a local requester always names a local KMS.
-        if kms_id not in self.local_kms:
-            raise AssertionError(
-                f"{self.entity_id}: refusing to cache non-local KMS {kms_id}"
-            )
-        self.cache[_cache_key(request)] = (kms_id, self.services.now_ms + self.cache_ttl_ms)
-
-    # ── dispatch ──
 
     def on_message(self, env: Envelope) -> None:
         """Hand msg and its sender to the handler of msg's type (_HANDLERS)."""
@@ -113,7 +75,6 @@ class VkmsEntity(Entity):
         elif msg.id_kms is None:
             self._end(pending, _failure(pending.request, STATUS_UNKNOWN_APP))
         else:
-            self._cache_insert(pending.request, msg.id_kms)
             self.send(msg.id_kms, pending.request)
 
     def _handle_app_request(self, msg: GetKey | GetKeyWithId, app_id: str) -> None:
@@ -127,12 +88,8 @@ class VkmsEntity(Entity):
             self.timeout_ms, partial(self._on_timeout, msg.id_request)
         )
         self.awaiting[msg.id_request] = PendingApp(app_id, msg, timer)
-        cached = self._cache_lookup(msg)
-        if cached is not None:
-            self.send(cached, msg)
-        else:
-            kind = message_type(msg)
-            self.send(QUSEC_ID, KmsDiscoveryRequest(msg.app_src, msg.app_dst, kind, msg.id_request))
+        kind = message_type(msg)
+        self.send(QUSEC_ID, KmsDiscoveryRequest(msg.app_src, msg.app_dst, kind, msg.id_request))
 
     def _end(self, pending: PendingApp, reply: KeyDelivery) -> None:
         """Close pending's wait, cancel its timer and send reply to its app."""

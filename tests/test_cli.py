@@ -111,12 +111,16 @@ def test_run_rejects_out_of_range_seed(relay_files, seed, capsys):
     assert "u64" in capsys.readouterr().err
 
 
-def test_run_rejects_negative_cache_ttl(relay_files, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_topology_setting_cache_ttl_is_refused(relay_files, tmp_path, command, capsys):
+    # There is no discovery cache: its old key is unknown, whatever its value.
     _, scenario = relay_files
-    topo = write_json(tmp_path / "ttl.json", mesh4_dict(config={"cache_ttl_ms": -5}))
-    code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "1"])
-    assert code == 2
-    assert "config: 'cache_ttl_ms' must be >= 0" in capsys.readouterr().err
+    topo = write_json(tmp_path / "ttl.json", mesh4_dict(config={"cache_ttl_ms": 0}))
+    args = ["--topology", topo]
+    if command == "run":
+        args += ["--scenario", scenario, "--seed", "1"]
+    assert main([command, *args]) == 2
+    assert "config: unknown key 'cache_ttl_ms'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -223,26 +227,6 @@ def test_run_weight_policy_changes_path(tmp_path, capsys):
 
     assert counts("hop_count")["relay_path_install"] == 4  # 2-hop chain
     assert counts("distance")["relay_path_install"] == 6  # 3-hop detour
-
-
-def test_run_topology_cache_ttl_reduces_discoveries(tmp_path, capsys):
-    events = [
-        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-        {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-    ]
-    scenario = write_json(tmp_path / "twice.json", {"events": events})
-
-    def discoveries(cache_ttl_ms):
-        topo = write_json(
-            tmp_path / f"topo{cache_ttl_ms}.json",
-            mesh4_dict({"APP_A": "N1", "APP_B": "N4"}, config={"cache_ttl_ms": cache_ttl_ms}),
-        )
-        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "2"])
-        assert code == 0
-        return json.loads(capsys.readouterr().out)["message_counts"]["kms_discovery_request"]
-
-    assert discoveries(60000) == 1
-    assert discoveries(0) == 2
 
 
 def test_validate_reports_derived_kms_layout(tmp_path, capsys):

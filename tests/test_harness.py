@@ -778,8 +778,12 @@ def test_a_clean_run_costs_each_request_its_messages(weight_policy):
         topology_from_dict(raw), grid_events(raw, rng, pairs=40), weight_policy=weight_policy
     )
     report = result.report
-    assert {r["status"] for r in report["requests"]} == {STATUS_OK}
-    assert max(len(s["kms_path"]) for s in report["controller"]["sessions"]) > 4
+    requests, controller = report["requests"], report["controller"]
+    assert {r["status"] for r in requests} == {STATUS_OK}
+    assert max(len(s["kms_path"]) for s in controller["sessions"]) > 4
+    # QuSeC answers every request, and only a get_key opens a session.
+    assert controller["discovery_count"] == len(requests)
+    assert len(controller["sessions"]) == sum(r["kind"] == "get_key" for r in requests)
     assert len(result.trace_lines) == rule_records(report)
 
 

@@ -36,8 +36,7 @@ from qkdrelay.protocol import (
     RelayPathInstall,
     RelayProcessRequest,
 )
-from qkdrelay.topology import render_kms_id, topology_from_dict
-from qkdrelay.vkms import VkmsEntity
+from qkdrelay.topology import topology_from_dict
 
 # ── topology: adjacency and KMS names ──
 
@@ -70,20 +69,6 @@ def test_graph_helpers_match_link_scans():
                 assert topo.links_between(u, v) == [
                     l for l in links if {u, v} == set(l.endpoints())
                 ]
-
-
-def test_vkms_local_kms_match_link_scan():
-    rng = random.Random(43)
-    for trial in range(60):
-        raw = random_topology(rng)
-        if trial % 2:
-            raw = with_parallel_links(raw, rng)
-        topo = topology_from_dict(raw)
-        seats = [(end, l.id) for l in topo.links.values() for end in l.endpoints()]
-        assert sorted(topo.kms_ids.values()) == sorted(render_kms_id(n, l) for n, l in seats)
-        for node_id in topo.nodes:
-            want = {render_kms_id(n, l) for n, l in seats if n == node_id}
-            assert VkmsEntity(node_id, topo).local_kms == want
 
 
 # ── linksim: shared key table, FIFO cursor and derived material ──

@@ -3,15 +3,13 @@ both endpoint pools of a link must consume in step.
 
 Each run below once broke one of these while exiting 0 with every audit
 green: the vKMS and the app matched replies by queue position, QuSeC
-answered a plain get_key from a live session's target, and the vKMS cache
-let a pickup's terminating KMS serve a plain get_key. Replies are now
-matched by request id, and discovery and the cache carry the request kind.
-The cache case runs with and without a cache.
+answered a plain get_key from a live session's target, and a vKMS cache of
+discovery answers let a pickup's terminating KMS serve a plain get_key.
+Replies are now matched by request id, discovery carries the request kind,
+and the cache is gone: QuSeC answers every request.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from conftest import mesh4, run_events
 from qkdrelay.protocol import STATUS_OK
@@ -64,12 +62,11 @@ def test_a_reverse_get_key_keeps_the_pools_in_step():
     assert_pools_in_step(result)
 
 
-@pytest.mark.parametrize("cache_ttl_ms", [0, 60000])
-def test_a_get_key_after_a_pickup_keeps_the_pools_in_step(cache_ttl_ms):
-    # B's pickup caches KMS_4d for (B, A, get_key_with_id). The session has
-    # expired by 2000 ms, so QuSeC's session reuse plays no part. B's plain
-    # get_key must miss that entry, or KMS_4d would serve it from link d
-    # alone; QuSeC installs a fresh B -> A relay instead.
+def test_a_get_key_after_a_pickup_keeps_the_pools_in_step():
+    # B's pickup is served by KMS_4d. The session has expired by 2000 ms, so
+    # QuSeC's session reuse plays no part. B's plain get_key must not be
+    # served by KMS_4d from link d alone; QuSeC installs a fresh B -> A
+    # relay instead.
     result = run_events(
         mesh4({"APP_A": "N1", "APP_B": "N4"}),
         [
@@ -84,7 +81,6 @@ def test_a_get_key_after_a_pickup_keeps_the_pools_in_step(cache_ttl_ms):
             get_key(2000, "APP_B", "APP_A"),
         ],
         seed=SEED,
-        cache_ttl_ms=cache_ttl_ms,
         session_lifetime_ms=100,
     )
     assert_pools_in_step(result)

@@ -106,7 +106,7 @@ def test_validation_rejections(mutate, message):
         lambda r: r["apps"][0].pop("node"),
         lambda r: r["links"][0].update(key_rate="fast"),
         lambda r: r["links"][0].update(initial_pool=True),
-        lambda r: r.update(config={"cache_ttl_ms": -1}),
+        lambda r: r.update(config={"cache_ttl_ms": 0}),  # no discovery cache
         lambda r: r.update(config={"session_lifetime_ms": -1}),
         lambda r: r.update(config={"delivered_key_ttl_ms": -1}),
     ],
@@ -136,12 +136,12 @@ def test_schema_strictness(mutate):
         (lambda r: r.update(apps=None), "topology: 'apps' must be an array"),
         (lambda r: r.update(weight_policy=["hop_count"]),
          "topology: 'weight_policy' must be a string"),
-        (lambda r: r.update(config={"cache_ttl_ms": -1}),
-         "config: 'cache_ttl_ms' must be >= 0"),
         (lambda r: r.update(config={"session_lifetime_ms": -1}),
          "config: 'session_lifetime_ms' must be >= 0"),
         (lambda r: r.update(config={"delivered_key_ttl_ms": 500}),
          "config: unknown key 'delivered_key_ttl_ms'"),
+        (lambda r: r.update(config={"cache_ttl_ms": 0}),
+         "config: unknown key 'cache_ttl_ms'"),
     ],
 )
 def test_schema_rejection_messages(mutate, message):
@@ -203,9 +203,9 @@ def test_load_rejects_non_finite_link_numbers(key, literal):
 
 
 def test_round_trip_with_config():
-    raw = mesh4_dict(config={"cache_ttl_ms": 500, "session_lifetime_ms": 9000})
+    raw = mesh4_dict(config={"request_timeout_ms": 500, "session_lifetime_ms": 9000})
     topo = topology_from_dict(raw)
-    assert topo.config.cache_ttl_ms == 500
+    assert topo.config.request_timeout_ms == 500
     assert topo.config.session_lifetime_ms == 9000
     assert topo.config.key_size_bytes == 32  # default untouched
 
@@ -314,9 +314,8 @@ def test_sim_config_defaults():
     assert cfg.key_size_bytes == 32
     assert cfg.request_timeout_ms == 1000
     assert cfg.session_lifetime_ms is None
-    assert cfg.cache_ttl_ms == 0
     assert [f.name for f in dataclasses.fields(cfg)] == [
-        "key_size_bytes", "request_timeout_ms", "session_lifetime_ms", "cache_ttl_ms",
+        "key_size_bytes", "request_timeout_ms", "session_lifetime_ms",
     ]
 
 
@@ -326,7 +325,6 @@ def test_sim_config_defaults():
         (lambda: SimConfig(key_size_bytes=0), "'key_size_bytes' must be positive"),
         (lambda: dataclasses.replace(SimConfig(), request_timeout_ms=0),
          "'request_timeout_ms' must be positive"),
-        (lambda: SimConfig(cache_ttl_ms=-1), "'cache_ttl_ms' must be >= 0"),
         (lambda: SimConfig(session_lifetime_ms=-1), "'session_lifetime_ms' must be >= 0"),
     ],
 )
@@ -334,6 +332,11 @@ def test_sim_config_checks_ranges_however_built(build, message):
     """A config built in Python is checked as the loader's is."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_sim_config_has_no_cache_ttl():
+    with pytest.raises(TypeError, match="cache_ttl_ms"):
+        SimConfig(cache_ttl_ms=0)
 
 
 def test_sim_config_lapse_rule():

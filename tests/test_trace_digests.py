@@ -565,31 +565,19 @@ OVERLAP_WARM_UP = [
     ("APP_D", "APP_X"),
 ]
 
-# (rng seed, cache_ttl_ms) -> (digest, full_report_digest); mesh4, five apps
+# rng seed -> (digest, full_report_digest); mesh4, five apps
 OVERLAPS = {
-    (1, 0): (
+    1: (
         "9cb559434d93d34fad104d8f3334e645f386ea5ccbaea9657a9747cdd473d954",
         "0bd8719644106cb3283da63058610482a26d6f9527830b94181cf21ba2a36242",
     ),
-    (1, 5000): (
-        "ee80757f44705b43b60e9f75c096861b55d8f59814e37283a9bafece7026476b",
-        "212d3c56c0c2768b715d6b047a60b3c9352169733a19a5db75426c22946d4ca2",
-    ),
-    (2, 0): (
+    2: (
         "635491d76d1d4773e6f3c9ea3321966e6865e0516590f94956ee3676111d9810",
         "b1a260ed8626682d5e2e3711c3d373660b8212d78beb01d938e16964e791a145",
     ),
-    (2, 5000): (
-        "c0644ae8c56e4e180b56926721e1282e9f55cc45b3ce902cc81ca33d44902c1c",
-        "4f41947117b044859ecf94c5a77d24260d4e3205a80cb37a77421f4c72756615",
-    ),
-    (4, 0): (
+    4: (
         "7d66f6e8476c7ad3a42c9ccddbf5125a868397c7a174ec2e8192bfc0c08129d6",
         "d24dc15004c8eae16f19dc921e98b3308d37a223a49f3ec3cb7d4ba1612ffc74",
-    ),
-    (4, 5000): (
-        "bd93841b623b414ede515b4b0c027a2194dcd00a1d5c306eb7bb5855f68f0d25",
-        "81ef925dba75020c23a8c254663378af4823056ce260a863536fa60a1a51e898",
     ),
 }
 
@@ -638,22 +626,21 @@ def overlap_events(rng: random.Random, requests: int = 30) -> list[dict]:
     return events
 
 
-def overlap_run(seed: int, cache_ttl_ms: int):
+def overlap_run(seed: int):
     raw = mesh4_dict(OVERLAP_APPS)
     for link in raw["links"]:
         link["initial_pool"] = 16
-    raw["config"] = {"cache_ttl_ms": cache_ttl_ms}
     return run_events(topology_from_dict(raw), overlap_events(random.Random(seed)), seed=SEED)
 
 
-@pytest.mark.parametrize("seed,cache_ttl_ms", list(OVERLAPS))
-def test_overlapping_requests_digest(seed, cache_ttl_ms):
-    result = overlap_run(seed, cache_ttl_ms)
+@pytest.mark.parametrize("seed", list(OVERLAPS))
+def test_overlapping_requests_digest(seed):
+    result = overlap_run(seed)
     assert result.exit_code == (0 if result.report["quiescent"] else 1)
     assert (
         raw_digest(result.trace_lines),
         full_report_digest(result.report),
-    ) == OVERLAPS[(seed, cache_ttl_ms)]
+    ) == OVERLAPS[seed]
 
 
 # ── a lost discovery among requests that share a pair or a KMS ──
@@ -713,71 +700,50 @@ STALE_STATUSES = {
     "taken_answer_served": ["failed_timeout", "ok", "ok"],
 }
 
-# (case, cache_ttl_ms) -> (digest, full_report_digest)
+# case -> (digest, full_report_digest)
 STALE = {
-    ("taken_answer_stalls", 0): (
+    "taken_answer_stalls": (
         "ef4709161d63af168c435dc0fd0e40f5422384bbb2c7c469f9e39cbbced34279",
         "0b251292f5abb2f3146c3300e2a682cb26ef2c95316ef3ccd2917f0aa8397e4c",
     ),
-    ("taken_answer_stalls", 60000): (
-        "ef4709161d63af168c435dc0fd0e40f5422384bbb2c7c469f9e39cbbced34279",
-        "0b251292f5abb2f3146c3300e2a682cb26ef2c95316ef3ccd2917f0aa8397e4c",
-    ),
-    ("taken_answer_queues_behind_a_younger_request", 0): (
+    "taken_answer_queues_behind_a_younger_request": (
         "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
         "a732101e5c37e381e60a3961fc5cbc6929087e966b06429e838b19966f276c86",
     ),
-    ("taken_answer_queues_behind_a_younger_request", 60000): (
-        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
-        "a732101e5c37e381e60a3961fc5cbc6929087e966b06429e838b19966f276c86",
-    ),
-    ("taken_answer_in_the_same_ms", 0): (
+    "taken_answer_in_the_same_ms": (
         "ca74fc6e852b24e5441573246aae519061308747413197f64c5dd1872af2ec96",
         "0c5d4a38789c8bc7b1cd062632b0f5f1a862010d0a7e5003375a5778102c7e58",
     ),
-    ("taken_answer_in_the_same_ms", 60000): (
-        "ca74fc6e852b24e5441573246aae519061308747413197f64c5dd1872af2ec96",
-        "0c5d4a38789c8bc7b1cd062632b0f5f1a862010d0a7e5003375a5778102c7e58",
-    ),
-    ("taken_answer_in_the_same_ms_stalls", 0): (
+    "taken_answer_in_the_same_ms_stalls": (
         "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
         "f655a2c4c37d90ec17ec5c93fc1a70f650c132d78262863ee2a82ac18db936db",
     ),
-    ("taken_answer_in_the_same_ms_stalls", 60000): (
-        "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
-        "f655a2c4c37d90ec17ec5c93fc1a70f650c132d78262863ee2a82ac18db936db",
-    ),
-    ("taken_answer_served", 0): (
-        "8de4fdfb92bfe436a55f51e2a740476b5923d642815a6f349f3fa34d3cb9b7b5",
-        "ab0a40dbdd76e2acb29c469b20e407fbd70f569f0c0aa4d4e121e8f1691b8c67",
-    ),
-    ("taken_answer_served", 60000): (
+    "taken_answer_served": (
         "8de4fdfb92bfe436a55f51e2a740476b5923d642815a6f349f3fa34d3cb9b7b5",
         "ab0a40dbdd76e2acb29c469b20e407fbd70f569f0c0aa4d4e121e8f1691b8c67",
     ),
 }
 
 
-def stale_run(case: str, cache_ttl_ms: int):
+def stale_run(case: str):
     events = [
         {"at": 0, "event": "drop_message", "n": 1, "of_type": "kms_discovery_request"},
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         *STALE_CASES[case],
     ]
     raw = mesh4_dict({"APP_A": "N1", "APP_X": "N1", "APP_B": "N4"})
-    raw["config"] = {"cache_ttl_ms": cache_ttl_ms}
     return run_events(topology_from_dict(raw), events, seed=SEED)
 
 
-@pytest.mark.parametrize("case,cache_ttl_ms", list(STALE))
-def test_taken_discovery_answer_digest(case, cache_ttl_ms):
-    result = stale_run(case, cache_ttl_ms)
+@pytest.mark.parametrize("case", list(STALE))
+def test_taken_discovery_answer_digest(case):
+    result = stale_run(case)
     assert result.report["quiescent"]
     assert [r.status for r in result.sim.requests] == STALE_STATUSES[case]
     assert (
         raw_digest(result.trace_lines),
         full_report_digest(result.report),
-    ) == STALE[(case, cache_ttl_ms)]
+    ) == STALE[case]
 
 
 # ── bounded state ──
@@ -803,9 +769,9 @@ def run_case(kind: str, key):
         raw = chain_dict(4, initial_pool=8)
         events = chain_events([{"event": "drop_message", "n": n, "of_type": of_type}])
     elif kind == "overlap":
-        return overlap_run(*key)
+        return overlap_run(key)
     else:
-        return stale_run(*key)
+        return stale_run(key)
     return run_events(topology_from_dict(raw), events, seed=SEED)
 
 
@@ -826,15 +792,15 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "5f5c64dc9b9a6bbef0cd6ec88323255eddf075fc1cbe3d4be939613870b87633"
+CORPUS_DIGEST = "c838781d23827f04d420257d1ba68ccd423a13a1d11a8d44a95521c66a662c4b"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250
 
 
 def corpus_case(rng: random.Random) -> tuple[dict, dict]:
-    """A 3x3 or 4x4 grid with random pools, link weights, weight policy,
-    cache TTL and session lifetime, and a scenario: grid_events squeezed by
+    """A 3x3 or 4x4 grid with random pools, link weights, weight policy
+    and session lifetime, and a scenario: grid_events squeezed by
     1, 2 or 4 so that requests overlap, 0-3 drop/corrupt rules on any
     message type, and each kind of expectation, met or not, half the time."""
     raw = grid_dict(
@@ -846,7 +812,6 @@ def corpus_case(rng: random.Random) -> tuple[dict, dict]:
         link["key_rate"] = rng.choice((1.0, 10.0, 100.0))
         link["distance_km"] = rng.choice((1.0, 10.0, 40.0))
     raw["weight_policy"] = rng.choice(WEIGHT_POLICIES)
-    raw.setdefault("config", {})["cache_ttl_ms"] = rng.choice((0, 60, 5000))
     events = grid_events(raw, rng, pairs=rng.randint(0, 12))
     requests = len(events)
     squeeze = rng.choice((1, 2, 4))

@@ -1,11 +1,9 @@
-"""vKMS facade: registry checks, discovery caching, delivery transparency."""
+"""vKMS facade: registry checks, one discovery per request, delivery transparency."""
 
 from __future__ import annotations
 
 import logging
 from functools import partial
-
-import pytest
 
 from conftest import mesh4, resolved, run_events
 from qkdrelay import data_path
@@ -17,7 +15,6 @@ from qkdrelay.protocol import (
     KeyDelivery,
     message_type,
 )
-from qkdrelay.qusec import QusecEntity
 from qkdrelay.vkms import VkmsEntity
 
 
@@ -59,61 +56,11 @@ def test_unknown_destination_app():
 
 
 def test_cache_disabled_discovers_every_time():
-    topo = mesh4({"APP_A": "N3", "APP_B": "N4"})  # cache_ttl_ms defaults to 0
+    topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     result = run_events(topo, two_direct_requests())
     assert count_type(result.records, "kms_discovery_request") == 2
     statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
-
-
-def test_cache_enabled_discovers_once():
-    topo = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
-    result = run_events(topo, two_direct_requests())
-    assert count_type(result.records, "kms_discovery_request") == 1
-    statuses = [r.status for r in resolved(result.sim, "APP_A")]
-    assert statuses == [STATUS_OK, STATUS_OK]
-
-
-def test_cache_transparent_to_key_material():
-    topo_cold = mesh4({"APP_A": "N3", "APP_B": "N4"})
-    topo_warm = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
-    cold = run_events(topo_cold, two_direct_requests(), seed=11)
-    warm = run_events(topo_warm, two_direct_requests(), seed=11)
-    cold_keys = [(r.key_id, r.material) for r in resolved(cold.sim, "APP_A")]
-    warm_keys = [(r.key_id, r.material) for r in resolved(warm.sim, "APP_A")]
-    assert cold_keys == warm_keys
-
-
-def test_cache_entry_expires():
-    topo = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 500})
-    events = [
-        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-        {"at": 600, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
-    ]
-    result = run_events(topo, events)
-    assert count_type(result.records, "kms_discovery_request") == 2
-
-
-def test_cache_ttl_override_at_run_level():
-    topo = mesh4({"APP_A": "N3", "APP_B": "N4"})  # file says no caching
-    result = run_events(topo, two_direct_requests(), cache_ttl_ms=60_000)
-    assert count_type(result.records, "kms_discovery_request") == 1
-
-
-def test_cache_refuses_a_kms_on_another_node(monkeypatch):
-    """A discovery answer for a local requester names a local KMS; the vKMS
-    refuses to cache any other."""
-    real = QusecEntity._kms_path
-    # The controller answers with the far end of the path.
-    monkeypatch.setattr(
-        QusecEntity, "_kms_path", lambda self, src, dst: real(self, src, dst)[::-1]
-    )
-    topo = mesh4({"APP_A": "N3", "APP_B": "N4"}, config={"cache_ttl_ms": 60_000})
-    sim = Simulation(topo, seed=1)
-    scenario = scenario_from_dict({"name": "far", "events": two_direct_requests()[:1]})
-    with pytest.raises(AssertionError, match="^vKMS_3: refusing to cache non-local KMS KMS_4d$"):
-        sim.run_events(scenario.events)
-    assert sim.vkms["N3"].cache == {}
 
 
 def test_delivery_passes_through_unchanged():
@@ -139,24 +86,24 @@ def test_vkms_never_stores_material():
     assert vkms.awaiting == {}
 
 
-def test_relay_requests_share_cache_path(mesh4_relay_topology):
-    # Caching also applies to relay destinations; discovery happens once,
-    # and the second request triggers a second relay over the same rules.
+def test_relay_requests_discover_each_their_own_path(mesh4_relay_topology):
+    # Each get_key asks QuSeC for its own path: two discoveries, two sets of
+    # installs, two relays and a fresh E2E key each time.
     result = run_events(
         mesh4_relay_topology,
         [
             {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
             {"at": 100, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         ],
-        cache_ttl_ms=60_000,
     )
-    assert count_type(result.records, "kms_discovery_request") == 1
-    assert count_type(result.records, "relay_path_install") == 4
+    assert count_type(result.records, "kms_discovery_request") == 2
+    assert count_type(result.records, "relay_path_install") == 8
     assert count_type(result.records, "key_relay") == 2
+    assert [len(s["kms_path"]) for s in result.report["controller"]["sessions"]] == [4, 4]
     statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
     keys = {r.key_id for r in resolved(result.sim, "APP_A")}
-    assert len(keys) == 2  # fresh E2E key each time
+    assert len(keys) == 2
 
 
 def test_lost_discovery_times_out_and_frees_its_queue():
