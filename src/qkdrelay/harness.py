@@ -454,14 +454,12 @@ class Simulation:
             entities.append(vkms)
         for link in topology.links.values():
             pool_a, pool_b = self.linksim.link_pools(link.id)
-            for end, pool, peer in ((link.a, pool_a, pool_b), (link.b, pool_b, pool_a)):
-                kms = KmsEntity(
-                    pool.owner_kms,
-                    node_id=end,
-                    peer_kms_id=peer.owner_kms,
-                    pool=pool,
-                    config=topology.config,
-                )
+            store_a, store_b = {}, {}
+            for end, pool, store, peer_pool, peer_store in (
+                (link.a, pool_a, store_a, pool_b, store_b),
+                (link.b, pool_b, store_b, pool_a, store_a),
+            ):
+                kms = KmsEntity(end, pool, store, peer_pool, peer_store, topology.config)
                 self.kms[pool.owner_kms] = kms
                 entities.append(kms)
         for app_id, node_id in topology.apps.items():

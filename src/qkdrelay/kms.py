@@ -3,11 +3,13 @@
 Implements direct delivery plus the hop-by-hop relay procedure: reserve the
 end-to-end key K1 on the first link, then at each hop encrypt it with a
 fresh key from the next link (K3 = K1 xor K2), hand it across, and propagate
-completion statuses backward. A KMS only ever touches its own pool; the
-end-to-end key enters a node in plaintext only on the intra-node channel,
-inside the physically-secure trusted relay. Where the chain ends, K1 waits
-in the KMS's delivered store for the target's pickup, and lapses with its
-session: ``session_lifetime_ms`` after it was stored (``SimConfig.lapsed``).
+completion statuses backward. A KMS touches only its own pool, except that a
+direct serve also spends its key in the link peer's pool, as the key sync
+between a link's two KMSs would. The end-to-end key enters a node in
+plaintext only on the intra-node channel, inside the physically-secure
+trusted relay. Every served key waits in its target-side KMS's delivered
+store, and the pickup by the app it was served for takes it once, until it
+lapses: ``session_lifetime_ms`` after it was stored (``SimConfig.lapsed``).
 A KMS keeps one rule per app pair and previous hop, QuSeC's newest install for
 it, and refuses a relay message that names another association.
 
@@ -103,15 +105,16 @@ class KmsEntity(Entity):
 
     def __init__(
         self,
-        kms_id: str,
         node_id: str,
-        peer_kms_id: str,
         pool: KeyPool,
+        delivered: dict[tuple[str, str, str], DeliveredKey],
+        peer_pool: KeyPool,
+        peer_delivered: dict[tuple[str, str, str], DeliveredKey],
         config: SimConfig,
     ):
-        super().__init__(kms_id, node_id=node_id)
-        self.peer_kms_id = peer_kms_id
-        self.pool = pool
+        super().__init__(pool.owner_kms, node_id=node_id)
+        self.peer_kms_id = peer_pool.owner_kms
+        self.pool, self.peer_pool = pool, peer_pool
         self.config = config
         self.timeout_ms = config.request_timeout_ms
         # (app_src, app_dst, prev_hop) -> the newest install for it: this
@@ -119,7 +122,9 @@ class KmsEntity(Entity):
         # KMS initiates them; next_hop none means it ends them. A next_hop that
         # is not the across-link peer is always a KMS on the same node.
         self.rules: dict[tuple[str, str, str | None], RelayPathInstall] = {}
-        self.delivered: dict[tuple[str, str, str], DeliveredKey] = {}
+        # (key_id, app_src, app_dst) -> a key waiting here for app_dst's pickup;
+        # peer_delivered is the link peer's, which this KMS's direct serves fill.
+        self.delivered, self.peer_delivered = delivered, peer_delivered
         self.pending: dict[str, PendingRelay] = {}
         self.orphan_count = 0
 
@@ -156,7 +161,11 @@ class KmsEntity(Entity):
             self._deliver(requester, msg, "", b"", STATUS_NO_KEY)
             return
         if (msg.app_src, msg.app_dst, None) not in self.rules:
-            self._deliver(requester, msg, key_id, self.pool.consume(key_id), STATUS_OK)
+            # Direct: spend the key at both ends and leave it at the peer.
+            material = self.pool.consume(key_id)
+            self.peer_pool.take(key_id)  # None if the peer reserved it to relay
+            self._store(self.peer_delivered, (key_id, msg.app_src, msg.app_dst), material)
+            self._deliver(requester, msg, key_id, material, STATUS_OK)
             return
         # Relay: the key is K1, kept reserved until the chain completes.
         self._forward(
@@ -169,18 +178,20 @@ class KmsEntity(Entity):
         )
 
     def _handle_get_key_with_id(self, msg: GetKeyWithId, requester: str) -> None:
-        # Target-side pickup from the delivered-keys store first.
-        entry = self.delivered.get((msg.key_id, msg.app_dst, msg.app_src))
+        # The target's pickup takes its key from the store, once.
+        entry = self.delivered.pop((msg.key_id, msg.app_dst, msg.app_src), None)
         if entry is None:
-            # Direct case: the id names a key in this KMS's own pool.
-            material = self.pool.take(msg.key_id)
-            status = STATUS_NO_KEY if material is None else STATUS_OK
+            material, status = b"", STATUS_NO_KEY
         elif self.config.lapsed(entry.stored_ms, self.services.now_ms):
             # State existed but lapsed with the session.
-            material, status = None, STATUS_NO_RULE
+            material, status = b"", STATUS_NO_RULE
         else:
             material, status = entry.material, STATUS_OK
-        self._deliver(requester, msg, msg.key_id, material or b"", status)
+        self._deliver(requester, msg, msg.key_id, material, status)
+
+    def _store(self, store: dict, key: tuple[str, str, str], material: bytes) -> None:
+        """Leave material in store under (key_id, app_src, app_dst), stamped now."""
+        store[key] = DeliveredKey(material, self.services.now_ms)
 
     # ── relay chain, forward direction ──
 
@@ -237,9 +248,7 @@ class KmsEntity(Entity):
         """K1 has crossed a link into this KMS: store it for pickup where the
         chain ends, else hand it to the next KMS on this node."""
         if rule.next_hop is None:
-            self.delivered[(msg.id_relay_key, rule.app_src, rule.app_dst)] = DeliveredKey(
-                material=k1, stored_ms=self.services.now_ms
-            )
+            self._store(self.delivered, (msg.id_relay_key, rule.app_src, rule.app_dst), k1)
             self.send(peer, _reply(msg, STATUS_OK))
             return
         self._forward(

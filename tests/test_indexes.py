@@ -135,8 +135,9 @@ def test_reserve_next_matches_fifo_scan_under_random_operations():
                 if want is not None:
                     state[want] = "reserved"
             elif op < 0.6:
-                # A pickup by id (get_key_with_id) jumps the FIFO; it may name
-                # a key in any state, on another link, or none at all.
+                # A take by id (a relay hop's K1 or K2, a direct serve's peer
+                # copy) jumps the FIFO; it may name a key in any state, on
+                # another link, or none at all.
                 key_id = rng.choice(ref.order + foreign + ["no-such-key", stranger])
                 available = state.get(key_id) == "available"
                 assert pool.take(key_id) == (ref.material[key_id] if available else None)

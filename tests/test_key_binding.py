@@ -7,18 +7,39 @@ answered a plain get_key from a live session's target, and a vKMS cache of
 discovery answers let a pickup's terminating KMS serve a plain get_key.
 Replies are now matched by request id, discovery carries the request kind,
 and the cache is gone: QuSeC answers every request.
+
+The pickup once had two paths: a relayed key was read, never popped, from
+the terminating KMS's delivered store, and a direct key was taken from the
+pool by id for any app, past its session's lifetime, while the serving end
+alone had spent it. Every served key now waits in its target-side store,
+bound to its app pair, and a pickup takes it once.
 """
 
 from __future__ import annotations
 
 from conftest import mesh4, run_events
-from qkdrelay.protocol import STATUS_OK
+from qkdrelay.protocol import STATUS_NO_KEY, STATUS_NO_RULE, STATUS_OK
 
 SEED = 3
 
 
 def get_key(at: int, app_src: str, app_dst: str) -> dict:
     return {"at": at, "event": "app_get_key", "app_src": app_src, "app_dst": app_dst}
+
+
+def pickup(at: int, app_src: str, app_dst: str) -> dict:
+    """app_src picks up the key app_dst's last ok request got."""
+    return {
+        "at": at,
+        "event": "app_get_key_with_id",
+        "app_src": app_src,
+        "app_dst": app_dst,
+        "key_id_from": app_dst,
+    }
+
+
+def statuses(result) -> list[str]:
+    return [r.status for r in result.sim.requests]
 
 
 def assert_pools_in_step(result) -> None:
@@ -84,3 +105,55 @@ def test_a_get_key_after_a_pickup_keeps_the_pools_in_step():
         session_lifetime_ms=100,
     )
     assert_pools_in_step(result)
+
+
+def test_a_reverse_direct_get_key_gets_its_own_key():
+    # A and B share link a. A's direct key must be spent at both ends when
+    # it is served, so B's get_key before B's pickup gets the next key, and
+    # the pickup still finds A's key waiting at KMS_2a.
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N2"}),
+        [get_key(0, "APP_A", "APP_B"), get_key(10, "APP_B", "APP_A"), pickup(20, "APP_B", "APP_A")],
+        seed=SEED,
+    )
+    a, b, b_pickup = result.sim.requests
+    assert statuses(result) == [STATUS_OK] * 3
+    assert a.key_id != b.key_id
+    assert (b_pickup.key_id, b_pickup.material) == (a.key_id, a.material)
+    assert_pools_in_step(result)
+
+
+def test_a_direct_key_is_picked_up_only_by_its_target():
+    # C shares B's node but A's key was served for B: C's pickup finds
+    # nothing for (A, C), and B's pickup after it still gets the key.
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N2", "APP_C": "N2"}),
+        [get_key(0, "APP_A", "APP_B"), pickup(10, "APP_C", "APP_A"), pickup(20, "APP_B", "APP_A")],
+        seed=SEED,
+    )
+    assert statuses(result) == [STATUS_OK, STATUS_NO_KEY, STATUS_OK]
+    a, _, b_pickup = result.sim.requests
+    assert b_pickup.material == a.material
+
+
+def test_a_relayed_key_is_picked_up_once():
+    result = run_events(
+        mesh4({"APP_A": "N1", "APP_B": "N4"}),
+        [get_key(0, "APP_A", "APP_B"), pickup(10, "APP_B", "APP_A"), pickup(20, "APP_B", "APP_A")],
+        seed=SEED,
+    )
+    assert statuses(result) == [STATUS_OK, STATUS_OK, STATUS_NO_KEY]
+    assert result.sim.kms["KMS_4d"].delivered == {}
+
+
+def test_a_direct_key_lapses_like_a_relayed_one():
+    # Direct over link d; the key was stored at 0 ms and lapses at 100 ms.
+    result = run_events(
+        mesh4({"APP_A": "N3", "APP_B": "N4"}),
+        [get_key(0, "APP_A", "APP_B"), pickup(500, "APP_B", "APP_A")],
+        seed=SEED,
+        session_lifetime_ms=100,
+    )
+    assert statuses(result) == [STATUS_OK, STATUS_NO_RULE]
+    assert result.sim.requests[1].material == b""
+    assert result.sim.kms["KMS_4d"].delivered == {}

@@ -50,6 +50,11 @@ def test_direct_serves_fifo_key():
     assert request.key_id == pool.table.id_at(0)  # oldest key served first
     assert request.material == pool.table.material(request.key_id)
     assert pool.counts()["consumed"] == 1
+    # The key is spent at the peer too, and waits there for B's pickup.
+    assert result.sim.linksim.pools["KMS_4d"].consumed == {request.key_id}
+    (entry,) = result.sim.kms["KMS_4d"].delivered.items()
+    assert entry[0] == (request.key_id, "APP_A", "APP_B")
+    assert entry[1].material == request.material
 
 
 def test_direct_empty_pool_fails_no_key():
@@ -82,22 +87,44 @@ def test_direct_pool_refills_by_tick():
     assert second.status == STATUS_OK
 
 
-def test_get_key_with_id_from_own_pool_and_misses():
+def test_get_key_with_id_takes_a_direct_key_once_and_misses():
+    # The serve leaves the key at KMS_4d for B's pickup; a pool is never
+    # read by id.
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
-    sim = Simulation(topo, seed=1)
-    pool = sim.linksim.pools["KMS_4d"]
-    key_id = pool.table.id_at(0)
     events = [
-        {"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",
-         "app_dst": "APP_A", "key_id": key_id},
-        {"at": 1, "event": "app_get_key_with_id", "app_src": "APP_B",
-         "app_dst": "APP_A", "key_id": key_id},          # now consumed
-        {"at": 2, "event": "app_get_key_with_id", "app_src": "APP_B",
-         "app_dst": "APP_A", "key_id": "f00d"},          # never existed
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 10, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id_from": "APP_A"},
+        {"at": 20, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id_from": "APP_A"},   # already taken
+        {"at": 30, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id": "f00d"},         # never existed
     ]
     result = run_events(topo, events)
+    (served,) = resolved(result.sim, "APP_A")
     statuses = [r.status for r in resolved(result.sim, "APP_B")]
     assert statuses == [STATUS_OK, STATUS_NO_KEY, STATUS_NO_KEY]
+    assert resolved(result.sim, "APP_B")[0].material == served.material
+    for kms_id in ("KMS_3d", "KMS_4d"):
+        assert result.sim.linksim.pools[kms_id].counts()["consumed"] == 1
+
+
+def test_a_pickup_of_an_unknown_id_derives_no_key_id():
+    # The pickup reads only the store, so the size of the pool does not
+    # matter: no id of the link's 2,000,000 keys is derived.
+    topo = mesh4(
+        {"APP_A": "N3", "APP_B": "N4"},
+        links=[
+            {"id": "d", "a": "N3", "b": "N4", "key_rate": 10.0, "distance_km": 5.0,
+             "initial_pool": 2_000_000},
+        ],
+        nodes=[{"id": "N3"}, {"id": "N4"}],
+    )
+    events = [{"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",
+               "app_dst": "APP_A", "key_id": "f00d"}]
+    result = run_events(topo, events)
+    assert [r.status for r in result.sim.requests] == [STATUS_NO_KEY]
+    assert len(result.sim.linksim.tables["d"]._ids) == 0
 
 
 # ── relay chain, happy path ──
@@ -166,8 +193,9 @@ def test_relay_two_hop_chain():
         assert len(result.sim.linksim.link_consumed_ids(link_id)) == 1
 
 
-def test_pickup_is_idempotent_until_consumed(mesh4_relay_topology):
-    # The delivered store serves repeated pickups of the same id.
+def test_a_pickup_takes_its_key_once(mesh4_relay_topology):
+    # The first pickup pops the key from the delivered store; a second one
+    # of the same id finds nothing.
     result = run_events(
         mesh4_relay_topology,
         [
@@ -178,10 +206,11 @@ def test_pickup_is_idempotent_until_consumed(mesh4_relay_topology):
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    statuses = [r.status for r in resolved(result.sim, "APP_B")]
-    materials = {r.material for r in resolved(result.sim, "APP_B")}
-    assert statuses == [STATUS_OK, STATUS_OK]
-    assert len(materials) == 1
+    (served,) = resolved(result.sim, "APP_A")
+    first, second = resolved(result.sim, "APP_B")
+    assert (first.status, first.material) == (STATUS_OK, served.material)
+    assert (second.status, second.material) == (STATUS_NO_KEY, b"")
+    assert result.sim.kms["KMS_4d"].delivered == {}
 
 
 # ── failure paths ──
@@ -388,20 +417,21 @@ def test_a_relay_under_a_superseded_association_is_refused():
     # The 7th install, the second association's rule at KMS_3b, is lost.
     # KMS_3b then relays request 3 under the first association's rule, but
     # KMS_3d holds the second association's rule, so it refuses the Ext Key
-    # Request. Request 4 picks up request 1's key a second time.
+    # Request. Request 4 names request 1's key, which request 2 took.
     topo = load_topology_file(data_path("topologies", "mesh4_relay.json"))
     events = [{"at": 0, "event": "drop_message", "n": 7, "of_type": "relay_path_install"}]
     result = run_events(topo, events + sequential_pairs(2), seed=5)
     statuses = [r.status for r in result.sim.requests]
-    assert statuses == [STATUS_OK, STATUS_OK, STATUS_NO_RULE, STATUS_OK]
+    assert statuses == [STATUS_OK, STATUS_OK, STATUS_NO_RULE, STATUS_NO_KEY]
     assert len(result.trace_lines) == 41
     assert result.exit_code == 0
     assert not any(result.report["audits"].values())
 
 
 def _pickup_at(at_ms: int):
-    """A relayed key stored at KMS_4d under a 500 ms session lifetime, and
-    its target's pickup at at_ms."""
+    """A relayed key stored at KMS_4d at 0 ms under a 500 ms session
+    lifetime, and its target's pickup at at_ms, which takes the entry
+    whether or not it has lapsed."""
     topo = mesh4({"APP_A": "N1", "APP_B": "N4"}, config={"session_lifetime_ms": 500})
     result = run_events(
         topo,
@@ -411,22 +441,23 @@ def _pickup_at(at_ms: int):
              "app_dst": "APP_A", "key_id_from": "APP_A"},
         ],
     )
-    (entry,) = result.sim.kms["KMS_4d"].delivered.values()
+    assert result.sim.kms["KMS_4d"].delivered == {}
+    (served,) = resolved(result.sim, "APP_A")
     (pickup,) = resolved(result.sim, "APP_B")
-    return entry, pickup
+    return served, pickup
 
 
 def test_delivered_store_ttl_expiry():
     # The key lapses with its session: session_lifetime_ms after it was stored.
-    entry, pickup = _pickup_at(600)
-    assert 600 - entry.stored_ms > 500
+    _, pickup = _pickup_at(600)
     assert pickup.status == STATUS_NO_RULE  # state existed but lapsed
+    assert pickup.material == b""
 
 
 def test_delivered_store_within_ttl():
-    entry, pickup = _pickup_at(400)
+    served, pickup = _pickup_at(400)
     assert pickup.status == STATUS_OK
-    assert pickup.material == entry.material
+    assert pickup.material == served.material
 
 
 def test_session_and_delivered_store_share_one_lapse_rule(monkeypatch):

@@ -541,8 +541,9 @@ def test_every_material_read_is_the_fresh_derivation(topology_seed, faults, requ
         at = 2000 * i
         events.append({"at": at, "event": "app_get_key", "app_src": f"APP_{src}",
                        "app_dst": f"APP_{dst}"})
-        # A pickup by id of some link's index-th key: taken where it is
-        # that KMS's own available key, refused otherwise.
+        # A pickup by id of some link's index-th key: served only if that
+        # key waits in the pickup KMS's delivered store for this app pair,
+        # refused otherwise, and no pool is read either way.
         key_id = derive_key_id(seed, links[index % len(links)], index % 5)
         events.append({"at": at + 10, "event": "app_get_key_with_id", "app_src": f"APP_{dst}",
                        "app_dst": f"APP_{src}", "key_id": key_id})

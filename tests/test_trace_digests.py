@@ -167,83 +167,83 @@ PAIR_SPACING_MS = 3000  # more than the 1000 ms timeout: pairs never overlap
 # (op, of_type, n) -> (digest, orphans); 4-link chain
 CHAIN_FAULTS = {
     ("drop", "relay_process_request", 1): (
-        "fc83f72fae655c3337e7d6e96d7634995b84a69576b7a812fd3b8c68837e082c",
+        "959ded2f269fc97d0c0839293e9811b8000d19a8a20f1960f5b06c9849ea4686",
         0,
     ),
     ("drop", "relay_process_request", 2): (
-        "2537c68d6ab64d7bf85b036fa8908ae88eb7de9e3bb03f2d87a705c03fba437b",
+        "d1bc4f7ba8ea8a5d1d3b57c6a9a8214b5582f2164acebb62ce43c9aadb09d5fc",
         0,
     ),
     ("drop", "relay_process_request", 3): (
-        "aeb5ef27ae4c8e295917004c98d30dcff89384ba2413860e42705bbb405fad45",
+        "80d3b4bea7e0fd2ca76aaac4151dbb15ef3e74edbcc5fb86720a763fef3adc07",
         0,
     ),
     ("drop", "ext_key_request", 1): (
-        "c3ebfa464176a01a8b4bb0590855e06cf221e7b466e961c1a1bc9c44e5e2836f",
+        "6364bee2e806ac194d5f5c800545ec6b905bb0ad46da391cdcdf88b97a93b3dc",
         1,
     ),
     ("drop", "ext_key_request", 2): (
-        "4f61d33abd151d00ce05a2cbd372ca87c31dda135c2b83e6522c77d314156d95",
+        "12e437df321000dce28c648e59f1065cbb9adb31206f7a7e6f6d6584be70eddd",
         3,
     ),
     ("drop", "ext_key_request", 3): (
-        "fbf192fda829f0adf2e35df51e785f7f80b1dffd58dfca957096a19283b6c812",
+        "6a3bfcdd29fbecfd50ff7cb5162ce42d25f81728713588be43a3ed4ac2ce47d3",
         5,
     ),
     ("drop", "key_relay", 1): (
-        "a3c4225b9e256272cd576a3d56015691d90663ccb59f616e068a5463a7dd9ce9",
+        "1f74a3c9afa6db3a74af039d7fcd8401dca70570afd24c006576a0268b111e58",
         2,
     ),
     ("drop", "key_relay", 2): (
-        "1720e0b0cc92d301f81e16e646ea04b6a15e447bcc7ad7085621d8bab309b033",
+        "d48c0a96d77fc3ff36f1d298c29eae529a9bee66c927d84fd0707f16782422b7",
         4,
     ),
     ("drop", "key_relay", 3): (
-        "49faf261ed87089dea053b38c3b73c48bf8e97abee36dd0409f7f1749b95004c",
+        "2e237d70c52c57491a6c78ec6ed549d667ae52b74bf3568de6e0b6f07f6448ff",
         6,
     ),
     ("drop", "key_relay_response", 1): (
-        "8ab2a8c855c9ea7907587dd719542b1f23c0a6d12acf30befeb438f9c730e7a6",
+        "875dd07c3a12f57f0007354e4f3851f42714b55f5a779971fbd9d421c9a547f5",
         6,
     ),
     ("drop", "key_relay_response", 2): (
-        "00bfb0dea1d8fba4a2434f41ed3fb1c0d1bc66b3e41b8ed82ac74a52fd38e1ea",
+        "056f4cfa42df2f0734c151a40201e227495f631c80a041f220eb8d1d9348df47",
         4,
     ),
     ("drop", "key_relay_response", 3): (
-        "330f8240cdc553e41d0c86b12bc3bdda1d8fb79d70d2348d0b0c3640c5811666",
+        "9b6368443d0165e31693c9be833b1a92bf93ac851035985b23e93f9a701cad38",
         2,
     ),
     ("drop", "ack_request", 1): (
-        "0de634ca49fa1456cc9d5bab5a965e5804d240dcda4fb24e460a5368d8d8e88f",
+        "4e88828821ce5465f1b04fb4e3944f56eff4b488c371e49573659ea2deb885c8",
         5,
     ),
     ("drop", "ack_request", 2): (
-        "8a8c134dd2dcbef5ca80373235fd2695e7d73ecfd7b9dbd1e332c22b3549bf5c",
+        "098193be139cb5fb3bb3dc1a3dca4e4ff3dd5965da097da6d0f77ab3879a4e6b",
         3,
     ),
     ("drop", "ack_request", 3): (
-        "b2ca4724ba83bcad729769d5f57f4dad4226901234635b75637d1b007d5aa591",
+        "6eeee852f98ba6c06f4de2396f754f5ab40743b2b9cfeb7ac8ddcb7eccc4866d",
         1,
     ),
     ("drop", "relay_process_response", 1): (
-        "0456505a0e7f696a2e74a02e5282b4249a424eb5b80146a2ba1e03a17bdc1314",
+        "709ff897b8f9e9b0c686b8501c53692eba4521ed24c76100b61b4ce279b30efe",
         0,
     ),
     ("drop", "relay_process_response", 2): (
-        "c9e1993ba87aaf48a474055bb5f5b1e04baa1add0e2815b2bc7354696239d914",
+        "9d34f91496a932b783ef4180f60fe986975125ba0823be9758cd892b7543fd9b",
         0,
     ),
     ("drop", "relay_process_response", 3): (
-        "261f22bcfcfc2edc310f8f9f7b972f8c987c8b6c36d42117e8124542534387a0",
+        "61aff94c06b6c8f8c906e6a0d41247af65a718c33a9ac2e125e8213b46d627c8",
         0,
     ),
     ("drop", "key_delivery", 1): (
-        "ed1c03b789034af9b71a5b6b20022933b3c6a3e3bc19f4d59a6ea6cbaa71c03d",
+        "de6100da19479630503ae29533a5a3c35e482f063ef6e69e20833584794db73d",
         0,
     ),
     ("drop", "key_delivery", 2): (
-        "00c42b7f37fa2ee5d3d3836a0aa8586d2752c1634470f7069249847499b26ab3",
+        "dde11f8776712ec01e8ff3b8835ddb6a8c35cd0ca738c8c01631a50ca7c5287a",
         0,
     ),
     ("drop", "key_delivery", 3): (
@@ -338,10 +338,10 @@ CHAIN_FAULTS = {
 
 # link (1-based) whose pool the warm-up empties -> (digest, orphans); 4-link chain
 CHAIN_EXHAUSTED = {
-    1: ("4f3a376e3c26b740ecce3298990da9c2402317958adbc202bc68db6cafe46b9f", 0),
-    2: ("bbf4a227d3e9c147e05f8087f3c851ee70e795af08cf624e5d5c3eeea529cfdd", 0),
-    3: ("6a6cc6904a3d8e76f43d2347ec79d550739759339318a50a76727d3d1d23cb9d", 0),
-    4: ("7b870541c0d6efa954e0edb90332cb8dc78dd34f9f4152e6f5feab323572070d", 0),
+    1: ("477d6a7bbbdf10c7e504741232e7cb787c5f4f193673d21c9ef9933b688f9600", 0),
+    2: ("2a915a0cdd5c0351c827094159955c79b4be9dbfb79e570890ecdad94a0dc6c9", 0),
+    3: ("326c243d6ac21ce1b5e10ea30b1822b618155b7b1023a39d0b7b46f009420ac5", 0),
+    4: ("a40f67f722d5c17406b7a934a7b276f7f3fc4648c2eaf484174bff023020e7d7", 0),
 }
 
 # (rng seed, session_lifetime_ms) -> (digest, orphans); 5x5 grid
@@ -434,9 +434,10 @@ def test_run_left_with_an_open_request_exits_1():
     events = chain_events([{"event": "drop_message", "n": 2, "of_type": "key_delivery"}])
     result = run_events(topology_from_dict(chain_dict(4, initial_pool=8)), events, seed=SEED)
     assert [r.status for r in result.sim.requests].count(None) == 1
-    # Only the request whose delivery was dropped (R3) stays open; every
-    # later request gets its own key.
-    assert [r.status for r in result.sim.requests] == ["ok", "ok", None] + ["ok"] * 5
+    # Only the request whose delivery was dropped (R3) stays open. R4 names
+    # R1's key, the last APP_A got, which R2 already took; every later
+    # request gets its own key.
+    assert [r.status for r in result.sim.requests] == ["ok", "ok", None, "failed_no_key"] + ["ok"] * 4
     later = result.sim.requests[4:]
     assert [r.key_id for r in later[0::2]] == [r.key_id for r in later[1::2]]
     assert len({r.key_id for r in later}) == 2
@@ -495,15 +496,15 @@ def test_grid_fault_report_digest(seed, session_lifetime_ms):
 # (of_type, n) -> (digest, orphans); 4-link chain, message dropped
 CHAIN_VKMS_DROPS = {
     ("get_key", 1): (
-        "af07da882ab5d66461102179328c42a89e297587b354a8d2fb74701e393dafcb",
+        "c31c1f652f74b1b70635eafddb5784b0994068c41ebee472fd3510b4500a17b3",
         0,
     ),
     ("get_key", 2): (
-        "552fafef78177add78552424e9b021bdf95556029f064d88caa38278111ec11b",
+        "bc9a27eccbdc8312b8199ebc94ea5ea649132e574134379c91a34143189afa3d",
         0,
     ),
     ("get_key", 3): (
-        "742039ffd39ec67a691e81174b5f74e658373bd27bac02f99b6396176e8a4a95",
+        "303aa80744a20b1d8e79f403b8dd6ad6fc772f80b6b87d989d60194bcf118c05",
         0,
     ),
     ("get_key_with_id", 1): (
@@ -519,7 +520,7 @@ CHAIN_VKMS_DROPS = {
         0,
     ),
     ("kms_discovery_request", 1): (
-        "e4fe30b59718d5670ccaa7e42a0b8a60bf46cd88901f601c297b692c4ddf4ee9",
+        "6379142aeb436f1eda16dc60426b24ed1a4523383d20742f4231c03ed352be61",
         0,
     ),
     ("kms_discovery_request", 2): (
@@ -527,11 +528,11 @@ CHAIN_VKMS_DROPS = {
         0,
     ),
     ("kms_discovery_request", 3): (
-        "a71d5bd15e1fa028b59dca796a3cb04094c1dd496c4a2ef6aca03f3bbba456b1",
+        "452e120dcb037aa1f4bc35dd899d846445135d968a3b6da5115667f3724d0472",
         0,
     ),
     ("kms_discovery_response", 1): (
-        "9269d3c383655b2983d2b7a82939930bbca2556cc00a8bd4826769adeafd8a6a",
+        "bd8ebf8c3c8a664066fc03b71d4f457b684b991df9246e187be9832c1af97bcf",
         0,
     ),
     ("kms_discovery_response", 2): (
@@ -539,7 +540,7 @@ CHAIN_VKMS_DROPS = {
         0,
     ),
     ("kms_discovery_response", 3): (
-        "a87cdcd7e2b038de17b57037af24ad644f0d835f7e355115118bde35abea8d0e",
+        "0e35be36cc2c2e446aeda7fcafc762ec076bc9e51ad783301c93c3d936df7589",
         0,
     ),
 }
@@ -568,16 +569,16 @@ OVERLAP_WARM_UP = [
 # rng seed -> (digest, full_report_digest); mesh4, five apps
 OVERLAPS = {
     1: (
-        "9cb559434d93d34fad104d8f3334e645f386ea5ccbaea9657a9747cdd473d954",
-        "0bd8719644106cb3283da63058610482a26d6f9527830b94181cf21ba2a36242",
+        "96a78b7d8fb0240397b0bcb689f199cdb7a0ca21f12f73e6bf9c5ce72b96d5e3",
+        "ba9557e61fa0949e52f2d95469501f61a359bee3d435848eb655fe9717ef39b1",
     ),
     2: (
-        "635491d76d1d4773e6f3c9ea3321966e6865e0516590f94956ee3676111d9810",
-        "b1a260ed8626682d5e2e3711c3d373660b8212d78beb01d938e16964e791a145",
+        "c5c332ad9e7f52afb54bbdb650e8aa79aff0a9399528dcd077794120eb2e8d46",
+        "7c9e1589f619b42a5aabca6a8b7bf8821b27e103502c8611ff76a0b77b5d05d7",
     ),
     4: (
-        "7d66f6e8476c7ad3a42c9ccddbf5125a868397c7a174ec2e8192bfc0c08129d6",
-        "d24dc15004c8eae16f19dc921e98b3308d37a223a49f3ec3cb7d4ba1612ffc74",
+        "c6794dd88e0e6dfa5a54918b422984010531bf61d68c0790198e46fc9c2179e8",
+        "b77c65f9e4621308fcced48c5cb202dd0cf4aa2fa2a35f1b87951f9a5eb5fe00",
     ),
 }
 
@@ -792,7 +793,7 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "c838781d23827f04d420257d1ba68ccd423a13a1d11a8d44a95521c66a662c4b"
+CORPUS_DIGEST = "4acc46cd74e326ac6cbc7e7c3fdabed54e3cd7976eb231cce81c166fc94d9f96"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250

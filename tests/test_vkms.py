@@ -55,7 +55,7 @@ def test_unknown_destination_app():
     assert count_type(result.records, "relay_path_install") == 0
 
 
-def test_cache_disabled_discovers_every_time():
+def test_each_request_sends_its_own_discovery():
     topo = mesh4({"APP_A": "N3", "APP_B": "N4"})
     result = run_events(topo, two_direct_requests())
     assert count_type(result.records, "kms_discovery_request") == 2
