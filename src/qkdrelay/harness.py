@@ -111,6 +111,9 @@ _EXPECT_KEYS = {
 
 @dataclass(slots=True)
 class ScenarioEvent:
+    """One scenario entry. params is the entry as given, "at" and "event"
+    included; a handler reads only its own fields."""
+
     at: int
     event: str
     params: dict
@@ -138,6 +141,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
 
     events: list[ScenarioEvent] = []
     last_at = 0
+    names: dict[str, str] = {}  # name -> the one str object held for it
     for i, entry in enumerate(raw["events"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"events[{i}]: expected an object")
@@ -160,14 +164,24 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
                 raise ConfigError(f"events[{i}]: missing field {sorted(missing)[0]!r}")
             extra = entry.keys() - allowed
             raise ConfigError(f"events[{i}]: unknown field {sorted(extra)[0]!r}")
-        params = entry.copy()
-        del params["at"], params["event"]
+        # The entry itself is the event's params, "at" and "event" included:
+        # no handler reads those two, so no second dict is built per event.
+        params = entry
         if kind in ("app_get_key", "app_get_key_with_id"):
             if kind == "app_get_key_with_id" and ("key_id" in params) == ("key_id_from" in params):
                 raise ConfigError(f"events[{i}]: exactly one of 'key_id'/'key_id_from' is required")
+            # Names are stored once: equal values, but one str object per name
+            # across the scenario, not one per event. The table is the
+            # scenario's own, not sys.intern's, which would grow for the rest
+            # of the process. A str subclass is accepted and stored as a str.
             for key in ("app_src", "app_dst", "via_node", "key_id_from"):
-                if key in params and not isinstance(params[key], str):
-                    raise ConfigError(f"events[{i}]: {key!r} must be a string")
+                if key in params:
+                    value = params[key]
+                    if type(value) is not str:
+                        if not isinstance(value, str):
+                            raise ConfigError(f"events[{i}]: {key!r} must be a string")
+                        value = str(value)
+                    params[key] = names.setdefault(value, value)
             if "key_id" in params and not (isinstance(params["key_id"], str) and params["key_id"]):
                 raise ConfigError(f"events[{i}]: 'key_id' must be a non-empty string")
         elif kind in ("drop_message", "corrupt_message"):

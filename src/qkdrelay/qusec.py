@@ -184,8 +184,9 @@ def shortest_path(
 
 @dataclass(slots=True)
 class SessionState:
-    """One end-to-end establishment: ordered KMS list of length 2L. status is
-    installed or completed; expiry is read from the clock (QusecEntity._expired)."""
+    """One end-to-end establishment: ordered KMS list of length 2L. QuSeC
+    keeps only each ordered app pair's newest one. status is installed or
+    completed; expiry is read from the clock (QusecEntity._expired)."""
 
     id_association: str
     app_src: str
@@ -206,7 +207,13 @@ class SessionState:
 
 
 class QusecEntity(Entity):
-    """Serial controller actor; all transitions happen in message order."""
+    """Serial controller actor; all transitions happen in message order.
+
+    ``sessions`` holds one session per ordered app pair, its newest: a
+    pickup only ever reuses that one, so a get_key's new session replaces
+    the pair's old one. The table lists its sessions in the order they were
+    opened, oldest first, and ``sessions_opened`` counts every session ever
+    opened, replaced ones included."""
 
     def __init__(self, topology: Topology, seed: int):
         super().__init__(QUSEC_ID, node_id=None)
@@ -219,20 +226,20 @@ class QusecEntity(Entity):
         self._trees: dict[str, Tree] = {}
         # (src_node, dst_node) -> its _kms_path, for the same reason.
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
-        self.sessions: list[SessionState] = []
         # (app_src, app_dst) -> that ordered pair's newest session.
-        self._newest_session: dict[tuple[str, str], SessionState] = {}
+        self.sessions: dict[tuple[str, str], SessionState] = {}
+        # The n-th session opened gets the association id hashed from n.
+        self.sessions_opened = 0
         self.install_count = 0
         self.discovery_count = 0
         self.errors: list[dict] = []
-        self._assoc_counter = 0
 
     # ── id allocation ──
 
     def _new_association_id(self) -> str:
-        self._assoc_counter += 1
+        self.sessions_opened += 1
         return hashlib.shake_256(
-            f"{self.seed}|assoc|{self._assoc_counter}".encode()
+            f"{self.seed}|assoc|{self.sessions_opened}".encode()
         ).hexdigest(16)
 
     # ── session bookkeeping ──
@@ -247,7 +254,7 @@ class QusecEntity(Entity):
         """Newest live session in which the requester is the target. Only the
         pair's newest session needs a look: created_ms never decreases, so if
         it has expired, so have all older ones."""
-        session = self._newest_session.get((app_dst, app_src))
+        session = self.sessions.get((app_dst, app_src))
         if session is None or self._expired(session, now_ms):
             return None
         return session
@@ -310,8 +317,9 @@ class QusecEntity(Entity):
                 for i in range(len(kms_path), 0, -1):
                     self.send(hops[i], RelayPathInstall(assoc, hops[i - 1], hops[i + 1], *pair))
                 self.install_count += len(kms_path)
-            session = self._newest_session[pair] = SessionState(assoc, *pair, kms_path, now)
-            self.sessions.append(session)
+            # Re-inserted, so the table stays in the order sessions opened.
+            self.sessions.pop(pair, None)
+            self.sessions[pair] = SessionState(assoc, *pair, kms_path, now)
         self._respond(reply_to, msg, kms_path[0])
 
     def _kms_path(self, src_node: str, dst_node: str) -> tuple[str, ...]:
@@ -354,6 +362,7 @@ class QusecEntity(Entity):
             "session_lifetime_ms": self.topology.config.session_lifetime_ms,
             "discovery_count": self.discovery_count,
             "install_count": self.install_count,
-            "sessions": [s.to_dict(self._expired(s, now)) for s in self.sessions],
+            "sessions_opened": self.sessions_opened,
+            "sessions": [s.to_dict(self._expired(s, now)) for s in self.sessions.values()],
             "errors": list(self.errors),
         }

@@ -190,6 +190,43 @@ def test_scenario_accepts_all_event_kinds():
     ]
 
 
+def test_scenario_leaves_its_input_equal_and_holds_each_name_once():
+    # Names built at run time, so that equal names start as distinct objects,
+    # as they do when parsed from JSON.
+    def name(*parts):
+        return "".join(parts)
+
+    class Name(str):
+        pass
+
+    raw = {
+        "events": [
+            {"at": 0, "event": "app_get_key", "app_src": name("APP_", "A"),
+             "app_dst": name("APP_", "B"), "via_node": name("N", "1")},
+            {"at": 5, "event": "app_get_key_with_id", "app_src": name("APP_", "B"),
+             "app_dst": name("APP_", "A"), "key_id_from": name("APP_", "A"),
+             "via_node": name("N", "1")},
+            {"at": 6, "event": "tick_links", "dt_ms": 10, "links": [name("L", "1")]},
+            {"at": 7, "event": "app_get_key", "app_src": Name("APP_B"),
+             "app_dst": name("APP_", "A")},
+        ]
+    }
+    before = json.loads(json.dumps(raw))
+    first, second = raw["events"][:2]
+    assert first["app_src"] is not second["app_dst"]
+    events = scenario_from_dict(raw).events
+    assert raw == before
+    one, two = events[0].params, events[1].params
+    assert one["app_src"] is two["app_dst"] is two["key_id_from"]
+    assert one["app_dst"] is two["app_src"]
+    assert one["via_node"] is two["via_node"]
+    # A str subclass is still a string, held as the plain name.
+    assert events[3].params["app_src"] is two["app_src"]
+    assert [(e.at, e.event) for e in events] == [
+        (0, "app_get_key"), (5, "app_get_key_with_id"), (6, "tick_links"), (7, "app_get_key"),
+    ]
+
+
 def test_scenario_accepts_every_expect_key():
     expect = {
         "final_statuses": ["ok", None],
@@ -753,16 +790,18 @@ def test_message_count_expectation(mesh4_relay_topology):
     assert run(mesh4_relay_topology, scenario, seed=1).exit_code == 1
 
 
-def rule_records(report: dict) -> int:
+def rule_records(result) -> int:
     """The records a clean run of non-overlapping requests costs: 6 for each
     pickup and each direct get_key, 6L+4 for a get_key relayed over L links.
-    Each get_key opens one session, so the i-th get_key owns the i-th."""
-    sessions = iter(report["controller"]["sessions"])
+    A get_key's path is QuSeC's path memo for its two apps' nodes."""
+    apps, kms_path = result.sim.topology.apps, result.sim.qusec._kms_path
     total = 0
-    for request in report["requests"]:
-        links = len(next(sessions)["kms_path"]) // 2 if request["kind"] == "get_key" else 1
+    for request in result.report["requests"]:
+        if request["kind"] == "get_key":
+            links = len(kms_path(apps[request["app_src"]], apps[request["app_dst"]])) // 2
+        else:
+            links = 1
         total += 6 if links == 1 else 6 * links + 4
-    assert next(sessions, None) is None
     return total
 
 
@@ -783,8 +822,69 @@ def test_a_clean_run_costs_each_request_its_messages(weight_policy):
     assert max(len(s["kms_path"]) for s in controller["sessions"]) > 4
     # QuSeC answers every request, and only a get_key opens a session.
     assert controller["discovery_count"] == len(requests)
-    assert len(controller["sessions"]) == sum(r["kind"] == "get_key" for r in requests)
-    assert len(result.trace_lines) == rule_records(report)
+    assert controller["sessions_opened"] == sum(r["kind"] == "get_key" for r in requests)
+    assert len(result.trace_lines) == rule_records(result)
+
+
+# ── long runs ──
+
+# A 3x3 grid's app pairs: relayed over four, four and two links, and direct.
+SOAK_PAIRS = [
+    ("APP_1", "APP_9"), ("APP_9", "APP_1"), ("APP_3", "APP_7"), ("APP_4", "APP_6"),
+    ("APP_2", "APP_5"),
+]
+
+
+def soak_peaks(n: int, session_lifetime_ms: int | None) -> dict[str, int]:
+    """Run n sequential pairs cycling over SOAK_PAIRS, 100 ms apart, and
+    return the largest size each table reached, read before every event
+    and at the end: QuSeC's sessions, and the fullest KMS rule table, KMS
+    delivered store and vKMS open-request table."""
+    peaks = dict.fromkeys(("sessions", "rules", "delivered", "awaiting"), 0)
+
+    def note(sim):
+        sizes = {
+            "sessions": len(sim.qusec.sessions),
+            "rules": max(len(k.rules) for k in sim.kms.values()),
+            "delivered": max(len(k.delivered) for k in sim.kms.values()),
+            "awaiting": max(len(v.awaiting) for v in sim.vkms.values()),
+        }
+        for table, size in sizes.items():
+            peaks[table] = max(peaks[table], size)
+
+    execute = Simulation.execute_event
+
+    def noted(sim, event):
+        note(sim)
+        execute(sim, event)
+
+    events = []
+    for i in range(n):
+        src, dst = SOAK_PAIRS[i % len(SOAK_PAIRS)]
+        events.append({"at": 100 * i, "event": "app_get_key", "app_src": src, "app_dst": dst})
+        events.append({"at": 100 * i + 10, "event": "app_get_key_with_id", "app_src": dst,
+                       "app_dst": src, "key_id_from": src})
+    # One key per link and pair at most, so no pool runs dry.
+    raw = grid_dict(3, initial_pool=n, session_lifetime_ms=session_lifetime_ms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Simulation, "execute_event", noted)
+        result = run_events(topology_from_dict(raw), events)
+    note(result.sim)
+    assert {r["status"] for r in result.report["requests"]} == {STATUS_OK}
+    assert result.sim.qusec.sessions_opened == n
+    return peaks
+
+
+@pytest.mark.parametrize("session_lifetime_ms", [None, 50])
+def test_a_long_run_keeps_its_tables_bounded_by_app_pairs(session_lifetime_ms):
+    # Ten times the pairs reach the same table sizes, each within the number
+    # of app pairs. Under the lifetime, a pair's session has expired before
+    # the pair comes round again, and the table still holds it.
+    short = soak_peaks(40, session_lifetime_ms)
+    long = soak_peaks(400, session_lifetime_ms)
+    assert long == short
+    assert max(long.values()) <= len(SOAK_PAIRS)
+    assert long["sessions"] == len(SOAK_PAIRS)
 
 
 # ── packaged data ──

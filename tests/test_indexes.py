@@ -20,7 +20,7 @@ from conftest import (
     random_topology,
     run_events,
 )
-from qkdrelay import kms
+from qkdrelay import kms, qusec
 from qkdrelay.linksim import LinkSimulator
 from qkdrelay.qusec import (
     SESSION_COMPLETED,
@@ -246,9 +246,30 @@ def test_find_material_matches_pool_scan():
 # ── qusec sessions and kms rules, checked on every lookup of a run ──
 
 
+def log_sessions(monkeypatch) -> list:
+    """Every session QuSeC opens from now on, logged from outside it in the
+    order opened; the caller clears the list between runs."""
+    opened = []
+    make = qusec.SessionState
+
+    def logged(*args):
+        opened.append(make(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(qusec, "SessionState", logged)
+    return opened
+
+
+def newest_per_pair(opened: list) -> list:
+    """Each ordered app pair's last session in opened, in opened's order."""
+    last = {(s.app_src, s.app_dst): i for i, s in enumerate(opened)}
+    return [s for i, s in enumerate(opened) if last[s.app_src, s.app_dst] == i]
+
+
 def test_session_and_rule_lookups_match_scans(monkeypatch):
     seen = {"reused": 0, "expired_skipped": 0, "rules": 0, "refused": 0, "superseded": 0}
 
+    opened = log_sessions(monkeypatch)
     find_session = QusecEntity._find_reusable_session
 
     def checked_session(self, app_src, app_dst, now_ms):
@@ -256,7 +277,7 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
         got = find_session(self, app_src, app_dst, now_ms)
         lifetime = self.topology.config.session_lifetime_ms
         want = None
-        for session in reversed(self.sessions):
+        for session in reversed(opened):
             if session.app_src != app_dst or session.app_dst != app_src:
                 continue
             if lifetime is not None and self.services.now_ms - session.created_ms > lifetime:
@@ -318,6 +339,7 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     ]
     for lifetime, faults in ((None, []), (60, []), (150, []), (None, lost_installs)):
         newest.clear()
+        opened.clear()
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
         events = faults + grid_events(raw, random.Random(lifetime or 0), pairs=40)
         if lifetime is not None:
@@ -326,6 +348,8 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
             events.append({**events[-1], "at": events[-1]["at"] + lifetime + 10})
         result = run_events(topology_from_dict(raw), events, seed=2)
         assert result.report["quiescent"]
+        assert list(result.sim.qusec.sessions.values()) == newest_per_pair(opened)
+        assert result.sim.qusec.sessions_opened == len(opened)
     assert seen["reused"] > 0
     assert seen["expired_skipped"] > 0
     assert seen["rules"] > 0
@@ -336,36 +360,43 @@ def test_session_expiry_matches_full_scan(monkeypatch):
     # A session reads as expired exactly when the clock is more than the
     # lifetime past its creation: the clock at the discovery just handled,
     # and in the final report the clock at the end of the run. A stored
-    # status is never "expired".
+    # status is never "expired". The report lists each app pair's newest
+    # session, in the order the sessions were opened.
     seen = {"checks": 0, "expired": 0, "live": 0}
+    opened = log_sessions(monkeypatch)
     handle_discovery = QusecEntity._handle_discovery
 
-    def scan(qusec, now_ms):
-        lifetime = qusec.topology.config.session_lifetime_ms
+    def scan(controller, now_ms):
+        lifetime = controller.topology.config.session_lifetime_ms
         return [
-            SESSION_EXPIRED if now_ms - s.created_ms > lifetime else s.status
-            for s in qusec.sessions
+            (s.id_association, SESSION_EXPIRED if now_ms - s.created_ms > lifetime else s.status)
+            for s in newest_per_pair(opened)
         ]
+
+    def listed(dump):
+        return [(s["id_association"], s["status"]) for s in dump["sessions"]]
 
     def checked_discovery(self, msg, reply_to):
         handle_discovery(self, msg, reply_to)
         now_ms = self.services.now_ms
-        assert {s.status for s in self.sessions} <= {SESSION_INSTALLED, SESSION_COMPLETED}
-        got = [s["status"] for s in self.dump_state()["sessions"]]
+        assert {s.status for s in opened} <= {SESSION_INSTALLED, SESSION_COMPLETED}
+        got = listed(self.dump_state())
         assert got == scan(self, now_ms)
+        got = [status for _, status in got]
         seen["checks"] += 1
         seen["expired"] += got.count(SESSION_EXPIRED)
         seen["live"] += len(got) - got.count(SESSION_EXPIRED)
 
     monkeypatch.setattr(QusecEntity, "_handle_discovery", checked_discovery)
     for lifetime in (60, 150):
+        opened.clear()
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
         events = grid_events(raw, random.Random(lifetime), pairs=40)
         result = run_events(topology_from_dict(raw), events, seed=2)
         assert result.report["quiescent"]
-        qusec = result.sim.qusec
-        reported = [s["status"] for s in result.report["controller"]["sessions"]]
-        assert reported == scan(qusec, result.report["sim_time_ms"])
+        reported = listed(result.report["controller"])
+        assert reported == scan(result.sim.qusec, result.report["sim_time_ms"])
+        assert result.report["controller"]["sessions_opened"] == len(opened)
     assert seen["checks"] > 0
     assert seen["expired"] > 0
     assert seen["live"] > 0

@@ -212,7 +212,8 @@ def test_controller_keeps_one_tree_per_source_node():
     assert qusec._graph.hops == graph.hops
     for node, tree in qusec._trees.items():
         assert tree == path_tree(graph, graph.rank[node])
-    for session, (src, dst) in zip(qusec.sessions, pairs):
+    assert list(qusec.sessions) == pairs
+    for session, (src, dst) in zip(qusec.sessions.values(), pairs):
         src_node, dst_node = topo.apps[src], topo.apps[dst]
         assert list(session.kms_path) == compute_relay_path(
             topo, src_node, dst_node, topo.weight_policy
@@ -402,10 +403,10 @@ def test_discovery_direct_case_records_session_without_installs():
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
     )
     assert installs(result.records) == []
-    sessions = result.sim.qusec.sessions
-    assert len(sessions) == 1
-    assert sessions[0].kms_path == ("KMS_3d", "KMS_4d")
-    assert sessions[0].status == SESSION_INSTALLED
+    assert result.sim.qusec.sessions_opened == 1
+    (session,) = result.sim.qusec.sessions.values()
+    assert session.kms_path == ("KMS_3d", "KMS_4d")
+    assert session.status == SESSION_INSTALLED
 
 
 def test_discovery_direct_case_picks_min_weight_shared_link():
@@ -424,7 +425,7 @@ def test_discovery_direct_case_picks_min_weight_shared_link():
         topo,
         [{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}],
     )
-    (session,) = result.sim.qusec.sessions
+    (session,) = result.sim.qusec.sessions.values()
     assert session.kms_path[0] == "KMS_1short"
 
 
@@ -463,7 +464,7 @@ def test_discovery_session_reuse_skips_installs(mesh4_relay_topology):
         ],
     )
     assert len(installs(result.records)) == 4  # only the first request installs
-    (session,) = result.sim.qusec.sessions
+    (session,) = result.sim.qusec.sessions.values()
     assert session.status == SESSION_COMPLETED
     responses = [
         e.msg.id_kms
@@ -491,7 +492,7 @@ def test_direct_session_reused_by_target_pickup():
         ],
     )
     assert installs(result.records) == []
-    (session,) = result.sim.qusec.sessions
+    (session,) = result.sim.qusec.sessions.values()
     assert session.kms_path == ("KMS_1a", "KMS_2a")
     assert session.status == SESSION_COMPLETED
     responses = [
@@ -519,7 +520,8 @@ def test_discovery_unknown_app_and_same_node():
     assert [r.id_kms for r in responses] == [None, None]
     assert [r.id_request for r in responses] == ["R1", "R2"]
     assert [e["reason"] for e in sim.qusec.errors] == ["unknown_app", "same_node"]
-    assert sim.qusec.sessions == []
+    assert sim.qusec.sessions == {}
+    assert sim.qusec.sessions_opened == 0
 
 
 def test_session_expiry_threshold():
@@ -567,7 +569,7 @@ def test_session_survives_within_lifetime():
         ],
     )
     assert len(installs(result.records)) == 4
-    assert result.sim.qusec.sessions[0].status == SESSION_COMPLETED
+    assert result.sim.qusec.sessions["APP_A", "APP_B"].status == SESSION_COMPLETED
 
 
 def test_pickup_after_expiry_installs_nothing():
@@ -589,7 +591,7 @@ def test_pickup_after_expiry_installs_nothing():
         session_lifetime_ms=100,
     )
     assert len(installs(result.records)) == result.sim.qusec.install_count == 4
-    assert len(result.sim.qusec.sessions) == 1
+    assert len(result.sim.qusec.sessions) == result.sim.qusec.sessions_opened == 1
     assert [r["status"] for r in result.report["requests"]] == ["ok", "failed_no_rule"]
 
 
@@ -609,7 +611,7 @@ def test_report_reads_session_lifetimes_at_the_end_of_the_run():
         assert result.sim.qusec.discovery_count == 1
         (session,) = result.report["controller"]["sessions"]
         assert session["status"] == status
-        assert result.sim.qusec.sessions[0].status == SESSION_INSTALLED
+        assert result.sim.qusec.sessions["APP_A", "APP_B"].status == SESSION_INSTALLED
 
 
 @pytest.mark.parametrize(
@@ -692,14 +694,21 @@ def test_association_ids_unique_and_deterministic():
         {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         {"at": 1, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
     ]
-    one = run_events(topo, events, seed=5)
-    two = run_events(topo, events, seed=5)
-    ids_one = [s.id_association for s in one.sim.qusec.sessions]
-    ids_two = [s.id_association for s in two.sim.qusec.sessions]
+
+    def association_ids(result):
+        """Each session's association id, in the order they were opened,
+        as its installs carry it; the table keeps the pair's newest."""
+        ids = list(dict.fromkeys(e.msg.id_association for e in installs(result.records)))
+        assert result.sim.qusec.sessions_opened == len(ids)
+        (session,) = result.sim.qusec.sessions.values()
+        assert session.id_association == ids[-1]
+        return ids
+
+    ids_one = association_ids(run_events(topo, events, seed=5))
+    ids_two = association_ids(run_events(topo, events, seed=5))
     assert len(set(ids_one)) == 2
     assert ids_one == ids_two
-    other_seed = run_events(topo, events, seed=6)
-    assert ids_one != [s.id_association for s in other_seed.sim.qusec.sessions]
+    assert ids_one != association_ids(run_events(topo, events, seed=6))
 
 
 def test_dump_state_shape(mesh4_relay_topology):
@@ -710,6 +719,7 @@ def test_dump_state_shape(mesh4_relay_topology):
     dump = result.sim.qusec.dump_state()
     assert dump["install_count"] == 4
     assert dump["discovery_count"] == 1
+    assert dump["sessions_opened"] == 1
     assert dump["sessions"][0]["kms_path"] == [
         "KMS_1b", "KMS_3b", "KMS_3d", "KMS_4d",
     ]

@@ -67,16 +67,16 @@ PACKAGED = [
 
 # scenario -> digest of report_digest's sections
 PACKAGED_REPORTS = {
-    "direct.json": "962f19e5adaea7408a5c88504c26f014952ddcd31337f6837e4bfab54aba865e",
-    "relay1hop.json": "74d5ebcc7ed2e362df1e36764b903532677c839699301274581e4a1de2950b62",
-    "linear32.json": "eab1e49803549daf50830b057cf10254cd393a456033a90d92a4fd6ad26ff616",
+    "direct.json": "a03def376f1ec968b7f5ebc730647ade743be8a3b070fbb53a8a862f782dfd66",
+    "relay1hop.json": "0c4326c2fbfe182e3631bfd35ccb2310b0debf020fd5f694e8f5a5312689838d",
+    "linear32.json": "126aa48ca2a5fb4592b331ce918706639e3d0692e681fb3b15369bfbe8c857e5",
 }
 
 # scenario -> full_report_digest
 PACKAGED_FULL_REPORTS = {
-    "direct.json": "991dbc7b5929446ac1a5d6242a96963d14370962196bf6658dbdd53005063f5b",
-    "relay1hop.json": "07562537ccd56b9e8792b5f0d302d8d49aec28a512136cd1904a2b1b53db302d",
-    "linear32.json": "ef013fbf6ea9f26b634bb5284d2ee97baa6bcb2aa584853a2a1df85e90109650",
+    "direct.json": "a377c637426b096a551b5496ee68e8b2580d8222340be8b5f9d01d3e5a1b7118",
+    "relay1hop.json": "800a6be261bb624d0cb53612c2e765744fd60efcc97805706f74e36e2e709be6",
+    "linear32.json": "0d86b4cf64e5673e24cad1a2d020792d1fb6a1479bb9dd2d11f5cc36e719d58f",
 }
 
 # (session_lifetime_ms, digest)
@@ -87,8 +87,8 @@ GRIDS = [
 
 # session_lifetime_ms -> full_report_digest of the GRIDS run
 GRID_FULL_REPORTS = {
-    None: "5f642b6109d9d78518a4e2d19ea2d7d64a40e1d5e2b22b29625276accb950731",
-    150: "cc7013cd10216069f6c60cb45d96dac56cbbdffef9f71e48845c3235c9bd2447",
+    None: "0b7fff321f3ca07383afa782ff07806a5dd932026b65379d9d2737bb943f756b",
+    150: "779aa0f7ce7d92d0366702a735122f9f3a965b9c155e32bd209bb07b13e4a01a",
 }
 
 
@@ -358,26 +358,26 @@ GRID_FAULTS = {
 
 # (rng seed, session_lifetime_ms) -> digest of report_digest's sections; 5x5 grid
 GRID_FAULT_REPORTS = {
-    (1, None): "fa7a0b762e6c6dfb2f73086a941c173802c537616e7edb6208100bc1ba072e7c",
-    (1, 60): "a9919ccc6bdaa71952ec35c2a2a1ce96078116feb1d86066161b46564fd24b95",
-    (2, None): "dcfb4eead47cec9bd94cb584f47c5d8c1ec16d9566b657aa2ceb8d8d4418c619",
-    (2, 60): "b5ed8bc0fb1a176297d5ea55783d5bdc24ad9305fbfa9a41064af7c079d8b773",
-    (3, None): "3c408c4ae235ec7abe6421cec1a392f3e41a91f7452cd2315b70e437e2090191",
-    (3, 60): "57f3a3b48b75d30a828cf5cb72b106d30505bc07dc0afdb8110e9a58a2fbdb5e",
-    (4, None): "e5ac1c11b7295369885c4d1ff90d95c8f4c996dc0c8b32c1fb0958ce6af4ca6f",
-    (4, 60): "6b49a952f146c41f5cf3c33c3d388b1458ae70714fcc159f8a4465066a888719",
+    (1, None): "8517f9c10b0aa3749e87bb07d8d15911c71b57d855b01c83a2e33727cf7d3242",
+    (1, 60): "5ee63c79e903a15beb9ee4d06cc253352879db5abfeb1cb5dd55b2f85c4b3856",
+    (2, None): "f3ab3825eb19a9c94989f7d5135da1a49c24e3353b16159b3acf98fa5daedd16",
+    (2, 60): "7e5bcd47dc0da680255a5014c0bfd837abe773a976a334320b07ae12b2116a91",
+    (3, None): "5c69f0f49e5b6cb66677e75b4cd791935de35015e3b320c30bd3459528b0ff2d",
+    (3, 60): "1e1254b43902283f1bff4faf7d54f236a7c67b7dda3d422ad2566557d3135b91",
+    (4, None): "c97fce6e7fe21141c49c8493bd0cd164bea89eaff18fc1e9b6d5a9193962b21b",
+    (4, 60): "928aef473e4e38490e640af9a35675a0393b04d99bcf52b6fb6528a828259da4",
 }
 
 # (rng seed, session_lifetime_ms) -> full_report_digest; 5x5 grid
 GRID_FAULT_FULL_REPORTS = {
-    (1, None): "007209021e2b987542e041761f4b216aa4ddb830eac3816b6978491df4ab8fe6",
-    (1, 60): "1317421cfc60251a30eb5253122f926664bc7cc39c41a1687c0e4ea3f07acaf5",
-    (2, None): "4f92f531ebee22918fe6e2737ea7f5641f50e35225a859a2eb99487bff8a14f1",
-    (2, 60): "ec102553a9a9c1cc73c1b7ad7a5616a2ecc210c45b5d58d767105f3ad261ee49",
-    (3, None): "5127ead08d7538309cb66f4f60d73c5ef76d918861ddc0c390d96a9cc2077192",
-    (3, 60): "b90fbf7a290f9017342610901ab97718aaa5cf8d6d38cfd41c44f31aa47ec7ac",
-    (4, None): "aa1e1246430dbef843a924d3be242f4419e7cbe92eba8b158871093d4c41df41",
-    (4, 60): "69b39a21a8fbd24b4dc88f0cc58b34e9500859cae60e6b03990bfb36128948c3",
+    (1, None): "17138d38e8142d6a37d9c912123e99068c17a34a95723aae0925fadea58b4605",
+    (1, 60): "31af5137c26688dc5df44c972b3dad532bf25f21e6fd6358edac24fd6507d8d5",
+    (2, None): "3387d0639edf4bc29a3a2d97969948147c93eea08a2554b91a12630c54c5daef",
+    (2, 60): "f2d1ab9fd631a92032fc781502e59a0c9c073850e7a737ea7b76ebb0b2271084",
+    (3, None): "47bf324803bdf6ce29f5921bcac8e42c8251ef7766e1a9d23b7c297d18823124",
+    (3, 60): "954e87b0c33d3c627ce61e85ba4aba94d4d8692acdbe479974cb1e8588e6a00b",
+    (4, None): "e49d94eb2ce9dc937e44139915fb481b7e46685d47ff5d547da49b412acab63b",
+    (4, 60): "c8a10d006b611edd617b711c95fe142cc14e24288986b44d0361140e7bece0c4",
 }
 
 
@@ -570,15 +570,15 @@ OVERLAP_WARM_UP = [
 OVERLAPS = {
     1: (
         "96a78b7d8fb0240397b0bcb689f199cdb7a0ca21f12f73e6bf9c5ce72b96d5e3",
-        "ba9557e61fa0949e52f2d95469501f61a359bee3d435848eb655fe9717ef39b1",
+        "842471ed24353b1ed9183c6792afea2fcef3374ef93eb8b75a7ff2697eaf597c",
     ),
     2: (
         "c5c332ad9e7f52afb54bbdb650e8aa79aff0a9399528dcd077794120eb2e8d46",
-        "7c9e1589f619b42a5aabca6a8b7bf8821b27e103502c8611ff76a0b77b5d05d7",
+        "3d396b6c89e9f887a01ec73ea94444335572471d0256879869381e102543434c",
     ),
     4: (
         "c6794dd88e0e6dfa5a54918b422984010531bf61d68c0790198e46fc9c2179e8",
-        "b77c65f9e4621308fcced48c5cb202dd0cf4aa2fa2a35f1b87951f9a5eb5fe00",
+        "bf77271e9b3471aa9abcd0c50987b8d93397178c3862ae43a2659bc8b52ec3f3",
     ),
 }
 
@@ -705,23 +705,23 @@ STALE_STATUSES = {
 STALE = {
     "taken_answer_stalls": (
         "ef4709161d63af168c435dc0fd0e40f5422384bbb2c7c469f9e39cbbced34279",
-        "0b251292f5abb2f3146c3300e2a682cb26ef2c95316ef3ccd2917f0aa8397e4c",
+        "0434d577c2275f70ba0a1c5bb1d184b958ad866181d15ef0260329aa60888fec",
     ),
     "taken_answer_queues_behind_a_younger_request": (
         "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
-        "a732101e5c37e381e60a3961fc5cbc6929087e966b06429e838b19966f276c86",
+        "547dd85457cc1f1fc97536d489285f33a62fc96f162d2fff2a9f1242f39ebc74",
     ),
     "taken_answer_in_the_same_ms": (
         "ca74fc6e852b24e5441573246aae519061308747413197f64c5dd1872af2ec96",
-        "0c5d4a38789c8bc7b1cd062632b0f5f1a862010d0a7e5003375a5778102c7e58",
+        "e54c971eac09fd9959cda114505a464d4191eda3bfa0e5d1b6cc91155084e58a",
     ),
     "taken_answer_in_the_same_ms_stalls": (
         "ce2e77a2fa8fd264cfdb58647d222bb406195e3773610eb011dff722466a9358",
-        "f655a2c4c37d90ec17ec5c93fc1a70f650c132d78262863ee2a82ac18db936db",
+        "8458b0ecf89317354f3a24f1f6df9c3d00b480a3064359072a9f7096c9ae2879",
     ),
     "taken_answer_served": (
         "8de4fdfb92bfe436a55f51e2a740476b5923d642815a6f349f3fa34d3cb9b7b5",
-        "ab0a40dbdd76e2acb29c469b20e407fbd70f569f0c0aa4d4e121e8f1691b8c67",
+        "71cb120010e774fafe95c7b7a693c0ee92336f946e552b46a861be1aea7d7ed1",
     ),
 }
 
@@ -793,7 +793,7 @@ def test_run_leaves_no_open_wait(kind, key):
 # error. A change that must leave the wire and the reports untouched keeps
 # it; -k corpus runs it alone.
 CORPUS_RUNS = 300
-CORPUS_DIGEST = "4acc46cd74e326ac6cbc7e7c3fdabed54e3cd7976eb231cce81c166fc94d9f96"
+CORPUS_DIGEST = "938a9d248b90337f4dfcd6683f26efc9d04e911edb85686d6302766bb3e06c39"
 # Runs that end without a ConfigError. The rest name a key_id_from app
 # whose own request has not resolved ok yet, which only the run can tell.
 CORPUS_MIN_COMPLETED = 250

@@ -99,7 +99,17 @@ def test_relay_requests_discover_each_their_own_path(mesh4_relay_topology):
     assert count_type(result.records, "kms_discovery_request") == 2
     assert count_type(result.records, "relay_path_install") == 8
     assert count_type(result.records, "key_relay") == 2
-    assert [len(s["kms_path"]) for s in result.report["controller"]["sessions"]] == [4, 4]
+    # Two sessions opened; QuSeC keeps the pair's newest, the second install's.
+    controller = result.report["controller"]
+    assert controller["sessions_opened"] == 2
+    (session,) = controller["sessions"]
+    assert len(session["kms_path"]) == 4
+    assocs = [
+        e.msg.id_association
+        for e in result.records
+        if message_type(e.msg) == "relay_path_install"
+    ]
+    assert len(set(assocs)) == 2 and session["id_association"] == assocs[-1]
     statuses = [r.status for r in resolved(result.sim, "APP_A")]
     assert statuses == [STATUS_OK, STATUS_OK]
     keys = {r.key_id for r in resolved(result.sim, "APP_A")}
