@@ -666,7 +666,6 @@ class TraceRecords(Sequence[Envelope]):
 @dataclass
 class RunResult:
     sim: Simulation
-    scenario: Scenario
     trace_lines: list[str]
     report: dict
     exit_code: int
@@ -841,7 +840,6 @@ def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     passed = all(c["ok"] for c in checks) and audit_ok and quiescent
     return RunResult(
         sim=sim,
-        scenario=scenario,
         trace_lines=trace_lines,
         report=report,
         exit_code=0 if passed else 1,

@@ -152,7 +152,7 @@ def test_c04_controller_never_sees_key_material():
             leaked = [f for f in OCTET_FIELDS if f in body]
             if leaked:
                 failures.append(
-                    f"{result.scenario.name} record {i}: controller saw {leaked}"
+                    f"{result.report['scenario']} record {i}: controller saw {leaked}"
                 )
     if controller_records == 0:
         failures.append("no controller traffic observed; scan was vacuous")

@@ -205,7 +205,7 @@ def test_run_missing_files_exit_two(relay_files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_weight_policy_changes_path(tmp_path, capsys):
+def test_run_weight_policy_changes_path(tmp_path):
     # Two relay routes: 2 hops of 5 km each vs 3 hops of 1 km each.
     raw = chain_dict(2)
     raw["nodes"] += [{"id": "NX"}, {"id": "NY"}]
@@ -220,13 +220,31 @@ def test_run_weight_policy_changes_path(tmp_path, capsys):
     )
 
     def counts(policy):
-        topo = write_json(tmp_path / f"{policy}.json", {**raw, "weight_policy": policy})
-        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "3"])
+        # Every setting comes from the topology file, and the report shows it.
+        topo = write_json(
+            tmp_path / f"{policy}.json",
+            {**raw, "weight_policy": policy, "config": {"session_lifetime_ms": 60000}},
+        )
+        report_file = tmp_path / f"{policy}.report.json"
+        code = main(["run", "--topology", topo, "--scenario", scenario, "--seed", "3",
+                     "--quiet", "--report-out", str(report_file)])
         assert code == 0
-        return json.loads(capsys.readouterr().out)["message_counts"]
+        report = json.loads(report_file.read_text())
+        controller = report["controller"]
+        assert (controller["weight_policy"], controller["session_lifetime_ms"]) == (policy, 60000)
+        return report["message_counts"]
 
     assert counts("hop_count")["relay_path_install"] == 4  # 2-hop chain
     assert counts("distance")["relay_path_install"] == 6  # 3-hop detour
+
+
+def test_run_ignores_the_scenario_topology_key(relay_files, tmp_path):
+    """run reads its topology from --topology alone: a scenario's own
+    `topology` key is not read, even when it names no file."""
+    topo, scenario = relay_files
+    raw = json.loads(pathlib.Path(scenario).read_text())
+    named = write_json(tmp_path / "named.json", {**raw, "topology": "no-such-topology.json"})
+    assert main(["run", "--topology", topo, "--scenario", named, "--seed", "5", "--quiet"]) == 0
 
 
 def test_validate_reports_derived_kms_layout(tmp_path, capsys):

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
-from qkdrelay import data_path
-from qkdrelay.harness import ScenarioEvent, Simulation, load_topology_file
+from test_repros import run_repro
+from qkdrelay.harness import ScenarioEvent, Simulation
 from qkdrelay.topology import SimConfig, topology_from_dict
 from qkdrelay.protocol import (
     STATUS_DECRYPT,
@@ -418,13 +418,9 @@ def test_a_relay_under_a_superseded_association_is_refused():
     # KMS_3b then relays request 3 under the first association's rule, but
     # KMS_3d holds the second association's rule, so it refuses the Ext Key
     # Request. Request 4 names request 1's key, which request 2 took.
-    topo = load_topology_file(data_path("topologies", "mesh4_relay.json"))
-    events = [{"at": 0, "event": "drop_message", "n": 7, "of_type": "relay_path_install"}]
-    result = run_events(topo, events + sequential_pairs(2), seed=5)
-    statuses = [r.status for r in result.sim.requests]
-    assert statuses == [STATUS_OK, STATUS_OK, STATUS_NO_RULE, STATUS_NO_KEY]
-    assert len(result.trace_lines) == 41
+    result = run_repro("lost_install")
     assert result.exit_code == 0
+    assert len(result.trace_lines) == 41
     assert not any(result.report["audits"].values())
 
 
