@@ -6,8 +6,10 @@ keeps only its own endpoint's state, so both ends always see the same keys
 in the same order. Key ids and material are hash-derived from (seed, link
 id, index), which keeps generation deterministic under any interleaving of
 generate/tick calls. Generating a key only raises the link's count: its id
-is derived when first needed, always as a prefix in index order, so a run
-hashes only the ids it reserves or looks up. A key's material is derived
+is derived when a pool's FIFO cursor first reads it, always as a prefix in
+index order. That is the only way an id enters a run, so a run hashes only
+the ids it reserves, and every lookup by id is one index read that knows
+only the ids handed out so far. A key's material is derived
 once, when the first endpoint consumes the key, and held in the link's
 table until the other endpoint consumes it too; a read of a key no
 endpoint holds it for derives it again without holding it. Nothing in this
@@ -35,7 +37,7 @@ class KeyTable:
     """One link's keys, shared by both endpoint pools.
 
     ``generated`` counts the keys the link has produced. Their ids are
-    derived only when first needed, always as a prefix in index order:
+    derived only as id_at hands them out, always as a prefix in index order:
     ``_ids`` holds the first len(_ids) of them and ``_index`` maps each back
     to its index. Every derived id is also entered in ``owners``, the
     simulator's id -> table map across all links.
@@ -72,22 +74,14 @@ class KeyTable:
             self._owners[key_id] = self
         return ids[index]
 
-    def derive_all(self) -> None:
-        """Derive the ids of every generated key."""
-        if len(self._ids) < self.generated:
-            self.id_at(self.generated - 1)
-
     def index_of(self, key_id: str) -> int | None:
-        """Index of key_id if this link generated it, else None. A miss
-        first derives the rest of the generated ids, so an id is refused
-        only once every generated id has been compared with it."""
-        if key_id not in self._index:
-            self.derive_all()
+        """Index of key_id if id_at has handed it out, else None. Ids enter
+        a run only through id_at, so a miss derives nothing."""
         return self._index.get(key_id)
 
     def _derive(self, key_id: str) -> bytes | None:
-        """Material of key_id hashed afresh; None if the link never
-        generated key_id."""
+        """Material of key_id hashed afresh; None if id_at has not handed
+        key_id out."""
         index = self.index_of(key_id)
         if index is None:
             return None
@@ -95,7 +89,7 @@ class KeyTable:
 
     def material(self, key_id: str) -> bytes:
         """Material of a key of this link: the held one, else derived and not
-        held; KeyError if the link never generated key_id."""
+        held; KeyError if id_at has not handed key_id out."""
         material = self.held.get(key_id)
         if material is None:
             material = self._derive(key_id)
@@ -106,8 +100,8 @@ class KeyTable:
     def consume(self, key_id: str) -> bytes | None:
         """Material of key_id as one endpoint pool consumes it, which each
         pool does at most once: popped if the other endpoint holds it, else
-        derived and held for the other. None if the link never generated
-        key_id."""
+        derived and held for the other. None if id_at has not handed key_id
+        out."""
         material = self.held.pop(key_id, None)
         if material is None:
             material = self._derive(key_id)
@@ -129,6 +123,8 @@ class KeyPool:
     it is reserved or consumed, and every key ahead of it is available or
     consumed. The cursor reads ids through ``KeyTable.id_at``, so reserving
     derives them in generation order, only as far as the cursor has gone.
+    ``consume`` spends a key this pool reserved, and ``take`` is the one
+    way to spend a key the link peer named.
     """
 
     def __init__(self, owner_kms: str, table: KeyTable):
@@ -157,8 +153,8 @@ class KeyPool:
         return None
 
     def take(self, key_id: str) -> bytes | None:
-        """Consume key_id if this pool holds it available; its material,
-        else None."""
+        """Consume key_id if this pool holds it available and the link has
+        handed it out; its material, else None."""
         if key_id in self.reserved or key_id in self.consumed:
             return None
         material = self.table.consume(key_id)
@@ -167,16 +163,11 @@ class KeyPool:
         return material
 
     def consume(self, key_id: str) -> bytes:
-        """Consume key_id, reserved or available; its material. KeyError if
-        the link never generated it."""
-        if key_id in self.consumed:
-            raise RuntimeError(f"key {key_id} consumed twice on link {self.table.link_id}")
-        material = self.table.consume(key_id)
-        if material is None:
-            raise KeyError(key_id)
-        self.reserved.discard(key_id)
+        """Consume key_id, which this pool reserved; its material. KeyError
+        if key_id is not reserved here, so a key is spent at most once."""
+        self.reserved.remove(key_id)
         self.consumed.add(key_id)
-        return material
+        return self.table.consume(key_id)
 
     def counts(self) -> dict[str, int]:
         reserved, consumed = len(self.reserved), len(self.consumed)
@@ -238,27 +229,21 @@ class LinkSimulator:
     # ── audit helpers for tests and trace checks ──
 
     def find_material(self, key_id: str) -> bytes | None:
-        """Material of key_id on whichever link generated it, held or derived
-        (see KeyTable.material), else None. An unknown id first derives the
-        rest of every link's generated ids."""
+        """Material of key_id, held or derived (see KeyTable.material), if
+        some link's id_at has handed it out, else None."""
         table = self._table_of.get(key_id)
-        if table is None:
-            for each in self.tables.values():
-                each.derive_all()
-            table = self._table_of.get(key_id)
         return None if table is None else table.material(key_id)
-
-    def link_consumed_ids(self, link_id: str) -> set[str]:
-        a, b = self.link_pools(link_id)
-        return a.consumed | b.consumed
 
     def pool_report(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
         for link_id in self.topology.links:
             a, b = self.link_pools(link_id)
+            # held is exactly the keys one end has consumed, so this counts
+            # the keys either end has.
+            consumed = len(a.consumed) + len(b.consumed) + len(self.tables[link_id].held)
             out[link_id] = {
                 "generated": a.generated_total,
-                "consumed_distinct": len(self.link_consumed_ids(link_id)),
+                "consumed_distinct": consumed // 2,
                 "endpoints": {p.owner_kms: p.counts() for p in (a, b)},
             }
         return out

@@ -271,10 +271,13 @@ def delivered(sim: Simulation) -> list[Envelope]:
 
 def assert_held_one_sided(linksim: LinkSimulator) -> None:
     """Each link's table holds the material of exactly the keys that one of
-    its endpoint pools has consumed and the other has not."""
+    its endpoint pools has consumed and the other has not, and the pool
+    report counts the keys either pool has consumed."""
+    report = linksim.pool_report()
     for link_id, table in linksim.tables.items():
         a, b = linksim.link_pools(link_id)
         assert set(table.held) == a.consumed ^ b.consumed, link_id
+        assert report[link_id]["consumed_distinct"] == len(a.consumed | b.consumed), link_id
 
 
 def run_events(

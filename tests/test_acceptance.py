@@ -201,7 +201,7 @@ def test_c06_key_budget_is_exactly_path_length():
             failures.append(f"L={n_links}: status {request.status}")
             continue
         per_link = {
-            link_id: len(result.sim.linksim.link_consumed_ids(link_id))
+            link_id: result.report["pools"][link_id]["consumed_distinct"]
             for link_id in result.sim.topology.links
         }
         if sum(per_link.values()) != n_links:

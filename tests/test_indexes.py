@@ -10,6 +10,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     grid_dict,
@@ -85,14 +87,16 @@ def eager_key(seed: int, link_id: str, index: int) -> tuple[str, bytes]:
 
 
 class KeyStates:
-    """The reference: each key's material and its state at each endpoint,
-    stored per key when generated and scanned in generation order."""
+    """The reference for one link: each key's id and material, stored when
+    the key is generated, how many ids the run has handed out, and each
+    key's state at each endpoint, scanned in generation order."""
 
     def __init__(self, seed: int, link_id: str):
         self.seed = seed
         self.link_id = link_id
         self.order: list[str] = []
         self.material: dict[str, bytes] = {}
+        self.handed_out = 0  # the first handed_out ids of order
         self.state: tuple[dict[str, str], dict[str, str]] = ({}, {})
 
     def generated(self, n: int) -> None:
@@ -109,79 +113,132 @@ class KeyStates:
     def counts(self, end: int) -> dict[str, int]:
         return {s: len(self.ids(end, s)) for s in ("available", "reserved", "consumed")}
 
+    def consumed_distinct(self) -> int:
+        return len(set(self.ids(0, "consumed")) | set(self.ids(1, "consumed")))
 
-def test_reserve_next_matches_fifo_scan_under_random_operations():
-    rng = random.Random(47)
-    for trial in range(40):
-        sim = LinkSimulator(mesh4(), seed=trial)
-        ref = KeyStates(trial, "d")
-        n = rng.randint(0, 6)
-        sim.generate_keys("d", n)
-        ref.generated(n)
-        foreign_ref = KeyStates(trial, "c")
-        sim.generate_keys("c", 2)
-        foreign_ref.generated(2)
-        foreign = foreign_ref.order  # another link's keys
-        stranger = eager_key(trial + 1, "d", 0)[0]  # another seed's key
-        pools = sim.link_pools("d")
-        for _ in range(80):
-            end = rng.randrange(2)
-            pool, state = pools[end], ref.state[end]
-            op = rng.random()
-            if op < 0.3:
-                available = ref.ids(end, "available")
-                want = available[0] if available else None
-                assert pool.reserve_next() == want
-                if want is not None:
-                    state[want] = "reserved"
-            elif op < 0.6:
-                # A take by id (a relay hop's K1 or K2, a direct serve's peer
-                # copy) jumps the FIFO; it may name a key in any state, on
-                # another link, or none at all.
-                key_id = rng.choice(ref.order + foreign + ["no-such-key", stranger])
-                available = state.get(key_id) == "available"
-                assert pool.take(key_id) == (ref.material[key_id] if available else None)
-                if available:
-                    state[key_id] = "consumed"
-            elif op < 0.8:
-                reserved = ref.ids(end, "reserved")
-                if reserved:
-                    key_id = rng.choice(reserved)
-                    assert pool.consume(key_id) == ref.material[key_id]
-                    state[key_id] = "consumed"
-            else:
-                ref.generated(sim.tick("d", rng.choice([0.0, 0.1, 0.25])))
-            for e, p in enumerate(pools):
-                assert p.counts() == ref.counts(e)
-                assert p.generated_total == len(ref.order)
-                assert p.consumed_total == len(ref.ids(e, "consumed"))
-            assert sim.link_consumed_ids("d") == set(ref.ids(0, "consumed")) | set(
-                ref.ids(1, "consumed")
-            )
-        for pool in sim.link_pools("c"):
-            assert pool.counts() == {"available": 2, "reserved": 0, "consumed": 0}
-        # Every key's material, read every way, at both ends.
-        for key_id in foreign:
-            assert sim.find_material(key_id) == foreign_ref.material[key_id]
-        for key_id in ("no-such-key", stranger):
-            assert sim.find_material(key_id) is None
+    def reserve(self, end: int) -> str | None:
+        """The end's first available key, now reserved and handed out."""
+        available = self.ids(end, "available")
+        if not available:
+            return None
+        key_id = available[0]
+        self.state[end][key_id] = "reserved"
+        self.handed_out = max(self.handed_out, self.order.index(key_id) + 1)
+        return key_id
+
+
+POOL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("generate"), st.sampled_from("cd"), st.integers(0, 5)),
+        st.tuples(st.just("tick"), st.sampled_from("cd"), st.sampled_from([0.0, 0.1, 0.35])),
+        st.tuples(st.just("reserve"), st.integers(0, 1), st.just(0)),
+        st.tuples(st.just("take"), st.integers(0, 1), st.integers(0, 40)),
+        st.tuples(st.just("consume"), st.integers(0, 1), st.integers(0, 40)),
+        st.tuples(st.just("find"), st.just(0), st.integers(0, 40)),
+    ),
+    max_size=60,
+)
+
+
+@given(st.integers(0, 99), POOL_OPS)
+@settings(max_examples=200, deadline=None)
+def test_key_pools_match_eager_reference_under_random_operations(seed, ops):
+    """Link d's two pools against the reference, with each of link c's ids
+    handed out as its key is generated. A take or a find may name a
+    handed-out id of link d, an id of link c or of another seed, link d's
+    first id not handed out, or no id at all; a consume names only a key
+    its pool reserved."""
+    sim = LinkSimulator(mesh4(), seed=seed)
+    refs = {link_id: KeyStates(seed, link_id) for link_id in "cd"}
+    ref, foreign_ref = refs["d"], refs["c"]
+    pools = sim.link_pools("d")
+    stranger = eager_key(seed + 1, "d", 0)[0]
+
+    def generated(link_id: str, n: int) -> None:
+        refs[link_id].generated(n)
+        if link_id == "c":
+            table = sim.tables["c"]
+            for index in range(foreign_ref.handed_out, table.generated):
+                assert table.id_at(index) == foreign_ref.order[index]
+            foreign_ref.handed_out = table.generated
+
+    def handed_out() -> list[str]:
+        return ref.order[: ref.handed_out]
+
+    def unknown() -> list[str]:
+        return ["no-such-key", stranger, eager_key(seed, "d", ref.handed_out)[0]]
+
+    def pick(choice: int) -> str:
+        names = handed_out() + foreign_ref.order + unknown()
+        return names[choice % len(names)]
+
+    def want_material(key_id: str) -> bytes | None:
+        if key_id in foreign_ref.order:
+            return foreign_ref.material[key_id]
+        return ref.material[key_id] if key_id in handed_out() else None
+
+    for op, arg, choice in ops:
+        if op == "generate":
+            sim.generate_keys(arg, choice)
+            generated(arg, choice)
+        elif op == "tick":
+            generated(arg, sim.tick(arg, choice))
+        elif op == "reserve":
+            assert pools[arg].reserve_next() == ref.reserve(arg)
+        elif op == "take":
+            # A take by id (a relay hop's K1 or K2, a direct serve's peer
+            # copy) jumps the FIFO, and spends only an available key.
+            key_id = pick(choice)
+            available = key_id in handed_out() and ref.state[arg][key_id] == "available"
+            assert pools[arg].take(key_id) == (ref.material[key_id] if available else None)
+            if available:
+                ref.state[arg][key_id] = "consumed"
+        elif op == "consume":
+            reserved = ref.ids(arg, "reserved")
+            if reserved:
+                key_id = reserved[choice % len(reserved)]
+                assert pools[arg].consume(key_id) == ref.material[key_id]
+                ref.state[arg][key_id] = "consumed"
+        else:
+            key_id = pick(choice)
+            assert sim.find_material(key_id) == want_material(key_id)
         for end, pool in enumerate(pools):
-            for key_id in foreign + ["no-such-key", stranger]:
+            assert pool.counts() == ref.counts(end)
+            assert pool.generated_total == len(ref.order)
+            assert pool.consumed_total == len(ref.ids(end, "consumed"))
+        assert sim.pool_report()["d"]["consumed_distinct"] == ref.consumed_distinct()
+        assert sim.tables["c"].generated == len(foreign_ref.order)
+        # Lookups derive nothing: every derived id was handed out above.
+        for link_id, each in refs.items():
+            assert len(sim.tables[link_id]._ids) == each.handed_out
+
+    for pool in sim.link_pools("c"):
+        assert pool.counts() == foreign_ref.counts(0)
+    # Every handed-out key's material, read every way, at both ends.
+    for key_id in foreign_ref.order:
+        assert sim.find_material(key_id) == foreign_ref.material[key_id]
+    for key_id in unknown():
+        assert sim.find_material(key_id) is None
+    for end, pool in enumerate(pools):
+        for key_id in foreign_ref.order + unknown():
+            assert pool.take(key_id) is None
+            with pytest.raises(KeyError):
+                pool.table.material(key_id)
+        for key_id in handed_out():
+            want = ref.material[key_id]
+            assert pool.table.material(key_id) == want
+            assert sim.find_material(key_id) == want
+            state = ref.state[end][key_id]
+            if state == "available":
+                assert pool.take(key_id) == want
+            elif state == "reserved":
+                assert pool.consume(key_id) == want
+            else:
                 assert pool.take(key_id) is None
-                with pytest.raises(KeyError):
-                    pool.table.material(key_id)
-            for key_id in ref.order:
-                want = ref.material[key_id]
-                assert pool.table.material(key_id) == want
-                assert sim.find_material(key_id) == want
-                state = ref.state[end][key_id]
-                if state == "available":
-                    assert pool.take(key_id) == want
-                elif state == "reserved":
-                    assert pool.consume(key_id) == want
-                else:
-                    assert pool.take(key_id) is None
-            assert pool.counts()["consumed"] == len(ref.order)
+        assert pool.consumed == set(handed_out())
+    assert sim.pool_report()["d"]["consumed_distinct"] == ref.handed_out
+    for link_id, each in refs.items():
+        assert key_ids(sim.tables[link_id]) == each.order
 
 
 def test_endpoint_pools_share_one_table():
@@ -212,7 +269,7 @@ def test_reserve_next_after_id_jump_exhaustion_and_tick():
     sim.generate_keys("d", 3)
     pool, _ = sim.link_pools("d")
     first, second, third = key_ids(pool.table)
-    pool.consume(second)  # taken by id, out of FIFO order
+    assert pool.take(second) is not None  # taken by id, out of FIFO order
     assert pool.reserve_next() == first
     assert pool.reserve_next() == third
     assert pool.reserve_next() is None

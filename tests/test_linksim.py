@@ -21,10 +21,12 @@ from conftest import (
     random_topology,
     run_events,
 )
+from test_harness import GRID_FAULTS
+from test_repros import SEED, scenario_files, topology_of
 from qkdrelay import data_path, linksim, load_scenario, run
 from qkdrelay.harness import Simulation, load_topology_file
 from qkdrelay.linksim import KeyPool, LinkSimulator, derive_key_id
-from qkdrelay.protocol import STATUS_OK
+from qkdrelay.protocol import STATUS_OK, KeyDelivery
 from qkdrelay.topology import topology_from_dict
 
 
@@ -148,16 +150,19 @@ def test_pools_stay_synchronized_under_any_interleaving(ops):
 
 def test_reserve_consume_lifecycle():
     sim = LinkSimulator(mesh4(), seed=1)
-    sim.generate_keys("d", 2)
+    first, second, third = generate(sim, "d", 3)
     pool, _ = sim.link_pools("d")
-    first = pool.reserve_next()
+    assert pool.reserve_next() == first
     assert first in pool.reserved
-    second = pool.reserve_next()
-    assert second != first  # FIFO skips reserved keys
+    assert pool.reserve_next() == second  # FIFO skips reserved keys
     assert pool.consume(first) == sim.find_material(first)
     assert first in pool.consumed and first not in pool.reserved
-    with pytest.raises(RuntimeError, match="consumed twice"):
-        pool.consume(first)
+    # A pool consumes only a key it holds reserved: not one it consumed
+    # already, nor an available one.
+    for key_id in (first, third):
+        with pytest.raises(KeyError, match=key_id):
+            pool.consume(key_id)
+    assert pool.counts() == {"available": 1, "reserved": 1, "consumed": 1}
 
 
 def test_take_consumes_only_an_available_key():
@@ -213,124 +218,29 @@ def test_find_material_returns_generated_material():
 # ── lazy id derivation ──
 
 
-def eager_id(seed: int, link_id: str, index: int) -> str:
-    return hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
-
-
 def eager_material(seed: int, link_id: str, index: int) -> bytes:
     return hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(32)
 
 
-class EagerLinks:
-    """The reference: every id hashed the moment its key is generated, and
-    each key's state at each endpoint scanned in generation order."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.ids: dict[str, list[str]] = {"c": [], "d": []}
-        self.where: dict[str, tuple[str, int]] = {}  # id -> (link, index)
-        self.state: tuple[dict[str, str], dict[str, str]] = ({}, {})  # link d
-
-    def generate(self, link_id: str, n: int) -> None:
-        ids = self.ids[link_id]
-        for index in range(len(ids), len(ids) + n):
-            key_id = eager_id(self.seed, link_id, index)
-            ids.append(key_id)
-            self.where[key_id] = (link_id, index)
-            if link_id == "d":
-                for state in self.state:
-                    state[key_id] = "available"
-
-    def material(self, key_id: str) -> bytes | None:
-        if key_id not in self.where:
-            return None
-        return eager_material(self.seed, *self.where[key_id])
-
-    def counts(self, end: int) -> dict[str, int]:
-        out = {"available": 0, "reserved": 0, "consumed": 0}
-        for state in self.state[end].values():
-            out[state] += 1
-        return out
-
-
-LAZY_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("generate"), st.sampled_from("cd"), st.integers(0, 5)),
-        st.tuples(st.just("tick"), st.sampled_from("cd"), st.sampled_from([0.0, 0.1, 0.35])),
-        st.tuples(st.just("reserve"), st.integers(0, 1), st.just(0)),
-        st.tuples(st.just("take"), st.integers(0, 1), st.integers(0, 40)),
-        st.tuples(st.just("consume"), st.integers(0, 1), st.integers(0, 40)),
-        st.tuples(st.just("find"), st.just(0), st.integers(0, 40)),
-    ),
-    max_size=40,
-)
-
-
-@given(LAZY_OPS)
-@settings(max_examples=150, deadline=None)
-def test_lazy_table_matches_eager_reference(ops):
-    sim = LinkSimulator(mesh4(), seed=11)
-    ref = EagerLinks(11)
-    pools = sim.link_pools("d")
-
-    def pick(choice: int) -> str:
-        # Link d's and link c's generated ids, derived or not, an id of
-        # link d that is not generated yet, and an id of no link.
-        known = ref.ids["d"] + ref.ids["c"]
-        extra = [eager_id(11, "d", len(ref.ids["d"])), "no-such-key"]
-        return (known + extra)[choice % (len(known) + 2)]
-
-    for op, arg, choice in ops:
-        if op == "generate":
-            sim.generate_keys(arg, choice)
-            ref.generate(arg, choice)
-        elif op == "tick":
-            ref.generate(arg, sim.tick(arg, choice))
-        elif op == "reserve":
-            state = ref.state[arg]
-            want = next((k for k in ref.ids["d"] if state[k] == "available"), None)
-            assert pools[arg].reserve_next() == want
-            if want is not None:
-                state[want] = "reserved"
-        elif op == "take":
-            key_id = pick(choice)
-            available = ref.state[arg].get(key_id) == "available"
-            assert pools[arg].take(key_id) == (ref.material(key_id) if available else None)
-            if available:
-                ref.state[arg][key_id] = "consumed"
-        elif op == "consume":
-            key_id = pick(choice)
-            if ref.state[arg].get(key_id) == "reserved":
-                assert pools[arg].consume(key_id) == ref.material(key_id)
-                ref.state[arg][key_id] = "consumed"
-        else:
-            key_id = pick(choice)
-            assert sim.find_material(key_id) == ref.material(key_id)
-        for end, pool in enumerate(pools):
-            assert pool.counts() == ref.counts(end)
-            assert pool.generated_total == len(ref.ids["d"])
-        assert sim.tables["c"].generated == len(ref.ids["c"])
-    for link_id in ("c", "d"):
-        assert key_ids(sim.tables[link_id]) == ref.ids[link_id]
-
-
 def test_take_and_find_material_of_an_id_not_yet_derived():
+    # Ids enter a run only as id_at hands them out. A generated id not
+    # handed out yet is unknown to take and find_material, and looking it
+    # up derives nothing.
     sim = LinkSimulator(mesh4(), seed=1)
     sim.generate_keys("d", 5)
     pool, peer = sim.link_pools("d")
-    fifth, sixth = derive_key_id(1, "d", 4), derive_key_id(1, "d", 5)
+    table = sim.tables["d"]
+    fifth = derive_key_id(1, "d", 4)
+    assert sim.find_material(fifth) is None and pool.take(fifth) is None
+    assert table.index_of(fifth) is None
+    assert table._ids == [] and table.held == {}
+    assert pool.counts() == {"available": 5, "reserved": 0, "consumed": 0}
+    # Handed out, it is found and taken, and the FIFO order is kept.
+    assert table.id_at(4) == fifth
     assert sim.find_material(fifth) == eager_material(1, "d", 4)
     assert pool.take(fifth) == eager_material(1, "d", 4)
-    assert pool.counts() == {"available": 4, "reserved": 0, "consumed": 1}
-    assert pool.reserve_next() == derive_key_id(1, "d", 0)  # FIFO order kept
-    # The sixth key is not generated yet: refused, then served once it is.
-    assert pool.take(sixth) is None and sim.find_material(sixth) is None
-    sim.generate_keys("d", 1)
-    assert peer.take(sixth) == eager_material(1, "d", 5)
-
-    fresh = LinkSimulator(mesh4(), seed=1)
-    fresh.generate_keys("d", 5)
-    assert fresh.find_material(fifth) == eager_material(1, "d", 4)
+    assert pool.reserve_next() == derive_key_id(1, "d", 0)
+    assert peer.take(fifth) == eager_material(1, "d", 4)
 
 
 def test_id_at_reads_only_generated_keys():
@@ -361,7 +271,8 @@ def test_take_of_another_links_id_is_refused():
     sim.generate_keys("c", 3)
     sim.generate_keys("d", 3)
     pool, _ = sim.link_pools("d")
-    foreign = derive_key_id(1, "c", 2)
+    foreign = sim.tables["c"].id_at(2)  # handed out by its own link
+    assert foreign == derive_key_id(1, "c", 2)
     assert pool.take(foreign) is None
     assert pool.counts() == {"available": 3, "reserved": 0, "consumed": 0}
     owner, _ = sim.link_pools("c")
@@ -377,8 +288,10 @@ def test_recurring_id_is_still_caught(monkeypatch):
     with pytest.raises(RuntimeError, match="key id same recurred on link d"):
         pool.reserve_next()
     sim.generate_keys("c", 2)
-    with pytest.raises(RuntimeError, match="recurred on link c"):
-        sim.find_material("no-such-key")
+    owner, _ = sim.link_pools("c")
+    assert owner.reserve_next() == "same"  # ids recur only within a link
+    with pytest.raises(RuntimeError, match="key id same recurred on link c"):
+        owner.reserve_next()
 
 
 def test_simulation_set_up_derives_no_id(monkeypatch):
@@ -393,6 +306,41 @@ def test_simulation_set_up_derives_no_id(monkeypatch):
     for pool in pools:
         assert pool.counts() == {"available": 10**9, "reserved": 0, "consumed": 0}
     assert sim.linksim.pool_report()["d"]["generated"] == 10**9
+
+
+def named_key_ids(result) -> list[str]:
+    """Every key id in a run's trace that a pool reserved: each relay
+    message's K1 and K2, and the key of each ok key delivery."""
+    ids = []
+    for env in result.records:
+        msg = env.msg
+        ids += [getattr(msg, name) for name in ("id_relay_key", "id_key_encryption")
+                if hasattr(msg, name)]
+        if isinstance(msg, KeyDelivery) and msg.status == STATUS_OK:
+            ids.append(msg.key_id)
+    return ids
+
+
+def test_every_key_id_a_trace_names_is_in_its_link_index():
+    # The premise of the plain index lookups: ids enter a run only as
+    # id_at hands them out, so the ids a trace names are all indexed, and
+    # looking them up derives nothing.
+    results = [
+        run(load_topology_file(str(topology_of(scenario))), load_scenario(str(scenario)), SEED)
+        for scenario in scenario_files()
+    ]
+    raw = grid_dict(4, initial_pool=24, session_lifetime_ms=None)
+    events = GRID_FAULTS + grid_events(raw, random.Random(4), pairs=40)
+    results.append(run_events(topology_from_dict(raw), events, seed=3))
+    assert results[-1].sim.transport.dropped and results[-1].sim.transport.corrupted
+    for result in results:
+        tables = result.sim.linksim.tables.values()
+        derived = [len(table._ids) for table in tables]
+        ids = named_key_ids(result)
+        assert ids
+        for key_id in ids:
+            assert sum(table.index_of(key_id) is not None for table in tables) == 1, key_id
+        assert [len(table._ids) for table in tables] == derived
 
 
 # ── material derived once per key, held between its two consumptions ──
