@@ -142,7 +142,7 @@ POOL_OPS = st.lists(
 
 @given(st.integers(0, 99), POOL_OPS)
 @settings(max_examples=200, deadline=None)
-def test_key_pools_match_eager_reference_under_random_operations(seed, ops):
+def test_reserve_next_matches_fifo_scan_under_random_operations(seed, ops):
     """Link d's two pools against the reference, with each of link c's ids
     handed out as its key is generated. A take or a find may name a
     handed-out id of link d, an id of link c or of another seed, link d's

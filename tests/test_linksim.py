@@ -218,8 +218,110 @@ def test_find_material_returns_generated_material():
 # ── lazy id derivation ──
 
 
+def eager_id(seed: int, link_id: str, index: int) -> str:
+    return hashlib.shake_256(f"{seed}|{link_id}|{index}|id".encode()).hexdigest(16)
+
+
 def eager_material(seed: int, link_id: str, index: int) -> bytes:
     return hashlib.shake_256(f"{seed}|{link_id}|{index}|key".encode()).digest(32)
+
+
+class EagerLinks:
+    """The reference: every id hashed the moment its key is generated, and
+    how many of each link's ids the run has handed out, always a prefix."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.ids: dict[str, list[str]] = {"c": [], "d": []}
+        self.handed_out: dict[str, int] = {"c": 0, "d": 0}
+        self.where: dict[str, tuple[str, int]] = {}  # id -> (link, index)
+
+    def generate(self, link_id: str, n: int) -> None:
+        ids = self.ids[link_id]
+        for index in range(len(ids), len(ids) + n):
+            key_id = eager_id(self.seed, link_id, index)
+            ids.append(key_id)
+            self.where[key_id] = (link_id, index)
+
+    def hand_out(self, link_id: str, index: int) -> None:
+        self.handed_out[link_id] = max(self.handed_out[link_id], index + 1)
+
+    def index(self, link_id: str, key_id: str) -> int | None:
+        """key_id's index if the run has handed it out on link_id."""
+        where = self.where.get(key_id)
+        if where is None or where[0] != link_id or where[1] >= self.handed_out[link_id]:
+            return None
+        return where[1]
+
+    def material(self, key_id: str) -> bytes | None:
+        where = self.where.get(key_id)
+        if where is None or self.index(where[0], key_id) is None:
+            return None
+        return eager_material(self.seed, *where)
+
+
+LAZY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("generate"), st.sampled_from("cd"), st.integers(0, 5)),
+        st.tuples(st.just("tick"), st.sampled_from("cd"), st.sampled_from([0.0, 0.1, 0.35])),
+        st.tuples(st.just("id_at"), st.sampled_from("cd"), st.integers(-1, 30)),
+        st.tuples(st.just("index_of"), st.sampled_from("cd"), st.integers(0, 40)),
+        st.tuples(st.just("material"), st.sampled_from("cd"), st.integers(0, 40)),
+        st.tuples(st.just("find"), st.just("d"), st.integers(0, 40)),
+    ),
+    max_size=40,
+)
+
+
+@given(LAZY_OPS)
+@settings(max_examples=150, deadline=None)
+def test_lazy_table_matches_eager_reference(ops):
+    """Links c and d's key tables against ids hashed up front. An id is
+    known to its table and to find_material only once id_at has handed it
+    out, and a lookup of any other id derives nothing."""
+    sim = LinkSimulator(mesh4(), seed=11)
+    ref = EagerLinks(11)
+
+    def pick(choice: int) -> str:
+        # Either link's generated ids, handed out or not, an id of link d
+        # that is not generated yet, and an id of no link.
+        known = ref.ids["d"] + ref.ids["c"]
+        extra = [eager_id(11, "d", len(ref.ids["d"])), "no-such-key"]
+        return (known + extra)[choice % (len(known) + 2)]
+
+    for op, link_id, choice in ops:
+        table = sim.tables[link_id]
+        if op == "generate":
+            sim.generate_keys(link_id, choice)
+            ref.generate(link_id, choice)
+        elif op == "tick":
+            ref.generate(link_id, sim.tick(link_id, choice))
+        elif op == "id_at":
+            if 0 <= choice < len(ref.ids[link_id]):
+                assert table.id_at(choice) == ref.ids[link_id][choice]
+                ref.hand_out(link_id, choice)
+            else:
+                with pytest.raises(IndexError):
+                    table.id_at(choice)
+        elif op == "index_of":
+            key_id = pick(choice)
+            assert table.index_of(key_id) == ref.index(link_id, key_id)
+        elif op == "material":
+            key_id = pick(choice)
+            if ref.index(link_id, key_id) is None:
+                with pytest.raises(KeyError):
+                    table.material(key_id)
+            else:
+                assert table.material(key_id) == ref.material(key_id)
+        else:
+            key_id = pick(choice)
+            assert sim.find_material(key_id) == ref.material(key_id)
+        for each, ids in ref.ids.items():
+            assert sim.tables[each].generated == len(ids)
+            assert sim.tables[each]._ids == ids[: ref.handed_out[each]]
+            assert sim.tables[each].held == {}
+    for link_id in ("c", "d"):
+        assert key_ids(sim.tables[link_id]) == ref.ids[link_id]
 
 
 def test_take_and_find_material_of_an_id_not_yet_derived():
