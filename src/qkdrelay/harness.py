@@ -21,7 +21,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 from .kms import KmsEntity
 from .linksim import LinkSimulator
@@ -99,6 +99,8 @@ _ENTRY_KEYS = {
     kind: (required | {"at", "event"}, required | optional | {"at", "event"})
     for kind, (required, optional) in _EVENT_FIELDS.items()
 }
+# The name fields an event may have, in the order they are checked.
+_NAME_KEYS = ("app_src", "app_dst", "via_node", "key_id_from")
 
 _EXPECT_KEYS = {
     "final_statuses",
@@ -109,25 +111,29 @@ _EXPECT_KEYS = {
 }
 
 
-@dataclass(slots=True)
-class ScenarioEvent:
-    """One scenario entry. params is the entry as given, "at" and "event"
-    included; a handler reads only its own fields."""
-
-    at: int
-    event: str
-    params: dict
-
-
 @dataclass
 class Scenario:
+    """A checked scenario. Each event is its entry as given, a mapping with
+    "at" and "event" beside the handler's own fields; a name field holds the
+    one str object the scenario keeps for that name. topology is the path
+    the scenario names, relative to base_dir, or None; run does not read it."""
+
     name: str
-    events: list[ScenarioEvent]
+    events: list[dict]
     expect: dict
     base_dir: str = "."
+    topology: str | None = None
 
 
 def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -> Scenario:
+    """Check raw and return it as a Scenario, its entries kept as its events.
+
+    Each entry is checked in one pass: its "at" and kind first, then its
+    key set, then its values. An entry's shape is its kind and its keys in
+    order, and a scenario repeats a few shapes many times, so each shape's
+    key set is checked at its first entry only; the values are checked on
+    every entry. A ConfigError names the first bad entry and its first
+    fault."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario: top level must be an object")
     unknown = set(raw) - {"name", "topology", "events", "expect"}
@@ -139,68 +145,73 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
     if "events" not in raw or not isinstance(raw["events"], list):
         raise ConfigError("scenario: 'events' must be an array")
 
-    events: list[ScenarioEvent] = []
+    events = raw["events"]
     last_at = 0
     names: dict[str, str] = {}  # name -> the one str object held for it
-    for i, entry in enumerate(raw["events"]):
+    # Per kind, each shape seen so far whose key set passed (the entry's
+    # keys, in order) and the name fields it holds.
+    shapes: dict[str, dict[tuple, tuple[str, ...]]] = {kind: {} for kind in _ENTRY_KEYS}
+    for i, entry in enumerate(events):
         if not isinstance(entry, dict):
             raise ConfigError(f"events[{i}]: expected an object")
         at = entry.get("at")
         if not isinstance(at, int) or isinstance(at, bool):
             raise ConfigError(f"events[{i}]: 'at' must be an integer (simulated ms)")
         kind = entry.get("event")
-        entry_keys = _ENTRY_KEYS.get(kind)
-        if entry_keys is None:
+        try:
+            kind_shapes = shapes.get(kind)
+        except TypeError:  # a list or an object
+            kind_shapes = None
+        if kind_shapes is None:
             raise ConfigError(f"events[{i}]: unknown event {kind!r}")
         if at < 0:
             raise ConfigError(f"events[{i}]: 'at' must be >= 0")
         if at < last_at:
             raise ConfigError(f"events[{i}]: events must be sorted by time")
         last_at = at
-        required, allowed = entry_keys
-        if not required <= entry.keys() <= allowed:
-            missing = required - entry.keys()
-            if missing:
-                raise ConfigError(f"events[{i}]: missing field {sorted(missing)[0]!r}")
-            extra = entry.keys() - allowed
-            raise ConfigError(f"events[{i}]: unknown field {sorted(extra)[0]!r}")
-        # The entry itself is the event's params, "at" and "event" included:
-        # no handler reads those two, so no second dict is built per event.
-        params = entry
-        if kind in ("app_get_key", "app_get_key_with_id"):
-            if kind == "app_get_key_with_id" and ("key_id" in params) == ("key_id_from" in params):
+        shape = tuple(entry)
+        name_keys = kind_shapes.get(shape)
+        if name_keys is None:
+            required, allowed = _ENTRY_KEYS[kind]
+            if not required <= entry.keys() <= allowed:
+                missing = required - entry.keys()
+                if missing:
+                    raise ConfigError(f"events[{i}]: missing field {sorted(missing)[0]!r}")
+                extra = entry.keys() - allowed
+                raise ConfigError(f"events[{i}]: unknown field {sorted(extra)[0]!r}")
+            if kind == "app_get_key_with_id" and ("key_id" in entry) == ("key_id_from" in entry):
                 raise ConfigError(f"events[{i}]: exactly one of 'key_id'/'key_id_from' is required")
-            # Names are stored once: equal values, but one str object per name
-            # across the scenario, not one per event. The table is the
+            name_keys = kind_shapes[shape] = tuple(key for key in _NAME_KEYS if key in entry)
+        if name_keys:  # an app request: it has app_src and app_dst
+            # Names are stored once: equal values, but one str object per
+            # name across the scenario, not one per event. The table is the
             # scenario's own, not sys.intern's, which would grow for the rest
             # of the process. A str subclass is accepted and stored as a str.
-            for key in ("app_src", "app_dst", "via_node", "key_id_from"):
-                if key in params:
-                    value = params[key]
-                    if type(value) is not str:
-                        if not isinstance(value, str):
-                            raise ConfigError(f"events[{i}]: {key!r} must be a string")
-                        value = str(value)
-                    params[key] = names.setdefault(value, value)
-            if "key_id" in params and not (isinstance(params["key_id"], str) and params["key_id"]):
+            for key in name_keys:
+                value = entry[key]
+                if type(value) is not str:
+                    if not isinstance(value, str):
+                        raise ConfigError(f"events[{i}]: {key!r} must be a string")
+                    value = str(value)
+                entry[key] = names.setdefault(value, value)
+            if "key_id" in entry and not (isinstance(entry["key_id"], str) and entry["key_id"]):
                 raise ConfigError(f"events[{i}]: 'key_id' must be a non-empty string")
         elif kind in ("drop_message", "corrupt_message"):
-            n = params["n"]
+            n = entry["n"]
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ConfigError(f"events[{i}]: 'n' must be a positive integer")
             # An absent of_type counts every message; a present one names a type.
-            if "of_type" in params:
-                of_type = params["of_type"]
+            if "of_type" in entry:
+                of_type = entry["of_type"]
                 if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
                     raise ConfigError(f"events[{i}]: unknown message type {of_type!r}")
         elif kind == "tick_links":
-            dt = params["dt_ms"]
+            dt = entry["dt_ms"]
             if isinstance(dt, bool) or not isinstance(dt, int) or dt <= 0:
                 raise ConfigError(f"events[{i}]: 'dt_ms' must be a positive integer")
-            links = params.get("links", [])
+            links = entry.get("links", [])
             if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
                 raise ConfigError(f"events[{i}]: 'links' must be an array of strings")
-        events.append(ScenarioEvent(at, kind, params))
 
     expect = raw.get("expect", {})
     if not isinstance(expect, dict):
@@ -215,6 +226,7 @@ def scenario_from_dict(raw: dict, base_dir: str = ".", name: str = "scenario") -
         events=events,
         expect=expect,
         base_dir=base_dir,
+        topology=raw.get("topology"),
     )
 
 
@@ -404,15 +416,13 @@ class SimKernel:
                     heapq.heappush(heap, (handle.at, self._tie, handle))
             armed.clear()
 
-    def run_to_quiescence(
-        self, events: Sequence[ScenarioEvent] = (), execute=None
-    ) -> None:
-        """Run until no message, event or live timer is left. events must be
-        sorted by ``at`` and not start before the clock; execute(event) runs
-        one of them."""
-        if events and events[0].at < self.now_ms:
+    def run_to_quiescence(self, events: Sequence[dict] = (), execute=None) -> None:
+        """Run until no message, event or live timer is left. events are
+        mappings whose "at" is their time; they must be sorted by it and not
+        start before the clock. execute(event) runs one of them."""
+        if events and events[0]["at"] < self.now_ms:
             raise ConfigError(
-                f"cannot schedule in the past ({events[0].at} < {self.now_ms})"
+                f"cannot schedule in the past ({events[0]['at']} < {self.now_ms})"
             )
         heap = self._heap
         heappop = heapq.heappop
@@ -420,10 +430,10 @@ class SimKernel:
         pump()
         next_event, n_events = 0, len(events)
         while True:
-            if next_event < n_events and (not heap or events[next_event].at <= heap[0][0]):
+            if next_event < n_events and (not heap or events[next_event]["at"] <= heap[0][0]):
                 event = events[next_event]
                 next_event += 1
-                self.now_ms = event.at
+                self.now_ms = event["at"]
                 execute(event)
             elif heap:
                 at, _, handle = heappop(heap)
@@ -489,25 +499,25 @@ class Simulation:
 
     # ── scenario event execution ──
 
-    def _resolve_key_id(self, params: dict) -> str:
-        if "key_id" in params:
-            return params["key_id"]
-        source = params["key_id_from"]
+    def _resolve_key_id(self, event: dict) -> str:
+        if "key_id" in event:
+            return event["key_id"]
+        source = event["key_id_from"]
         key_id = self.apps[source].last_ok_key_id
         if key_id is None:
             raise ConfigError(f"app {source!r} has no delivered key to reference")
         return key_id
 
-    def _app_request(self, params: dict, with_id: bool) -> None:
+    def _app_request(self, event: dict, with_id: bool) -> None:
         """Send one app request. Its id is its 1-based place in `requests`,
         so it is unique in the run and the same for every seed."""
-        app_id = params["app_src"]
+        app_id = event["app_src"]
         app = self.apps[app_id]
-        app_dst = params["app_dst"]
-        via_node = params.get("via_node", self.topology.apps[app_id])
+        app_dst = event["app_dst"]
+        via_node = event.get("via_node", self.topology.apps[app_id])
         id_request = f"R{len(self.requests) + 1}"
         if with_id:
-            msg = GetKeyWithId(app_id, app_dst, self._resolve_key_id(params), id_request)
+            msg = GetKeyWithId(app_id, app_dst, self._resolve_key_id(event), id_request)
         else:
             msg = GetKey(app_id, app_dst, id_request)
         request = AppRequest(app_src=app_id, app_dst=app_dst, kind=message_type(msg))
@@ -515,31 +525,30 @@ class Simulation:
         self.requests.append(request)
         app.send(self.vkms[via_node].entity_id, msg)
 
-    def execute_event(self, event: ScenarioEvent) -> None:
-        if event.event == "app_get_key":
-            self._app_request(event.params, with_id=False)
-        elif event.event == "app_get_key_with_id":
-            self._app_request(event.params, with_id=True)
-        elif event.event == "tick_links":
-            dt_seconds = event.params["dt_ms"] / 1000.0
-            for link_id in event.params.get("links", self.topology.links):
+    def execute_event(self, event: dict) -> None:
+        """Run one scenario entry: its "event" names the kind, and the
+        handler reads its own fields from the entry."""
+        kind = event["event"]
+        if kind == "app_get_key":
+            self._app_request(event, with_id=False)
+        elif kind == "app_get_key_with_id":
+            self._app_request(event, with_id=True)
+        elif kind == "tick_links":
+            dt_seconds = event["dt_ms"] / 1000.0
+            for link_id in event.get("links", self.topology.links):
                 self.linksim.tick(link_id, dt_seconds)
-        elif event.event in ("drop_message", "corrupt_message"):
-            op = event.event.removesuffix("_message")
-            self.transport.add_fault(
-                FaultRule(op=op, nth=event.params["n"], of_type=event.params.get("of_type"))
-            )
-        elif event.event == "advance_clock":
+        elif kind in ("drop_message", "corrupt_message"):
+            op = kind.removesuffix("_message")
+            self.transport.add_fault(FaultRule(op=op, nth=event["n"], of_type=event.get("of_type")))
+        elif kind == "advance_clock":
             pass  # the timestamp itself moved the clock
         else:  # pragma: no cover - schema rejects earlier
-            raise ConfigError(f"unknown event {event.event!r}")
+            raise ConfigError(f"unknown event {kind!r}")
 
-    def run_events(self, events: list[ScenarioEvent]) -> None:
+    def run_events(self, events: list[dict]) -> None:
         """Run events in time order (a stable sort: equal times keep list
         order) to quiescence."""
-        self.kernel.run_to_quiescence(
-            sorted(events, key=attrgetter("at")), self.execute_event
-        )
+        self.kernel.run_to_quiescence(sorted(events, key=itemgetter("at")), self.execute_event)
 
 
 # ── audits: trace-level safety properties ──
@@ -750,29 +759,29 @@ def check_scenario(topology: Topology, scenario: Scenario) -> None:
     if unknown:
         raise ConfigError(f"expect pool_consumed: unknown link {sorted(unknown)[0]!r}")
     for event in scenario.events:
-        params = event.params
-        if event.event == "tick_links":
-            for link_id in params.get("links", topology.links):
+        kind = event["event"]
+        if kind == "tick_links":
+            for link_id in event.get("links", topology.links):
                 link = topology.links.get(link_id)
                 if link is None:
                     raise ConfigError(f"tick_links: unknown link {link_id!r}")
                 # key_rate * dt must be a finite float.
                 try:
-                    finite = math.isfinite(link.key_rate * (params["dt_ms"] / 1000.0))
+                    finite = math.isfinite(link.key_rate * (event["dt_ms"] / 1000.0))
                 except OverflowError:  # dt_ms itself is too large for a float
                     finite = False
                 if not finite:
                     raise ConfigError(
-                        f"tick_links at {event.at} ms: key_rate * dt on link {link_id!r} is not finite"
+                        f"tick_links at {event['at']} ms: key_rate * dt on link {link_id!r} is not finite"
                     )
-        elif event.event in ("app_get_key", "app_get_key_with_id"):
-            app_id = params["app_src"]
+        elif kind in ("app_get_key", "app_get_key_with_id"):
+            app_id = event["app_src"]
             if app_id not in topology.apps:
                 raise ConfigError(f"unknown app {app_id!r} in scenario event")
-            via_node = params.get("via_node", topology.apps[app_id])
+            via_node = event.get("via_node", topology.apps[app_id])
             if via_node not in topology.nodes:
                 raise ConfigError(f"'via_node' names unknown node {via_node!r}")
-            source = params.get("key_id_from")
+            source = event.get("key_id_from")
             if source is not None and source not in topology.apps:
                 raise ConfigError(f"'key_id_from' names unknown app {source!r}")
 

@@ -1,5 +1,6 @@
-"""Shared builders: the 4-node mesh, linear chains, run helpers, and the
-small codec and topology lookups only the tests use."""
+"""Shared builders: the 4-node mesh, linear chains, run helpers, the
+small codec and topology lookups only the tests use, and a reference
+scenario loop."""
 
 from __future__ import annotations
 
@@ -11,16 +12,17 @@ import random
 import pytest
 
 from qkdrelay.harness import (
+    _ENTRY_KEYS,
     AppRequest,
+    ConfigError,
     RunResult,
     Scenario,
-    ScenarioEvent,
     Simulation,
     run,
     scenario_from_dict,
 )
 from qkdrelay.linksim import KeyTable, LinkSimulator
-from qkdrelay.protocol import CodecError, Envelope, decode, encode_str
+from qkdrelay.protocol import MESSAGE_TYPES, CodecError, Envelope, decode, encode_str
 from qkdrelay.topology import Link, Topology, topology_from_dict
 from qkdrelay.trace import TraceParseError
 
@@ -222,6 +224,69 @@ def grid_events(raw: dict, rng: random.Random, pairs: int) -> list[dict]:
             }
         )
         at += 20
+    return events
+
+
+def reference_scenario_events(entries: list) -> list[dict]:
+    """The scenario loader's event checks as a plain loop that checks every
+    entry in full, key set included: the oracle for scenario_from_dict's
+    events. It returns the entries, each name field replaced by the one str
+    object kept for that name, and raises the ConfigError the loader must
+    raise."""
+    events: list[dict] = []
+    last_at = 0
+    names: dict[str, str] = {}
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"events[{i}]: expected an object")
+        at = entry.get("at")
+        if not isinstance(at, int) or isinstance(at, bool):
+            raise ConfigError(f"events[{i}]: 'at' must be an integer (simulated ms)")
+        kind = entry.get("event")
+        entry_keys = _ENTRY_KEYS.get(kind) if isinstance(kind, str) else None
+        if entry_keys is None:
+            raise ConfigError(f"events[{i}]: unknown event {kind!r}")
+        if at < 0:
+            raise ConfigError(f"events[{i}]: 'at' must be >= 0")
+        if at < last_at:
+            raise ConfigError(f"events[{i}]: events must be sorted by time")
+        last_at = at
+        required, allowed = entry_keys
+        if not required <= entry.keys() <= allowed:
+            missing = required - entry.keys()
+            if missing:
+                raise ConfigError(f"events[{i}]: missing field {sorted(missing)[0]!r}")
+            extra = entry.keys() - allowed
+            raise ConfigError(f"events[{i}]: unknown field {sorted(extra)[0]!r}")
+        if kind in ("app_get_key", "app_get_key_with_id"):
+            if kind == "app_get_key_with_id" and ("key_id" in entry) == ("key_id_from" in entry):
+                raise ConfigError(f"events[{i}]: exactly one of 'key_id'/'key_id_from' is required")
+            for key in ("app_src", "app_dst", "via_node", "key_id_from"):
+                if key in entry:
+                    value = entry[key]
+                    if type(value) is not str:
+                        if not isinstance(value, str):
+                            raise ConfigError(f"events[{i}]: {key!r} must be a string")
+                        value = str(value)
+                    entry[key] = names.setdefault(value, value)
+            if "key_id" in entry and not (isinstance(entry["key_id"], str) and entry["key_id"]):
+                raise ConfigError(f"events[{i}]: 'key_id' must be a non-empty string")
+        elif kind in ("drop_message", "corrupt_message"):
+            n = entry["n"]
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+                raise ConfigError(f"events[{i}]: 'n' must be a positive integer")
+            if "of_type" in entry:
+                of_type = entry["of_type"]
+                if not isinstance(of_type, str) or of_type not in MESSAGE_TYPES:
+                    raise ConfigError(f"events[{i}]: unknown message type {of_type!r}")
+        elif kind == "tick_links":
+            dt = entry["dt_ms"]
+            if isinstance(dt, bool) or not isinstance(dt, int) or dt <= 0:
+                raise ConfigError(f"events[{i}]: 'dt_ms' must be a positive integer")
+            links = entry.get("links", [])
+            if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
+                raise ConfigError(f"events[{i}]: 'links' must be an array of strings")
+        events.append(entry)
     return events
 
 

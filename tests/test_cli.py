@@ -240,11 +240,23 @@ def test_run_weight_policy_changes_path(tmp_path):
 
 def test_run_ignores_the_scenario_topology_key(relay_files, tmp_path):
     """run reads its topology from --topology alone: a scenario's own
-    `topology` key is not read, even when it names no file."""
+    `topology` key is not read, even when it names no file. The loaded
+    scenario keeps the key, None when it is absent."""
     topo, scenario = relay_files
     raw = json.loads(pathlib.Path(scenario).read_text())
     named = write_json(tmp_path / "named.json", {**raw, "topology": "no-such-topology.json"})
     assert main(["run", "--topology", topo, "--scenario", named, "--seed", "5", "--quiet"]) == 0
+    assert load_scenario(named).topology == "no-such-topology.json"
+    assert load_scenario(scenario).topology is None
+
+
+def test_run_unhashable_event_kind_exits_two(relay_files, tmp_path, capsys):
+    """An event kind that is a list is an unknown event: one error line,
+    no traceback."""
+    topo, _ = relay_files
+    scenario = write_json(tmp_path / "kind.json", {"events": [{"at": 0, "event": ["x"]}]})
+    assert main(["run", "--topology", topo, "--scenario", scenario, "--seed", "5"]) == 2
+    assert capsys.readouterr().err == "error: events[0]: unknown event ['x']\n"
 
 
 def test_validate_reports_derived_kms_layout(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import random
@@ -9,6 +10,8 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain,
@@ -17,6 +20,7 @@ from conftest import (
     mesh4,
     mesh4_dict,
     pair_scenario,
+    reference_scenario_events,
     resolved,
     run_events,
     write_json,
@@ -27,7 +31,6 @@ from qkdrelay import data_path, harness, kms, linksim, load_scenario, protocol, 
 from qkdrelay.harness import (
     ConfigError,
     Scenario,
-    ScenarioEvent,
     Simulation,
     load_topology_file,
     scenario_from_dict,
@@ -141,6 +144,8 @@ def minimal_events():
             {"events": [{"at": 0, "event": "drop_message", "n": 1, "of_type": None}]},
             "unknown message type None",
         ),
+        ({"events": [{"at": 0, "event": ["x"]}]}, re.escape("events[0]: unknown event ['x']")),
+        ({"events": [{"at": 0, "event": {"kind": "x"}}]}, re.escape("unknown event {'kind': 'x'}")),
     ],
 )
 def test_scenario_schema_rejections(raw, message):
@@ -181,7 +186,7 @@ def test_scenario_accepts_all_event_kinds():
             ]
         }
     )
-    assert [e.event for e in scenario.events] == [
+    assert [e["event"] for e in scenario.events] == [
         "app_get_key",
         "tick_links",
         "drop_message",
@@ -217,13 +222,16 @@ def test_scenario_leaves_its_input_equal_and_holds_each_name_once():
     assert first["app_src"] is not second["app_dst"]
     events = scenario_from_dict(raw).events
     assert raw == before
-    one, two = events[0].params, events[1].params
+    # The events are the entries as given, in the list given.
+    assert events is raw["events"]
+    one, two = events[0], events[1]
     assert one["app_src"] is two["app_dst"] is two["key_id_from"]
     assert one["app_dst"] is two["app_src"]
     assert one["via_node"] is two["via_node"]
     # A str subclass is still a string, held as the plain name.
-    assert events[3].params["app_src"] is two["app_src"]
-    assert [(e.at, e.event) for e in events] == [
+    assert type(events[3]["app_src"]) is str
+    assert events[3]["app_src"] is two["app_src"]
+    assert [(e["at"], e["event"]) for e in events] == [
         (0, "app_get_key"), (5, "app_get_key_with_id"), (6, "tick_links"), (7, "app_get_key"),
     ]
 
@@ -237,6 +245,182 @@ def test_scenario_accepts_every_expect_key():
         "trace": "golden.jsonl",
     }
     assert scenario_from_dict({"events": [], "expect": expect}).expect == expect
+
+
+class Name(str):
+    pass
+
+
+NAME_KEYS = ("app_src", "app_dst", "via_node", "key_id_from")
+
+# Ways to spoil any entry, each breaking one check of the loader. Hypothesis
+# draws the first items of a sampled_from most often, so the flaws that
+# reach the loader's shape table come first.
+FLAWS = (
+    "kind_other", "field_unknown", "field_missing", "at_earlier", "at_negative",
+    "at_bool", "at_float", "at_missing", "kind_unknown", "kind_int", "kind_list",
+    "kind_object", "kind_missing", "not_object",
+)
+
+
+def fresh(name: str) -> str:
+    """An equal name in a str object of its own, as a JSON parser makes."""
+    return name[:1] + name[1:]
+
+
+NAMES = st.sampled_from(["APP_A", "APP_B", "N1"]).map(fresh)
+# A well-formed value for each field, and values that each spoil one.
+GOOD_VALUES = {
+    **dict.fromkeys(NAME_KEYS, st.one_of(NAMES, NAMES.map(Name))),
+    "key_id": st.sampled_from(["k1", "k2"]),
+    "n": st.integers(1, 3),
+    "of_type": st.sampled_from(sorted(protocol.MESSAGE_TYPES)),
+    "dt_ms": st.integers(1, 100),
+    "links": st.lists(st.sampled_from(["a", "b"])),
+}
+BAD_VALUES = {
+    **dict.fromkeys(NAME_KEYS, [5, ["A"], None, b"APP_A"]),
+    "key_id": ["", 5, None],
+    "n": [0, -1, True, 1.0, "1"],
+    "of_type": ["key_rely", None, ["key_relay"]],
+    "dt_ms": [0, -5, True, 1.5],
+    "links": ["ab", 5, ["a", 1]],
+}
+
+
+@st.composite
+def entry_shape(draw):
+    """A kind and the keys its entries carry, in one order."""
+    kind = draw(st.sampled_from(sorted(harness._ENTRY_KEYS)))
+    required, allowed = harness._ENTRY_KEYS[kind]
+    optional = sorted(allowed - required - {"key_id", "key_id_from"})
+    keys = sorted(required) + [key for key in optional if draw(st.booleans())]
+    if kind == "app_get_key_with_id":
+        keys.append(draw(st.sampled_from(["key_id", "key_id_from"])))
+    if draw(st.booleans()):
+        keys = draw(st.permutations(keys))
+    return kind, keys
+
+
+@st.composite
+def scenario_entry(draw, at: int, shape, spoil: bool):
+    """An entry at time at with the given shape. A spoiled one may have a
+    flaw that any entry can have, and one of its own fields: a bad value,
+    or, in an app_get_key_with_id, both or neither of the key id fields."""
+    kind, keys = shape
+    flaws = set()
+    if spoil:
+        own = tuple(key for key in keys if key in BAD_VALUES)
+        if kind == "app_get_key_with_id":
+            own += ("key_id_both", "key_id_neither")
+        flaws = {
+            draw(st.sampled_from((None,) + FLAWS)),
+            draw(st.sampled_from(own + (None,))),
+        } - {None}
+    if "not_object" in flaws:
+        return draw(st.sampled_from([None, "app_get_key", ["x"], 5]))
+    entry = {}
+    for key in keys:
+        if key == "at":
+            entry[key] = at
+            for flaw, value in (("at_bool", True), ("at_float", float(at)),
+                                ("at_negative", -1), ("at_earlier", at - 1)):
+                if flaw in flaws:
+                    entry[key] = value
+        elif key == "event":
+            entry[key] = kind
+            for flaw, value in (("kind_unknown", "warp"), ("kind_int", 5), ("kind_list", [kind]),
+                                ("kind_object", {"event": kind})):
+                if flaw in flaws:
+                    entry[key] = value
+            if "kind_other" in flaws:
+                entry[key] = draw(st.sampled_from(sorted(set(harness._ENTRY_KEYS) - {kind})))
+        else:
+            entry[key] = draw(GOOD_VALUES[key])
+    for flaw in sorted(flaws):
+        if flaw in BAD_VALUES:
+            entry[flaw] = draw(st.sampled_from(BAD_VALUES[flaw]))
+        elif flaw in ("at_missing", "kind_missing"):
+            entry.pop("at" if flaw == "at_missing" else "event", None)
+        elif flaw == "field_missing" and set(entry) - {"at", "event"}:
+            del entry[draw(st.sampled_from(sorted(set(entry) - {"at", "event"})))]
+        elif flaw == "field_unknown":
+            entry[draw(st.sampled_from(["hops", "at_ms", "key_ids"]))] = 1
+        elif flaw == "key_id_both":
+            entry.setdefault("key_id", "k1")
+            entry.setdefault("key_id_from", draw(NAMES))
+        elif flaw == "key_id_neither":
+            entry.pop("key_id", None)
+            entry.pop("key_id_from", None)
+    return entry
+
+
+@st.composite
+def scenario_entries(draw):
+    """Well-formed entries at sorted times, each with one of a few shapes,
+    then a spoiled one. Shapes recur, so the spoiled entry's shape has
+    mostly been seen before."""
+    shapes = draw(st.lists(entry_shape(), min_size=1, max_size=3))
+    times = sorted(draw(st.lists(st.integers(0, 30), min_size=2, max_size=10)))
+    return [
+        draw(scenario_entry(at, draw(st.sampled_from(shapes)), spoil=i == len(times) - 1))
+        for i, at in enumerate(times)
+    ]
+
+
+def load_or_error(load, entries):
+    try:
+        return load(entries), None
+    except ConfigError as exc:
+        return None, str(exc)
+
+
+def held_names(events: list[dict]) -> dict[str, set[int]]:
+    """Each name in events -> the ids of the str objects that hold it."""
+    held: dict[str, set[int]] = {}
+    for event in events:
+        for key in NAME_KEYS:
+            if key in event:
+                assert type(event[key]) is str
+                held.setdefault(event[key], set()).add(id(event[key]))
+    return held
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario_entries())
+def test_scenario_events_match_the_reference_loop(entries):
+    """The loader accepts exactly the entries the full per-entry check
+    accepts; where both refuse, with the same error, and where both accept,
+    with equal events that hold each name in one str object."""
+    ours, our_error = load_or_error(
+        lambda given: scenario_from_dict({"events": given}).events, copy.deepcopy(entries)
+    )
+    theirs, their_error = load_or_error(reference_scenario_events, copy.deepcopy(entries))
+    assert our_error == their_error
+    if theirs is not None:
+        assert ours == theirs
+        for events in (ours, theirs):
+            assert all(len(ids) == 1 for ids in held_names(events).values())
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        ({"app_src": 5}, "events[1]: 'app_src' must be a string"),
+        ({"key_id": ""}, "events[1]: 'key_id' must be a non-empty string"),
+        ({"at": 3}, "events[1]: events must be sorted by time"),
+        ({"event": "app_get_key"}, "events[1]: unknown field 'key_id'"),
+    ],
+)
+def test_a_repeated_event_shape_still_has_its_values_checked(second, message):
+    """The second entry has the first one's keys, in the same order, so its
+    key set is not checked again; its values and time still are, and a
+    shape is one kind's keys, not any kind's."""
+    first = {"at": 5, "event": "app_get_key_with_id", "app_src": "A", "app_dst": "B", "key_id": "k"}
+    entries = [first, {**first, **second}]
+    for load in (lambda given: scenario_from_dict({"events": given}), reference_scenario_events):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load(copy.deepcopy(entries))
 
 
 def test_key_id_from_without_prior_key_is_config_error(mesh4_relay_topology):
@@ -277,7 +461,7 @@ def test_scenario_naming_unknown_entities_fails_before_any_event(
     execute_event = Simulation.execute_event
 
     def spy(self, event):
-        executed.append(event.event)
+        executed.append(event["event"])
         execute_event(self, event)
 
     monkeypatch.setattr(Simulation, "execute_event", spy)
@@ -297,9 +481,7 @@ def test_scenario_naming_unknown_entities_fails_before_any_event(
 def test_message_budget_counts_trace_lines(mesh4_relay_topology, monkeypatch):
     monkeypatch.setattr(harness, "_MESSAGE_BUDGET", 5)
     sim = Simulation(mesh4_relay_topology, seed=1)
-    sim.execute_event(harness.ScenarioEvent(
-        at=0, event="app_get_key", params={"app_src": "APP_A", "app_dst": "APP_B"}
-    ))
+    sim.execute_event({"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"})
     with pytest.raises(RuntimeError, match="message budget exhausted"):
         sim.kernel.run_to_quiescence()
     assert len(sim.kernel.trace_lines) == 5
@@ -352,8 +534,8 @@ def test_event_runs_before_a_timer_due_at_the_same_ms():
     assert result.sim.kernel.now_ms == timeout_ms
 
 
-def get_key_event(at: int, app_src: str, app_dst: str) -> ScenarioEvent:
-    return ScenarioEvent(at, "app_get_key", {"app_src": app_src, "app_dst": app_dst})
+def get_key_event(at: int, app_src: str, app_dst: str) -> dict:
+    return {"at": at, "event": "app_get_key", "app_src": app_src, "app_dst": app_dst}
 
 
 def test_hand_built_scenario_runs_in_stable_time_order():
@@ -373,7 +555,7 @@ def test_hand_built_scenario_runs_in_stable_time_order():
 
 def test_event_before_the_kernel_clock_is_config_error(mesh4_relay_topology):
     sim = Simulation(mesh4_relay_topology, seed=1)
-    sim.run_events([ScenarioEvent(at=50, event="advance_clock", params={})])
+    sim.run_events([{"at": 50, "event": "advance_clock"}])
     with pytest.raises(ConfigError, match="in the past"):
         sim.run_events([get_key_event(60, "APP_A", "APP_B"), get_key_event(40, "APP_A", "APP_B")])
     assert sim.requests == [] and sim.kernel.trace_lines == []
@@ -383,7 +565,7 @@ def test_event_before_the_kernel_clock_is_config_error(mesh4_relay_topology):
 
 def test_timer_in_the_past_is_config_error(mesh4_relay_topology):
     sim = Simulation(mesh4_relay_topology, seed=1)
-    sim.run_events([ScenarioEvent(at=50, event="advance_clock", params={})])
+    sim.run_events([{"at": 50, "event": "advance_clock"}])
     with pytest.raises(ConfigError, match=r"in the past \(49 < 50\)"):
         sim.kernel.schedule_timer(-1, lambda: None)
     assert sim.kernel.live_timers() == 0
@@ -404,7 +586,7 @@ def test_a_spent_timer_holds_no_callback(mesh4_relay_topology):
     kernel.cancel_timer(cancelled)
     kernel.cancel_timer(None)
     assert kernel.live_timers() == 2
-    kernel.run_to_quiescence([ScenarioEvent(25, "advance_clock", {})], lambda event: None)
+    kernel.run_to_quiescence([{"at": 25, "event": "advance_clock"}], lambda event: None)
     assert fired == ["due", "armed"]
     assert due.callback is None and armed.callback is None
     assert kernel.live_timers() == 0

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
 from test_repros import run_repro
-from qkdrelay.harness import ScenarioEvent, Simulation
+from qkdrelay.harness import Simulation
 from qkdrelay.topology import SimConfig, topology_from_dict
 from qkdrelay.protocol import (
     STATUS_DECRYPT,
@@ -351,9 +351,7 @@ def test_completion_of_wrong_type_for_a_pending_key_is_dropped(mesh4_relay_topol
             "KMS_3b", "KMS_1b", KeyRelayResponse(status=STATUS_OK, id_relay_key=k1_id)
         ),
     )
-    sim.run_events(
-        [ScenarioEvent(at=0, event="app_get_key", params={"app_src": "APP_A", "app_dst": "APP_B"})]
-    )
+    sim.run_events([{"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}])
     assert sim.kms["KMS_1b"].orphan_count == 1
     (request,) = resolved(sim, "APP_A")
     assert (request.status, request.material) == (STATUS_TIMEOUT, b"")

@@ -25,7 +25,7 @@ import sys
 
 from qkdrelay import data_path
 from qkdrelay.cli import main
-from qkdrelay.harness import RunResult, load_scenario, load_topology_file, run
+from qkdrelay.harness import ConfigError, RunResult, load_scenario, load_topology_file, run
 
 REPROS = pathlib.Path(__file__).parent / "repros"
 SEED = 5
@@ -44,12 +44,15 @@ def label(scenario: pathlib.Path) -> str:
 
 def topology_of(scenario: pathlib.Path) -> pathlib.Path:
     """The topology file that the scenario's `topology` key names."""
-    raw = json.loads(scenario.read_text(encoding="utf-8"))
-    if "topology" not in raw:
+    try:
+        named = load_scenario(str(scenario)).topology
+    except ConfigError as exc:
+        raise ValueError(f"{label(scenario)}: {exc}") from None
+    if named is None:
         raise ValueError(f"{label(scenario)}: no 'topology' key")
-    topology = scenario.parent / raw["topology"]
+    topology = scenario.parent / named
     if not topology.is_file():
-        raise ValueError(f"{label(scenario)}: topology {raw['topology']!r} is not a file")
+        raise ValueError(f"{label(scenario)}: topology {named!r} is not a file")
     return topology
 
 
