@@ -4,8 +4,9 @@ against expectations, golden traces, and the protocol's safety audits.
 
 The event loop makes one pass over each record, at the point where it is
 delivered: it encodes the trace line, counts the message type and runs the
-safety audits, and then hands the envelope to its receiver. Nothing keeps
-the envelope afterwards, so a run holds its trace as lines only.
+safety audits that can flag it, and then hands the envelope to its
+receiver. Nothing keeps the envelope afterwards, so a run holds its trace
+as lines only.
 
 Time is simulated integer milliseconds. Message hops are instantaneous;
 the clock only moves between timed events (scenario entries and timers), so
@@ -345,8 +346,14 @@ class SimKernel:
     reads it. It drains the transport's ``queue`` in place, so what
     handlers send while it runs is delivered in the same pass. For each
     record it appends the line to ``trace_lines`` (record i is line i),
-    bumps its message class in ``type_counts`` and hands it to
-    ``checker``, whose violation lists are the run's audits. The line is
+    bumps its message class in ``type_counts`` and audits it into
+    ``checker``, whose violation lists are the run's audits. The FIFO rule
+    runs inline, on the checker's ``last_seq`` table; ``checker.fifo`` is
+    called only on a seq that does not rise, to record it. Each
+    key-material rule is called only on the records its guard admits:
+    controller_blindness on OCTET_TYPES records to or from the controller,
+    plaintext_channels on those off ``intra_node``, otp_wire on each
+    KeyRelay. Then the receiver's ``on_message`` gets it. The line is
     the message type's encoder from ``LINE_ENCODERS`` applied to the
     message, the record's channel and its sender and receiver ids, each
     quoted as a JSON string once (the channels at import, the ids when
@@ -389,7 +396,9 @@ class SimKernel:
         encoders = LINE_ENCODERS
         lines = self.trace_lines
         counts = self.type_counts
-        check = self.checker.check
+        checker = self.checker
+        last_seq = checker.last_seq
+        octet_types = OCTET_TYPES
         # The budget bounds one drain, not the run: a dispatch loop is a
         # drain that never ends, while a long clean run has many short ones.
         limit = len(lines) + _MESSAGE_BUDGET
@@ -404,7 +413,22 @@ class SimKernel:
                 encoders[cls](msg, channels[channel], quoted[sender], quoted[receiver], seq)
             )
             counts[cls] = counts.get(cls, 0) + 1
-            check(i, env)
+            # The FIFO rule inline. A seq not above the sender's last (0
+            # before its first) goes to fifo, which applies the full rule:
+            # it records the violation, or stores a first seq below 1,
+            # which the transport never sends.
+            if seq > last_seq.get(sender, 0):
+                last_seq[sender] = seq
+            else:
+                checker.fifo(i, env)
+            # Each key-material rule on the records its guard admits.
+            if cls in octet_types:
+                if sender == QUSEC_ID or receiver == QUSEC_ID:
+                    checker.controller_blindness(i, env)
+                if channel != CHANNEL_INTRA:
+                    checker.plaintext_channels(i, env)
+                if cls is KeyRelay:
+                    checker.otp_wire(i, env)
             entities[receiver].on_message(env)
         # The queue is dry: push the waits this drain left open, in arm order.
         armed = self._armed
@@ -557,10 +581,13 @@ class Simulation:
 class RecordChecker:
     """The four safety audits, applied one record at a time in delivered
     order; ``i`` is the record's index, which is its trace line. Each rule
-    is one method that appends to its own list in ``violations``. ``check``
-    applies all four: fifo to every record, the octet audits only to
-    protocol.OCTET_TYPES, the only classes they can flag. ``linksim`` is
-    read by otp_wire alone; fifo keeps one int per sender, its highest seq."""
+    is one method that appends to its own list in ``violations``, and each
+    starts with a guard that returns on any record it cannot flag, so the
+    batch ``audit_*`` functions apply it to every record. The kernel's
+    pump gives the same result with less work: it runs the FIFO rule
+    inline and calls each other rule only on the records its guard admits
+    (see SimKernel). ``linksim`` is read by otp_wire alone; ``last_seq``,
+    the FIFO rule's table, keeps one int per sender, its highest seq."""
 
     def __init__(self, linksim: LinkSimulator | None = None):
         self.linksim = linksim
@@ -570,14 +597,7 @@ class RecordChecker:
             "otp_wire": [],
             "fifo": [],
         }
-        self._last_seq: dict[str, int] = {}
-
-    def check(self, i: int, env: Envelope) -> None:
-        self.fifo(i, env)
-        if type(env.msg) in OCTET_TYPES:
-            self.controller_blindness(i, env)
-            self.plaintext_channels(i, env)
-            self.otp_wire(i, env)
+        self.last_seq: dict[str, int] = {}
 
     def controller_blindness(self, i: int, env: Envelope) -> None:
         """No record to or from the controller may carry a key-material field."""
@@ -621,9 +641,9 @@ class RecordChecker:
 
     def fifo(self, i: int, env: Envelope) -> None:
         """Each sender's seq exceeds every seq it sent before, as the transport numbers."""
-        last = self._last_seq.get(env.sender)
+        last = self.last_seq.get(env.sender)
         if last is None or env.seq > last:
-            self._last_seq[env.sender] = env.seq
+            self.last_seq[env.sender] = env.seq
         else:
             self.violations["fifo"].append(f"record {i}: seq {env.seq} after {last} from {env.sender!r}")
 

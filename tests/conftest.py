@@ -13,6 +13,7 @@ import pytest
 
 from qkdrelay.harness import (
     _ENTRY_KEYS,
+    AppEndpoint,
     AppRequest,
     ConfigError,
     RunResult,
@@ -21,10 +22,13 @@ from qkdrelay.harness import (
     run,
     scenario_from_dict,
 )
+from qkdrelay.kms import KmsEntity
 from qkdrelay.linksim import KeyTable, LinkSimulator
 from qkdrelay.protocol import MESSAGE_TYPES, CodecError, Envelope, decode, encode_str
+from qkdrelay.qusec import QusecEntity
 from qkdrelay.topology import Link, Topology, topology_from_dict
 from qkdrelay.trace import TraceParseError
+from qkdrelay.vkms import VkmsEntity
 
 MESH4 = {
     "nodes": [{"id": "N1"}, {"id": "N2"}, {"id": "N3"}, {"id": "N4"}],
@@ -343,6 +347,20 @@ def assert_held_one_sided(linksim: LinkSimulator) -> None:
         a, b = linksim.link_pools(link_id)
         assert set(table.held) == a.consumed ^ b.consumed, link_id
         assert report[link_id]["consumed_distinct"] == len(a.consumed | b.consumed), link_id
+
+
+def watch_deliveries(monkeypatch, watch) -> None:
+    """Call watch(env) with each envelope a Simulation's entities receive,
+    before the receiver handles it. The kernel hands each delivered record
+    to exactly one receiver's on_message, so watch sees every record once,
+    in trace order."""
+    for cls in (AppEndpoint, KmsEntity, VkmsEntity, QusecEntity):
+
+        def on_message(self, env, handle=cls.__dict__["on_message"]):
+            watch(env)
+            handle(self, env)
+
+        monkeypatch.setattr(cls, "on_message", on_message)
 
 
 def run_events(

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_dict, grid_events, mesh4, run_events
+from test_protocol import Sink
 from qkdrelay import data_path
 from qkdrelay.harness import (
+    RecordChecker,
+    SimKernel,
     audit_controller_blindness,
     audit_fifo,
     audit_otp_wire,
@@ -27,6 +30,7 @@ from qkdrelay.protocol import (
     CHANNEL_INTER,
     CHANNEL_INTRA,
     OCTET_FIELDS,
+    OCTET_TYPES,
     PLAINTEXT_OCTET_FIELDS,
     STATUS_NO_KEY,
     STATUS_OK,
@@ -37,6 +41,7 @@ from qkdrelay.protocol import (
     KeyRelay,
     KmsDiscoveryRequest,
     KmsDiscoveryResponse,
+    Transport,
     decode,
     message_to_body,
     message_type,
@@ -327,3 +332,133 @@ def test_corrupted_key_relay_violation_names_its_trace_line():
     assert message_type(record.msg) == "key_relay"
     assert record == result.sim.transport.corrupted[0]
     assert result.exit_code == 0  # a corrupted KeyRelay excuses otp_wire
+
+
+def pumped(records: list[Envelope], linksim: LinkSimulator) -> dict[str, list[str]]:
+    """The violations a kernel's pump finds when records are delivered in
+    order, each to a sink, with their seqs as given."""
+    transport = Transport()
+    for entity_id in sorted({r.sender for r in records} | {r.receiver for r in records}):
+        transport.register(Sink(entity_id))
+    kernel = SimKernel(transport, RecordChecker(linksim))
+    transport.queue.extend(records)
+    kernel.run_to_quiescence()
+    assert [decode(line) for line in kernel.trace_lines] == records
+    return kernel.checker.violations
+
+
+def batch_audits(records: list[Envelope], linksim: LinkSimulator) -> dict[str, list[str]]:
+    return {
+        "controller_blindness": audit_controller_blindness(records),
+        "plaintext_channels": audit_plaintext_channels(records),
+        "otp_wire": audit_otp_wire(records, linksim),
+        "fifo": audit_fifo(records),
+    }
+
+
+def test_pump_audits_equal_batch_audits_on_bad_records():
+    """Records that break each rule, delivered by a real pump, give the
+    violations the batch audits give, every rule finding something."""
+    linksim, k1, k2 = relay_keys()
+    good = otp_xor(linksim.find_material(k1), linksim.find_material(k2))
+    msg = GetKey("APP_A", "APP_B", "R1")
+    records = BAD_RECORDS + [
+        key_relay(good, k1, k2),
+        key_relay(linksim.find_material(k1), k1, k2),
+        env(KeyRelay(KEY, "no-such-key", k1, "APP_A", "APP_B", "a1"), QUSEC_ID, "KMS_2a",
+            CHANNEL_CONTROL, seq=2),
+        env(msg, "APP_A", "vKMS_1", CHANNEL_INTRA, seq=3),
+        env(msg, "APP_A", "vKMS_1", CHANNEL_INTRA, seq=3),  # repeats APP_A's seq
+    ]
+    online = pumped(records, linksim)
+    assert online == batch_audits(records, linksim)
+    assert all(online.values())
+    assert online["fifo"][-1] == f"record {len(records) - 1}: seq 3 after 3 from 'APP_A'"
+
+
+def relay_messages(linksim: LinkSimulator, k1: str, k2: str) -> list:
+    good = otp_xor(linksim.find_material(k1), linksim.find_material(k2))
+    return [
+        GetKey("APP_A", "APP_B", "R1"),
+        KmsDiscoveryRequest("APP_A", "APP_B", "get_key", "R1"),
+        KeyDelivery("k1", KEY, STATUS_OK, "R1"),
+        KeyDelivery("", b"", STATUS_NO_KEY, "R1"),
+        ext_request(KEY),
+        ext_request(b""),
+        KeyRelay(good, k2, k1, "APP_A", "APP_B", "a1"),
+        KeyRelay(linksim.find_material(k1), k2, k1, "APP_A", "APP_B", "a1"),
+        KeyRelay(KEY, "no-such-key", k1, "APP_A", "APP_B", "a1"),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 8),
+            st.sampled_from(["APP_A", "vKMS_1", "KMS_1a", QUSEC_ID]),
+            st.sampled_from(["vKMS_1", "KMS_2a", QUSEC_ID]),
+            st.sampled_from([CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL]),
+            st.integers(-1, 4),
+        ),
+        max_size=25,
+    )
+)
+def test_pump_audits_equal_batch_audits_on_drawn_records(drawn):
+    """Any stream of records, key material on any channel to or from any
+    entity, with seqs that repeat, fall or start at or below zero: the pump
+    finds what the batch audits find."""
+    linksim, k1, k2 = relay_keys()
+    messages = relay_messages(linksim, k1, k2)
+    records = [
+        env(messages[m], sender, receiver, channel, seq)
+        for m, sender, receiver, channel, seq in drawn
+    ]
+    assert pumped(records, linksim) == batch_audits(records, linksim)
+
+
+# Per key-material rule, the records it can flag: the ones its guard lets through.
+RULE_ADMITS = {
+    "controller_blindness": lambda r: type(r.msg) in OCTET_TYPES
+    and QUSEC_ID in (r.sender, r.receiver),
+    "plaintext_channels": lambda r: type(r.msg) in OCTET_TYPES and r.channel != CHANNEL_INTRA,
+    "otp_wire": lambda r: isinstance(r.msg, KeyRelay),
+}
+
+
+@pytest.mark.parametrize(
+    "topology, scenario",
+    [
+        ("mesh4_direct.json", "direct.json"),
+        ("mesh4_relay.json", "relay1hop.json"),
+        ("chain32.json", "linear32.json"),
+    ],
+)
+def test_pump_calls_each_rule_on_every_record_it_can_flag(monkeypatch, topology, scenario):
+    """On the packaged runs the pump calls each key-material rule on exactly
+    the records its guard admits: otp_wire once per delivered key_relay,
+    and on the direct run no key-material rule at all."""
+    calls: dict[str, list[int]] = {name: [] for name in RULE_ADMITS}
+    for name in RULE_ADMITS:
+        rule = getattr(RecordChecker, name)
+
+        def spy(self, i, record, rule=rule, seen=calls[name]):
+            seen.append(i)
+            rule(self, i, record)
+
+        monkeypatch.setattr(RecordChecker, name, spy)
+    result = run(
+        load_topology_file(data_path("topologies", topology)),
+        load_scenario(data_path("scenarios", scenario)),
+        seed=3,
+    )
+    assert result.exit_code == 0
+    records = result.records
+    for name, admits in RULE_ADMITS.items():
+        assert calls[name] == [i for i, r in enumerate(records) if admits(r)], name
+    key_relays = result.report["message_counts"].get("key_relay", 0)
+    assert len(calls["otp_wire"]) == key_relays
+    if scenario == "direct.json":
+        assert calls == {name: [] for name in RULE_ADMITS}
+    else:
+        assert key_relays > 0

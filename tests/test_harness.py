@@ -23,6 +23,7 @@ from conftest import (
     reference_scenario_events,
     resolved,
     run_events,
+    watch_deliveries,
     write_json,
 )
 from test_repros import run_repro
@@ -904,22 +905,42 @@ def test_only_a_fault_that_changed_a_message_excuses_audits(
     assert bool(result.report["audits"]["otp_wire"]) == changed
     assert result.exit_code == 0
 
-    monkeypatch.setattr(harness.RecordChecker, "fifo", planted("fifo"))
+    # A real FIFO violation: the checker's table says APP_A already sent
+    # seq 1, so record 0, APP_A's first request, repeats it. The pump's
+    # inline rule finds it and calls fifo once, to record it.
+    init = harness.RecordChecker.__init__
+    fifo = harness.RecordChecker.fifo
+    fifo_calls = []
+
+    def seeded_init(self, linksim=None):
+        init(self, linksim)
+        self.last_seq["APP_A"] = 1
+
+    def counted_fifo(self, i, env):
+        fifo_calls.append(i)
+        fifo(self, i, env)
+
+    monkeypatch.setattr(harness.RecordChecker, "__init__", seeded_init)
+    monkeypatch.setattr(harness.RecordChecker, "fifo", counted_fifo)
     result = run_events(mesh4_relay_topology, events)
-    assert result.report["audits"]["fifo"] == ["record 0: planted"]
+    assert result.report["audits"]["fifo"] == ["record 0: seq 1 after 1 from 'APP_A'"]
+    assert fifo_calls == [0]
     assert result.exit_code == 1
 
 
 def test_a_drop_excuses_no_audit(mesh4_relay_topology, monkeypatch):
+    """The dropped key_relay_response comes after its key_relay was
+    delivered, so the planted otp_wire rule still sees a KeyRelay."""
     monkeypatch.setattr(harness.RecordChecker, "otp_wire", planted("otp_wire"))
     result = run_events(
         mesh4_relay_topology,
         [
-            {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay"},
+            {"at": 0, "event": "drop_message", "n": 1, "of_type": "key_relay_response"},
             {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
         ],
     )
     assert len(result.sim.transport.dropped) == 1
+    assert result.report["message_counts"]["key_relay"] == 1
     assert result.report["quiescent"]
     assert result.report["audits"]["otp_wire"]
     assert result.exit_code == 1
@@ -1135,16 +1156,10 @@ def test_no_delivered_message_outlives_the_run(monkeypatch):
     delivered message: the trace keeps lines only. The one exception is a
     KMS's rule table, whose rules are the RelayPathInstall messages it was
     sent; every survivor must be one of those, and each rule one survivor.
-    The kernel hands every delivered record to RecordChecker.check once, so
-    that is where the messages are watched."""
+    The kernel hands every delivered record to one receiver's on_message,
+    so that is where the messages are watched."""
     refs = []
-    check = harness.RecordChecker.check
-
-    def watched_check(self, i, env):
-        refs.append(weakref.ref(env.msg))
-        check(self, i, env)
-
-    monkeypatch.setattr(harness.RecordChecker, "check", watched_check)
+    watch_deliveries(monkeypatch, lambda env: refs.append(weakref.ref(env.msg)))
     for topology, scenario in (
         ("mesh4_direct.json", "direct.json"),
         ("mesh4_relay.json", "relay1hop.json"),

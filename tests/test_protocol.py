@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encode, faulted_grid_run, run_events
+from conftest import encode, faulted_grid_run, run_events, watch_deliveries
 from qkdrelay import protocol
 from qkdrelay.protocol import (
     CHANNEL_CONTROL,
@@ -660,13 +660,7 @@ def test_lines_from_quoted_ids_on_faulted_and_hard_ids_runs(monkeypatch):
     encoding of that record, and each record's channel is channel_for of
     its two entities."""
     delivered = []
-    check = RecordChecker.check
-
-    def watched_check(self, i, env):
-        delivered.append(env)
-        check(self, i, env)
-
-    monkeypatch.setattr(RecordChecker, "check", watched_check)
+    watch_deliveries(monkeypatch, delivered.append)
     for run_it in (faulted_grid_run, hard_ids_run):
         delivered.clear()
         result = run_it()
