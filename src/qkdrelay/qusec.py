@@ -6,12 +6,14 @@ its key and opens nothing. Session lifetimes are checked when a session is
 read, against the clock at that moment, by ``SimConfig.lapsed``: the rule by
 which a relayed key waiting in a KMS's delivered store lapses too.
 
-Relay paths come from one Dijkstra per source node (``path_tree``), run on
-the first relay search from that node over a ``RankGraph``: nodes and links
-numbered in sorted-id order, so the search compares small integers yet
-breaks ties exactly as one over ids would. Each tree is kept as a parent
-array and a hop array, and each hop names the two KMSs it joins, so a
-relay path is read off the tree without rendering a KMS name.
+Every KMS path is read off one ``RankGraph``, built on the first path
+search: nodes and links numbered in sorted-id order, so a search compares
+small integers yet breaks ties exactly as one over ids would. A direct pair
+is the lowest-weight hop joining its two nodes. A relay path comes from one
+Dijkstra per source node (``path_tree``), run on the first relay search
+from that node. Each tree is kept as a parent array and a hop array, and
+each hop names the two KMSs it joins, so a path is read off the graph
+without rendering a KMS name.
 
 The controller sees topology and session state only. It never holds or
 forwards key material; everything it sends or receives rides the control
@@ -219,13 +221,10 @@ class QusecEntity(Entity):
         super().__init__(QUSEC_ID, node_id=None)
         self.topology = topology
         self.seed = seed
-        self._weights = link_weights(topology, topology.weight_policy)
-        # The rank graph, built on the first relay search.
+        # The rank graph, built on the first path search.
         self._graph: RankGraph | None = None
-        # source node -> its path_tree; weights never change during a run.
-        self._trees: dict[str, Tree] = {}
-        # (src_node, dst_node) -> its _kms_path, for the same reason.
-        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
+        # source node rank -> its path_tree; weights never change during a run.
+        self._trees: dict[int, Tree] = {}
         # (app_src, app_dst) -> that ordered pair's newest session.
         self.sessions: dict[tuple[str, str], SessionState] = {}
         # The n-th session opened gets the association id hashed from n.
@@ -293,64 +292,55 @@ class QusecEntity(Entity):
 
         # (b) A pickup locates its key: where the requester's newest live
         # session ends, else at the pair's first KMS. It opens nothing.
-        pickup = msg.kind == "get_key_with_id"
-        session = self._find_reusable_session(msg.app_src, msg.app_dst, now) if pickup else None
-        if session is not None:
-            session.status = SESSION_COMPLETED
-            self._respond(reply_to, msg, session.kms_path[-1])
+        pair = (msg.app_src, msg.app_dst)
+        if msg.kind == "get_key_with_id":
+            session = self._find_reusable_session(*pair, now)
+            if session is not None:
+                session.status = SESSION_COMPLETED
+                self._respond(reply_to, msg, session.kms_path[-1])
+            else:
+                self._respond(reply_to, msg, self._kms_path(src_node, dst_node)[0])
             return
 
-        try:
-            kms_path = self._kms_path(src_node, dst_node)
-        except NoPathError:
-            self._fail(reply_to, msg, "no_path")
-            return
-
-        # A get_key establishes a path of its own. (a) A direct link needs no
-        # rules. (c) A relay path gets one on every KMS, last-to-first, so
-        # downstream rules exist before the initiator can act.
-        if not pickup:
-            pair = (msg.app_src, msg.app_dst)
-            assoc = self._new_association_id()
-            if len(kms_path) > 2:
-                hops = (None, *kms_path, None)
-                for i in range(len(kms_path), 0, -1):
-                    self.send(hops[i], RelayPathInstall(assoc, hops[i - 1], hops[i + 1], *pair))
-                self.install_count += len(kms_path)
-            # Re-inserted, so the table stays in the order sessions opened.
-            self.sessions.pop(pair, None)
-            self.sessions[pair] = SessionState(assoc, *pair, kms_path, now)
+        # A get_key establishes a path of its own. The pair's last session,
+        # even a lapsed one, already carries that path: weights, links and
+        # each app's node never change during a run. It is popped and the new
+        # session re-inserted, so the table stays in the order sessions
+        # opened. (a) A direct link needs no rules. (c) A relay path gets one
+        # on every KMS, last-to-first, so downstream rules exist before the
+        # initiator can act.
+        last = self.sessions.pop(pair, None)
+        kms_path = last.kms_path if last is not None else self._kms_path(src_node, dst_node)
+        assoc = self._new_association_id()
+        if len(kms_path) > 2:
+            hops = (None, *kms_path, None)
+            for i in range(len(kms_path), 0, -1):
+                self.send(hops[i], RelayPathInstall(assoc, hops[i - 1], hops[i + 1], *pair))
+            self.install_count += len(kms_path)
+        self.sessions[pair] = SessionState(assoc, *pair, kms_path, now)
         self._respond(reply_to, msg, kms_path[0])
 
     def _kms_path(self, src_node: str, dst_node: str) -> tuple[str, ...]:
-        """(a) Both apps inside one link domain: the two KMSs of the
-        lowest-weight shared link (ties by link id). Else (c) the KMSs of the
-        shortest relay path; raises NoPathError when there is none. Computed
-        once per ordered node pair: weights and links never change during a
-        run. A NoPathError is not remembered. A relay path is the hops of
-        src_node's path tree, each contributing the KMS it leaves from and
-        the KMS it arrives at."""
-        path = self._paths.get((src_node, dst_node))
-        if path is not None:
-            return path
-        shared = self.topology.links_between(src_node, dst_node)
+        """The KMS path between two distinct nodes, read off the rank graph.
+        (a) Nodes that share a link: the two KMSs of the lowest-weight one,
+        ties broken by link rank, which orders links as their ids do. Else
+        (c) the KMSs of the shortest relay path: the hops of src_node's path
+        tree, each contributing the KMS it leaves from and the KMS it
+        arrives at."""
+        graph = self._graph
+        if graph is None:
+            topology = self.topology
+            graph = self._graph = RankGraph(
+                topology, link_weights(topology, topology.weight_policy)
+            )
+        src, dst = graph.rank[src_node], graph.rank[dst_node]
+        shared = [hop for hop in graph.hops[src] if hop[0] == dst]
         if shared:
-            link = min(shared, key=lambda l: (self._weights[l.id], l.id))
-            kms = self.topology.kms_ids
-            path = (kms[src_node, link.id], kms[dst_node, link.id])
-        else:
-            graph = self._graph
-            if graph is None:
-                graph = self._graph = RankGraph(self.topology, self._weights)
-            src, dst = graph.rank.get(src_node), graph.rank.get(dst_node)
-            if src is None or dst is None:
-                raise NoPathError(f"unknown node in pair ({src_node!r}, {dst_node!r})")
-            tree = self._trees.get(src_node)
-            if tree is None:
-                tree = self._trees[src_node] = path_tree(graph, src)
-            path = tuple(kms for hop in tree_path(tree, dst) for kms in hop[3:])
-        self._paths[src_node, dst_node] = path
-        return path
+            return min(shared, key=lambda hop: (hop[2], hop[1]))[3:]
+        tree = self._trees.get(src)
+        if tree is None:
+            tree = self._trees[src] = path_tree(graph, src)
+        return tuple(kms for hop in tree_path(tree, dst) for kms in hop[3:])
 
     # ── state dump ──
 

@@ -991,7 +991,7 @@ def test_message_count_expectation(mesh4_relay_topology):
 def rule_records(result) -> int:
     """The records a clean run of non-overlapping requests costs: 6 for each
     pickup and each direct get_key, 6L+4 for a get_key relayed over L links.
-    A get_key's path is QuSeC's path memo for its two apps' nodes."""
+    A get_key's path is QuSeC's KMS path for its two apps' nodes."""
     apps, kms_path = result.sim.topology.apps, result.sim.qusec._kms_path
     total = 0
     for request in result.report["requests"]:

@@ -576,6 +576,7 @@ def hard_ids_run():
     return run_events(topology_from_dict(raw), events, seed=3)
 
 
+@pytest.mark.hash_seed
 def test_kernel_traces_hard_ids_as_the_reference_codec_does():
     """Node, link and app ids that need escaping reach every envelope name
     and body field, so each id, quoted once by the transport when its
@@ -653,6 +654,7 @@ def test_every_record_channel_matches_channel_for_on_a_faulted_grid():
     assert channels == {CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL}
 
 
+@pytest.mark.hash_seed
 def test_lines_from_quoted_ids_on_faulted_and_hard_ids_runs(monkeypatch):
     """Each line is rendered from the ids the transport quoted when their
     entities registered: every delivered record's line, on a faulted grid

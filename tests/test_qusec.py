@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import chain, delivered, grid_dict, mesh4, random_topology, run_events
+from conftest import chain, delivered, grid_dict, mesh4, mesh4_dict, random_topology, run_events
 from qkdrelay import data_path, qusec
 from qkdrelay.harness import Simulation, load_topology_file
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
@@ -27,7 +27,7 @@ from qkdrelay.qusec import (
     shortest_path,
     tree_path,
 )
-from qkdrelay.topology import WEIGHT_POLICIES, Topology, render_kms_id, topology_from_dict
+from qkdrelay.topology import WEIGHT_POLICIES, render_kms_id, topology_from_dict
 
 
 def expand_to_kms(node_path, link_path):
@@ -163,6 +163,7 @@ def oracle_topologies():
     yield topology_from_dict(with_vanishing_weights(grid, rng))
 
 
+@pytest.mark.hash_seed
 def test_path_tree_matches_reference_dijkstra_for_every_pair():
     triples = vanishing = 0
     for topo in oracle_topologies():
@@ -207,11 +208,12 @@ def test_controller_keeps_one_tree_per_source_node():
         ],
     )
     qusec = result.sim.qusec
-    assert sorted(qusec._trees) == ["N1", "N6"]
     graph = RankGraph(topo, link_weights(topo, topo.weight_policy))
+    assert qusec._graph.nodes == graph.nodes
     assert qusec._graph.hops == graph.hops
-    for node, tree in qusec._trees.items():
-        assert tree == path_tree(graph, graph.rank[node])
+    assert sorted(graph.nodes[rank] for rank in qusec._trees) == ["N1", "N6"]
+    for rank, tree in qusec._trees.items():
+        assert tree == path_tree(graph, rank)
     assert list(qusec.sessions) == pairs
     for session, (src, dst) in zip(qusec.sessions.values(), pairs):
         src_node, dst_node = topo.apps[src], topo.apps[dst]
@@ -244,26 +246,25 @@ def memo_topologies():
         yield topology_from_dict(raw)
 
 
-def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
-    calls = {"links_between": 0, "path_tree": 0}
+@pytest.mark.hash_seed
+def test_kms_path_matches_a_fresh_computation(monkeypatch):
+    graphs = []
     searched = set()
 
-    def spy(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return counted
+    def build_once(*args):
+        graph = RankGraph(*args)
+        graphs.append(graph)
+        return graph
 
     def search_once(graph, src):
-        # One search per source node, over the controller's one rank graph.
+        # At most one search per source node, over the controller's one graph.
         assert graph is controller._graph
         assert src not in searched
         searched.add(src)
         return path_tree(graph, src)
 
-    monkeypatch.setattr(Topology, "links_between", spy("links_between", Topology.links_between))
-    monkeypatch.setattr(qusec, "path_tree", spy("path_tree", search_once))
+    monkeypatch.setattr(qusec, "RankGraph", build_once)
+    monkeypatch.setattr(qusec, "path_tree", search_once)
     pairs_seen = 0
     for base in memo_topologies():
         for policy in WEIGHT_POLICIES:
@@ -271,34 +272,37 @@ def test_kms_path_memo_matches_a_fresh_computation(monkeypatch):
             pairs = list(itertools.permutations(sorted(topo.nodes), 2))
             expected = {(src, dst): fresh_kms_path(topo, src, dst) for src, dst in pairs}
             controller = QusecEntity(topo, seed=1)
-            calls.update(links_between=0, path_tree=0)
+            graphs.clear()
             searched.clear()
-            for src, dst in pairs:
-                assert controller._kms_path(src, dst) == expected[src, dst]
-            assert calls["links_between"] == len(pairs)
-            assert calls["path_tree"] <= len(topo.nodes)
-            first = dict(calls)
-            for src, dst in pairs:
-                assert controller._kms_path(src, dst) == expected[src, dst]
-            assert calls == first  # the second round computed nothing
-            assert set(controller._paths) == set(pairs)
+            for _ in range(2):
+                for src, dst in pairs:
+                    assert controller._kms_path(src, dst) == expected[src, dst]
+            assert graphs == [controller._graph]
             pairs_seen += len(pairs)
     assert pairs_seen > 3 * 32 * 33
 
 
-def test_kms_path_memo_keeps_no_failure():
-    controller = QusecEntity(mesh4(), seed=1)
-    for _ in range(2):
-        with pytest.raises(NoPathError):
-            controller._kms_path("N1", "N9")
-    assert controller._paths == {}
+def spy_kms_path(monkeypatch) -> list[tuple[str, str]]:
+    """The (src_node, dst_node) of every QusecEntity._kms_path call, in order."""
+    asked = []
+    kms_path = QusecEntity._kms_path
+
+    def spy(self, src_node, dst_node):
+        asked.append((src_node, dst_node))
+        return kms_path(self, src_node, dst_node)
+
+    monkeypatch.setattr(QusecEntity, "_kms_path", spy)
+    return asked
 
 
-def test_kms_path_memo_grows_with_node_pairs_not_requests():
+@pytest.mark.hash_seed
+def test_kms_path_runs_once_per_ordered_app_pair(monkeypatch):
+    # APP_B and APP_D share N4, so two app pairs ask for the one node pair.
     topo = mesh4({"APP_A": "N1", "APP_B": "N4", "APP_C": "N3", "APP_D": "N4"})
     rng = random.Random(11)
     app_pairs = [("APP_A", "APP_B"), ("APP_C", "APP_B"), ("APP_C", "APP_D"), ("APP_B", "APP_A")]
     chosen = [rng.choice(app_pairs) for _ in range(120)]
+    asked = spy_kms_path(monkeypatch)
     result = run_events(
         topo,
         [{"at": 2000 * i, "event": "app_get_key", "app_src": src, "app_dst": dst}
@@ -306,9 +310,50 @@ def test_kms_path_memo_grows_with_node_pairs_not_requests():
     )
     qusec_state = result.sim.qusec
     assert qusec_state.discovery_count == len(chosen)
-    served = {(topo.apps[src], topo.apps[dst]) for src, dst in chosen}
-    assert set(qusec_state._paths) <= served
-    assert len(qusec_state._paths) <= len(served) < len(chosen)
+    first_asked = list(dict.fromkeys(chosen))
+    assert len(first_asked) == len(app_pairs) < len(chosen)
+    assert asked == [(topo.apps[src], topo.apps[dst]) for src, dst in first_asked]
+    for (src, dst), session in qusec_state.sessions.items():
+        assert session.kms_path == fresh_kms_path(topo, topo.apps[src], topo.apps[dst])
+
+
+@pytest.mark.parametrize("policy", WEIGHT_POLICIES)
+@pytest.mark.parametrize(
+    "apps", [{"APP_A": "N1", "APP_B": "N4"}, {"APP_A": "N3", "APP_B": "N4"}], ids=["relay", "direct"]
+)
+def test_a_lapsed_session_still_gives_its_pair_the_path(monkeypatch, policy, apps):
+    # Link e parallels d: cheaper by key rate, dearer by distance, and tied
+    # by hop count with d, whose id sorts first.
+    raw = mesh4_dict(apps, weight_policy=policy)
+    raw["links"].append(
+        {"id": "e", "a": "N4", "b": "N3", "key_rate": 20.0, "distance_km": 9.0, "initial_pool": 8}
+    )
+    topo = topology_from_dict(raw)
+    src_node, dst_node = apps["APP_A"], apps["APP_B"]
+    expected = fresh_kms_path(topo, src_node, dst_node)
+    asked = spy_kms_path(monkeypatch)
+    get_key = {"event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"}
+    result = run_events(
+        topo, [{"at": 0, **get_key}, {"at": 1000, **get_key}], session_lifetime_ms=100
+    )
+    assert result.sim.topology.config.lapsed(0, 1000)
+    assert asked == [(src_node, dst_node)]
+    assert [r["status"] for r in result.report["requests"]] == ["ok", "ok"]
+    qusec_state = result.sim.qusec
+    (session,) = qusec_state.sessions.values()
+    assert (qusec_state.sessions_opened, session.created_ms) == (2, 1000)
+    assert session.kms_path == expected
+    installs = [
+        (e.receiver, e.msg.id_association)
+        for e in result.records
+        if message_type(e.msg) == "relay_path_install"
+    ]
+    second = [receiver for receiver, assoc in installs if assoc == session.id_association]
+    assert second == ([] if len(expected) == 2 else list(reversed(expected)))
+    answers = [
+        e.msg.id_kms for e in result.records if message_type(e.msg) == "kms_discovery_response"
+    ]
+    assert answers == [expected[0], expected[0]]
 
 
 def test_spf_tie_break_is_deterministic_and_lexicographic():

@@ -840,6 +840,7 @@ def corpus_case(rng: random.Random) -> tuple[dict, dict]:
     return raw, {"name": "corpus", "events": events, "expect": expect}
 
 
+@pytest.mark.hash_seed
 def test_random_fault_corpus_digest():
     digest = hashlib.sha256()
     completed = 0
