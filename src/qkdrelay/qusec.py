@@ -2,9 +2,10 @@
 
 A get_key's discovery establishes a path: an association, a session and, on
 a relay path, a rule on every KMS. A get_key_with_id's discovery only locates
-its key and opens nothing. Session lifetimes are checked when a session is
-read, against the clock at that moment, by ``SimConfig.lapsed``: the rule by
-which a relayed key waiting in a KMS's delivered store lapses too.
+its key and opens nothing: it goes where its pair's newest session ends,
+live or lapsed, because the KMS store that holds the key is the one place
+that applies the session lifetime (``SimConfig.lapsed``). The controller
+reads the lifetime only for the end-of-run report.
 
 Every KMS path is read off one ``RankGraph``, built on the first path
 search: nodes and links numbered in sorted-id order, so a search compares
@@ -188,7 +189,8 @@ def shortest_path(
 class SessionState:
     """One end-to-end establishment: ordered KMS list of length 2L. QuSeC
     keeps only each ordered app pair's newest one. status is installed or
-    completed; expiry is read from the clock (QusecEntity._expired)."""
+    completed; the report reads expiry from the clock at the end of the run
+    (QusecEntity.dump_state)."""
 
     id_association: str
     app_src: str
@@ -241,23 +243,6 @@ class QusecEntity(Entity):
             f"{self.seed}|assoc|{self.sessions_opened}".encode()
         ).hexdigest(16)
 
-    # ── session bookkeeping ──
-
-    def _expired(self, session: SessionState, now_ms: int) -> bool:
-        """Whether session's lifetime has run out by the clock now_ms."""
-        return self.topology.config.lapsed(session.created_ms, now_ms)
-
-    def _find_reusable_session(
-        self, app_src: str, app_dst: str, now_ms: int
-    ) -> SessionState | None:
-        """Newest live session in which the requester is the target. Only the
-        pair's newest session needs a look: created_ms never decreases, so if
-        it has expired, so have all older ones."""
-        session = self.sessions.get((app_dst, app_src))
-        if session is None or self._expired(session, now_ms):
-            return None
-        return session
-
     # ── discovery ──
 
     def on_message(self, env: Envelope) -> None:
@@ -290,11 +275,14 @@ class QusecEntity(Entity):
             self._fail(reply_to, msg, "same_node")
             return
 
-        # (b) A pickup locates its key: where the requester's newest live
-        # session ends, else at the pair's first KMS. It opens nothing.
+        # (b) A pickup locates its key and opens nothing. Every key of the
+        # pair waits where its newest session ends, live or lapsed: a pair's
+        # path never changes during a run, and that KMS's store decides
+        # whether the key has lapsed. With no session, no key of the pair
+        # exists, and the pickup goes to the pair's first KMS.
         pair = (msg.app_src, msg.app_dst)
         if msg.kind == "get_key_with_id":
-            session = self._find_reusable_session(*pair, now)
+            session = self.sessions.get((msg.app_dst, msg.app_src))
             if session is not None:
                 session.status = SESSION_COMPLETED
                 self._respond(reply_to, msg, session.kms_path[-1])
@@ -347,12 +335,13 @@ class QusecEntity(Entity):
     def dump_state(self) -> dict:
         """Session statuses as of the clock now, the end of the run."""
         now = self.services.now_ms
+        lapsed = self.topology.config.lapsed
         return {
             "weight_policy": self.topology.weight_policy,
             "session_lifetime_ms": self.topology.config.session_lifetime_ms,
             "discovery_count": self.discovery_count,
             "install_count": self.install_count,
             "sessions_opened": self.sessions_opened,
-            "sessions": [s.to_dict(self._expired(s, now)) for s in self.sessions.values()],
+            "sessions": [s.to_dict(lapsed(s.created_ms, now)) for s in self.sessions.values()],
             "errors": list(self.errors),
         }

@@ -69,8 +69,9 @@ class SimConfig:
 
     def lapsed(self, since_ms: int, now_ms: int) -> bool:
         """Whether state made at since_ms has outlived the session lifetime
-        by the clock now_ms. The one lapse rule: a session and a relayed key
-        waiting for pickup both lapse by it."""
+        by the clock now_ms. The one lapse rule: during a run only a KMS's
+        delivered store applies it, to a key waiting for pickup; the
+        end-of-run report applies it to QuSeC's sessions."""
         lifetime = self.session_lifetime_ms
         return lifetime is not None and now_ms - since_ms > lifetime
 

@@ -324,27 +324,37 @@ def newest_per_pair(opened: list) -> list:
 
 
 def test_session_and_rule_lookups_match_scans(monkeypatch):
-    seen = {"reused": 0, "expired_skipped": 0, "rules": 0, "refused": 0, "superseded": 0}
+    seen = {"reused": 0, "lapsed_read": 0, "rules": 0, "refused": 0, "superseded": 0}
 
     opened = log_sessions(monkeypatch)
-    find_session = QusecEntity._find_reusable_session
+    discover = QusecEntity._handle_discovery
 
-    def checked_session(self, app_src, app_dst, now_ms):
-        assert now_ms == self.services.now_ms
-        got = find_session(self, app_src, app_dst, now_ms)
-        lifetime = self.topology.config.session_lifetime_ms
+    def checked_discovery(self, msg, reply_to):
+        if msg.kind != "get_key_with_id":
+            return discover(self, msg, reply_to)
+        # A pickup reads the newest session opened with the requester as its
+        # target, lapsed or not, and answers where that session ends.
         want = None
         for session in reversed(opened):
-            if session.app_src != app_dst or session.app_dst != app_src:
-                continue
-            if lifetime is not None and self.services.now_ms - session.created_ms > lifetime:
-                seen["expired_skipped"] += 1
-                continue
-            want = session
-            break
-        assert got is want
-        seen["reused"] += want is not None
-        return got
+            if session.app_src == msg.app_dst and session.app_dst == msg.app_src:
+                want = session
+                break
+        assert self.sessions.get((msg.app_dst, msg.app_src)) is want
+        send, sent = self.send, []
+        self.send = lambda to, reply: (sent.append(reply), send(to, reply))
+        try:
+            discover(self, msg, reply_to)
+        finally:
+            self.send = send
+        if want is None:
+            return
+        (answer,) = sent
+        assert answer.id_kms == want.kms_path[-1]
+        assert want.status == SESSION_COMPLETED
+        seen["reused"] += 1
+        lifetime = self.topology.config.session_lifetime_ms
+        if lifetime is not None and self.services.now_ms - want.created_ms > lifetime:
+            seen["lapsed_read"] += 1
 
     # Every install a KMS gets, logged from outside it: kms id -> (app_src,
     # app_dst, prev_hop) -> the newest install for that key.
@@ -380,7 +390,7 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
 
         return checked
 
-    monkeypatch.setattr(QusecEntity, "_find_reusable_session", checked_session)
+    monkeypatch.setattr(QusecEntity, "_handle_discovery", checked_discovery)
     monkeypatch.setitem(kms._HANDLERS, RelayPathInstall, logged_install)
     for msg_type, prev_hop_is_sender in (
         (GetKey, False), (RelayProcessRequest, True), (ExtKeyRequest, True), (KeyRelay, True),
@@ -397,18 +407,27 @@ def test_session_and_rule_lookups_match_scans(monkeypatch):
     for lifetime, faults in ((None, []), (60, []), (150, []), (None, lost_installs)):
         newest.clear()
         opened.clear()
+        lapsed_before = seen["lapsed_read"]
         raw = grid_dict(4, initial_pool=24, session_lifetime_ms=lifetime)
         events = faults + grid_events(raw, random.Random(lifetime or 0), pairs=40)
         if lifetime is not None:
-            # Only a pickup looks for a session to reuse: repeat the last
-            # one after its session has expired.
-            events.append({**events[-1], "at": events[-1]["at"] + lifetime + 10})
+            # Only a pickup reads a session: repeat the last one after its
+            # session has lapsed, then open the pair a new session whose one
+            # pickup comes only after it has lapsed.
+            get_key, pickup = events[-2:]
+            at = pickup["at"] + lifetime + 10
+            events += [
+                {**pickup, "at": at},
+                {**get_key, "at": at + 10},
+                {**pickup, "at": at + lifetime + 20},
+            ]
         result = run_events(topology_from_dict(raw), events, seed=2)
         assert result.report["quiescent"]
         assert list(result.sim.qusec.sessions.values()) == newest_per_pair(opened)
         assert result.sim.qusec.sessions_opened == len(opened)
-    assert seen["reused"] > 0
-    assert seen["expired_skipped"] > 0
+        if lifetime is not None:
+            assert seen["lapsed_read"] > lapsed_before
+    assert seen["reused"] > seen["lapsed_read"] > 0
     assert seen["rules"] > 0
     assert seen["refused"] > seen["superseded"] > 0
 

@@ -452,21 +452,28 @@ def test_delivered_store_within_ttl():
     assert pickup.material == served.material
 
 
-def test_session_and_delivered_store_share_one_lapse_rule(monkeypatch):
-    """QuSeC's sessions and the KMS's delivered store both ask SimConfig."""
+def test_only_the_delivered_store_and_the_report_apply_the_lapse_rule(monkeypatch):
+    """A pickup's discovery reads no lifetime, live or lapsed: during a run
+    only the KMS's delivered store asks SimConfig, then the report does."""
     calls = []
     lapsed = SimConfig.lapsed
 
     def spy(config, since_ms, now_ms):
-        calls.append(sys._getframe(1).f_code.co_name)
+        # The calling function, past any comprehension's own frame.
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        calls.append(frame.f_code.co_name)
         return lapsed(config, since_ms, now_ms)
 
     monkeypatch.setattr(SimConfig, "lapsed", spy)
-    _, pickup = _pickup_at(400)
-    assert pickup.status == STATUS_OK
-    # The pickup's discovery reads the session, KMS_4d reads its entry, and
-    # the report reads the session again at the end of the run.
-    assert calls == ["_expired", "_handle_get_key_with_id", "_expired"]
+    for at_ms, status in ((400, STATUS_OK), (600, STATUS_NO_RULE)):
+        calls.clear()
+        _, pickup = _pickup_at(at_ms)
+        assert pickup.status == status
+        # KMS_4d reads its entry, and the report reads the session at the
+        # end of the run.
+        assert calls == ["_handle_get_key_with_id", "dump_state"]
 
 
 def test_initiator_state_after_a_relay(mesh4_relay_topology):

@@ -1,10 +1,12 @@
-"""Metamorphic relations: neither a topology file's order nor the scenario's
-absolute event times reach a trace.
+"""Metamorphic relations: neither a topology file's order, nor idle leaf
+nodes, nor the scenario's absolute event times reach a trace.
 
 Each case runs as given and transformed, under every weight policy, and
 the traces must be byte-identical:
 - the topology's nodes, links and apps shuffled, and each link's a and b
   swapped;
+- two degree-1 nodes added, one whose id sorts first and one whose id sorts
+  last, each with an idle app;
 - every scenario event shifted by one constant.
 """
 
@@ -79,6 +81,22 @@ def shuffled(raw: dict, rng: random.Random) -> dict:
     return out
 
 
+def with_leaves(raw: dict) -> dict:
+    """raw with leaf 0leaf linked to its smallest node id and leaf zleaf to
+    its largest, each by a copy of its first link and with one idle app."""
+    ids = sorted(node["id"] for node in raw["nodes"])
+    leaves = (("0leaf", ids[0]), ("zleaf", ids[-1]))
+    return {
+        **raw,
+        "nodes": raw["nodes"] + [{"id": leaf} for leaf, _ in leaves],
+        "links": raw["links"] + [
+            {**raw["links"][0], "id": f"{leaf}_link", "a": leaf, "b": node}
+            for leaf, node in leaves
+        ],
+        "apps": raw["apps"] + [{"id": f"APP_{leaf}", "node": leaf} for leaf, _ in leaves],
+    }
+
+
 def shifted(events: list[dict]) -> list[dict]:
     return [{**event, "at": event["at"] + SHIFT_MS} for event in events]
 
@@ -98,4 +116,5 @@ def test_file_order_and_event_time_never_reach_the_trace(case, policy):
     rng = random.Random(f"{case}/{policy}")
     for _ in range(SHUFFLES):
         assert run_case(shuffled(raw, rng), events).trace_lines == base.trace_lines
+    assert run_case(with_leaves(raw), events).trace_lines == base.trace_lines
     assert run_case(raw, shifted(events)).trace_lines == base.trace_lines

@@ -640,6 +640,67 @@ def test_pickup_after_expiry_installs_nothing():
     assert [r["status"] for r in result.report["requests"]] == ["ok", "failed_no_rule"]
 
 
+def pickup_answers(records) -> list[str | None]:
+    """The KMS each pickup's discovery was answered with, in answer order."""
+    asked = {
+        e.msg.id_request
+        for e in records
+        if type(e.msg) is KmsDiscoveryRequest and e.msg.kind == "get_key_with_id"
+    }
+    return [
+        e.msg.id_kms
+        for e in records
+        if message_type(e.msg) == "kms_discovery_response" and e.msg.id_request in asked
+    ]
+
+
+@pytest.mark.hash_seed
+def test_a_lapsed_pickup_goes_where_its_session_ends():
+    # Two 3-hop routes join N1 and N9. From N1 the smaller node sequence runs
+    # via N2, so the chain ends at KMS_9r; from N9 it runs via N3, so the
+    # reverse path starts at KMS_9u. The lapsed key waits at KMS_9r.
+    links = ["p N1 N2", "q N2 N8", "r N8 N9", "s N1 N4", "t N4 N3", "u N3 N9"]
+    raw = {
+        "nodes": [{"id": n} for n in ("N1", "N2", "N3", "N4", "N8", "N9")],
+        "links": [
+            {"id": i, "a": a, "b": b, "key_rate": 10.0, "distance_km": 10.0, "initial_pool": 8}
+            for i, a, b in map(str.split, links)
+        ],
+        "apps": [{"id": "APP_A", "node": "N1"}, {"id": "APP_B", "node": "N9"}],
+        "weight_policy": "hop_count",
+    }
+    topo = topology_from_dict(raw)
+    assert fresh_kms_path(topo, "N1", "N9")[-1] == "KMS_9r"
+    assert fresh_kms_path(topo, "N9", "N1")[0] == "KMS_9u"
+    events = [
+        {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"},
+        {"at": 100, "event": "app_get_key_with_id", "app_src": "APP_B",
+         "app_dst": "APP_A", "key_id_from": "APP_A"},
+    ]
+    for lifetime, pickup in ((50, "failed_no_rule"), (None, "ok")):
+        result = run_events(topo, events, seed=1, session_lifetime_ms=lifetime)
+        assert [r["status"] for r in result.report["requests"]] == ["ok", pickup]
+        assert pickup_answers(result.records) == ["KMS_9r"]
+        assert all(not k.delivered for k in result.sim.kms.values())
+
+
+@pytest.mark.hash_seed
+def test_every_lapsed_pickup_on_a_grid_finds_its_key_and_is_refused():
+    raw = grid_dict(4, initial_pool=32, session_lifetime_ms=50)
+    apps = [a["id"] for a in raw["apps"]]
+    rng = random.Random(3)
+    events = []
+    for i in range(60):
+        src, dst = rng.sample(apps, 2)
+        events.append({"at": 200 * i, "event": "app_get_key", "app_src": src, "app_dst": dst})
+        events.append({"at": 200 * i + 100, "event": "app_get_key_with_id",
+                       "app_src": dst, "app_dst": src, "key_id_from": src})
+    result = run_events(topology_from_dict(raw), events, seed=1)
+    pickups = [r["status"] for r in result.report["requests"] if r["kind"] == "get_key_with_id"]
+    assert pickups == ["failed_no_rule"] * 60
+    assert all(not k.delivered for k in result.sim.kms.values())
+
+
 def test_report_reads_session_lifetimes_at_the_end_of_the_run():
     # No discovery follows the get_key, so only the clock at the end of the
     # run can show that its session has expired.
