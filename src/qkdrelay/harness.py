@@ -288,7 +288,7 @@ class AppEndpoint(Entity):
         super().__init__(app_id, node_id=node_id)
         # id_request -> the request, until its delivery arrives.
         self.outstanding: dict[str, AppRequest] = {}
-        self.last_ok_key_id: str | None = None
+        self.last_ok_key_id = ""
 
     def on_message(self, env: Envelope) -> None:
         msg = env.msg
@@ -503,11 +503,11 @@ class Simulation:
         for link in topology.links.values():
             pool_a, pool_b = self.linksim.link_pools(link.id)
             store_a, store_b = {}, {}
-            for end, pool, store, peer_pool, peer_store in (
-                (link.a, pool_a, store_a, pool_b, store_b),
-                (link.b, pool_b, store_b, pool_a, store_a),
+            for end, pool, store, peer_end, peer_pool, peer_store in (
+                (link.a, pool_a, store_a, link.b, pool_b, store_b),
+                (link.b, pool_b, store_b, link.a, pool_a, store_a),
             ):
-                kms = KmsEntity(end, pool, store, peer_pool, peer_store, topology.config)
+                kms = KmsEntity(end, pool, store, peer_pool, peer_store, topology, peer_end)
                 self.kms[pool.owner_kms] = kms
                 entities.append(kms)
         for app_id, node_id in topology.apps.items():
@@ -524,13 +524,11 @@ class Simulation:
     # ── scenario event execution ──
 
     def _resolve_key_id(self, event: dict) -> str:
+        """The event's key_id, else the newest ok key id of its key_id_from
+        app: "" if that app has none, which no KMS store holds."""
         if "key_id" in event:
             return event["key_id"]
-        source = event["key_id_from"]
-        key_id = self.apps[source].last_ok_key_id
-        if key_id is None:
-            raise ConfigError(f"app {source!r} has no delivered key to reference")
-        return key_id
+        return self.apps[event["key_id_from"]].last_ok_key_id
 
     def _app_request(self, event: dict, with_id: bool) -> None:
         """Send one app request. Its id is its 1-based place in `requests`,
@@ -809,9 +807,8 @@ def check_scenario(topology: Topology, scenario: Scenario) -> None:
 def run(topology: Topology, scenario: Scenario, seed: int) -> RunResult:
     """Run scenario on a fresh Simulation. Every setting comes from topology:
     its weight_policy and its config. Configuration errors are raised before
-    anything is simulated, except a key_id_from whose app has no delivered
-    key yet, which only the run can tell, and a golden trace that does not
-    parse, which its diff finds after the run."""
+    anything is simulated, except a golden trace that does not parse, which
+    its diff finds after the run."""
     check_scenario(topology, scenario)
     golden = None
     if "trace" in scenario.expect:

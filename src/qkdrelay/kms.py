@@ -3,9 +3,12 @@
 Implements direct delivery plus the hop-by-hop relay procedure: reserve the
 end-to-end key K1 on the first link, then at each hop encrypt it with a
 fresh key from the next link (K3 = K1 xor K2), hand it across, and propagate
-completion statuses backward. A KMS touches only its own pool, except that a
-direct serve also spends its key in the link peer's pool, as the key sync
-between a link's two KMSs would. The end-to-end key enters a node in
+completion statuses backward. A Get Key is served direct only to an app on
+the link peer's node, and relayed only under QuSeC's initiator rule for the
+pair; otherwise it is refused with no rule, before any key is reserved. A
+KMS touches only its own pool, except that a direct serve also spends its
+key in the link peer's pool, as the key sync between a link's two KMSs
+would. The end-to-end key enters a node in
 plaintext only on the intra-node channel, inside the physically-secure
 trusted relay. Every served key waits in its target-side KMS's delivered
 store, and the pickup by the app it was served for takes it once, until it
@@ -51,7 +54,7 @@ from .protocol import (
     message_type,
     otp_xor,
 )
-from .topology import SimConfig
+from .topology import Topology
 
 log = logging.getLogger(__name__)
 
@@ -110,13 +113,16 @@ class KmsEntity(Entity):
         delivered: dict[tuple[str, str, str], DeliveredKey],
         peer_pool: KeyPool,
         peer_delivered: dict[tuple[str, str, str], DeliveredKey],
-        config: SimConfig,
+        topology: Topology,
+        peer_node: str,
     ):
         super().__init__(pool.owner_kms, node_id=node_id)
         self.peer_kms_id = peer_pool.owner_kms
         self.pool, self.peer_pool = pool, peer_pool
-        self.config = config
-        self.timeout_ms = config.request_timeout_ms
+        # app -> node, and the node across the link: direct serves go there.
+        self.apps, self.peer_node = topology.apps, peer_node
+        self.config = topology.config
+        self.timeout_ms = self.config.request_timeout_ms
         # (app_src, app_dst, prev_hop) -> the newest install for it: this
         # KMS's role in the chains of one app pair. prev_hop none means this
         # KMS initiates them; next_hop none means it ends them. A next_hop that
@@ -155,12 +161,18 @@ class KmsEntity(Entity):
         self.send(to, KeyDelivery(key_id, material, status, request.id_request))
 
     def _handle_get_key(self, msg: GetKey, requester: str) -> None:
+        # Direct when app_dst sits across the link, relay when QuSeC made
+        # this KMS the initiator of the pair's chains, else no rule.
+        direct = self.apps.get(msg.app_dst) == self.peer_node
+        if not direct and (msg.app_src, msg.app_dst, None) not in self.rules:
+            self._deliver(requester, msg, "", b"", STATUS_NO_RULE)
+            return
         # Direct serve and relay initiation both take the next key, FIFO.
         key_id = self.pool.reserve_next()
         if key_id is None:
             self._deliver(requester, msg, "", b"", STATUS_NO_KEY)
             return
-        if (msg.app_src, msg.app_dst, None) not in self.rules:
+        if direct:
             # Direct: spend the key at both ends and leave it at the peer.
             material = self.pool.consume(key_id)
             self.peer_pool.take(key_id)  # None if the peer reserved it to relay

@@ -424,13 +424,22 @@ def test_a_repeated_event_shape_still_has_its_values_checked(second, message):
             load(copy.deepcopy(entries))
 
 
-def test_key_id_from_without_prior_key_is_config_error(mesh4_relay_topology):
-    with pytest.raises(ConfigError, match="no delivered key"):
-        run_events(
-            mesh4_relay_topology,
-            [{"at": 0, "event": "app_get_key_with_id", "app_src": "APP_B",
-              "app_dst": "APP_A", "key_id_from": "APP_A"}],
-        )
+@pytest.mark.parametrize("first_get_key", [False, True])
+def test_key_id_from_without_prior_ok_key_goes_out_empty_and_fails_no_key(first_get_key):
+    # A has no ok key: it sent no get_key, or its only one failed on an
+    # empty pool. B's pickup is still issued, with an empty key id.
+    raw = mesh4_dict({"APP_A": "N1", "APP_B": "N4"})
+    events = [{"at": 10, "event": "app_get_key_with_id", "app_src": "APP_B",
+               "app_dst": "APP_A", "key_id_from": "APP_A"}]
+    if first_get_key:
+        for link in raw["links"]:
+            link["initial_pool"] = 0
+        events.insert(0, {"at": 0, "event": "app_get_key", "app_src": "APP_A", "app_dst": "APP_B"})
+    result = run_events(topology_from_dict(raw), events)
+    assert [r.status for r in result.sim.requests] == [STATUS_NO_KEY] * len(events)
+    assert result.report["quiescent"]
+    pickups = [line for line in result.trace_lines if '"type":"get_key_with_id"' in line]
+    assert pickups and all('"key_id":""' in line for line in pickups)
 
 
 def test_unknown_scenario_app_is_config_error(mesh4_relay_topology):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
 
-from conftest import chain, delivered, mesh4, mesh4_dict, resolved, run_events
+from conftest import chain, delivered, grid_dict, mesh4, mesh4_dict, resolved, run_events
 from test_repros import run_repro
 from qkdrelay.harness import Simulation
+from qkdrelay.qusec import shortest_path
 from qkdrelay.topology import SimConfig, topology_from_dict
 from qkdrelay.protocol import (
     STATUS_DECRYPT,
@@ -260,6 +262,37 @@ def test_relay_process_request_without_rule():
     assert response.msg.status == STATUS_NO_RULE
     # The initiator had no pending entry for it: logged orphan, no crash.
     assert sim.kms["KMS_1b"].orphan_count == 1
+
+
+def test_a_lost_initiator_install_is_refused_and_strands_no_key():
+    # The 4th install, KMS_1b's initiator rule, is lost. KMS_1b's peer
+    # holds no app of the pair, so the first get_key is refused before any
+    # key is reserved; the second gets its rule and relays, and B picks it up.
+    result = run_repro("lost_initiator_install")
+    assert result.exit_code == 0
+    assert [kms_id for kms_id, kms in result.sim.kms.items() if kms.delivered] == []
+
+
+def test_every_relay_pair_without_its_initiator_rule_is_refused():
+    # On a 4x4 grid, each ordered pair L >= 2 links apart loses its 2L-th
+    # install, the initiator's: QuSeC installs last-to-first.
+    raw = grid_dict(4, initial_pool=8, session_lifetime_ms=None)
+    topo = topology_from_dict(raw)
+    app_of = {a["node"]: a["id"] for a in raw["apps"]}
+    refused = 0
+    for src, dst in itertools.permutations(app_of, 2):
+        _, _, links = shortest_path(topo, src, dst, topo.weight_policy)
+        if len(links) < 2:
+            continue
+        result = run_events(topo, [
+            {"at": 0, "event": "drop_message", "n": 2 * len(links), "of_type": "relay_path_install"},
+            {"at": 0, "event": "app_get_key", "app_src": app_of[src], "app_dst": app_of[dst]},
+        ])
+        assert [r.status for r in result.sim.requests] == [STATUS_NO_RULE]
+        assert [kms_id for kms_id, kms in result.sim.kms.items() if kms.delivered] == []
+        assert sum(p["consumed_distinct"] for p in result.sim.linksim.pool_report().values()) == 0
+        refused += 1
+    assert refused == 192
 
 
 def test_key_relay_with_unknown_association():
