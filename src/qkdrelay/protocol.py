@@ -542,16 +542,6 @@ class Entity:
 QUOTED_CHANNELS = {c: _quote(c) for c in (CHANNEL_INTRA, CHANNEL_INTER, CHANNEL_CONTROL)}
 
 
-def channel_for(sender: Entity, receiver: Entity) -> str:
-    """control when either end is outside every node (the controller),
-    intra_node when both ends share a node, else inter_node."""
-    if sender.node_id is None or receiver.node_id is None:
-        return CHANNEL_CONTROL
-    if sender.node_id == receiver.node_id:
-        return CHANNEL_INTRA
-    return CHANNEL_INTER
-
-
 class Transport:
     """Instrumented in-memory message fabric.
 
@@ -561,13 +551,15 @@ class Transport:
     only as long as its receiver and the caller that traces it hold it.
     Per-sender seq numbers are assigned here, and armed fault rules are
     applied at send time; a rule that fires is removed, as it can never
-    match again. Each send reads its channel off the two entities' nodes,
-    as channel_for does, so an unknown id raises on every send and no
-    per-pair state is kept. ``quoted`` holds each entity id quoted as a
-    JSON string, once, when the entity registers; the kernel's pump renders
-    trace lines from it. `dropped` and `corrupted` keep the envelopes a
-    fault actually changed; a corrupt rule that fires on a message with no
-    non-empty octet field leaves it as it was and is not kept.
+    match again. Each send reads its channel off the two entities' nodes:
+    control when either end is outside every node (the controller),
+    intra_node when both ends share a node, else inter_node. So an unknown
+    id raises on every send and no per-pair state is kept. ``quoted``
+    holds each entity id quoted as a JSON string, once, when the entity
+    registers; the kernel's pump renders trace lines from it. `dropped`
+    and `corrupted` keep the envelopes a fault actually changed; a corrupt
+    rule that fires on a message with no non-empty octet field leaves it
+    as it was and is not kept.
     """
 
     def __init__(self):
@@ -599,7 +591,8 @@ class Transport:
             receiver_node = entities[receiver_id].node_id
         except KeyError:
             raise UnknownEntityError(f"unknown receiver {receiver_id!r}") from None
-        # channel_for's rule, inline: calling it would cost a call per send.
+        # The channel rule of the class docstring, inline: a helper would
+        # cost a call per send.
         if sender_node is None or receiver_node is None:
             channel = CHANNEL_CONTROL
         elif sender_node == receiver_node:

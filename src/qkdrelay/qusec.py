@@ -24,11 +24,9 @@ channel.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from . import protocol
 from .protocol import (
     Entity,
     Envelope,
@@ -37,8 +35,6 @@ from .protocol import (
     RelayPathInstall,
 )
 from .topology import QUSEC_ID, Link, Topology
-
-log = logging.getLogger(__name__)
 
 SESSION_INSTALLED = "installed"
 SESSION_COMPLETED = "completed"
@@ -246,11 +242,7 @@ class QusecEntity(Entity):
     # ── discovery ──
 
     def on_message(self, env: Envelope) -> None:
-        if type(env.msg) is KmsDiscoveryRequest:
-            self._handle_discovery(env.msg, env.sender)
-        else:
-            log.warning("QuSeC ignoring unexpected %s from %s",
-                        protocol.message_type(env.msg), env.sender)
+        self._handle_discovery(env.msg, env.sender)
 
     def _respond(self, reply_to: str, msg: KmsDiscoveryRequest, id_kms: str | None) -> None:
         self.send(reply_to, KmsDiscoveryResponse(msg.app_src, msg.app_dst, id_kms, msg.id_request))

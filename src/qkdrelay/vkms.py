@@ -57,12 +57,7 @@ class VkmsEntity(Entity):
 
     def on_message(self, env: Envelope) -> None:
         """Hand msg and its sender to the handler of msg's type (_HANDLERS)."""
-        msg = env.msg
-        handler = _HANDLERS.get(type(msg))
-        if handler is None:
-            log.warning("%s ignoring %s", self.entity_id, message_type(msg))
-        else:
-            handler(self, msg, env.sender)
+        _HANDLERS[type(env.msg)](self, env.msg, env.sender)
 
     def _handle_reply(self, msg: KmsDiscoveryResponse | KeyDelivery, sender: str) -> None:
         pending = self.awaiting.get(msg.id_request)

@@ -1,6 +1,6 @@
 """Shared builders: the 4-node mesh, linear chains, run helpers, the
-small codec and topology lookups only the tests use, and a reference
-scenario loop."""
+small codec and topology lookups only the tests use, the transport's
+channel rule, and a reference scenario loop."""
 
 from __future__ import annotations
 
@@ -24,7 +24,17 @@ from qkdrelay.harness import (
 )
 from qkdrelay.kms import KmsEntity
 from qkdrelay.linksim import KeyTable, LinkSimulator
-from qkdrelay.protocol import MESSAGE_TYPES, CodecError, Envelope, decode, encode_str
+from qkdrelay.protocol import (
+    CHANNEL_CONTROL,
+    CHANNEL_INTER,
+    CHANNEL_INTRA,
+    MESSAGE_TYPES,
+    CodecError,
+    Entity,
+    Envelope,
+    decode,
+    encode_str,
+)
 from qkdrelay.qusec import QusecEntity
 from qkdrelay.topology import Link, Topology, topology_from_dict
 from qkdrelay.trace import TraceParseError
@@ -133,6 +143,17 @@ def parse_trace_line(line: str) -> Envelope:
         return decode(line)
     except CodecError as exc:
         raise TraceParseError(str(exc)) from None
+
+
+def channel_for(sender: Entity, receiver: Entity) -> str:
+    """The channel rule that Transport.send applies inline, as a reference:
+    control when either end is outside every node (the controller),
+    intra_node when both ends share a node, else inter_node."""
+    if sender.node_id is None or receiver.node_id is None:
+        return CHANNEL_CONTROL
+    if sender.node_id == receiver.node_id:
+        return CHANNEL_INTRA
+    return CHANNEL_INTER
 
 
 def chain(n_links: int, initial_pool: int = 4, **overrides) -> Topology:

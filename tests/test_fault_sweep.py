@@ -22,6 +22,7 @@ SWEPT = [
     *sorted(pathlib.Path(data_path("scenarios")).glob("*.json")),
     REPROS / "reverse_direct.json",
     REPROS / "pickup_twice.json",
+    REPROS / "unknown_app_dst.json",
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encode, faulted_grid_run, run_events, watch_deliveries
+from conftest import channel_for, encode, faulted_grid_run, run_events, watch_deliveries
 from qkdrelay import protocol
 from qkdrelay.protocol import (
     CHANNEL_CONTROL,
@@ -34,7 +34,6 @@ from qkdrelay.protocol import (
     RelayPathInstall,
     Transport,
     UnknownEntityError,
-    channel_for,
     corrupt_message,
     decode,
     message_type,

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from conftest import chain, delivered, grid_dict, mesh4, mesh4_dict, random_topology, run_events
+from test_repros import run_repro
 from qkdrelay import data_path, qusec
 from qkdrelay.harness import Simulation, load_topology_file
 from qkdrelay.protocol import KmsDiscoveryRequest, RelayPathInstall, message_type
@@ -27,7 +28,7 @@ from qkdrelay.qusec import (
     shortest_path,
     tree_path,
 )
-from qkdrelay.topology import WEIGHT_POLICIES, render_kms_id, topology_from_dict
+from qkdrelay.topology import WEIGHT_POLICIES, Topology, render_kms_id, topology_from_dict
 
 
 def expand_to_kms(node_path, link_path):
@@ -401,6 +402,42 @@ def test_spf_errors():
         shortest_path(topo, "N1", "N1", "hop_count")
     with pytest.raises(NoPathError):
         shortest_path(topo, "N1", "N9", "hop_count")
+
+
+def test_a_disconnected_topology_built_in_python_raises_no_path():
+    """The loader refuses a disconnected graph, but a Topology built with
+    the dataclass constructor skips it: tree_path must raise rather than
+    walk the parent array from an unreached node."""
+    left = chain(1)
+    right = topology_from_dict({
+        "nodes": [{"id": "N3"}, {"id": "N4"}],
+        "links": [{"id": "b", "a": "N3", "b": "N4", "key_rate": 10.0,
+                   "distance_km": 10.0, "initial_pool": 4}],
+        "apps": [],
+        "weight_policy": "hop_count",
+    })
+    joined = Topology(
+        nodes={**left.nodes, **right.nodes},
+        links={**left.links, **right.links},
+        apps={},
+        weight_policy="hop_count",
+        adjacency={**left.adjacency, **right.adjacency},
+        kms_ids={**left.kms_ids, **right.kms_ids},
+        vkms_ids={**left.vkms_ids, **right.vkms_ids},
+    )
+    with pytest.raises(NoPathError, match="no path to node rank"):
+        shortest_path(joined, "N1", "N4", "hop_count")
+
+
+def test_an_unknown_destination_app_is_refused_in_a_run():
+    """QuSeC's unknown_app answer is live in a run: the scenario checks
+    name only the requesting app, so a get_key toward an app no node has
+    ends failed_unknown_app, opens no session, and the run passes."""
+    result = run_repro("unknown_app_dst")
+    assert result.exit_code == 0
+    assert [r.status for r in result.sim.requests] == ["failed_unknown_app", "ok"]
+    assert [e["reason"] for e in result.sim.qusec.errors] == ["unknown_app"]
+    assert list(result.sim.qusec.sessions) == [("APP_A", "APP_B")]
 
 
 def test_link_weight_policies():
